@@ -12,7 +12,7 @@ import os
 import sys
 
 from .config import load_config
-from .errors import ConfigError, RunError, ScheduleError
+from .errors import CertificationError, ConfigError, RunError, ScheduleError
 from .harness import run as run_experiment
 from .harness import write_report
 
@@ -46,6 +46,8 @@ def _cmd_report(args) -> int:
             payload = json.load(fh)
     except OSError as exc:
         raise RunError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(payload, dict) or not {"experiment", "replicas"} <= payload.keys():
+        raise RunError(f"{path} is not a run report: it needs 'experiment' and 'replicas'")
     print(f"experiment: {payload['experiment']}")
     print(f"replicas: {payload['replicas']}")
     flags = payload.get("flags", {})
@@ -73,7 +75,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, RunError, ScheduleError, ValueError, OSError) as exc:
+    except (CertificationError, ConfigError, RunError, ScheduleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -204,12 +204,11 @@ def volatility_path(kernel: VolatilityKernel, db: np.ndarray, dt: float, burn_in
     m = int(round(burn_in / dt))
     if db.ndim != 1 or db.size < m:
         raise ValueError("increment sequence must cover the burn-in window")
-    taps = _kernel_taps(kernel, dt, burn_in)
-    j = np.convolve(db, taps, mode="valid")
-    return np.exp(j)
+    return _volatility_paths(kernel, db[None, :], dt, burn_in)[0]
 
 
 def _volatility_paths(kernel, db: np.ndarray, dt: float, burn_in: float) -> np.ndarray:
+    """Row-wise ``volatility_path`` of a (rows, increments) array."""
     taps = _kernel_taps(kernel, dt, burn_in)
     j = fftconvolve(db, taps[None, :], mode="valid", axes=1)
     return np.exp(j)
@@ -249,9 +248,11 @@ def simulate_ensemble(
     Replicas own independent noise histories (stream layout per replica:
     volatility/price increments dB, then orthogonal increments dW, then the
     correlation kernel's increments when rho is a process).  With
-    ``share_noise`` the same histories drive every initial state, which
-    sharpens ensemble comparisons; otherwise each state uses a disjoint
-    replica range.
+    ``share_noise`` each replica's history is drawn and convolved once and
+    drives every initial state, which sharpens ensemble comparisons;
+    otherwise each state uses a disjoint replica range.  Every operation is
+    elementwise and per replica, so ``chunk`` (replicas per pass) bounds
+    memory and cannot change the results.
     """
     l0_list = [float(v) for v in l0_list]
     n_states = len(l0_list)
@@ -260,10 +261,12 @@ def simulate_ensemble(
     h_steps = p.horizon_steps
     b_steps = p.burn_steps
     n_inc = b_steps + h_steps
-    streams = replicas if share_noise else replicas * n_states
-    if streams * n_inc > RESOURCE_CAP:
+    # Noise groups: one shared by all states, or one per state.
+    groups = 1 if share_noise else n_states
+    if groups * replicas * n_inc > RESOURCE_CAP:
         raise RunError(
-            f"ensemble needs {streams * n_inc:.3g} replica-steps, over the cap {RESOURCE_CAP:.3g}"
+            f"ensemble needs {groups * replicas * n_inc:.3g} replica-steps, "
+            f"over the cap {RESOURCE_CAP:.3g}"
         )
     cp_idx = []
     for t in checkpoints:
@@ -272,40 +275,50 @@ def simulate_ensemble(
             raise ValueError(f"checkpoint {t} outside [0, horizon]")
         cp_idx.append(idx)
     cp_times = tuple(i * p.dt for i in cp_idx)
+    cp_at: dict[int, list[int]] = {}  # step -> checkpoints recorded after it
+    for i, idx in enumerate(cp_idx):
+        cp_at.setdefault(idx, []).append(i)
 
     rho_is_process = isinstance(p.rho, RhoProcess)
     sqrt_dt = math.sqrt(p.dt)
     out = np.empty((n_states, len(cp_idx), replicas))
+    l0 = np.array(l0_list)[:, None]
 
-    for state_i, l0 in enumerate(l0_list):
-        offset = 0 if share_noise else state_i * replicas
-        for lo in range(0, replicas, chunk):
-            hi = min(lo + chunk, replicas)
-            rows = hi - lo
-            db = np.empty((rows, n_inc))
-            dw = np.empty((rows, h_steps))
-            db2 = np.empty((rows, n_inc)) if rho_is_process else None
+    def time_major(a: np.ndarray, rows: int) -> np.ndarray:
+        """(groups * rows, steps) -> contiguous (steps, groups, rows)."""
+        return np.ascontiguousarray(a.T).reshape(-1, groups, rows)
+
+    for lo in range(0, replicas, chunk):
+        hi = min(lo + chunk, replicas)
+        rows = hi - lo
+        db = np.empty((groups * rows, n_inc))
+        dw = np.empty((groups * rows, h_steps))
+        db2 = np.empty((groups * rows, n_inc)) if rho_is_process else None
+        for g in range(groups):
             for r in range(rows):
-                rng = replica_rng(seed, offset + lo + r)
-                db[r] = rng.standard_normal(n_inc) * sqrt_dt
-                dw[r] = rng.standard_normal(h_steps) * sqrt_dt
+                rng = replica_rng(seed, g * replicas + lo + r)
+                k = g * rows + r
+                db[k] = rng.standard_normal(n_inc) * sqrt_dt
+                dw[k] = rng.standard_normal(h_steps) * sqrt_dt
                 if rho_is_process:
-                    db2[r] = rng.standard_normal(n_inc) * sqrt_dt
-            vol = _volatility_paths(p.kernel, db, p.dt, p.burn_in)
-            if rho_is_process:
-                j2 = np.log(_volatility_paths(p.rho.kernel, db2, p.dt, p.burn_in))
-                rho_path = np.tanh(p.rho.c * j2)
-            l = np.full(rows, l0)
-            for i, idx in enumerate(cp_idx):
-                if idx == 0:
-                    out[state_i, i, lo:hi] = l
-            for step in range(h_steps):
-                v = vol[:, step]
-                r_t = rho_path[:, step] if rho_is_process else float(p.rho)
-                l = euler_step(p, l, v, r_t, db[:, b_steps + step], dw[:, step])
-                for i, idx in enumerate(cp_idx):
-                    if idx == step + 1:
-                        out[state_i, i, lo:hi] = l
+                    db2[k] = rng.standard_normal(n_inc) * sqrt_dt
+        vol = time_major(_volatility_paths(p.kernel, db, p.dt, p.burn_in)[:, :h_steps], rows)
+        db = time_major(db[:, b_steps:], rows)
+        dw = time_major(dw, rows)
+        if rho_is_process:
+            j2 = np.log(_volatility_paths(p.rho.kernel, db2, p.dt, p.burn_in))
+            rho_path = time_major(np.tanh(p.rho.c * j2)[:, :h_steps], rows)
+            del db2, j2
+        # The states step together; a (groups, rows) noise slice broadcasts
+        # over the states that share it.
+        l = np.repeat(l0, rows, axis=1)
+        for i in cp_at.get(0, ()):
+            out[:, i, lo:hi] = l
+        for step in range(h_steps):
+            r_t = rho_path[step] if rho_is_process else float(p.rho)
+            l = euler_step(p, l, vol[step], r_t, db[step], dw[step])
+            for i in cp_at.get(step + 1, ()):
+                out[:, i, lo:hi] = l
     return EnsembleResult(
         l0_values=tuple(l0_list),
         checkpoint_times=cp_times,

@@ -106,17 +106,46 @@ def _json_safe(obj):
     return obj
 
 
+def _csv_cells(row) -> str:
+    cells = []
+    for cell in row:
+        text = _fmt(cell)
+        if any(ch in text for ch in ',"\n'):
+            text = '"' + text.replace('"', '""') + '"'
+        cells.append(text)
+    return ",".join(cells)
+
+
+def _row_format(kinds: tuple[type, ...]) -> str | None:
+    """A %-format for a row of these cell types that matches ``_csv_cells``.
+
+    Only ints and floats qualify: their text never needs quoting.  Bools
+    (an int subclass), strings and anything else return None.
+    """
+    parts = []
+    for kind in kinds:
+        if issubclass(kind, (bool, np.bool_)):
+            return None
+        if issubclass(kind, (int, np.integer)):
+            parts.append("%d")
+        elif issubclass(kind, (float, np.floating)):
+            parts.append("%.17g")
+        else:
+            return None
+    return ",".join(parts) or None
+
+
 def emit_csv(report: RunReport, path: str) -> None:
     """Header plus rows, LF line endings, 17-significant-digit decimals."""
     lines = [",".join(report.table_header)]
+    formats: dict[tuple[type, ...], str | None] = {}
     for row in report.table_rows:
-        cells = []
-        for cell in row:
-            text = _fmt(cell)
-            if any(ch in text for ch in ',"\n'):
-                text = '"' + text.replace('"', '""') + '"'
-            cells.append(text)
-        lines.append(",".join(cells))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = _row_format(kinds)
+        fmt = formats[kinds]
+        lines.append(fmt % row if fmt else _csv_cells(row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,0 +1,96 @@
+"""Pinned sha256 digests of the artifacts of small runs.
+
+Every experiment promises byte-identical artifacts for a given config and
+seed, so a refactor or a speed-up must leave every byte as it was.  A change
+that alters an artifact on purpose re-pins the digest and says so in
+CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from splitcouple.config import load_config_text
+from splitcouple.harness import run, write_report
+
+_SDE = """
+experiment = sde-sim
+seed = {seed}
+replicas = 520
+sde.drift = linear(1.0)
+sde.kernel = {kernel}
+sde.rho = 0.3
+sde.dt = 0.015625
+sde.horizon = 3.0
+sde.burn_in = {burn_in}
+sde.l0 = -2, 2
+sde.checkpoints = 1, 2, 3
+sde.increment_base = 2.0
+sde.increment_lags = 0.1, 0.01
+"""
+
+CONFIGS = {
+    # 520 replicas span one full 512-row chunk and a partial one.
+    "sde-exp": _SDE.format(seed=8080, kernel="exponential(1.0)", burn_in=10.0),
+    "sde-frac": _SDE.format(seed=8081, kernel="fractional(0.1)", burn_in=2.0),
+    "ar1-couple": """
+experiment = ar1-couple
+seed = 41
+replicas = 300
+ar1.gamma = 0.5
+ar1.x0 = 1.0
+couple.n = 3
+couple.s = 40
+couple.t = 80
+""",
+    "ar1-bound": """
+experiment = ar1-bound
+seed = 2024
+ar1.gamma = 0.5
+ar1.beta = 0.3
+ar1.t_grid = 10, 100, 1000, 10000
+""",
+    "logvol-sim": """
+experiment = logvol-sim
+seed = 700
+replicas = 500
+logvol.gamma = 0.5
+logvol.rho = 0.3
+logvol.ma = geometric(0.5, 64)
+logvol.checkpoints = 10, 50
+""",
+}
+
+DIGESTS = {
+    "ar1-bound": {
+        "csv": "dd5f10af28b6d51dfacf032686594d5bee2dcbee6b87a22dd5ea1137c9e58f38",
+        "report": "d7c97cc0dd3c8f12298ce90c245abedf3700da9ed9a1a9b7978a3897ab7eceb1",
+    },
+    "ar1-couple": {
+        "csv": "780c5764a6966ef82f3681e0b70da71d3e503d8ec66d8dcdded2426cc70cd0c7",
+        "report": "688eac7e220ea869a0ebf4a3d04ca592845c2fa690062589a9f293de4c2a00a6",
+    },
+    "logvol-sim": {
+        "csv": "3a97257cfda90ec06f008ad50ae717ddd0e61a0f787e21ecdc1532600acab634",
+        "report": "595562da28ef1fa8b47f57a4cb3556b7a005906508fe33394d42ed4b446a820a",
+    },
+    "sde-exp": {
+        "csv": "210748bb6571a9a67147516746f2169c52ce2b1c7b955a969fe1b39dd34bd56e",
+        "report": "cb15c23422baa693b8f0567d4fec49f86f5c9ac3bfe6df868a590ca0af6eed15",
+    },
+    "sde-frac": {
+        "csv": "4b3bc16ac6583e40e319f529bd288d1cc64ed17f595bbd37b0ead73707b2fbb7",
+        "report": "124eedf887e8fe78fa62e7ece6ae0a37bb86978a39ba41848e30f4dc90888e19",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_artifact_digests_pinned(name, tmp_path):
+    report = run(load_config_text(CONFIGS[name]))
+    csv_path, json_path = write_report(report, str(tmp_path))
+    got = {}
+    for label, path in (("csv", csv_path), ("report", json_path)):
+        with open(path, "rb") as fh:
+            got[label] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == DIGESTS[name]

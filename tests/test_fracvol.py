@@ -155,6 +155,35 @@ def test_simulate_ensemble_share_noise_determinism():
     assert np.array_equal(res1.samples, res2.samples)
 
 
+def test_shared_noise_pair_equals_single_starts():
+    # stepping both starts over one draw of the noise is exactly the same
+    # arithmetic as running each start on its own
+    p = _params(dt=1.0 / 64.0, horizon=2.0)
+    times = [0.0, 0.5, 2.0]
+    pair = simulate_ensemble(p, [-2.0, 2.0], 150, times, seed=4)
+    singles = [simulate_ensemble(p, [l0], 150, times, seed=4).samples[0] for l0 in (-2.0, 2.0)]
+    assert np.array_equal(pair.samples, np.stack(singles))
+
+
+RHO_PROCESS = RhoProcess(c=1.0, kernel=VolatilityKernel(kind="exponential", lam=2.0))
+
+
+@pytest.mark.parametrize("share_noise,rho", [
+    (False, 0.3),
+    (True, RHO_PROCESS),
+    (False, RHO_PROCESS),
+])
+def test_simulate_ensemble_chunk_invariance(share_noise, rho):
+    p = _params(rho=rho, dt=1.0 / 64.0, horizon=1.0)
+    args = (p, [-1.0, 1.0], 200, [0.5, 1.0], 9)
+    whole = simulate_ensemble(*args, share_noise=share_noise)
+    chunked = simulate_ensemble(*args, share_noise=share_noise, chunk=37)  # 37 does not divide 200
+    assert np.array_equal(whole.samples, chunked.samples)
+    # the first state always owns replica streams 0 .. replicas - 1
+    first = simulate_ensemble(p, [-1.0], 200, [0.5, 1.0], 9)
+    assert np.array_equal(whole.samples[0], first.samples[0])
+
+
 def test_simulate_ensemble_resource_cap():
     p = _params()
     with pytest.raises(RunError):

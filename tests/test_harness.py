@@ -6,7 +6,7 @@ import pytest
 
 from splitcouple.cli import main as cli_main
 from splitcouple.config import load_config_text, parse_config_text
-from splitcouple.errors import ConfigError
+from splitcouple.errors import CertificationError, ConfigError
 from splitcouple.harness import emit_csv, run, write_report
 
 AR1_BOUND_CFG = """
@@ -168,6 +168,26 @@ def test_emit_csv_quoting(tmp_path):
         assert fh.read() == 'a,b\n1.5,"x,""y"""\n'
 
 
+def test_emit_csv_row_formats_match_cell_formatting(tmp_path):
+    from splitcouple.harness import RunReport, _csv_cells
+
+    rows = [
+        (0, 0.1, -0.0, 1e-300),
+        (np.int64(-7), np.float64(2.0 / 3.0), float("inf"), float("nan")),
+        (np.uint8(255), np.float32(0.1), 12345678901234567890, 5e300),
+        (3, True, np.bool_(False), "x,y"),
+        (1, 2.5, 3, 4.0),
+    ]
+    report = RunReport(
+        experiment="ar1-bound", config={}, results={}, flags={}, replicas=1,
+        wall_clock_s=0.0, table_header=("a", "b", "c", "d"), table_rows=rows,
+    )
+    path = str(tmp_path / "f.csv")
+    emit_csv(report, path)
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.read() == "\n".join(["a,b,c,d", *map(_csv_cells, rows)]) + "\n"
+
+
 def test_cli_round_trip(tmp_path, capsys):
     cfg_path = str(tmp_path / "exp.cfg")
     with open(cfg_path, "w", encoding="utf-8") as fh:
@@ -202,3 +222,32 @@ def test_cli_failing_flag_exit_code(tmp_path, capsys):
         )
     assert cli_main(["run", cfg_path]) == 1
     assert cli_main(["report", f"{tmp_path}/lvc"]) == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"replicas": 3, "flags": {"ok": True}},
+    {"experiment": "ar1-bound", "flags": {"ok": True}},
+    ["not", "a", "report"],
+])
+def test_cli_report_on_malformed_report(tmp_path, capsys, payload):
+    with open(tmp_path / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert cli_main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_certification_error_exit_code(tmp_path, capsys, monkeypatch):
+    import splitcouple.cli as cli
+
+    def refuted(cfg):
+        raise CertificationError("minorization weight for n=1 fails grid certification")
+
+    monkeypatch.setattr(cli, "run_experiment", refuted)
+    cfg_path = str(tmp_path / "exp.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(AR1_BOUND_CFG + f"output.dir = {tmp_path}/run\n")
+    assert cli_main(["run", cfg_path]) == 2
+    assert capsys.readouterr().err == (
+        "error: minorization weight for n=1 fails grid certification\n"
+    )
