@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import next_fast_len
 
 from .errors import RunError
 from .streams import replica_rng
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
 _DEFAULT_CHUNK = 512
+_BLOCK_ROWS = 32  # replicas drawn and convolved together within a chunk
 
 
 @dataclass(frozen=True)
@@ -204,14 +205,39 @@ def volatility_path(kernel: VolatilityKernel, db: np.ndarray, dt: float, burn_in
     m = int(round(burn_in / dt))
     if db.ndim != 1 or db.size < m:
         raise ValueError("increment sequence must cover the burn-in window")
-    return _volatility_paths(kernel, db[None, :], dt, burn_in)[0]
+    return _volatility_paths(_ConvPlan(kernel, dt, burn_in, 1, db.size), db[None, :])[0]
 
 
-def _volatility_paths(kernel, db: np.ndarray, dt: float, burn_in: float) -> np.ndarray:
-    """Row-wise ``volatility_path`` of a (rows, increments) array."""
-    taps = _kernel_taps(kernel, dt, burn_in)
-    j = fftconvolve(db, taps[None, :], mode="valid", axes=1)
-    return np.exp(j)
+class _ConvPlan:
+    """Buffers for the volatility of up to ``rows`` rows of ``n_inc`` increments.
+
+    The transform length and the pocketfft transforms are those of
+    ``scipy.signal.fftconvolve(db, taps, mode="valid")``, so the paths match
+    it bit for bit; the buffers are allocated once and reused by every call.
+    """
+
+    def __init__(self, kernel: VolatilityKernel, dt: float, burn_in: float, rows: int, n_inc: int):
+        taps = _kernel_taps(kernel, dt, burn_in)
+        # The "valid" part of the full convolution: columns taps.size - 1 .. n_inc - 1.
+        self.valid = slice(taps.size - 1, n_inc)
+        self.n = next_fast_len(n_inc + taps.size - 1, True)
+        self.taps_hat = np.fft.rfft(taps, self.n)
+        self.spec = np.empty((rows, self.n // 2 + 1), complex)
+        self.full = np.empty((rows, self.n))
+        self.vol = np.empty((rows, n_inc - taps.size + 1))
+
+
+def _volatility_paths(plan: _ConvPlan, db: np.ndarray) -> np.ndarray:
+    """Row-wise ``volatility_path`` of a (rows, increments) array.
+
+    The result lives in ``plan``'s buffer until its next call.
+    """
+    k = len(db)
+    spec, full, vol = plan.spec[:k], plan.full[:k], plan.vol[:k]
+    np.fft.rfft(db, plan.n, axis=1, out=spec)
+    np.multiply(spec, plan.taps_hat, out=spec)
+    np.fft.irfft(spec, plan.n, axis=1, out=full)
+    return np.exp(full[:, plan.valid], out=vol)
 
 
 def euler_step(p: SdeParams, L, V, rho, dB, dW):
@@ -284,31 +310,40 @@ def simulate_ensemble(
     out = np.empty((n_states, len(cp_idx), replicas))
     l0 = np.array(l0_list)[:, None]
 
-    def time_major(a: np.ndarray, rows: int) -> np.ndarray:
-        """(groups * rows, steps) -> contiguous (steps, groups, rows)."""
-        return np.ascontiguousarray(a.T).reshape(-1, groups, rows)
+    # Buffers are allocated once and refilled for every chunk and block, so
+    # no pass maps and faults in fresh memory.  A block of _BLOCK_ROWS
+    # replicas is drawn and convolved row-major, then copied into the chunk's
+    # time-major (steps, groups, rows) series for the Euler loop.
+    span = h_steps * groups * min(chunk, replicas)
+    series = np.empty((4 if rho_is_process else 3, span))
+    blk_db = np.empty((_BLOCK_ROWS, n_inc))
+    blk_dw = np.empty((_BLOCK_ROWS, h_steps))
+    vol_plan = _ConvPlan(p.kernel, p.dt, p.burn_in, _BLOCK_ROWS, n_inc)
+    if rho_is_process:
+        blk_db2 = np.empty((_BLOCK_ROWS, n_inc))
+        rho_plan = _ConvPlan(p.rho.kernel, p.dt, p.burn_in, _BLOCK_ROWS, n_inc)
 
     for lo in range(0, replicas, chunk):
         hi = min(lo + chunk, replicas)
         rows = hi - lo
-        db = np.empty((groups * rows, n_inc))
-        dw = np.empty((groups * rows, h_steps))
-        db2 = np.empty((groups * rows, n_inc)) if rho_is_process else None
+        vol, db, dw, *rest = series[:, : h_steps * groups * rows].reshape(-1, h_steps, groups, rows)
+        rho_path = rest[0] if rho_is_process else None
         for g in range(groups):
-            for r in range(rows):
-                rng = replica_rng(seed, g * replicas + lo + r)
-                k = g * rows + r
-                db[k] = rng.standard_normal(n_inc) * sqrt_dt
-                dw[k] = rng.standard_normal(h_steps) * sqrt_dt
+            for a in range(0, rows, _BLOCK_ROWS):
+                z = min(a + _BLOCK_ROWS, rows)
+                for r in range(a, z):
+                    rng = replica_rng(seed, g * replicas + lo + r)
+                    blk_db[r - a] = rng.standard_normal(n_inc) * sqrt_dt
+                    blk_dw[r - a] = rng.standard_normal(h_steps) * sqrt_dt
+                    if rho_is_process:
+                        blk_db2[r - a] = rng.standard_normal(n_inc) * sqrt_dt
+                v = _volatility_paths(vol_plan, blk_db[: z - a])
+                vol[:, g, a:z] = v[:, :h_steps].T
+                db[:, g, a:z] = blk_db[: z - a, b_steps:].T
+                dw[:, g, a:z] = blk_dw[: z - a].T
                 if rho_is_process:
-                    db2[k] = rng.standard_normal(n_inc) * sqrt_dt
-        vol = time_major(_volatility_paths(p.kernel, db, p.dt, p.burn_in)[:, :h_steps], rows)
-        db = time_major(db[:, b_steps:], rows)
-        dw = time_major(dw, rows)
-        if rho_is_process:
-            j2 = np.log(_volatility_paths(p.rho.kernel, db2, p.dt, p.burn_in))
-            rho_path = time_major(np.tanh(p.rho.c * j2)[:, :h_steps], rows)
-            del db2, j2
+                    j2 = np.log(_volatility_paths(rho_plan, blk_db2[: z - a]))
+                    rho_path[:, g, a:z] = np.tanh(p.rho.c * j2)[:, :h_steps].T
         # The states step together; a (groups, rows) noise slice broadcasts
         # over the states that share it.
         l = np.repeat(l0, rows, axis=1)

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from splitcouple.errors import RunError
 from splitcouple.fracvol import (
+    _ConvPlan,
+    _kernel_taps,
+    _volatility_paths,
     IncrementConstants,
     RhoProcess,
     SdeParams,
@@ -78,6 +82,20 @@ def test_volatility_path_shapes_and_errors():
     assert np.all(v > 0.0)
     with pytest.raises(ValueError):
         volatility_path(EXP_KERNEL, db[:100], dt, burn)
+
+
+@pytest.mark.parametrize("kernel", [EXP_KERNEL, FRAC_KERNEL])
+def test_volatility_paths_match_fftconvolve(kernel):
+    # The reused buffers reproduce scipy's fftconvolve bit for bit, for a
+    # full block and for a partial one refilled after it.
+    dt, burn = 1.0 / 64.0, 10.0
+    n_inc = int(burn / dt) + 200
+    db = replica_rng(3, 0).standard_normal((37, n_inc)) * math.sqrt(dt)
+    taps = _kernel_taps(kernel, dt, burn)
+    want = np.exp(fftconvolve(db, taps[None, :], mode="valid", axes=1))
+    plan = _ConvPlan(kernel, dt, burn, 32, n_inc)
+    for lo, hi in ((0, 32), (32, 37)):
+        assert np.array_equal(_volatility_paths(plan, db[lo:hi]), want[lo:hi])
 
 
 @pytest.mark.parametrize("kernel,analytic", [
