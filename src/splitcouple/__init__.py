@@ -23,8 +23,6 @@ from .ar1 import (
 )
 from .coupling import (
     BlockSchedule,
-    CouplingTrace,
-    EnvironmentWindow,
     backward_orbit,
     block_schedule,
     coupled_pair,

@@ -4,7 +4,11 @@ Orbits of different depths share one table of uniform pairs: entry ``i`` of
 a sequence drives the step at backward time ``-i``, so the depth-t and
 depth-s compositions consume identical randomness on their common suffix
 and coalesce exactly when the split mapping's regeneration branch fires
-while both orbits sit inside the active small set.
+while both orbits sit inside the active small set.  One engine,
+``_coupled_batch``, steps every coupling, plain or in a random environment,
+and returns a numpy record array with one record per replica: ``coupled``,
+``couple_step`` (-1 for never), ``codes`` (0/1/2 = A/B/C per recorded step)
+and ``final`` (the two final states).
 """
 
 from __future__ import annotations
@@ -16,62 +20,9 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import ScheduleError
-from .kernels import SmallSetLadder, SplitKernel, UniformPair, split_apply_batch
+from .kernels import SmallSetLadder, SplitKernel, split_apply_batch
 
-_EVENT_CHARS = np.array(["A", "B", "C"])
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class CouplingTrace:
-    """Per-step record of one coupled backward experiment.
-
-    ``events`` holds one character per recorded step, in chronological order
-    (deepest shared step first): A = orbits equal, B = unequal but both in
-    the active small set (and the environment in its small set, where one
-    exists), C = otherwise.  ``couple_step`` is the position of the first A,
-    or None if the orbits never coalesced.
-    """
-
-    events: str
-    couple_step: int | None
-    final_states: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        first_a = self.events.find("A")
-        if first_a >= 0 and set(self.events[first_a:]) != {"A"}:
-            raise ValueError("coalescence must be absorbing: A followed by non-A")
-        if (first_a >= 0) != (self.couple_step is not None):
-            raise ValueError("couple_step inconsistent with events")
-        if first_a >= 0 and self.couple_step != first_a:
-            raise ValueError("couple_step inconsistent with events")
-
-    @property
-    def coupled(self) -> bool:
-        return self.couple_step is not None
-
-
-@dataclass(frozen=True)
-class EnvironmentWindow:
-    """Contiguous per-step environment values for one replica.
-
-    ``values[i]`` is the environment entering forward step ``i + 1`` of a
-    depth-t experiment (the step consuming the uniform at backward index
-    ``t - 1 - i``); the final row is the environment one step past the
-    window, used only to tag the terminal event.
-    """
-
-    values: np.ndarray
-    columns: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 2:
-            raise ValueError("environment values must be a (steps, components) array")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -169,70 +120,6 @@ def backward_orbit(kernel: SplitKernel, n: int, x0: float, u_seq, t: int) -> flo
     return float(backward_orbit_batch(kernel, n, x0, u_seq, t)[0])
 
 
-def _classify(v, w, radius, env_ok=None) -> np.ndarray:
-    eq = v == w
-    in_set = (np.abs(v) <= radius) & (np.abs(w) <= radius)
-    if env_ok is not None:
-        in_set &= env_ok
-    return np.where(eq, 0, np.where(in_set, 1, 2)).astype(np.int8)
-
-
-def _traces_from_codes(codes: np.ndarray, v: np.ndarray, w: np.ndarray) -> list[CouplingTrace]:
-    traces = []
-    for r in range(codes.shape[0]):
-        ev = "".join(_EVENT_CHARS[codes[r]])
-        first_a = ev.find("A")
-        traces.append(
-            CouplingTrace(
-                events=ev,
-                couple_step=None if first_a < 0 else first_a,
-                final_states=(float(v[r]), float(w[r])),
-            )
-        )
-    return traces
-
-
-def coupled_pair_batch(
-    kernel: SplitKernel, n: int, x0: float, s: int, t: int, u_table: np.ndarray
-) -> list[CouplingTrace]:
-    """Vectorized ``coupled_pair`` over replicas (rows of ``u_table``)."""
-    if not 1 <= s <= t:
-        raise ValueError("need 1 <= s <= t")
-    n = kernel.ladder.check_index(n)
-    u = _as_uniform_table(u_table, t)
-    reps = u.shape[0]
-    radius = kernel.ladder.radii[n]
-
-    v = np.full(reps, float(x0))
-    for i in range(t - 1, s - 1, -1):
-        v = split_apply_batch(kernel, n, v, u[:, i, 0], u[:, i, 1])
-    w = np.full(reps, float(x0))
-
-    codes = np.empty((reps, s + 1), np.int8)
-    for k, j in enumerate(range(s, 0, -1)):
-        codes[:, k] = _classify(v, w, radius)
-        vw = np.concatenate([v, w])
-        u1 = np.tile(u[:, j - 1, 0], 2)
-        u2 = np.tile(u[:, j - 1, 1], 2)
-        out = split_apply_batch(kernel, n, vw, u1, u2)
-        v, w = out[:reps], out[reps:]
-    codes[:, s] = _classify(v, w, radius)
-    return _traces_from_codes(codes, v, w)
-
-
-def coupled_pair(
-    kernel: SplitKernel, n: int, x0: float, s: int, t: int, u_seq
-) -> CouplingTrace:
-    """Couple the depth-t and depth-s backward orbits on shared uniforms.
-
-    Steps are classified chronologically from the deepest shared index down
-    to the present; once the orbits coalesce they stay equal bit-for-bit,
-    because every later step applies the identical deterministic map.
-    ``s == t`` is allowed for testing and coalesces immediately.
-    """
-    return coupled_pair_batch(kernel, n, x0, s, t, u_seq)[0]
-
-
 def coupling_lower_bound(alpha: float, s: int, eps: float) -> float:
     """Analytic lower bound (1 - 2 eps)(1 - (1 - alpha)^s) on coalescence.
 
@@ -249,12 +136,16 @@ def coupling_lower_bound(alpha: float, s: int, eps: float) -> float:
     return max((1.0 - 2.0 * eps) * (1.0 - (1.0 - alpha) ** s), 0.0)
 
 
-def tv_upper_from_coupling(traces: Sequence[CouplingTrace]) -> tuple[float, float]:
-    """Total-variation upper bound 2 P(no coalescence) with a 3-sigma half width."""
-    if len(traces) == 0:
-        raise ValueError("need at least one trace")
-    reps = len(traces)
-    fails = sum(1 for tr in traces if not tr.coupled)
+def tv_upper_from_coupling(coupled) -> tuple[float, float]:
+    """Total-variation upper bound 2 P(no coalescence) with a 3-sigma half width.
+
+    ``coupled`` holds one bool per replica.
+    """
+    coupled = np.asarray(coupled, bool)
+    if coupled.size == 0:
+        raise ValueError("need at least one replica")
+    reps = coupled.size
+    fails = reps - int(np.count_nonzero(coupled))
     frac = fails / reps
     se = math.sqrt(frac * (1.0 - frac) / reps)
     return 2.0 * frac, 2.0 * 3.0 * se
@@ -342,34 +233,48 @@ def block_schedule(
     )
 
 
-def _mcre_step_state(
-    model: McreSplitModel, n: int, env_row: np.ndarray, x: np.ndarray, u1, u2
-) -> np.ndarray:
-    kern = model.kernel(env_row)
-    radius = model.ladder.radii[n]
-    in_set = (np.abs(x) <= radius) & model.env_in_small_set(env_row, n)
-    return split_apply_batch(kern, n, x, u1, u2, in_set=in_set)
+def _classify(v, w, radius, env_ok) -> np.ndarray:
+    eq = v == w
+    in_set = (np.abs(v) <= radius) & (np.abs(w) <= radius) & env_ok
+    return np.where(eq, 0, np.where(in_set, 1, 2)).astype(np.int8)
 
 
-def _mcre_coupled_batch(
-    model: McreSplitModel,
-    env_batch: np.ndarray,
-    x_v0: float,
-    x_w0: float,
-    depth_w: int,
-    t: int,
-    u_table: np.ndarray,
-    schedule: BlockSchedule,
-) -> list[CouplingTrace]:
-    """Core stepping shared by the depth-pair and two-chain experiments.
+def _coupling_records(codes: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.recarray:
+    """One record per replica from its event codes and final states.
 
-    ``env_batch`` has shape (replicas, t+1, components); row ``k-1`` enters
-    forward step k and the final row tags the terminal event.
+    ``codes`` holds one entry per recorded step, in chronological order
+    (deepest shared step first): 0 = A, orbits equal; 1 = B, unequal but
+    both in the active small set (and the environment in its small set);
+    2 = C, otherwise.  ``couple_step`` is the position of the first A, or -1
+    if the orbits never coalesced.
+    """
+    met = codes == 0
+    if np.any(met[:, :-1] & ~met[:, 1:]):
+        raise ValueError("coalescence must be absorbing: A followed by non-A")
+    coupled = met[:, -1]
+    return np.rec.fromarrays(
+        [coupled, np.where(coupled, met.argmax(axis=1), -1), codes, np.stack([v, w], axis=1)],
+        dtype=[("coupled", bool), ("couple_step", np.int64),
+               ("codes", np.int8, codes.shape[1:]), ("final", float, (2,))],
+    )
+
+
+def _coupled_batch(
+    model: McreSplitModel, env_batch: np.ndarray, x_v0: float, x_w0: float,
+    depth_w: int, t: int, u_table: np.ndarray, ladder_index: Sequence[int],
+) -> np.recarray:
+    """The coupling engine: step two orbits on shared uniforms and classify.
+
+    The v orbit runs all t forward steps; the w orbit joins for the last
+    ``depth_w`` of them.  The step consuming the uniform at backward index
+    j uses ladder index ``ladder_index[j]``.  ``env_batch`` has shape
+    (replicas, t+1, components); row ``k-1`` enters forward step k and the
+    final row tags the terminal event.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    if t > schedule.total_steps:
-        raise ValueError(f"t = {t} exceeds the schedule's {schedule.total_steps} steps")
+    for n in set(ladder_index):
+        model.ladder.check_index(n)
     u = _as_uniform_table(u_table, t)
     reps = u.shape[0]
     env_batch = np.asarray(env_batch, float)
@@ -381,92 +286,111 @@ def _mcre_coupled_batch(
     codes = np.empty((reps, depth_w + 1), np.int8)
     for k in range(1, t + 1):
         jprime = t - k  # backward index of the uniform consumed by this step
-        m = schedule.block_of_uniform_index(jprime)
-        n = schedule.n_of_m[m - 1]
+        n = ladder_index[jprime]
+        radius = model.ladder.radii[n]
         env_row = env_batch[:, k - 1]
-        j = jprime + 1
-        w_active = j <= depth_w
-        if w_active:
-            radius = model.ladder.radii[model.ladder.check_index(n)]
-            env_ok = model.env_in_small_set(env_row, n)
-            codes[:, depth_w - j] = _classify(v, w, radius, env_ok)
-            env2 = np.concatenate([env_row, env_row], axis=0)
-            kern = model.kernel(env2)
+        env_ok = model.env_in_small_set(env_row, n)
+        u1, u2 = u[:, jprime, 0], u[:, jprime, 1]
+        if jprime < depth_w:
+            codes[:, depth_w - 1 - jprime] = _classify(v, w, radius, env_ok)
             vw = np.concatenate([v, w])
-            in_set = (np.abs(vw) <= radius) & np.tile(env_ok, 2)
             out = split_apply_batch(
-                kern, n, vw, np.tile(u[:, jprime, 0], 2), np.tile(u[:, jprime, 1], 2),
-                in_set=in_set,
+                model.kernel(np.concatenate([env_row, env_row], axis=0)), n, vw,
+                np.tile(u1, 2), np.tile(u2, 2),
+                in_set=(np.abs(vw) <= radius) & np.tile(env_ok, 2),
             )
             v, w = out[:reps], out[reps:]
         else:
-            v = _mcre_step_state(model, n, env_row, v, u[:, jprime, 0], u[:, jprime, 1])
-    n0 = schedule.n_of_m[schedule.block_of_uniform_index(0) - 1]
-    radius0 = model.ladder.radii[n0]
+            v = split_apply_batch(
+                model.kernel(env_row), n, v, u1, u2, in_set=(np.abs(v) <= radius) & env_ok
+            )
+    n0 = ladder_index[0]
     env_ok0 = model.env_in_small_set(env_batch[:, t], n0)
-    codes[:, depth_w] = _classify(v, w, radius0, env_ok0)
-    return _traces_from_codes(codes, v, w)
+    codes[:, depth_w] = _classify(v, w, model.ladder.radii[n0], env_ok0)
+    return _coupling_records(codes, v, w)
+
+
+@dataclass(frozen=True)
+class _FixedKernel:
+    """One split kernel seen as a model whose environment never matters."""
+
+    base: SplitKernel
+
+    @property
+    def ladder(self) -> SmallSetLadder:
+        return self.base.ladder
+
+    def kernel(self, env_values: np.ndarray) -> SplitKernel:
+        return self.base
+
+    def env_in_small_set(self, env_values: np.ndarray, n: int) -> np.ndarray:
+        return np.ones(np.shape(env_values)[:-1], bool)
+
+
+def coupled_pair_batch(
+    kernel: SplitKernel, n: int, x0: float, s: int, t: int, u_table: np.ndarray
+) -> np.recarray:
+    """Vectorized ``coupled_pair`` over replicas (rows of ``u_table``)."""
+    if not 1 <= s <= t:
+        raise ValueError("need 1 <= s <= t")
+    reps = _as_uniform_table(u_table, t).shape[0]
+    return _coupled_batch(
+        _FixedKernel(kernel), np.empty((reps, t + 1, 0)), x0, x0, s, t, u_table, [n] * t
+    )
+
+
+def coupled_pair(kernel: SplitKernel, n: int, x0: float, s: int, t: int, u_seq) -> np.record:
+    """Couple the depth-t and depth-s backward orbits on shared uniforms.
+
+    Steps are classified chronologically from the deepest shared index down
+    to the present; once the orbits coalesce they stay equal bit-for-bit,
+    because every later step applies the identical deterministic map.
+    ``s == t`` is allowed for testing and coalesces immediately.
+    """
+    return coupled_pair_batch(kernel, n, x0, s, t, u_seq)[0]
+
+
+def _schedule_ladder_index(schedule: BlockSchedule, t: int) -> list[int]:
+    """Ladder index of the block of each of the first t backward uniform indices."""
+    return [schedule.n_of_m[schedule.block_of_uniform_index(j) - 1] for j in range(t)]
 
 
 def mcre_coupled_pair(
-    model: McreSplitModel,
-    env: EnvironmentWindow,
-    x0: float,
-    schedule: BlockSchedule,
-    t: int,
-    u_seq,
-) -> CouplingTrace:
+    model: McreSplitModel, env: np.ndarray, x0: float, schedule: BlockSchedule, t: int, u_seq
+) -> np.record:
     """Couple the depth-t orbit with the orbit at the last block boundary.
 
-    The partner depth is the largest schedule boundary strictly below ``t``.
+    ``env`` is one replica's (t+1, components) environment window.  The
+    partner depth is the largest schedule boundary strictly below ``t``.
     Each step uses the ladder index of its block, and the B tag additionally
     requires the step's environment value inside its small set.  The
     environment row consumed by a step is the same row whose small-set
     membership licenses the preceding B tag; this pairing is what makes the
     regeneration branch fire with the full block weight.
     """
-    m = schedule.block_of_uniform_index(t - 1)
-    s = schedule.M_of_m[m - 1]
-    return _mcre_coupled_batch(
-        model, env.values[None, :, :], x0, x0, s, t, u_seq, schedule
+    s = schedule.M_of_m[schedule.block_of_uniform_index(t - 1) - 1]
+    return _coupled_batch(
+        model, np.asarray(env, float)[None], x0, x0, s, t, u_seq,
+        _schedule_ladder_index(schedule, t),
     )[0]
 
 
-def mcre_coupled_pair_batch(
-    model: McreSplitModel,
-    env_batch: np.ndarray,
-    x0: float,
-    schedule: BlockSchedule,
-    t: int,
-    u_table: np.ndarray,
-) -> list[CouplingTrace]:
-    m = schedule.block_of_uniform_index(t - 1)
-    s = schedule.M_of_m[m - 1]
-    return _mcre_coupled_batch(model, env_batch, x0, x0, s, t, u_table, schedule)
-
-
 def mcre_coupled_chains(
-    model: McreSplitModel,
-    env: EnvironmentWindow,
-    x0_pair: tuple[float, float],
-    schedule: BlockSchedule,
-    t: int,
-    u_seq,
-) -> CouplingTrace:
+    model: McreSplitModel, env: np.ndarray, x0_pair: tuple[float, float],
+    schedule: BlockSchedule, t: int, u_seq,
+) -> np.record:
     """Couple two depth-t chains from distinct starts in one environment."""
-    return _mcre_coupled_batch(
-        model, env.values[None, :, :], x0_pair[0], x0_pair[1], t, t, u_seq, schedule
+    return mcre_coupled_chains_batch(
+        model, np.asarray(env, float)[None], x0_pair, schedule, t, u_seq
     )[0]
 
 
 def mcre_coupled_chains_batch(
-    model: McreSplitModel,
-    env_batch: np.ndarray,
-    x0_pair: tuple[float, float],
-    schedule: BlockSchedule,
-    t: int,
-    u_table: np.ndarray,
-) -> list[CouplingTrace]:
-    return _mcre_coupled_batch(
-        model, env_batch, x0_pair[0], x0_pair[1], t, t, u_table, schedule
+    model: McreSplitModel, env_batch: np.ndarray, x0_pair: tuple[float, float],
+    schedule: BlockSchedule, t: int, u_table: np.ndarray,
+) -> np.recarray:
+    """Vectorized ``mcre_coupled_chains`` over replicas (rows of both tables)."""
+    return _coupled_batch(
+        model, env_batch, x0_pair[0], x0_pair[1], t, t, u_table,
+        _schedule_ladder_index(schedule, t),
     )

@@ -202,19 +202,19 @@ def _run_ar1_couple(cfg: ExperimentConfig) -> RunReport:
     t = cfg.options["t"]
     kernel = ar1mod.ar1_split_kernel(p.gamma, n_max=max(n, 1))
 
-    def chunk_traces(lo: int, hi: int):
+    def chunk_pairs(lo: int, hi: int):
         u = np.empty((hi - lo, t, 2))
         for k in range(lo, hi):
             u[k - lo] = replica_rng(cfg.seed, k).random((t, 2))
         return coupled_pair_batch(kernel, n, p.x0, s, t, u)
 
-    traces = [tr for chunk in _map_chunks(chunk_traces, cfg.replicas) for tr in chunk]
-    frac = sum(tr.coupled for tr in traces) / len(traces)
-    se = math.sqrt(frac * (1.0 - frac) / len(traces))
+    res = np.concatenate(_map_chunks(chunk_pairs, cfg.replicas)).view(np.recarray)
+    frac = int(np.count_nonzero(res.coupled)) / len(res)
+    se = math.sqrt(frac * (1.0 - frac) / len(res))
     sup_sq = max(p.x0**2, 1.0 / (1.0 - p.gamma**2))
     eps_hat = min(sup_sq / kernel.ladder.radii[n] ** 2 if n > 0 else 0.5, 0.5)
     lower = coupling_lower_bound(kernel.ladder.alphas[n], s, eps_hat)
-    tv_bound, half_width = tv_upper_from_coupling(traces)
+    tv_bound, half_width = tv_upper_from_coupling(res.coupled)
     m_s, v_s = ar1mod.ar1_marginal(p, s)
     m_t, v_t = ar1mod.ar1_marginal(p, t)
     tv_exact = tv_gaussian(m_t, v_t, m_s, v_s)
@@ -232,10 +232,8 @@ def _run_ar1_couple(cfg: ExperimentConfig) -> RunReport:
         "tv_exact": tv_exact,
     }
     header = ("replica", "coupled", "couple_step")
-    rows = [
-        (k, tr.coupled, -1 if tr.couple_step is None else tr.couple_step)
-        for k, tr in enumerate(traces)
-    ]
+    # Python scalars, so the CSV cells format as for any other row.
+    rows = list(zip(range(len(res)), res.coupled.tolist(), res.couple_step.tolist()))
     return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, header, rows)
 
 
@@ -289,7 +287,7 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> RunReport:
     model = LogvolMcreModel(p, n_max=max(schedule.n_of_m))
     n_env = p.lag + t_sim + 2
 
-    def chunk_traces(lo: int, hi: int):
+    def chunk_chains(lo: int, hi: int):
         eta = np.empty((hi - lo, n_env))
         u = np.empty((hi - lo, t_sim, 2))
         for k in range(lo, hi):
@@ -299,8 +297,8 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> RunReport:
         env = ma_env_values(p, eta)
         return mcre_coupled_chains_batch(model, env, tuple(x0_pair), schedule, t_sim, u)
 
-    traces = [tr for chunk in _map_chunks(chunk_traces, cfg.replicas) for tr in chunk]
-    frac = sum(tr.coupled for tr in traces) / len(traces)
+    res = np.concatenate(_map_chunks(chunk_chains, cfg.replicas)).view(np.recarray)
+    frac = int(np.count_nonzero(res.coupled)) / len(res)
     # Coupling is absorbing, so the fraction at the (possibly capped) horizon
     # is a valid lower bound for the fraction at the target boundary.
     flags = {

@@ -12,6 +12,7 @@ small-set minorization constants and a uniform second-moment bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,7 +20,6 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import ndtr
 
-from .coupling import EnvironmentWindow
 from .errors import CertificationError
 from .kernels import SmallSetLadder, SplitKernel
 from .streams import replica_rng
@@ -27,6 +27,7 @@ from .streams import replica_rng
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 DEFAULT_MA_LAG = 512
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,8 @@ class LogvolParams:
             raise ValueError("ma_coeffs must be nonempty")
         if not all(math.isfinite(a) for a in self.ma_coeffs):
             raise ValueError("ma_coeffs must be finite")
+        if not 2.0 * self.env_variance < _LOG_FLOAT_MAX:
+            raise ValueError("ma_coeffs too large: exp(2 * env_variance) overflows")
 
     @property
     def lag(self) -> int:
@@ -144,10 +147,12 @@ def ma_env_paths(
     return ma_env_values(p, eta)
 
 
-def ma_env_path(p: LogvolParams, horizon: int, seed: int) -> EnvironmentWindow:
-    """Single stationary environment window over t = 0..horizon."""
-    vals = ma_env_paths(p, horizon, 1, seed)[0]
-    return EnvironmentWindow(values=vals, columns=("z", "eta_next"))
+def ma_env_path(p: LogvolParams, horizon: int, seed: int) -> np.ndarray:
+    """Single stationary environment window over t = 0..horizon.
+
+    Row t is the pair (Z_t, eta_{t+1}); the shape is (horizon + 1, 2).
+    """
+    return ma_env_paths(p, horizon, 1, seed)[0]
 
 
 def logvol_step(p: LogvolParams, x: float, env: EnvState, eps: float) -> float:

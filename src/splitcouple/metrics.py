@@ -88,12 +88,8 @@ def tv_gaussian(m1: float, v1: float, m2: float, v2: float) -> float:
     return float(min(2.0 * (mass1 - mass2), 2.0))
 
 
-def tv_empirical(samples1, samples2, bins: int | None = None) -> float:
-    """Histogram L1 distance on common equal-width bins.
-
-    The estimator carries an upward bias of order sqrt(bins / N); the
-    default bin count ceil(min(N1, N2) ** (1/3)) keeps it modest.
-    """
+def _histograms(samples1, samples2, bins: int | None):
+    """Bin frequencies of both sample sets on common equal-width bins."""
     s1 = np.asarray(samples1, float).ravel()
     s2 = np.asarray(samples2, float).ravel()
     if s1.size == 0 or s2.size == 0:
@@ -107,8 +103,16 @@ def tv_empirical(samples1, samples2, bins: int | None = None) -> float:
     edges = np.linspace(lo, hi, bins + 1)
     h1, _ = np.histogram(s1, bins=edges)
     h2, _ = np.histogram(s2, bins=edges)
-    p1 = h1 / s1.size
-    p2 = h2 / s2.size
+    return h1 / s1.size, h2 / s2.size, s1.size, s2.size
+
+
+def tv_empirical(samples1, samples2, bins: int | None = None) -> float:
+    """Histogram L1 distance on common equal-width bins.
+
+    The estimator carries an upward bias of order sqrt(bins / N); the
+    default bin count ceil(min(N1, N2) ** (1/3)) keeps it modest.
+    """
+    p1, p2, _, _ = _histograms(samples1, samples2, bins)
     return float(np.abs(p1 - p2).sum())
 
 
@@ -119,20 +123,8 @@ def tv_empirical_se(samples1, samples2, bins: int | None = None) -> float:
     randomness across the sample sets this overstates the error, which is
     the safe direction for the monotonicity checks it backs.
     """
-    s1 = np.asarray(samples1, float).ravel()
-    s2 = np.asarray(samples2, float).ravel()
-    if bins is None:
-        bins = int(np.ceil(min(s1.size, s2.size) ** (1.0 / 3.0)))
-    lo = min(s1.min(), s2.min())
-    hi = max(s1.max(), s2.max())
-    if lo == hi:
-        hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
-    h1, _ = np.histogram(s1, bins=edges)
-    h2, _ = np.histogram(s2, bins=edges)
-    p1 = h1 / s1.size
-    p2 = h2 / s2.size
-    var = (p1 * (1.0 - p1) / s1.size + p2 * (1.0 - p2) / s2.size).sum()
+    p1, p2, n1, n2 = _histograms(samples1, samples2, bins)
+    var = (p1 * (1.0 - p1) / n1 + p2 * (1.0 - p2) / n2).sum()
     return float(np.sqrt(var))
 
 

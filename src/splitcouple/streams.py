@@ -17,11 +17,6 @@ def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def experiment_rng(master_seed: int) -> np.random.Generator:
-    """Generator for experiment-level draws that are not tied to a replica."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(master_seed)))
-
-
 def replica_uniform_pairs(master_seed: int, replicas: int, steps: int) -> np.ndarray:
     """Shared-randomness table of uniform pairs, shape (replicas, steps, 2).
 

@@ -71,7 +71,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
     print(f"acceptance criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-# --- criterion 4/5 share one batch of coupled traces -------------------------
+# --- criterion 4/5 share one batch of coupled pairs --------------------------
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +80,9 @@ def ar1_coupling_run():
     gamma, n, s, t, reps = 0.5, 3, 50, 100, 10_000
     kernel = ar1_split_kernel(gamma, n_max=4)
     u = replica_uniform_pairs(41, reps, t)
-    traces = coupled_pair_batch(kernel, n, 1.0, s, t, u)
+    pairs = coupled_pair_batch(kernel, n, 1.0, s, t, u)
     return {
-        "traces": traces,
+        "pairs": pairs,
         "gamma": gamma,
         "n": n,
         "s": s,
@@ -176,8 +176,8 @@ def test_criterion_3_minorization_certificates():
 
 def test_criterion_4_coupling_lower_bound(ar1_coupling_run):
     r = ar1_coupling_run
-    frac = np.mean([tr.coupled for tr in r["traces"]])
-    se = math.sqrt(frac * (1 - frac) / len(r["traces"]))
+    frac = np.mean(r["pairs"].coupled)
+    se = math.sqrt(frac * (1 - frac) / len(r["pairs"]))
     # Markov tail with the exact second-moment supremum: sup_t E[X_t^2] = 4/3
     eps_hat = (4.0 / 3.0) / r["n"] ** 2
     lower = coupling_lower_bound(ar1_alpha(r["gamma"], r["n"]), r["s"], eps_hat)
@@ -189,7 +189,7 @@ def test_criterion_4_coupling_lower_bound(ar1_coupling_run):
 
 def test_criterion_5_tv_sandwich(ar1_coupling_run):
     r = ar1_coupling_run
-    tv_bound, half_width = tv_upper_from_coupling(r["traces"])
+    tv_bound, half_width = tv_upper_from_coupling(r["pairs"].coupled)
     p = Ar1Params(gamma=r["gamma"], beta=0.3, x0=1.0)
     m_s, v_s = ar1_marginal(p, r["s"])
     m_t, v_t = ar1_marginal(p, r["t"])
@@ -283,8 +283,8 @@ def test_criterion_8_mcre_block_coupling():
         eta[k] = rng.standard_normal(n_env)
         u[k] = rng.random((t_sim, 2))
     env = ma_env_values(LOGVOL_PARAMS, eta)
-    traces = mcre_coupled_chains_batch(model, env, (1.0, -1.0), schedule, t_sim, u)
-    frac = np.mean([tr.coupled for tr in traces])
+    chains = mcre_coupled_chains_batch(model, env, (1.0, -1.0), schedule, t_sim, u)
+    frac = np.mean(chains.coupled)
     elapsed = time.perf_counter() - start
     ok = frac >= 0.5 and elapsed < 120.0
     _report(8, ok, f"coupled fraction {frac:.4f} by step {t_sim} of {t_target}, {elapsed:.1f}s")

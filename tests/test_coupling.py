@@ -3,13 +3,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from splitcouple.ar1 import Ar1Params, ar1_alpha, ar1_marginal, ar1_simulate_batch, ar1_split_kernel
 from splitcouple.coupling import (
     BlockSchedule,
-    CouplingTrace,
-    EnvironmentWindow,
+    _coupling_records,
     backward_orbit,
     backward_orbit_batch,
     block_schedule,
@@ -25,6 +25,21 @@ from splitcouple.kernels import SmallSetLadder, UniformPair, split_apply
 from splitcouple.streams import replica_uniform_pairs
 
 GAMMA = 0.5
+
+
+def _events(codes) -> str:
+    """Event string of one record's codes: 0/1/2 as A/B/C."""
+    return "".join("ABC"[c] for c in codes)
+
+
+def _check_record_agreement(res) -> None:
+    """couple_step is the first A (or -1), coupled says whether there is one,
+    and coupled orbits end in the same state."""
+    for r in res:
+        ev = _events(r.codes)
+        assert r.couple_step == ev.find("A")
+        assert r.coupled == (r.couple_step >= 0)
+        assert (r.final[0] == r.final[1]) == r.coupled
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +101,10 @@ def test_backward_orbit_matches_forward_law(kernel):
 
 def test_coupled_pair_degenerate_equal_depths(kernel):
     u = np.random.default_rng(0).random((5, 2))
-    trace = coupled_pair(kernel, 2, 0.5, 5, 5, u)
-    assert trace.events[0] == "A"
-    assert trace.couple_step == 0
-    assert trace.final_states[0] == trace.final_states[1]
+    pair = coupled_pair(kernel, 2, 0.5, 5, 5, u)
+    assert _events(pair.codes)[0] == "A"
+    assert pair.couple_step == 0
+    assert pair.final[0] == pair.final[1]
 
 
 def test_coupled_pair_regeneration_forces_coalescence(kernel):
@@ -98,29 +113,37 @@ def test_coupled_pair_regeneration_forces_coalescence(kernel):
     u = rng.random((6, 2))
     u[:, 0] = np.minimum(u[:, 0], 0.9)  # keep brackets sane
     u[0] = (0.0, 0.7)  # backward index 0 is the final step
-    trace = coupled_pair(kernel, 4, 0.5, 3, 6, u)
-    if trace.events[-2] in "AB":  # in the set (or already met) before the last step
-        assert trace.events[-1] == "A"
-        assert trace.final_states[0] == trace.final_states[1] == 2.0 * 0.7 - 1.0
+    pair = coupled_pair(kernel, 4, 0.5, 3, 6, u)
+    events = _events(pair.codes)
+    if events[-2] in "AB":  # in the set (or already met) before the last step
+        assert events[-1] == "A"
+        assert pair.final[0] == pair.final[1] == 2.0 * 0.7 - 1.0
 
 
 def test_traces_absorbing_pattern(kernel):
     u = replica_uniform_pairs(17, 300, 40)
-    traces = coupled_pair_batch(kernel, 3, 1.0, 20, 40, u)
-    for tr in traces:
-        assert re.fullmatch(r"[BC]*A*", tr.events)
-        assert len(tr.events) == 21
-        if tr.coupled:
-            assert tr.final_states[0] == tr.final_states[1]
+    pairs = coupled_pair_batch(kernel, 3, 1.0, 20, 40, u)
+    assert pairs.codes.shape == (300, 21)
+    for r in pairs:
+        assert re.fullmatch(r"[BC]*A*", _events(r.codes))
+        assert len(r.codes) == 21
+        if r.coupled:
+            assert r.final[0] == r.final[1]
         else:
-            assert tr.final_states[0] != tr.final_states[1]
+            assert r.final[0] != r.final[1]
+    _check_record_agreement(pairs)
 
 
 def test_coupling_trace_validation():
-    with pytest.raises(ValueError):
-        CouplingTrace(events="BAC", couple_step=1, final_states=(0.0, 0.0))
-    with pytest.raises(ValueError):
-        CouplingTrace(events="BBA", couple_step=None, final_states=(0.0, 0.0))
+    # The engine's absorbing check rejects an A followed by a non-A.
+    with pytest.raises(ValueError, match="absorbing"):
+        _coupling_records(np.array([[1, 0, 2]], np.int8), np.zeros(1), np.zeros(1))
+    # couple_step and coupled are derived from the codes, so they agree.
+    rec = _coupling_records(np.array([[1, 1, 0], [1, 2, 1]], np.int8),
+                            np.array([0.5, 0.0]), np.array([0.5, 1.0]))
+    assert rec.couple_step.tolist() == [2, -1]
+    assert rec.coupled.tolist() == [True, False]
+    assert rec.final.tolist() == [[0.5, 0.5], [0.0, 1.0]]
 
 
 def test_coupling_lower_bound_values():
@@ -138,20 +161,20 @@ def test_coupling_lower_bound_values():
 def test_empirical_coupling_beats_lower_bound(kernel):
     s, t, reps = 50, 100, 4000
     u = replica_uniform_pairs(2718, reps, t)
-    traces = coupled_pair_batch(kernel, 3, 1.0, s, t, u)
-    frac = np.mean([tr.coupled for tr in traces])
+    pairs = coupled_pair_batch(kernel, 3, 1.0, s, t, u)
+    frac = np.mean(pairs.coupled)
     se = np.sqrt(frac * (1 - frac) / reps)
     eps_hat = (4.0 / 3.0) / 9.0  # Chebyshev with the exact second-moment supremum
     assert frac >= coupling_lower_bound(ar1_alpha(GAMMA, 3), s, eps_hat) - 3 * se
 
 
 def test_tv_upper_from_coupling_edges():
-    all_coupled = [CouplingTrace("A", 0, (1.0, 1.0))] * 10
+    all_coupled = np.ones(10, bool)
     assert tv_upper_from_coupling(all_coupled) == (0.0, 0.0)
-    none_coupled = [CouplingTrace("C", None, (0.0, 1.0))] * 10
+    none_coupled = np.zeros(10, bool)
     assert tv_upper_from_coupling(none_coupled) == (2.0, 0.0)
     with pytest.raises(ValueError):
-        tv_upper_from_coupling([])
+        tv_upper_from_coupling(np.zeros(0, bool))
 
 
 def test_block_schedule_synthetic_example():
@@ -207,11 +230,11 @@ def test_mcre_constant_env_reduces_to_coupled_pair(kernel):
     rng = np.random.default_rng(42)
     s, t = 5, 12
     u = rng.random((t, 2))
-    env = EnvironmentWindow(values=np.zeros((t + 1, 1)))
-    tr_mcre = mcre_coupled_pair(model, env, 1.0, sched, t, u)
-    tr_plain = coupled_pair(kernel, 1, 1.0, s, t, u)
-    assert tr_mcre.events == tr_plain.events
-    assert tr_mcre.final_states == tr_plain.final_states
+    env = np.zeros((t + 1, 1))
+    mcre = mcre_coupled_pair(model, env, 1.0, sched, t, u)
+    plain = coupled_pair(kernel, 1, 1.0, s, t, u)
+    assert _events(mcre.codes) == _events(plain.codes)
+    assert tuple(mcre.final) == tuple(plain.final)
 
 
 def test_mcre_regeneration_on_b_step(kernel):
@@ -224,10 +247,10 @@ def test_mcre_regeneration_on_b_step(kernel):
     u = np.full((1, 3, 2), 0.5)
     u[0, 0] = (0.0, 0.25)
     env = np.zeros((1, 4, 1))
-    trace = mcre_coupled_chains_batch(model, env, (1.0, -1.0), sched, 3, u)[0]
-    assert trace.events[-2] == "B"
-    assert trace.events[-1] == "A"
-    assert trace.final_states == (-0.5, -0.5)
+    chain = mcre_coupled_chains_batch(model, env, (1.0, -1.0), sched, 3, u)[0]
+    assert _events(chain.codes)[-2] == "B"
+    assert _events(chain.codes)[-1] == "A"
+    assert tuple(chain.final) == (-0.5, -0.5)
 
 
 def test_mcre_two_chains_couple_by_third_boundary(kernel):
@@ -238,11 +261,12 @@ def test_mcre_two_chains_couple_by_third_boundary(kernel):
     reps = 400
     u = replica_uniform_pairs(1000, reps, t)
     env = np.zeros((reps, t + 1, 1))
-    traces = mcre_coupled_chains_batch(model, env, (1.0, -1.0), sched, t, u)
-    frac = np.mean([tr.coupled for tr in traces])
+    chains = mcre_coupled_chains_batch(model, env, (1.0, -1.0), sched, t, u)
+    frac = np.mean(chains.coupled)
     assert frac >= 0.5  # block failure mass gives at least 1/2 in theory
-    for tr in traces[:40]:
-        assert re.fullmatch(r"[BC]*A*", tr.events)
+    for r in chains[:40]:
+        assert re.fullmatch(r"[BC]*A*", _events(r.codes))
+    _check_record_agreement(chains)
 
 
 def test_mcre_preconditions(kernel):
@@ -253,11 +277,44 @@ def test_mcre_preconditions(kernel):
     )
     u = np.zeros((8, 2)) + 0.5
     with pytest.raises(ValueError):
-        mcre_coupled_pair(model, EnvironmentWindow(np.zeros((9, 1))), 0.0, sched, 8, u)
+        mcre_coupled_pair(model, np.zeros((9, 1)), 0.0, sched, 8, u)
     with pytest.raises(ValueError):
-        mcre_coupled_pair(model, EnvironmentWindow(np.zeros((3, 1))), 0.0, sched, 5, u)
+        mcre_coupled_pair(model, np.zeros((3, 1)), 0.0, sched, 5, u)
 
 
-def test_environment_window_validation():
-    with pytest.raises(ValueError):
-        EnvironmentWindow(values=np.zeros(5))
+def test_environment_window_validation(kernel):
+    # An environment window is a (steps, components) array; 1-D is rejected.
+    model = ConstEnvModel(base=kernel)
+    sched = BlockSchedule(
+        n_of_m=(1,), N_of_m=(5,), M_of_m=(0, 5),
+        alphas=(kernel.ladder.alphas[1],), tails=(0.4,),
+    )
+    u = np.zeros((5, 2)) + 0.5
+    with pytest.raises(ValueError, match="environment"):
+        mcre_coupled_pair(model, np.zeros(6), 0.0, sched, 5, u)
+    with pytest.raises(ValueError, match="environment"):
+        mcre_coupled_chains_batch(model, np.zeros((1, 6)), (0.0, 1.0), sched, 5, u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    reps=st.integers(2, 12),
+    s=st.integers(1, 8),
+    extra=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_row_ranges_concatenate_to_whole_table(kernel, reps, s, extra, seed, data):
+    # Replica chunks are independent: coupling any two row ranges of the
+    # uniform table and concatenating equals coupling the whole table.
+    t = s + extra
+    u = np.random.default_rng(seed).random((reps, t, 2))
+    k = data.draw(st.integers(1, reps - 1), label="split row")
+    whole = coupled_pair_batch(kernel, 2, 1.0, s, t, u)
+    parts = np.concatenate(
+        [coupled_pair_batch(kernel, 2, 1.0, s, t, u[:k]),
+         coupled_pair_batch(kernel, 2, 1.0, s, t, u[k:])]
+    ).view(np.recarray)
+    for name in whole.dtype.names:
+        assert np.array_equal(parts[name], whole[name])
+    _check_record_agreement(whole)

@@ -59,6 +59,30 @@ logvol.rho = 0.3
 logvol.ma = geometric(0.5, 64)
 logvol.checkpoints = 10, 50
 """,
+    # A block schedule that terminates, so the MCRE coupling engine runs.
+    "logvol-couple": """
+experiment = logvol-couple
+seed = 801
+replicas = 300
+logvol.gamma = 0.5
+logvol.rho = 0.3
+logvol.ma = 0.1
+logvol.m_max = 1
+logvol.target_block = 1
+logvol.step_cap = 200
+""",
+    # Minorization weights underflow: the ScheduleError path ends the run.
+    "logvol-couple-schedule-error": """
+experiment = logvol-couple
+seed = 800
+replicas = 100
+logvol.gamma = 0.5
+logvol.rho = 0.3
+logvol.ma = geometric(0.5, 64)
+logvol.m_max = 4
+logvol.target_block = 3
+logvol.step_cap = 2000
+""",
 }
 
 DIGESTS = {
@@ -69,6 +93,14 @@ DIGESTS = {
     "ar1-couple": {
         "csv": "780c5764a6966ef82f3681e0b70da71d3e503d8ec66d8dcdded2426cc70cd0c7",
         "report": "688eac7e220ea869a0ebf4a3d04ca592845c2fa690062589a9f293de4c2a00a6",
+    },
+    "logvol-couple": {
+        "csv": "c21bb1eb717e291c23ec4087f4f43bbd3199a7aa35f21c91ccc9d011e305f384",
+        "report": "899b7d562b7e58f52aaa31138410c0fc683520ee75421256059d1b2385195ac8",
+    },
+    "logvol-couple-schedule-error": {
+        "csv": "46e8c7c748d89fa6bdb1c03e39c1647dfb194a12a74ba3afc2dbf6f8d36ac134",
+        "report": "90043418635b095fe154fc6c78e13aabf814fba16492ba27a84a6998f8c08d2f",
     },
     "logvol-sim": {
         "csv": "3a97257cfda90ec06f008ad50ae717ddd0e61a0f787e21ecdc1532600acab634",

@@ -106,12 +106,15 @@ def test_volatility_variance_matches_isometry(kernel, analytic):
     dt, burn = 1.0 / 128.0, 10.0
     p = _params(kernel=kernel, dt=dt, horizon=1.0, burn_in=burn)
     discrete = discrete_log_vol_variance(p)
-    reps = 8000
+    reps, block = 8000, 500
     n_inc = p.burn_steps + p.horizon_steps
+    # One batched convolution per block; each row equals volatility_path's.
+    plan = _ConvPlan(kernel, dt, burn, block, n_inc)
     j_end = np.empty(reps)
-    for r in range(reps):
-        db = replica_rng(5, r).standard_normal(n_inc) * math.sqrt(dt)
-        j_end[r] = math.log(volatility_path(kernel, db, dt, burn)[-1])
+    for lo in range(0, reps, block):
+        db = np.stack([replica_rng(5, r).standard_normal(n_inc) * math.sqrt(dt)
+                       for r in range(lo, lo + block)])
+        j_end[lo:lo + block] = [math.log(v) for v in _volatility_paths(plan, db)[:, -1]]
     se = discrete * math.sqrt(2.0 / reps)
     assert abs(j_end.var() - discrete) < 4 * se
     # discretization budget: left-point sum vs the continuum integral

@@ -224,6 +224,24 @@ def test_cli_failing_flag_exit_code(tmp_path, capsys):
     assert cli_main(["report", f"{tmp_path}/lvc"]) == 1
 
 
+@pytest.mark.parametrize("experiment", ["logvol-sim", "logvol-couple"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_overflowing_ma_coefficients(tmp_path, capsys, experiment, command):
+    # exp(2 * 30^2) overflows a double, so the moment bound cannot be formed.
+    cfg_path = str(tmp_path / "ma.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"experiment = {experiment}\nreplicas = 100\n"
+            f"logvol.ma = 30.0\noutput.dir = {tmp_path}/run\n"
+        )
+    assert cli_main([command, cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: logvol: ma_coeffs")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("payload", [
     {"replicas": 3, "flags": {"ok": True}},
     {"experiment": "ar1-bound", "flags": {"ok": True}},

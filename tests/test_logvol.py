@@ -87,7 +87,8 @@ def test_env_stationarity_across_time():
 def test_env_path_single_matches_batch_row():
     window = ma_env_path(P_STD, 20, seed=99)
     batch = ma_env_paths(P_STD, 20, 3, 99)
-    assert np.array_equal(window.values, batch[0])
+    assert window.shape == (21, 2)
+    assert np.array_equal(window, batch[0])
 
 
 def test_logvol_step_degeneracies():

@@ -104,8 +104,10 @@ def test_tv_empirical_basics():
     a = rng.uniform(0, 1, 3000)
     b = rng.uniform(5, 6, 3000)
     assert tv_empirical(a, b) == 2.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         tv_empirical(np.array([]), s)
+    with pytest.raises(ValueError, match="nonempty"):
+        tv_empirical_se(s, np.array([]))
 
 
 def test_tv_empirical_gaussian_accuracy():
