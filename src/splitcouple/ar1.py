@@ -15,9 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .kernels import SmallSetLadder, SplitKernel
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+from .kernels import STD_NORMAL, SmallSetLadder, SplitKernel
 
 LYAPUNOV_T_GRID = 10_000
 
@@ -75,10 +73,10 @@ def ar1_alpha(gamma: float, n: int) -> float:
     if n < 0:
         raise ValueError("n must be nonnegative")
     d = -1.0 - gamma * float(n)
-    return float(2.0 * np.exp(-0.5 * d * d) * _INV_SQRT_2PI)
+    return float(2.0 * STD_NORMAL.pdf(d))
 
 
-def ar1_split_kernel(gamma: float, n_max: int = 8, bisect_tol: float = 1e-12) -> SplitKernel:
+def ar1_split_kernel(gamma: float, n_max: int = 8) -> SplitKernel:
     """Split kernel for the AR(1) chain with ladder sets [-n, n], n <= n_max."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -88,8 +86,7 @@ def ar1_split_kernel(gamma: float, n_max: int = 8, bisect_tol: float = 1e-12) ->
     )
 
     def density(x, z):
-        d = np.asarray(z, float) - gamma * np.asarray(x, float)
-        return np.exp(-0.5 * d * d) * _INV_SQRT_2PI
+        return STD_NORMAL.pdf(np.asarray(z, float) - gamma * np.asarray(x, float))
 
     def cdf(x, z):
         return ndtr(np.asarray(z, float) - gamma * np.asarray(x, float))
@@ -102,7 +99,7 @@ def ar1_split_kernel(gamma: float, n_max: int = 8, bisect_tol: float = 1e-12) ->
 
     return SplitKernel(
         density=density, cdf=cdf, ladder=ladder, mean=mean, stdev=stdev,
-        bisect_tol=bisect_tol,
+        innovation=STD_NORMAL,
     )
 
 

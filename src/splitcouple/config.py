@@ -10,6 +10,7 @@ report so a run is reproducible from its artifacts alone.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any
@@ -83,6 +84,7 @@ class _Fields:
             out = float(str(val))
         except ValueError:
             raise ConfigError(f"{key}: expected number, got {val!r}") from None
+        _require_finite(key, (out,))
         self.resolved[key] = out
         return out
 
@@ -97,6 +99,7 @@ class _Fields:
                 raise ConfigError(f"{key}: expected comma-separated numbers, got {val!r}") from None
         if not out:
             raise ConfigError(f"{key}: list must be nonempty")
+        _require_finite(key, out)
         self.resolved[key] = out
         return out
 
@@ -115,6 +118,12 @@ class _Fields:
 _REQUIRED = object()
 
 
+def _require_finite(key: str, values) -> None:
+    for v in values:
+        if not math.isfinite(v):
+            raise ConfigError(f"{key}: {v!r} is not a finite number")
+
+
 def _parse_call(key: str, text: str, families: dict[str, int]) -> tuple[str, list[float]]:
     m = _CALL_RE.match(text.strip())
     if not m:
@@ -126,6 +135,7 @@ def _parse_call(key: str, text: str, families: dict[str, int]) -> tuple[str, lis
         args = [float(a) for a in argtext.split(",")] if argtext.strip() else []
     except ValueError:
         raise ConfigError(f"{key}: malformed arguments in {text!r}") from None
+    _require_finite(key, args)
     if len(args) not in (families[name], families[name] - 1):
         raise ConfigError(f"{key}: {name} takes up to {families[name]} numeric arguments")
     return name, args
@@ -145,6 +155,7 @@ def _ma_coeffs(fields: _Fields) -> tuple[float, ...]:
         raise ConfigError(f"logvol.ma: malformed coefficient list {text!r}") from None
     if not coeffs:
         raise ConfigError("logvol.ma: coefficient list must be nonempty")
+    _require_finite("logvol.ma", coeffs)
     return coeffs
 
 

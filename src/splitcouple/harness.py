@@ -92,17 +92,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_safe(obj):
+def _json_safe(obj, where: str):
+    """Plain JSON values; a non-finite float is a RunError naming its field."""
     if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
+        return {k: _json_safe(v, f"{where}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
+        return [_json_safe(v, f"{where}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise RunError(f"report field {where} is not a finite number")
         return float(obj)
     if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
+        return _json_safe(obj.tolist(), where)
     return obj
 
 
@@ -146,20 +149,34 @@ def emit_csv(report: RunReport, path: str) -> None:
             formats[kinds] = _row_format(kinds)
         fmt = formats[kinds]
         lines.append(fmt % row if fmt else _csv_cells(row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def emit_json(report: RunReport, path: str) -> None:
+    """Sorted keys, two-space indent; a non-finite number is a RunError."""
     payload = {
         "experiment": report.experiment,
-        "config": _json_safe(report.config),
+        "config": _json_safe(report.config, "config"),
         "replicas": report.replicas,
-        "results": _json_safe(report.results),
+        "results": _json_safe(report.results, "results"),
         "flags": report.flags,
     }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` by ``text`` at once, through a temporary file beside it."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+            # on disk before the rename, so a crash cannot leave a short file
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_report(report: RunReport, outdir: str) -> tuple[str, str]:
@@ -167,8 +184,9 @@ def write_report(report: RunReport, outdir: str) -> tuple[str, str]:
     csv_path = os.path.join(outdir, f"{report.experiment}.csv")
     json_path = os.path.join(outdir, "report.json")
     try:
-        emit_csv(report, csv_path)
+        # JSON first: a non-finite result is refused before any file changes
         emit_json(report, json_path)
+        emit_csv(report, csv_path)
     except OSError as exc:
         raise RunError(f"could not write report to {outdir}: {exc}") from exc
     return csv_path, json_path

@@ -8,19 +8,34 @@ otherwise it inverts the residual law ``(Q - alpha_n * nu) / (1 - alpha_n)``.
 Off the small set the full conditional CDF is inverted and the first uniform
 is ignored.  All branches are driven by the same ``(u1, u2)`` pair, so two
 states sharing the pair coalesce exactly when the regeneration branch fires.
+
+For a kernel that is a location-scale family of a known innovation law
+with CDF ``F``, the residual CDF is ``F / (1 - alpha_n)`` below ``z = -1``
+and ``(F - alpha_n) / (1 - alpha_n)`` above ``z = 1``.  Both tails invert
+in closed form through the innovation quantile, and only the piece on
+[-1, 1] is solved iteratively, by a safeguarded Newton iteration.  Kernels
+without an innovation law invert by bracketed bisection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .errors import CertificationError
 
 _BISECT_MAX_ITER = 200
 _BRACKET_MAX_EXPAND = 60
+_NEWTON_MAX_ITER = 200
+# A Newton step this small ends an element's iteration; a bisection step ends
+# it once the bracket is twice this wide.
+_NEWTON_TOL = 2.0**-46
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -66,14 +81,52 @@ class SmallSetLadder:
 
 
 @dataclass(frozen=True)
+class InnovationLaw:
+    """Density, CDF, quantile and sampler of a standardized innovation law.
+
+    ``pdf``, ``cdf`` and ``ppf`` must be numpy-vectorized.  The minorization
+    formula of the log-volatility chain requires a symmetric unimodal
+    density; laws without that property can still be simulated but cannot
+    produce ladder weights.
+    """
+
+    name: str
+    pdf: Callable[[np.ndarray], np.ndarray]
+    cdf: Callable[[np.ndarray], np.ndarray]
+    ppf: Callable[[np.ndarray], np.ndarray]
+    sample: Callable[[np.random.Generator, tuple], np.ndarray]
+    second_moment: float
+    symmetric_unimodal: bool = True
+
+
+def _std_normal_pdf(x):
+    return np.exp(-0.5 * np.asarray(x, float) ** 2) * _INV_SQRT_2PI
+
+
+STD_NORMAL = InnovationLaw(
+    name="std_normal",
+    pdf=_std_normal_pdf,
+    cdf=lambda x: ndtr(np.asarray(x, float)),
+    ppf=ndtri,
+    sample=lambda rng, size: rng.standard_normal(size),
+    second_moment=1.0,
+)
+
+
+@dataclass(frozen=True)
 class SplitKernel:
     """One-step transition law packaged with its small-set ladder.
 
     ``density`` and ``cdf`` map broadcastable arrays ``(x, z)`` to the
     conditional density / CDF of the next state at ``z`` given the current
-    state ``x``.  ``mean`` and ``stdev`` give a location/scale hint used to
-    bracket CDF inversions; they need not be exact moments, only finite and
-    positive.
+    state ``x``.
+
+    ``innovation``, when set, is an ``InnovationLaw`` symmetric about 0 such
+    that ``cdf(x, z) == innovation.cdf((z - mean(x)) / stdev(x))``.
+    ``mean`` and ``stdev`` are then the exact location and scale, and CDF
+    inversions are closed-form except on [-1, 1].  Without it, ``mean`` and
+    ``stdev`` are only a finite, positive location/scale hint that brackets
+    a bisection to width ``bisect_tol``.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -82,6 +135,7 @@ class SplitKernel:
     mean: Callable[[np.ndarray], np.ndarray]
     stdev: Callable[[np.ndarray], np.ndarray]
     bisect_tol: float = 1e-12
+    innovation: InnovationLaw | None = None
 
 
 @dataclass(frozen=True)
@@ -151,6 +205,75 @@ def _bracket_bisect(g, u, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
+def _newton_middle(law, m, s, a, t):
+    """Solve law.cdf((z - m) / s) - a (z + 1) / 2 = t for z in [-1, 1].
+
+    The left side increases on [-1, 1] where the minorization holds and
+    brackets t there.  The start solves the equation with z frozen at 0 in
+    the linear term.  Newton steps that leave the bracket or fail to halve
+    the previous step are replaced by bisection steps.  Each element stops
+    on its own, so a value is independent of what else shares the batch.
+    """
+    out = np.empty_like(t)
+    idx = np.arange(t.size)
+    lo = np.full_like(t, -1.0)
+    hi = np.ones_like(t)
+    z = np.clip(m + s * law.ppf(t + 0.5 * a), -1.0, 1.0)
+    step = np.full_like(t, 2.0)
+    for _ in range(_NEWTON_MAX_ITER):
+        w = (z - m) / s
+        h = law.cdf(w) - 0.5 * a * (z + 1.0) - t
+        slope = law.pdf(w) / s - 0.5 * a
+        lo = np.where(h < 0.0, z, lo)
+        hi = np.where(h > 0.0, z, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = z - h / slope
+        take = (lo <= newton) & (newton <= hi) & (np.abs(2.0 * h) <= np.abs(step * slope))
+        step = np.where(take, newton - z, 0.5 * (hi - lo))
+        z = np.where(h == 0.0, z, np.where(take, newton, 0.5 * (lo + hi)))
+        done = (h == 0.0) | (np.abs(step) <= _NEWTON_TOL)
+        out[idx[done]] = z[done]
+        if done.all():
+            return out
+        keep = ~done
+        idx, m, s, a, t = idx[keep], m[keep], s[keep], a[keep], t[keep]
+        lo, hi, z, step = lo[keep], hi[keep], z[keep], step[keep]
+    raise CertificationError(
+        f"residual CDF inversion on [-1, 1] did not converge in {_NEWTON_MAX_ITER} "
+        f"Newton steps for {idx.size} elements"
+    )
+
+
+def _closed_form_inverse(law, m, s, u, a):
+    """Invert the residual CDF of a location-scale kernel, piece by piece."""
+    out = np.empty(u.shape)
+    off = a == 0.0
+    out[off] = m[off] + s[off] * law.ppf(u[off])
+    on = ~off
+    if on.any():
+        m, s, u, a = m[on], s[on], u[on], a[on]
+        f_lo = law.cdf((-1.0 - m) / s)  # kernel mass below -1
+        sf_hi = law.cdf((m - 1.0) / s)  # kernel mass above 1, by symmetry
+        if np.any(1.0 - sf_hi - a < f_lo):
+            raise CertificationError(
+                "the residual law is not a distribution: alpha exceeds the kernel's "
+                "mass on [-1, 1] (minorization violated?)"
+            )
+        t = u * (1.0 - a)  # residual mass below z, before dividing by 1 - a
+        tail = (1.0 - u) * (1.0 - a)  # residual mass above z
+        below = t <= f_lo
+        above = ~below & (tail <= sf_hi)
+        middle = ~(below | above)
+        z = np.empty(u.shape)
+        z[below] = m[below] + s[below] * law.ppf(t[below])
+        z[above] = m[above] - s[above] * law.ppf(tail[above])
+        z[middle] = _newton_middle(law, m[middle], s[middle], a[middle], t[middle])
+        out[on] = z
+    if not np.all(np.isfinite(out)):
+        raise CertificationError("residual CDF inversion produced a non-finite value")
+    return out
+
+
 def _split_inverse(kernel: SplitKernel, x, u, a_eff):
     """Invert z -> (cdf(x,z) - a*nuCDF(z)) / (1-a) at u, elementwise in x."""
     x = np.asarray(x, float)
@@ -160,8 +283,13 @@ def _split_inverse(kernel: SplitKernel, x, u, a_eff):
     a = np.asarray(a_eff, float)
     # a == 1 rows never reach this branch in split_apply; make them inert.
     a = np.where(a >= 1.0, 0.0, a)
+    # Location and scale come from the full state array: a kernel may close
+    # over per-element arrays aligned with it.
     m = np.asarray(kernel.mean(x), float)
     s = np.asarray(kernel.stdev(x), float)
+    if kernel.innovation is not None:
+        m, s, u, a = np.broadcast_arrays(m, s, u, a)
+        return _closed_form_inverse(kernel.innovation, m, s, u, a)
 
     def g(z):
         return (kernel.cdf(x, z) - a * nu_cdf(z)) / (1.0 - a)
@@ -186,7 +314,10 @@ def residual_inverse_cdf(kernel: SplitKernel, n: int, x: float, u: float) -> flo
     Returns
     -------
     float
-        The z with residual CDF equal to u, to absolute tolerance 1e-12.
+        The z with residual CDF equal to u.  With an innovation law the tails
+        are closed-form and the piece on [-1, 1] is solved to a Newton step
+        below 2**-46; without one, bisection brackets z to width
+        ``kernel.bisect_tol`` (1e-12 by default) and returns the midpoint.
     """
     n = kernel.ladder.check_index(n)
     a = kernel.ladder.alphas[n]
@@ -231,9 +362,10 @@ def split_apply_batch(
     regen = in_set & (u1 <= a)
     if regen.all():
         return 2.0 * u2 - 1.0
-    a_eff = np.where(in_set, a, 0.0)
-    # regenerating elements take the closed form below; feed the inversion a
-    # harmless interior value so only the branch that uses u2 constrains it
+    # Regenerating elements return 2 u2 - 1 below.  The inversion sees them
+    # as off-set elements at a harmless interior value, which keeps them
+    # cheap and leaves u2 constrained only by the branch that uses it.
+    a_eff = np.where(in_set & ~regen, a, 0.0)
     z = _split_inverse(kernel, x, np.where(regen, 0.5, u2), a_eff)
     return np.where(regen, 2.0 * u2 - 1.0, z)
 

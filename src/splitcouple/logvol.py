@@ -14,47 +14,21 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import ndtr
 
 from .errors import CertificationError
-from .kernels import SmallSetLadder, SplitKernel
+from .kernels import STD_NORMAL, InnovationLaw, SmallSetLadder, SplitKernel
 from .streams import replica_rng
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 DEFAULT_MA_LAG = 512
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class InnovationLaw:
-    """Density, CDF and sampler of the price innovation ``eps``.
-
-    ``pdf`` and ``cdf`` must be numpy-vectorized.  The minorization formula
-    requires a symmetric unimodal density; laws without that property can
-    still be simulated but cannot produce ladder weights.
-    """
-
-    name: str
-    pdf: Callable[[np.ndarray], np.ndarray]
-    cdf: Callable[[np.ndarray], np.ndarray]
-    sample: Callable[[np.random.Generator, tuple], np.ndarray]
-    second_moment: float
-    symmetric_unimodal: bool = True
-
-
 def std_normal_innovations() -> InnovationLaw:
-    return InnovationLaw(
-        name="std_normal",
-        pdf=lambda x: np.exp(-0.5 * np.asarray(x, float) ** 2) * _INV_SQRT_2PI,
-        cdf=lambda x: ndtr(np.asarray(x, float)),
-        sample=lambda rng, size: rng.standard_normal(size),
-        second_moment=1.0,
-    )
+    return STD_NORMAL
 
 
 def geometric_ma(ratio: float, lag: int = DEFAULT_MA_LAG) -> tuple[float, ...]:
@@ -268,7 +242,9 @@ def logvol_kernel(p: LogvolParams, z, eta_next, n_max: int = 2) -> SplitKernel:
     def stdev(x):
         return np.broadcast_to(scale, np.asarray(x, float).shape).astype(float)
 
-    return SplitKernel(density=density, cdf=cdf, ladder=ladder, mean=mean, stdev=stdev)
+    return SplitKernel(
+        density=density, cdf=cdf, ladder=ladder, mean=mean, stdev=stdev, innovation=p.eps,
+    )
 
 
 def logvol_ladder(p: LogvolParams, n_max: int) -> SmallSetLadder:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.special import ndtr
+from scipy.special import erf, ndtr
 
 _MAX_PATH_STEP = 1.0 / 64.0
 
@@ -55,7 +55,8 @@ def _phi(z: float) -> float:
 def tv_gaussian(m1: float, v1: float, m2: float, v2: float) -> float:
     """Exact total variation between two (possibly degenerate) Gaussians.
 
-    Equal variances use the closed form 2(2*Phi(|m1-m2|/(2 sigma)) - 1);
+    Equal variances use the closed form 2 erf(|m1-m2| / (2 sqrt(2) sigma)),
+    which keeps full relative precision for nearby means;
     unequal variances integrate |p - q| exactly between the two analytic
     crossing points of the densities.  A point mass against anything else
     (or two distinct point masses) is at the maximal distance 2.
@@ -69,8 +70,7 @@ def tv_gaussian(m1: float, v1: float, m2: float, v2: float) -> float:
     if v1 == v2:
         if m1 == m2:
             return 0.0
-        s = np.sqrt(v1)
-        return 2.0 * (2.0 * _phi(abs(m1 - m2) / (2.0 * s)) - 1.0)
+        return 2.0 * float(erf(abs(m1 - m2) / (2.0 * np.sqrt(2.0 * v1))))
     # Narrower density exceeds the wider one exactly between the crossings.
     if v1 > v2:
         m1, v1, m2, v2 = m2, v2, m1, v1

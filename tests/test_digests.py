@@ -92,7 +92,7 @@ DIGESTS = {
     },
     "ar1-couple": {
         "csv": "780c5764a6966ef82f3681e0b70da71d3e503d8ec66d8dcdded2426cc70cd0c7",
-        "report": "688eac7e220ea869a0ebf4a3d04ca592845c2fa690062589a9f293de4c2a00a6",
+        "report": "903d22482be2a84272b5fb7a33c266c7ffc80b7a2a578306094c67f7f5d74497",
     },
     "logvol-couple": {
         "csv": "c21bb1eb717e291c23ec4087f4f43bbd3199a7aa35f21c91ccc9d011e305f384",

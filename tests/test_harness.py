@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,27 @@ def test_cli_overflowing_ma_coefficients(tmp_path, capsys, experiment, command):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("experiment, line", [
+    ("sde-sim", "sde.tv_threshold = inf"),
+    ("sde-sim", "sde.tv_threshold = nan"),
+    ("sde-sim", "sde.checkpoints = 5.0, -inf"),
+    ("sde-sim", "sde.kernel = exponential(inf)"),
+    ("ar1-bound", "ar1.x0 = -inf"),
+    ("logvol-sim", "logvol.ma = 0.5, nan"),
+])
+def test_cli_validate_rejects_non_finite_numbers(tmp_path, capsys, experiment, line):
+    key = line.split(" = ")[0]
+    cfg_path = str(tmp_path / "exp.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(f"experiment = {experiment}\nreplicas = 100\n{line}\noutput.dir = {tmp_path}/run\n")
+    assert cli_main(["validate", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key}: ") and "is not a finite number" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("payload", [
     {"replicas": 3, "flags": {"ok": True}},
     {"experiment": "ar1-bound", "flags": {"ok": True}},
@@ -269,3 +291,74 @@ def test_cli_certification_error_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "error: minorization weight for n=1 fails grid certification\n"
     )
+
+
+def _tiny_report(results=None):
+    from splitcouple.harness import RunReport
+
+    return RunReport(
+        experiment="ar1-bound", config={"seed": 1}, results=results or {"x": 1.0},
+        flags={"ok": True}, replicas=1, wall_clock_s=0.0, table_header=("a",),
+        table_rows=[(1.0,)],
+    )
+
+
+@pytest.mark.parametrize("emit", ["csv", "json"])
+def test_emit_replaces_file_atomically(tmp_path, monkeypatch, emit):
+    import splitcouple.harness as harness
+
+    writer = harness.emit_csv if emit == "csv" else harness.emit_json
+    path = tmp_path / f"out.{emit}"
+    path.write_text("old contents\n", encoding="utf-8")
+
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(fd)
+        real_fsync(fd)
+
+    def interrupted(src, dst):
+        # the new text is complete and synced beside the target, which is untouched
+        assert os.path.dirname(src) == os.path.dirname(dst)
+        assert synced
+        assert path.read_text(encoding="utf-8") == "old contents\n"
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(harness.os, "fsync", recording_fsync)
+    monkeypatch.setattr(harness.os, "replace", interrupted)
+    with pytest.raises(OSError):
+        writer(_tiny_report(), str(path))
+    assert path.read_text(encoding="utf-8") == "old contents\n"
+    assert os.listdir(tmp_path) == [path.name]  # no temporary file left behind
+    monkeypatch.undo()
+    writer(_tiny_report(), str(path))
+    assert path.read_text(encoding="utf-8") != "old contents\n"
+    assert os.listdir(tmp_path) == [path.name]
+
+
+@pytest.mark.parametrize("results, field", [
+    ({"tv_exact": float("nan"), "bounds": [1.0]}, "results.tv_exact"),
+    ({"tv_exact": 0.5, "bounds": [1.0, float("inf")]}, "results.bounds[1]"),
+    ({"nested": {"x": np.float64("-inf")}}, "results.nested.x"),
+])
+def test_emit_json_rejects_non_finite(tmp_path, results, field):
+    from splitcouple.errors import RunError
+    from splitcouple.harness import emit_json
+
+    path = tmp_path / "report.json"
+    with pytest.raises(RunError, match=r"^report field " + re.escape(field) + " is not"):
+        emit_json(_tiny_report(results), str(path))
+    assert not path.exists()
+
+
+def test_cli_non_finite_report_exit_code(tmp_path, capsys, monkeypatch):
+    import splitcouple.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: _tiny_report({"tv": float("nan")}))
+    cfg_path = str(tmp_path / "exp.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(AR1_BOUND_CFG + f"output.dir = {tmp_path}/run\n")
+    assert cli_main(["run", cfg_path]) == 2
+    assert capsys.readouterr().err == "error: report field results.tv is not a finite number\n"
+    assert os.listdir(tmp_path / "run") == []  # refused before any file was written

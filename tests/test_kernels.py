@@ -1,3 +1,8 @@
+import dataclasses
+import hashlib
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,6 +22,7 @@ from splitcouple.kernels import (
     split_apply_batch,
     validate_minorization,
 )
+from splitcouple.logvol import LogvolParams, geometric_ma, logvol_kernel
 
 GAMMA = 0.5
 
@@ -237,3 +243,166 @@ def test_scalar_matches_batch(kernel):
 def test_ar1_alpha_ladder_matches_closed_form(kernel):
     for n in range(9):
         assert kernel.ladder.alphas[n] == ar1_alpha(GAMMA, n)
+
+
+# --- closed-form inversion against the bisection fallback and mpmath -------
+
+P_LOGVOL = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=geometric_ma(0.5, 64))
+
+
+def _logvol_grid_kernel(size, radius=2.0, seed=5):
+    # Per-element environments: the kernel closes over arrays aligned with x.
+    # They lie in the environment's small set of that radius, so the ladder
+    # weights of indices up to the radius are valid minorizations.
+    rng = np.random.default_rng(seed)
+    env = rng.uniform(-radius, radius, (2, size))
+    return logvol_kernel(P_LOGVOL, env[0], env[1])
+
+
+def _grid(x_values, u_values):
+    x, u = np.meshgrid(np.asarray(x_values, float), np.asarray(u_values, float))
+    return x.ravel(), u.ravel()
+
+
+def _no_regen(u):
+    return np.ones_like(u)  # u1 = 1 never regenerates, so every element inverts
+
+
+@pytest.mark.parametrize("model", ["ar1", "logvol"])
+def test_closed_form_matches_bisection_on_dense_grid(kernel, model):
+    u_values = np.concatenate([[1e-12, 1e-6, 1e-3], np.linspace(0.005, 0.995, 199),
+                               [1 - 1e-3, 1 - 1e-6, 1 - 1e-12]])
+    x, u = _grid(np.linspace(-9.0, 9.0, 145), u_values)
+    for n in range(len(kernel.ladder) if model == "ar1" else 3):
+        closed = kernel if model == "ar1" else _logvol_grid_kernel(x.size, radius=n)
+        assert closed.innovation is not None
+        bisect = dataclasses.replace(closed, innovation=None)
+        z_closed = split_apply_batch(closed, n, x, _no_regen(u), u)
+        z_bisect = split_apply_batch(bisect, n, x, _no_regen(u), u)
+        # bisection's own error: half its 1e-12 bracket plus rounding of the
+        # CDF, magnified by the inverse density
+        tol = 1e-12 + 4.0 * 2.0**-52 / closed.density(x, z_bisect)
+        assert np.all(np.abs(z_closed - z_bisect) <= tol), n
+
+
+def _mp_residual_quantile(m, s, a, u):
+    """50-digit z with (Phi((z - m)/s) - a nu((-inf, z])) / (1 - a) = u."""
+    with mpmath.workdps(50):
+        m, s, a, u = (mpmath.mpf(v) for v in (m, s, a, u))
+
+        def resid(z):
+            nu = min(max((z + 1) / 2, mpmath.mpf(0)), mpmath.mpf(1))
+            return (mpmath.ncdf((z - m) / s) - a * nu) / (1 - a) - u
+
+        lo, hi = m - 40 * s, m + 40 * s
+        for _ in range(400):  # bisection: the oracle needs no start value
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if resid(mid) < 0 else (lo, mid)
+        return float((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("u", [1e-15, 1e-9, 0.3, 0.7, 1 - 1e-9, 1 - 1e-12])
+def test_closed_form_tails_match_mpmath(kernel, u):
+    cases = []
+    for n, x in ((2, 0.7), (2, -1.9), (0, 5.0)):  # in-set rows, then an off-set row
+        a = kernel.ladder.alphas[n] if abs(x) <= kernel.ladder.radii[n] else 0.0
+        got = split_apply_batch(kernel, n, np.array([x]), np.ones(1), np.array([u]))[0]
+        cases.append((got, GAMMA * x, 1.0, a))
+    env_z, env_eta, x = 0.4, -0.8, 0.9
+    lv = logvol_kernel(P_LOGVOL, env_z, env_eta)
+    got = split_apply_batch(lv, 1, np.array([x]), np.ones(1), np.array([u]))[0]
+    root = math.sqrt(1.0 - P_LOGVOL.rho**2)
+    m = P_LOGVOL.gamma * x + P_LOGVOL.rho * math.exp(env_z) * env_eta
+    cases.append((got, m, root * math.exp(env_z), lv.ladder.alphas[1]))
+    for got, m, s, a in cases:
+        want = _mp_residual_quantile(m, s, a, u)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (m, s, a)
+
+
+def test_closed_form_scalar_matches_batch_logvol():
+    rng = np.random.default_rng(11)
+    size = 300
+    env_z, env_eta = rng.uniform(-1.0, 1.0, (2, size))
+    x = rng.uniform(-3.0, 3.0, size)
+    u1, u2 = rng.random(size), rng.random(size)
+    for n in range(3):
+        batch = split_apply_batch(logvol_kernel(P_LOGVOL, env_z, env_eta), n, x, u1, u2)
+        singles = np.array([
+            split_apply(logvol_kernel(P_LOGVOL, zi, ei), n, float(xi), UniformPair(a, b))
+            for zi, ei, xi, a, b in zip(env_z, env_eta, x, u1, u2)
+        ])
+        assert np.array_equal(batch, singles)
+
+
+@pytest.mark.parametrize("model", ["ar1", "logvol"])
+def test_counting_cdf_wrapper_keeps_output(kernel, model):
+    # replacing ``cdf`` by a wrapper (as a tracer does) must not move a bit
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-4.0, 4.0, 500)
+    u1, u2 = rng.random(500), rng.random(500)
+    for n in range(3):
+        base = kernel if model == "ar1" else _logvol_grid_kernel(x.size, radius=n)
+        calls = []
+
+        def counting_cdf(xs, zs, cdf=base.cdf):
+            calls.append(np.size(zs))
+            return cdf(xs, zs)
+
+        wrapped = dataclasses.replace(base, cdf=counting_cdf)
+        want = split_apply_batch(base, n, x, u1, u2)
+        assert split_apply_batch(wrapped, n, x, u1, u2).tobytes() == want.tobytes()
+        assert not calls  # the closed form evaluates the innovation law directly
+
+
+# sha256 of split_apply_batch outputs for kernels without an innovation law,
+# recorded before the closed form existed (see _fallback_outputs)
+FALLBACK_DIGESTS = {
+    "ar1": "d92347ab5b78508ad81b8879bac2efc6e103ee5e5735f2370091d940f9ea0a00",
+    "logvol": "27122a55763b7a60ce44018b0faaf8e8d0f490de92338c8bc42ca42a09839119",
+}
+
+
+def _fallback_outputs(model, cdf_calls):
+    rng = np.random.default_rng(2718)
+    x = rng.uniform(-5, 5, 400)
+    u1, u2 = rng.random(400), rng.random(400)
+    if model == "ar1":
+        kern, ladder_idx = ar1_split_kernel(0.5, n_max=8), (0, 3, 8)
+    else:
+        env_z, env_eta = rng.normal(0, 0.5, 400), rng.normal(0, 1, 400)
+        kern, ladder_idx = logvol_kernel(P_LOGVOL, env_z, env_eta, n_max=2), (0, 1, 2)
+        x = rng.uniform(-3, 3, 400)
+
+    def counting_cdf(xs, zs, cdf=kern.cdf):
+        cdf_calls.append(np.size(zs))
+        return cdf(xs, zs)
+
+    kern = dataclasses.replace(kern, innovation=None, cdf=counting_cdf)
+    return np.concatenate([split_apply_batch(kern, n, x, u1, u2) for n in ladder_idx])
+
+
+@pytest.mark.parametrize("model", ["ar1", "logvol"])
+def test_kernel_without_innovation_still_bisects(model):
+    cdf_calls = []
+    out = _fallback_outputs(model, cdf_calls)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == FALLBACK_DIGESTS[model]
+    assert sum(cdf_calls) >= 40 * out.size  # about 47 evaluations per element
+
+
+def test_closed_form_rejects_invalid_residual(kernel):
+    # alpha above the kernel's mass on [-1, 1]: the residual is not a law
+    ladder = SmallSetLadder(radii=(1.0,), alphas=(0.9,))
+    broken = dataclasses.replace(kernel, ladder=ladder)
+    with pytest.raises(CertificationError):
+        split_apply_batch(broken, 0, np.array([0.0]), np.ones(1), np.array([0.5]))
+    with pytest.raises(CertificationError):
+        residual_inverse_cdf(broken, 0, 0.0, 0.5)
+
+
+def test_closed_form_rejects_non_finite_result(kernel):
+    # a non-finite scale yields no quantile; the inversion must not return one
+    nan_scale = dataclasses.replace(kernel, stdev=lambda x: np.full(np.shape(x), np.nan))
+    with pytest.raises(CertificationError):
+        kernel_inverse_cdf(nan_scale, 0.0, 0.5)
+    with pytest.raises(CertificationError):
+        residual_inverse_cdf(nan_scale, 2, 0.0, 0.5)

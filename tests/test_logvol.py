@@ -141,6 +141,7 @@ def test_alpha_requires_symmetric_unimodal():
         name="skewed",
         pdf=std_normal_innovations().pdf,
         cdf=std_normal_innovations().cdf,
+        ppf=std_normal_innovations().ppf,
         sample=lambda rng, size: rng.standard_normal(size),
         second_moment=1.0,
         symmetric_unimodal=False,
@@ -164,6 +165,7 @@ def test_certification_catches_nonunimodal_density():
         name="interior_dip",
         pdf=lambda x: base.pdf(x) * np.where((np.abs(x) > 3.0) & (np.abs(x) < 4.0), 0.01, 1.0),
         cdf=base.cdf,
+        ppf=base.ppf,
         sample=base.sample,
         second_moment=1.0,
     )

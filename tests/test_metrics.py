@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -75,6 +76,18 @@ def test_tv_bounded_by_coupling_mismatch():
 def test_tv_gaussian_equal_variance_closed_form():
     assert tv_gaussian(0, 1, 0, 1) == 0.0
     assert tv_gaussian(0, 1, 2, 1) == pytest.approx(TV_N01_N21, abs=1e-12)
+
+
+@pytest.mark.parametrize("sep", [1e-15, 1e-13, 1e-11, 1e-9, 1e-6, 1e-3, 0.1, 1.0])
+@pytest.mark.parametrize("m1, v", [(0.0, 1.0), (1.0, 4.0 / 3.0), (-0.3, 0.07)])
+def test_tv_gaussian_equal_variance_matches_mpmath(sep, m1, v):
+    # 2(2 Phi - 1) cancels for nearby means; the erf form must not
+    m2 = m1 + sep
+    with mpmath.workdps(50):
+        gap = abs(mpmath.mpf(m2) - mpmath.mpf(m1))  # the separation the doubles carry
+        want = 2 * mpmath.erf(gap / (2 * mpmath.sqrt(2 * mpmath.mpf(v))))
+        got = tv_gaussian(m1, v, m2, v)
+        assert abs(mpmath.mpf(got) - want) <= 1e-12 * want
 
 
 def test_tv_gaussian_unequal_variance_dual_quadrature():
