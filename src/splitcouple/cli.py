@@ -75,8 +75,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CertificationError, ConfigError, RunError, ScheduleError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # every failure exits 2 with one line, never as a false flag
+        known = isinstance(exc, (CertificationError, ConfigError, RunError, ScheduleError,
+                                 ValueError, OSError))
+        print(f"error: {exc}" if known else f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import RunError
-from .streams import replica_rng
+from .streams import ConvPlan, replica_rng
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
 _DEFAULT_CHUNK = 512
@@ -205,39 +204,13 @@ def volatility_path(kernel: VolatilityKernel, db: np.ndarray, dt: float, burn_in
     m = int(round(burn_in / dt))
     if db.ndim != 1 or db.size < m:
         raise ValueError("increment sequence must cover the burn-in window")
-    return _volatility_paths(_ConvPlan(kernel, dt, burn_in, 1, db.size), db[None, :])[0]
+    return _volatility_paths(ConvPlan(_kernel_taps(kernel, dt, burn_in), 1, db.size), db[None, :])[0]
 
 
-class _ConvPlan:
-    """Buffers for the volatility of up to ``rows`` rows of ``n_inc`` increments.
-
-    The transform length and the pocketfft transforms are those of
-    ``scipy.signal.fftconvolve(db, taps, mode="valid")``, so the paths match
-    it bit for bit; the buffers are allocated once and reused by every call.
-    """
-
-    def __init__(self, kernel: VolatilityKernel, dt: float, burn_in: float, rows: int, n_inc: int):
-        taps = _kernel_taps(kernel, dt, burn_in)
-        # The "valid" part of the full convolution: columns taps.size - 1 .. n_inc - 1.
-        self.valid = slice(taps.size - 1, n_inc)
-        self.n = next_fast_len(n_inc + taps.size - 1, True)
-        self.taps_hat = np.fft.rfft(taps, self.n)
-        self.spec = np.empty((rows, self.n // 2 + 1), complex)
-        self.full = np.empty((rows, self.n))
-        self.vol = np.empty((rows, n_inc - taps.size + 1))
-
-
-def _volatility_paths(plan: _ConvPlan, db: np.ndarray) -> np.ndarray:
-    """Row-wise ``volatility_path`` of a (rows, increments) array.
-
-    The result lives in ``plan``'s buffer until its next call.
-    """
-    k = len(db)
-    spec, full, vol = plan.spec[:k], plan.full[:k], plan.vol[:k]
-    np.fft.rfft(db, plan.n, axis=1, out=spec)
-    np.multiply(spec, plan.taps_hat, out=spec)
-    np.fft.irfft(spec, plan.n, axis=1, out=full)
-    return np.exp(full[:, plan.valid], out=vol)
+def _volatility_paths(plan: ConvPlan, db: np.ndarray) -> np.ndarray:
+    """Row-wise ``volatility_path``, in ``plan``'s buffer until its next call."""
+    j = plan(db)
+    return np.exp(j, out=j)
 
 
 def euler_step(p: SdeParams, L, V, rho, dB, dW):
@@ -318,10 +291,10 @@ def simulate_ensemble(
     series = np.empty((4 if rho_is_process else 3, span))
     blk_db = np.empty((_BLOCK_ROWS, n_inc))
     blk_dw = np.empty((_BLOCK_ROWS, h_steps))
-    vol_plan = _ConvPlan(p.kernel, p.dt, p.burn_in, _BLOCK_ROWS, n_inc)
+    vol_plan = ConvPlan(_kernel_taps(p.kernel, p.dt, p.burn_in), _BLOCK_ROWS, n_inc)
     if rho_is_process:
         blk_db2 = np.empty((_BLOCK_ROWS, n_inc))
-        rho_plan = _ConvPlan(p.rho.kernel, p.dt, p.burn_in, _BLOCK_ROWS, n_inc)
+        rho_plan = ConvPlan(_kernel_taps(p.rho.kernel, p.dt, p.burn_in), _BLOCK_ROWS, n_inc)
 
     for lo in range(0, replicas, chunk):
         hi = min(lo + chunk, replicas)
@@ -342,8 +315,8 @@ def simulate_ensemble(
                 db[:, g, a:z] = blk_db[: z - a, b_steps:].T
                 dw[:, g, a:z] = blk_dw[: z - a].T
                 if rho_is_process:
-                    j2 = np.log(_volatility_paths(rho_plan, blk_db2[: z - a]))
-                    rho_path[:, g, a:z] = np.tanh(p.rho.c * j2)[:, :h_steps].T
+                    j2 = rho_plan(blk_db2[: z - a])[:, :h_steps]
+                    rho_path[:, g, a:z] = np.tanh(p.rho.c * j2).T
         # The states step together; a (groups, rows) noise slice broadcasts
         # over the states that share it.
         l = np.repeat(l0, rows, axis=1)

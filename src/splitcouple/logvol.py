@@ -16,12 +16,11 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import ndtr
 
 from .errors import CertificationError
 from .kernels import STD_NORMAL, InnovationLaw, SmallSetLadder, SplitKernel
-from .streams import replica_rng
+from .streams import ConvPlan, replica_rng
 
 DEFAULT_MA_LAG = 512
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -96,10 +95,9 @@ def ma_env_values(p: LogvolParams, eta: np.ndarray) -> np.ndarray:
     a = np.asarray(p.ma_coeffs, float)
     if eta.ndim != 2 or eta.shape[1] < a.size + 1:
         raise ValueError("eta must cover lag + horizon + 2 draws per replica")
-    z = fftconvolve(eta, a[None, :], mode="valid", axes=1)  # Z_t for t = 0..h+1
     horizon = eta.shape[1] - a.size - 1
     out = np.empty((eta.shape[0], horizon + 1, 2))
-    out[:, :, 0] = z[:, : horizon + 1]
+    out[:, :, 0] = ConvPlan(a, len(eta), eta.shape[1])(eta)[:, : horizon + 1]  # Z_t
     out[:, :, 1] = eta[:, a.size : a.size + horizon + 1]
     return out
 

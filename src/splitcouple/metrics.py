@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.special import erf, ndtr
 
 _MAX_PATH_STEP = 1.0 / 64.0
@@ -219,5 +218,6 @@ def bounded_wasserstein(samples1, samples2, max_pairs: int = 512) -> float:
     cost = np.minimum(1.0, np.abs(x1[:, None] - x2[None, :]))
     cost = cost + _pairwise_path_d([s[1] for s in samples1], [s[1] for s in samples2])
     cost = cost + _pairwise_path_d([s[2] for s in samples1], [s[2] for s in samples2])
+    from scipy.optimize import linear_sum_assignment  # deferred: a slow import for one caller
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())

@@ -1,4 +1,4 @@
-"""Deterministic randomness streams for replicated experiments.
+"""Deterministic randomness streams for replicated experiments, and the one convolution.
 
 One 64-bit master seed governs an experiment.  Replica ``k`` draws from a
 stream derived as ``SeedSequence(master_seed, spawn_key=(k,))``, so any
@@ -9,6 +9,7 @@ chunks or in parallel without changing results.
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
@@ -27,3 +28,29 @@ def replica_uniform_pairs(master_seed: int, replicas: int, steps: int) -> np.nda
     for k in range(replicas):
         out[k] = replica_rng(master_seed, k).random((steps, 2))
     return out
+
+
+class ConvPlan:
+    """The "valid" part of each row of a (k <= rows, n_in) array convolved with
+    ``taps``, bit for bit as ``scipy.signal.fftconvolve(x, taps[None, :],
+    mode="valid", axes=1)``: pocketfft at its transform length, into buffers
+    the next call reuses, or for one tap the plain product (a new array) it returns.
+    """
+
+    def __init__(self, taps, rows: int, n_in: int):
+        self.taps = np.asarray(taps, float)
+        self.n = next_fast_len(n_in + self.taps.size - 1, True)
+        self.valid = slice(self.taps.size - 1, n_in)
+        if self.taps.size > 1:
+            self.taps_hat = np.fft.rfft(self.taps, self.n)
+            self.spec = np.empty((rows, self.n // 2 + 1), complex)
+            self.full = np.empty((rows, self.n))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self.taps.size == 1:
+            return x * self.taps[0]
+        spec, full = self.spec[: len(x)], self.full[: len(x)]
+        np.fft.rfft(x, self.n, axis=1, out=spec)
+        np.multiply(spec, self.taps_hat, out=spec)
+        np.fft.irfft(spec, self.n, axis=1, out=full)
+        return full[:, self.valid]

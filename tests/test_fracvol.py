@@ -6,7 +6,6 @@ from scipy.signal import fftconvolve
 
 from splitcouple.errors import RunError
 from splitcouple.fracvol import (
-    _ConvPlan,
     _kernel_taps,
     _volatility_paths,
     IncrementConstants,
@@ -24,7 +23,7 @@ from splitcouple.fracvol import (
     volatility_path,
 )
 from splitcouple.metrics import tv_empirical, tv_empirical_se
-from splitcouple.streams import replica_rng
+from splitcouple.streams import ConvPlan, replica_rng
 
 EXP_KERNEL = VolatilityKernel(kind="exponential", lam=1.0)
 FRAC_KERNEL = VolatilityKernel(kind="fractional", h=0.1)
@@ -93,7 +92,7 @@ def test_volatility_paths_match_fftconvolve(kernel):
     db = replica_rng(3, 0).standard_normal((37, n_inc)) * math.sqrt(dt)
     taps = _kernel_taps(kernel, dt, burn)
     want = np.exp(fftconvolve(db, taps[None, :], mode="valid", axes=1))
-    plan = _ConvPlan(kernel, dt, burn, 32, n_inc)
+    plan = ConvPlan(taps, 32, n_inc)
     for lo, hi in ((0, 32), (32, 37)):
         assert np.array_equal(_volatility_paths(plan, db[lo:hi]), want[lo:hi])
 
@@ -109,7 +108,7 @@ def test_volatility_variance_matches_isometry(kernel, analytic):
     reps, block = 8000, 500
     n_inc = p.burn_steps + p.horizon_steps
     # One batched convolution per block; each row equals volatility_path's.
-    plan = _ConvPlan(kernel, dt, burn, block, n_inc)
+    plan = ConvPlan(_kernel_taps(kernel, dt, burn), block, n_inc)
     j_end = np.empty(reps)
     for lo in range(0, reps, block):
         db = np.stack([replica_rng(5, r).standard_normal(n_inc) * math.sqrt(dt)
@@ -184,6 +183,42 @@ def test_shared_noise_pair_equals_single_starts():
     pair = simulate_ensemble(p, [-2.0, 2.0], 150, times, seed=4)
     singles = [simulate_ensemble(p, [l0], 150, times, seed=4).samples[0] for l0 in (-2.0, 2.0)]
     assert np.array_equal(pair.samples, np.stack(singles))
+
+
+@pytest.mark.parametrize("kappa,kernel", [(1.0, EXP_KERNEL), (2.5, FRAC_KERNEL)])
+def test_linear_drift_ensembles_are_exact_translates(kappa, kernel):
+    # With linear drift the Euler step is affine in the state, so on shared
+    # noise two starts a, b differ after k steps by exactly (1 - kappa dt)^k (a - b).
+    # A wrong checkpoint step, a drift off by a factor, or noise that differs
+    # between the starts breaks this by far more than rounding, which stays
+    # within a few ulps of the largest states (13 ulps of 2 here).
+    p = _params(zeta=linear_drift(kappa), kernel=kernel, dt=1.0 / 64.0, horizon=4.0)
+    a, b = -2.0, 2.0
+    res = simulate_ensemble(p, [a, b], 64, [0.0, 0.5, 1.0, 2.0, 4.0], seed=11)
+    for i, t in enumerate(res.checkpoint_times):
+        k = round(t / p.dt)
+        gap = res.samples[0, i] - res.samples[1, i]
+        assert np.max(np.abs(gap - (1.0 - kappa * p.dt) ** k * (a - b))) <= 32 * np.spacing(b)
+
+
+def test_ensemble_matches_scalar_reference_path():
+    # One replica recomputed from its own stream with a direct left-point sum
+    # for J and a scalar left-point Euler step: this names a noise layout or
+    # volatility timing fault that the translate identity cannot see.
+    p = _params(kernel=FRAC_KERNEL, dt=1.0 / 64.0, horizon=2.0)
+    res = simulate_ensemble(p, [-2.0, 2.0], 8, [0.5, 2.0], seed=11)
+    rng = replica_rng(11, 5)
+    sqrt_dt = math.sqrt(p.dt)
+    db = rng.standard_normal(p.burn_steps + p.horizon_steps) * sqrt_dt
+    dw = rng.standard_normal(p.horizon_steps) * sqrt_dt
+    taps = _kernel_taps(p.kernel, p.dt, p.burn_in)
+    for s, l0 in enumerate((-2.0, 2.0)):
+        path = [l0]
+        for k in range(p.horizon_steps):
+            v = math.exp(float(np.dot(taps, db[k : k + taps.size][::-1])))
+            path.append(float(euler_step(p, path[-1], v, p.rho, db[p.burn_steps + k], dw[k])))
+        for i, t in enumerate(res.checkpoint_times):
+            assert res.samples[s, i, 5] == pytest.approx(path[round(t / p.dt)], abs=1e-12)
 
 
 RHO_PROCESS = RhoProcess(c=1.0, kernel=VolatilityKernel(kind="exponential", lam=2.0))

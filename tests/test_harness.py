@@ -293,6 +293,24 @@ def test_cli_certification_error_exit_code(tmp_path, capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("exc", [KeyError("sde.kernel"), MemoryError()])
+def test_cli_unexpected_error_exit_code(tmp_path, capsys, monkeypatch, exc):
+    # An exception outside the documented ones exits 2 with one line, not a
+    # traceback with exit 1 (which would read as "a flag was false").
+    import splitcouple.cli as cli
+
+    def broken(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    cfg_path = str(tmp_path / "exp.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(AR1_BOUND_CFG + f"output.dir = {tmp_path}/run\n")
+    assert cli_main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+
 def _tiny_report(results=None):
     from splitcouple.harness import RunReport
 
