@@ -16,17 +16,26 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .ar1 import Ar1Params
-from .errors import ConfigError
+from .errors import ConfigError, ScheduleError
 from .fracvol import (
+    _DEFAULT_CHUNK as _SDE_CHUNK,
     RhoProcess,
     SdeParams,
     VolatilityKernel,
     linear_drift,
     saturating_drift,
 )
-from .logvol import LogvolParams, fractional_ma, geometric_ma
+from .logvol import (
+    _BLOCK_ROWS as _LOGVOL_BLOCK,
+    LogvolParams,
+    fractional_ma,
+    geometric_ma,
+    logvol_schedule,
+)
 
 EXPERIMENTS = ("ar1-bound", "ar1-couple", "logvol-sim", "logvol-couple", "sde-sim")
+MEMORY_CAP_BYTES = 4 * 2**30  # the most a run may plan to hold at once
+_CSV_ROW_BYTES = 256  # one table row as Python objects, and its CSV line
 
 _CALL_RE = re.compile(r"^([a-z_]+)\(([^)]*)\)$")
 
@@ -168,10 +177,43 @@ class ExperimentConfig:
     model: Any
     options: dict[str, Any]
     resolved: dict[str, Any] = field(repr=False, default_factory=dict)
+    peak_bytes: int = 0  # estimate, see _estimate_peak_bytes
 
 
 def _wrap_invariant(section: str, exc: Exception) -> ConfigError:
     return ConfigError(f"{section}: {exc}")
+
+
+def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -> int:
+    """Bytes a run holds at once: its largest arrays (8 bytes a float; a
+    transform of n points about 16 n per row) and its per-replica CSV rows.
+
+    Plain arithmetic on the sizes the drivers allocate, so a config that
+    cannot fit is refused before any compute.
+    """
+    r = replicas
+    if experiment == "ar1-bound":
+        return 0
+    if experiment == "ar1-couple":  # uniform pairs and an int8 event code per step
+        return r * (17 * options["t"] + _CSV_ROW_BYTES)
+    if experiment == "sde-sim":  # one chunk's time-major series, then the outputs
+        n_times = len(options["checkpoints"]) + 1 + len(options["increment_lags"])
+        per_state = 8 * n_times + _CSV_ROW_BYTES * len(options["checkpoints"])
+        return 24 * model.horizon_steps * min(r, _SDE_CHUNK) + len(options["l0"]) * r * per_state
+    lag = model.lag
+    if experiment == "logvol-sim":  # one block's draws and transform, then the outputs
+        steps = max(options["checkpoints"])
+        per_replica = 8 * len(set(options["checkpoints"]))
+        per_block_row = 8 * (lag + 2 * steps + 2) + 16 * (2 * lag + steps + 2)
+    else:  # logvol-couple: draws, uniform pairs, environment and codes per replica
+        try:
+            schedule = logvol_schedule(model, options["m_max"])
+        except ScheduleError:
+            return 0  # the run stops once the schedule fails
+        steps = min(schedule.M_of_m[options["target_block"]], options["step_cap"])
+        per_replica = 8 * (lag + steps + 2) + 33 * steps + 18
+        per_block_row = 16 * (2 * lag + steps + 2)
+    return r * per_replica + min(r, _LOGVOL_BLOCK) * per_block_row
 
 
 def load_config_text(text: str) -> ExperimentConfig:
@@ -284,6 +326,12 @@ def load_config_text(text: str) -> ExperimentConfig:
     unused = fields.unused_keys()
     if unused:
         raise ConfigError(f"{unused[0]}: unknown field for experiment {experiment!r}")
+    peak = _estimate_peak_bytes(experiment, replicas, model, options)
+    if peak > MEMORY_CAP_BYTES:
+        raise ConfigError(
+            f"replicas: the run would hold about {peak / 2**30:.3g} GiB at once, "
+            f"over the {MEMORY_CAP_BYTES / 2**30:g} GiB cap"
+        )
 
     resolved = dict(fields.resolved)
     resolved["experiment"] = experiment
@@ -295,6 +343,7 @@ def load_config_text(text: str) -> ExperimentConfig:
         model=model,
         options=options,
         resolved=resolved,
+        peak_bytes=peak,
     )
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from . import ar1 as ar1mod
 from .config import ExperimentConfig
 from .coupling import (
-    block_schedule,
     coupled_pair_batch,
     coupling_lower_bound,
     mcre_coupled_chains_batch,
@@ -31,9 +30,8 @@ from .errors import RunError, ScheduleError
 from .fracvol import increment_constants, increment_moment_check, simulate_ensemble
 from .logvol import (
     LogvolMcreModel,
-    logvol_alpha,
     logvol_moment_bound,
-    logvol_tail,
+    logvol_schedule,
     ma_env_values,
     simulate_logvol_batch,
 )
@@ -286,9 +284,7 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> RunReport:
     x0_pair = cfg.options["x0_pair"]
     header = ("m", "n", "alpha", "block_len", "cumulative")
     try:
-        schedule = block_schedule(
-            lambda n: logvol_tail(p, n), lambda n: logvol_alpha(p, n), m_max, n_min=1
-        )
+        schedule = logvol_schedule(p, m_max)
     except ScheduleError as exc:
         flags = {"schedule_terminates": False, "coupled_by_target_at_least_half": False}
         results = {"schedule_error": str(exc)}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splitcouple.cli import main as cli_main
-from splitcouple.config import load_config_text, parse_config_text
+from splitcouple.config import MEMORY_CAP_BYTES, load_config, load_config_text, parse_config_text
 from splitcouple.errors import CertificationError, ConfigError
 from splitcouple.harness import emit_csv, run, write_report
 
@@ -380,3 +380,43 @@ def test_cli_non_finite_report_exit_code(tmp_path, capsys, monkeypatch):
     assert cli_main(["run", cfg_path]) == 2
     assert capsys.readouterr().err == "error: report field results.tv is not a finite number\n"
     assert os.listdir(tmp_path / "run") == []  # refused before any file was written
+
+
+SHIPPED_CONFIGS = sorted(
+    os.path.join(os.path.dirname(__file__), "..", "configs", name)
+    for name in os.listdir(os.path.join(os.path.dirname(__file__), "..", "configs"))
+)
+
+
+def test_shipped_configs_validate_under_the_memory_cap(capsys):
+    assert len(SHIPPED_CONFIGS) == 5
+    for path in SHIPPED_CONFIGS:
+        assert cli_main(["validate", path]) == 0
+        assert capsys.readouterr().out.endswith("config ok\n")
+        assert load_config(path).peak_bytes < 100 * 2**20
+
+
+@pytest.mark.parametrize("text", [
+    "experiment = ar1-couple\nreplicas = 100000000\ncouple.t = 100000\n",  # 160 TB of uniforms
+    "experiment = sde-sim\nreplicas = 100000000\n",
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_refuses_configs_over_the_memory_cap(tmp_path, capsys, text, command):
+    cfg_path = str(tmp_path / "big.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(text + f"output.dir = {tmp_path}/run\n")
+    assert cli_main([command, cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: replicas: ") and "GiB cap" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_logvol_sim_estimate_is_one_block_plus_outputs():
+    # Ten million replicas fit: only the two checkpoint outputs grow with them.
+    base = "experiment = logvol-sim\nlogvol.checkpoints = 10, 100\n"
+    small = load_config_text(base + "replicas = 100000\n").peak_bytes
+    large = load_config_text(base + "replicas = 10000000\n").peak_bytes
+    assert large - small == 2 * 8 * (10_000_000 - 100_000)
+    assert large < MEMORY_CAP_BYTES

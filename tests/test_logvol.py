@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
+from splitcouple import logvol
 from splitcouple.ar1 import ar1_alpha
 from splitcouple.errors import CertificationError
 from splitcouple.kernels import split_apply_batch
@@ -24,9 +27,11 @@ from splitcouple.logvol import (
     logvol_tail,
     ma_env_path,
     ma_env_paths,
+    ma_env_values,
     simulate_logvol_batch,
     std_normal_innovations,
 )
+from splitcouple.streams import ConvPlan, replica_rng
 
 P_STD = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=geometric_ma(0.5))
 P_RHO0 = LogvolParams(gamma=0.5, rho=0.0, ma_coeffs=geometric_ma(0.5))
@@ -252,3 +257,66 @@ def test_simulate_batch_checkpoints_and_reproducibility():
         assert np.array_equal(out_a[t][:3], out_b[t])
     with pytest.raises(ValueError):
         simulate_logvol_batch(P_STD, 10, 5, 101, (11,))
+
+
+def _whole_ensemble(p, horizon, replicas, seed, checkpoints):
+    """Every replica drawn, convolved and stepped at once, as before blocking."""
+    n_env = p.lag + horizon + 2
+    eta = np.empty((replicas, n_env))
+    eps = np.empty((replicas, horizon))
+    for k in range(replicas):
+        rng = replica_rng(seed, k)
+        eta[k] = rng.standard_normal(n_env)
+        eps[k] = p.eps.sample(rng, (horizon,))
+    z = ConvPlan(p.ma_coeffs, replicas, n_env)(eta)
+    env = np.stack([z[:, : horizon + 1], eta[:, p.lag + 1 :]], axis=-1)
+    root = math.sqrt(1.0 - p.rho**2)
+    x = np.full(replicas, p.x0)
+    out = {0: x.copy()} if 0 in checkpoints else {}
+    for t in range(horizon):
+        x = p.gamma * x + np.exp(env[:, t, 0]) * (p.rho * env[:, t, 1] + root * eps[:, t])
+        if t + 1 in checkpoints:
+            out[t + 1] = x.copy()
+    return eta, env, out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.sampled_from([(0.7,), geometric_ma(0.5, 6)]),
+    replicas=st.integers(1, 15),
+    horizon=st.integers(1, 8),
+    data=st.data(),
+)
+def test_blocking_is_invisible_bit_for_bit(coeffs, replicas, horizon, data):
+    # With 4-replica blocks, 1-15 replicas cover fewer than one block, exact
+    # multiples and a partial last block after whole ones.
+    checkpoints = tuple(
+        data.draw(st.lists(st.integers(0, horizon), min_size=1, max_size=4), label="checkpoints")
+    )
+    p = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=coeffs, x0=0.25)
+    eta, env_ref, sim_ref = _whole_ensemble(p, horizon, replicas, 31, checkpoints)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logvol, "_BLOCK_ROWS", 4)
+        sim = simulate_logvol_batch(p, horizon, replicas, 31, checkpoints)
+        env = ma_env_values(p, eta)
+    assert np.array_equal(env, env_ref)
+    assert list(sim) == sorted(sim_ref)
+    for t, x in sim_ref.items():
+        assert np.array_equal(sim[t], x)
+
+
+def test_simulate_batch_memory_is_per_block():
+    # The shipped lag: on a whole-ensemble path the traced peak grows by
+    # about 21 KiB per replica; blocked, only the checkpoint outputs grow.
+    def peak(replicas):
+        tracemalloc.start()
+        try:
+            simulate_logvol_batch(P_STD, 10, replicas, 5, (5, 10))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = logvol._BLOCK_ROWS
+    growth = peak(6 * block) - peak(2 * block)
+    extra_outputs = 2 * (4 * block) * 8  # two checkpoints, four more blocks of doubles
+    assert growth <= extra_outputs + 64 * 1024
