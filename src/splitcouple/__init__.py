@@ -42,14 +42,12 @@ from .fracvol import (
     linear_drift,
     saturating_drift,
     simulate_ensemble,
-    volatility_path,
 )
 from .kernels import (
     SmallSetLadder,
     SplitKernel,
     UniformPair,
     nu_inverse_cdf,
-    residual_inverse_cdf,
     split_apply,
     validate_minorization,
 )

@@ -19,7 +19,7 @@ from .ar1 import Ar1Params
 from .errors import ConfigError, ScheduleError
 from .fracvol import (
     _DEFAULT_CHUNK as _SDE_CHUNK,
-    RhoProcess,
+    RESOURCE_CAP,
     SdeParams,
     VolatilityKernel,
     linear_drift,
@@ -294,12 +294,11 @@ def load_config_text(text: str) -> ExperimentConfig:
                 kernel = VolatilityKernel(kind="fractional", h=kargs[0] if kargs else 0.1)
         except ValueError as exc:
             raise _wrap_invariant("sde.kernel", exc) from None
-        rho: float | RhoProcess = fields.float_("sde.rho", 0.3)
         try:
             model = SdeParams(
                 zeta=drift,
                 kernel=kernel,
-                rho=rho,
+                rho=fields.float_("sde.rho", 0.3),
                 dt=fields.float_("sde.dt", 1.0 / 256.0),
                 horizon=fields.float_("sde.horizon", 20.0),
                 burn_in=fields.float_("sde.burn_in", 10.0),
@@ -332,6 +331,13 @@ def load_config_text(text: str) -> ExperimentConfig:
             f"replicas: the run would hold about {peak / 2**30:.3g} GiB at once, "
             f"over the {MEMORY_CAP_BYTES / 2**30:g} GiB cap"
         )
+    if experiment == "sde-sim":  # the replica-step cap simulate_ensemble enforces
+        steps = replicas * (model.burn_steps + model.horizon_steps)
+        if steps > RESOURCE_CAP:
+            raise ConfigError(
+                f"replicas: the ensemble needs {steps:.3g} replica-steps, "
+                f"over the cap {RESOURCE_CAP:.3g}"
+            )
 
     resolved = dict(fields.resolved)
     resolved["experiment"] = experiment

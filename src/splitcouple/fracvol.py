@@ -87,14 +87,6 @@ class VolatilityKernel:
 
 
 @dataclass(frozen=True)
-class RhoProcess:
-    """Smooth bounded correlation path tanh(c * J') with its own kernel."""
-
-    c: float
-    kernel: VolatilityKernel
-
-
-@dataclass(frozen=True)
 class DriftSpec:
     """Drift callable with its declared growth and dissipativity constants.
 
@@ -146,7 +138,7 @@ def dissipativity_check(zeta, alpha: float, beta: float, grid) -> float:
 class SdeParams:
     zeta: DriftSpec
     kernel: VolatilityKernel
-    rho: float | RhoProcess = 0.0
+    rho: float = 0.0
     dt: float = 1.0 / 256.0
     horizon: float = 20.0
     burn_in: float = 10.0
@@ -155,8 +147,8 @@ class SdeParams:
     def __post_init__(self) -> None:
         if self.dt <= 0.0 or self.horizon < self.dt or self.burn_in <= 0.0:
             raise ValueError("need dt > 0, horizon >= dt, burn_in > 0")
-        if isinstance(self.rho, float | int) and not -1.0 < float(self.rho) < 1.0:
-            raise ValueError("constant rho must lie in (-1, 1)")
+        if not -1.0 < self.rho < 1.0:
+            raise ValueError("rho must lie in (-1, 1)")
         scale_time = self.kernel.memory_scale(self.burn_in)
         if self.burn_in < 10.0 * scale_time - 1e-9:
             raise ValueError(
@@ -192,23 +184,11 @@ def discrete_log_vol_variance(p: SdeParams) -> float:
     return float(np.sum(taps * taps) * p.dt)
 
 
-def volatility_path(kernel: VolatilityKernel, db: np.ndarray, dt: float, burn_in: float) -> np.ndarray:
-    """Volatility exp(J) on the grid points after the burn-in window.
-
-    ``db`` holds Brownian increments over burn_in + horizon; J at a grid
-    point is the left-point convolution of the kernel with the increments in
-    the preceding burn-in window, so the output has
-    ``len(db) - burn_steps + 1`` entries.
-    """
-    db = np.asarray(db, float)
-    m = int(round(burn_in / dt))
-    if db.ndim != 1 or db.size < m:
-        raise ValueError("increment sequence must cover the burn-in window")
-    return _volatility_paths(ConvPlan(_kernel_taps(kernel, dt, burn_in), 1, db.size), db[None, :])[0]
-
-
 def _volatility_paths(plan: ConvPlan, db: np.ndarray) -> np.ndarray:
-    """Row-wise ``volatility_path``, in ``plan``'s buffer until its next call."""
+    """Volatility exp(J) of each row of Brownian increments, in ``plan``'s
+    buffer until its next call: J at a grid point after the burn-in window is
+    the left-point convolution of the kernel taps with the window's increments,
+    so a row of ``n`` increments gives ``n - burn_steps + 1`` values."""
     j = plan(db)
     return np.exp(j, out=j)
 
@@ -239,19 +219,16 @@ def simulate_ensemble(
     replicas: int,
     checkpoints,
     seed: int,
-    share_noise: bool = True,
-    chunk: int = _DEFAULT_CHUNK,
 ) -> EnsembleResult:
     """Replica paths from each initial state, recorded at the checkpoints.
 
-    Replicas own independent noise histories (stream layout per replica:
-    volatility/price increments dB, then orthogonal increments dW, then the
-    correlation kernel's increments when rho is a process).  With
-    ``share_noise`` each replica's history is drawn and convolved once and
-    drives every initial state, which sharpens ensemble comparisons;
-    otherwise each state uses a disjoint replica range.  Every operation is
-    elementwise and per replica, so ``chunk`` (replicas per pass) bounds
-    memory and cannot change the results.
+    Replica ``k`` owns stream ``k`` of ``seed``: the volatility/price
+    increments dB, then the orthogonal increments dW.  Each replica's history
+    is drawn and convolved once and drives every initial state, which
+    sharpens ensemble comparisons.  Replicas are stepped ``_DEFAULT_CHUNK``
+    at a time and drawn and convolved ``_BLOCK_ROWS`` at a time; every
+    operation is elementwise and per replica, so these sizes bound memory
+    and cannot change the results.
     """
     l0_list = [float(v) for v in l0_list]
     n_states = len(l0_list)
@@ -260,11 +237,9 @@ def simulate_ensemble(
     h_steps = p.horizon_steps
     b_steps = p.burn_steps
     n_inc = b_steps + h_steps
-    # Noise groups: one shared by all states, or one per state.
-    groups = 1 if share_noise else n_states
-    if groups * replicas * n_inc > RESOURCE_CAP:
+    if replicas * n_inc > RESOURCE_CAP:
         raise RunError(
-            f"ensemble needs {groups * replicas * n_inc:.3g} replica-steps, "
+            f"ensemble needs {replicas * n_inc:.3g} replica-steps, "
             f"over the cap {RESOURCE_CAP:.3g}"
         )
     cp_idx = []
@@ -278,7 +253,6 @@ def simulate_ensemble(
     for i, idx in enumerate(cp_idx):
         cp_at.setdefault(idx, []).append(i)
 
-    rho_is_process = isinstance(p.rho, RhoProcess)
     sqrt_dt = math.sqrt(p.dt)
     out = np.empty((n_states, len(cp_idx), replicas))
     l0 = np.array(l0_list)[:, None]
@@ -286,45 +260,32 @@ def simulate_ensemble(
     # Buffers are allocated once and refilled for every chunk and block, so
     # no pass maps and faults in fresh memory.  A block of _BLOCK_ROWS
     # replicas is drawn and convolved row-major, then copied into the chunk's
-    # time-major (steps, groups, rows) series for the Euler loop.
-    span = h_steps * groups * min(chunk, replicas)
-    series = np.empty((4 if rho_is_process else 3, span))
+    # time-major (steps, rows) series for the Euler loop.
+    series = np.empty((3, h_steps * min(_DEFAULT_CHUNK, replicas)))
     blk_db = np.empty((_BLOCK_ROWS, n_inc))
     blk_dw = np.empty((_BLOCK_ROWS, h_steps))
     vol_plan = ConvPlan(_kernel_taps(p.kernel, p.dt, p.burn_in), _BLOCK_ROWS, n_inc)
-    if rho_is_process:
-        blk_db2 = np.empty((_BLOCK_ROWS, n_inc))
-        rho_plan = ConvPlan(_kernel_taps(p.rho.kernel, p.dt, p.burn_in), _BLOCK_ROWS, n_inc)
 
-    for lo in range(0, replicas, chunk):
-        hi = min(lo + chunk, replicas)
+    for lo in range(0, replicas, _DEFAULT_CHUNK):
+        hi = min(lo + _DEFAULT_CHUNK, replicas)
         rows = hi - lo
-        vol, db, dw, *rest = series[:, : h_steps * groups * rows].reshape(-1, h_steps, groups, rows)
-        rho_path = rest[0] if rho_is_process else None
-        for g in range(groups):
-            for a in range(0, rows, _BLOCK_ROWS):
-                z = min(a + _BLOCK_ROWS, rows)
-                for r in range(a, z):
-                    rng = replica_rng(seed, g * replicas + lo + r)
-                    blk_db[r - a] = rng.standard_normal(n_inc) * sqrt_dt
-                    blk_dw[r - a] = rng.standard_normal(h_steps) * sqrt_dt
-                    if rho_is_process:
-                        blk_db2[r - a] = rng.standard_normal(n_inc) * sqrt_dt
-                v = _volatility_paths(vol_plan, blk_db[: z - a])
-                vol[:, g, a:z] = v[:, :h_steps].T
-                db[:, g, a:z] = blk_db[: z - a, b_steps:].T
-                dw[:, g, a:z] = blk_dw[: z - a].T
-                if rho_is_process:
-                    j2 = rho_plan(blk_db2[: z - a])[:, :h_steps]
-                    rho_path[:, g, a:z] = np.tanh(p.rho.c * j2).T
-        # The states step together; a (groups, rows) noise slice broadcasts
-        # over the states that share it.
+        vol, db, dw = series[:, : h_steps * rows].reshape(3, h_steps, rows)
+        for a in range(0, rows, _BLOCK_ROWS):
+            z = min(a + _BLOCK_ROWS, rows)
+            for r in range(a, z):
+                rng = replica_rng(seed, lo + r)
+                blk_db[r - a] = rng.standard_normal(n_inc) * sqrt_dt
+                blk_dw[r - a] = rng.standard_normal(h_steps) * sqrt_dt
+            v = _volatility_paths(vol_plan, blk_db[: z - a])
+            vol[:, a:z] = v[:, :h_steps].T
+            db[:, a:z] = blk_db[: z - a, b_steps:].T
+            dw[:, a:z] = blk_dw[: z - a].T
+        # The states step together; each step's noise row broadcasts over them.
         l = np.repeat(l0, rows, axis=1)
         for i in cp_at.get(0, ()):
             out[:, i, lo:hi] = l
         for step in range(h_steps):
-            r_t = rho_path[step] if rho_is_process else float(p.rho)
-            l = euler_step(p, l, vol[step], r_t, db[step], dw[step])
+            l = euler_step(p, l, vol[step], p.rho, db[step], dw[step])
             for i in cp_at.get(step + 1, ()):
                 out[:, i, lo:hi] = l
     return EnsembleResult(

@@ -36,7 +36,7 @@ from .logvol import (
     simulate_logvol_batch,
 )
 from .metrics import tv_empirical, tv_empirical_se, tv_gaussian
-from .streams import replica_rng
+from .streams import replica_rng, replica_uniform_pairs
 
 WORKERS_ENV = "SPLITCOUPLE_WORKERS"
 
@@ -219,9 +219,7 @@ def _run_ar1_couple(cfg: ExperimentConfig) -> RunReport:
     kernel = ar1mod.ar1_split_kernel(p.gamma, n_max=max(n, 1))
 
     def chunk_pairs(lo: int, hi: int):
-        u = np.empty((hi - lo, t, 2))
-        for k in range(lo, hi):
-            u[k - lo] = replica_rng(cfg.seed, k).random((t, 2))
+        u = replica_uniform_pairs(cfg.seed, range(lo, hi), t)
         return coupled_pair_batch(kernel, n, p.x0, s, t, u)
 
     res = np.concatenate(_map_chunks(chunk_pairs, cfg.replicas)).view(np.recarray)
@@ -340,7 +338,7 @@ def _run_sde_sim(cfg: ExperimentConfig) -> RunReport:
         steps = max(1, int(round(h / p.dt)))
         lag_times.append(steps * p.dt)
     times = sorted(set(base_cp) | {inc_base} | {inc_base + h for h in lag_times})
-    result = simulate_ensemble(p, l0, cfg.replicas, times, cfg.seed, share_noise=True)
+    result = simulate_ensemble(p, l0, cfg.replicas, times, cfg.seed)
 
     tv_vals, tv_ses = [], []
     for t in base_cp:

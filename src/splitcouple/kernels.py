@@ -13,8 +13,8 @@ For a kernel that is a location-scale family of a known innovation law
 with CDF ``F``, the residual CDF is ``F / (1 - alpha_n)`` below ``z = -1``
 and ``(F - alpha_n) / (1 - alpha_n)`` above ``z = 1``.  Both tails invert
 in closed form through the innovation quantile, and only the piece on
-[-1, 1] is solved iteratively, by a safeguarded Newton iteration.  Kernels
-without an innovation law invert by bracketed bisection.
+[-1, 1] is solved iteratively, by a safeguarded Newton iteration.  Every
+kernel carries its innovation law, so this is the only inversion.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from scipy.special import ndtr, ndtri
 
 from .errors import CertificationError
 
-_BISECT_MAX_ITER = 200
-_BRACKET_MAX_EXPAND = 60
 _NEWTON_MAX_ITER = 200
 # A Newton step this small ends an element's iteration; a bisection step ends
 # it once the bracket is twice this wide.
@@ -49,14 +47,11 @@ class SmallSetLadder:
         Nondecreasing.
     alphas : tuple of float
         Minorization weight on each set, in (0, 1], nonincreasing in n.
-    nu : str
-        Description of the shared minorizing measure.  Only the uniform law
-        on [-1, 1] is supported.
+        The shared minorizing measure is the uniform law on [-1, 1].
     """
 
     radii: tuple[float, ...]
     alphas: tuple[float, ...]
-    nu: str = "uniform on [-1, 1]"
 
     def __post_init__(self) -> None:
         if len(self.radii) != len(self.alphas) or not self.radii:
@@ -121,12 +116,11 @@ class SplitKernel:
     conditional density / CDF of the next state at ``z`` given the current
     state ``x``.
 
-    ``innovation``, when set, is an ``InnovationLaw`` symmetric about 0 such
-    that ``cdf(x, z) == innovation.cdf((z - mean(x)) / stdev(x))``.
-    ``mean`` and ``stdev`` are then the exact location and scale, and CDF
-    inversions are closed-form except on [-1, 1].  Without it, ``mean`` and
-    ``stdev`` are only a finite, positive location/scale hint that brackets
-    a bisection to width ``bisect_tol``.
+    ``innovation`` is a required ``InnovationLaw`` symmetric about 0 such
+    that ``cdf(x, z) == innovation.cdf((z - mean(x)) / stdev(x))``, so
+    ``mean`` and ``stdev`` are the exact location and scale and CDF
+    inversions are closed-form except on [-1, 1].  The inversion reads the
+    innovation law, never ``cdf``; ``density`` serves the grid certificate.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -134,8 +128,7 @@ class SplitKernel:
     ladder: SmallSetLadder
     mean: Callable[[np.ndarray], np.ndarray]
     stdev: Callable[[np.ndarray], np.ndarray]
-    bisect_tol: float = 1e-12
-    innovation: InnovationLaw | None = None
+    innovation: InnovationLaw
 
 
 @dataclass(frozen=True)
@@ -150,11 +143,6 @@ class UniformPair:
             raise ValueError("uniform pair components must lie in [0, 1]")
 
 
-def nu_cdf(z):
-    """CDF of the uniform law on [-1, 1], vectorized."""
-    return np.clip((np.asarray(z, float) + 1.0) * 0.5, 0.0, 1.0)
-
-
 def nu_inverse_cdf(u):
     """Inverse CDF of the uniform law on [-1, 1]: u -> 2u - 1."""
     u = np.asarray(u, float)
@@ -162,47 +150,6 @@ def nu_inverse_cdf(u):
         raise ValueError("u must lie in [0, 1]")
     out = 2.0 * u - 1.0
     return float(out) if out.ndim == 0 else out
-
-
-def _bracket_bisect(g, u, lo, hi, tol):
-    """Solve g(z) = u elementwise for nondecreasing g by bracket + bisection.
-
-    Brackets are widened geometrically when they fail; a bracket that cannot
-    be established signals a broken (non-CDF) residual, i.e. a violated
-    minorization.
-    """
-    lo = np.array(lo, float, copy=True)
-    hi = np.array(hi, float, copy=True)
-    glo = g(lo)
-    ghi = g(hi)
-    for _ in range(_BRACKET_MAX_EXPAND):
-        bad_lo = glo > u
-        bad_hi = ghi < u
-        if not (bad_lo.any() or bad_hi.any()):
-            break
-        width = hi - lo
-        lo = np.where(bad_lo, lo - width, lo)
-        hi = np.where(bad_hi, hi + width, hi)
-        if bad_lo.any():
-            glo = np.where(bad_lo, g(lo), glo)
-        if bad_hi.any():
-            ghi = np.where(bad_hi, g(hi), ghi)
-    else:
-        raise CertificationError(
-            "could not bracket a CDF inversion; the residual law is not a "
-            "valid distribution (minorization violated?)"
-        )
-    # Elements stop refining individually, so a value is independent of what
-    # else shares the batch (scalar and batched calls agree bit for bit).
-    for _ in range(_BISECT_MAX_ITER):
-        active = (hi - lo) > tol
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        below = g(mid) < u
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-    return 0.5 * (lo + hi)
 
 
 def _newton_middle(law, m, s, a, t):
@@ -287,50 +234,8 @@ def _split_inverse(kernel: SplitKernel, x, u, a_eff):
     # over per-element arrays aligned with it.
     m = np.asarray(kernel.mean(x), float)
     s = np.asarray(kernel.stdev(x), float)
-    if kernel.innovation is not None:
-        m, s, u, a = np.broadcast_arrays(m, s, u, a)
-        return _closed_form_inverse(kernel.innovation, m, s, u, a)
-
-    def g(z):
-        return (kernel.cdf(x, z) - a * nu_cdf(z)) / (1.0 - a)
-
-    return _bracket_bisect(g, u, m - 12.0 * s, m + 12.0 * s, kernel.bisect_tol)
-
-
-def residual_inverse_cdf(kernel: SplitKernel, n: int, x: float, u: float) -> float:
-    """Quantile of the residual law (Q(x,.) - alpha_n nu) / (1 - alpha_n).
-
-    Parameters
-    ----------
-    kernel : SplitKernel
-    n : int
-        Ladder index supplying alpha_n.
-    x : float
-        Current state (need not lie in the small set; the residual is only
-        guaranteed to be a distribution when it does).
-    u : float
-        Target probability, strictly inside (0, 1).
-
-    Returns
-    -------
-    float
-        The z with residual CDF equal to u.  With an innovation law the tails
-        are closed-form and the piece on [-1, 1] is solved to a Newton step
-        below 2**-46; without one, bisection brackets z to width
-        ``kernel.bisect_tol`` (1e-12 by default) and returns the midpoint.
-    """
-    n = kernel.ladder.check_index(n)
-    a = kernel.ladder.alphas[n]
-    if a >= 1.0:
-        raise ValueError("residual law is undefined when alpha_n = 1")
-    out = _split_inverse(kernel, np.array([x], float), np.array([u], float), np.array([a]))
-    return float(out[0])
-
-
-def kernel_inverse_cdf(kernel: SplitKernel, x: float, u: float) -> float:
-    """Quantile of the full conditional law Q(x, .)."""
-    out = _split_inverse(kernel, np.array([x], float), np.array([u], float), np.array([0.0]))
-    return float(out[0])
+    m, s, u, a = np.broadcast_arrays(m, s, u, a)
+    return _closed_form_inverse(kernel.innovation, m, s, u, a)
 
 
 def split_apply_batch(

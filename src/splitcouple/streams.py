@@ -18,15 +18,15 @@ def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def replica_uniform_pairs(master_seed: int, replicas: int, steps: int) -> np.ndarray:
-    """Shared-randomness table of uniform pairs, shape (replicas, steps, 2).
+def replica_uniform_pairs(master_seed: int, replicas: range, steps: int) -> np.ndarray:
+    """Shared-randomness table of uniform pairs, shape (len(replicas), steps, 2).
 
-    Row ``k`` is exactly what ``replica_rng(master_seed, k).random((steps, 2))``
-    returns, so partial reruns reproduce individual rows.
+    Row ``i`` is exactly what ``replica_rng(master_seed, replicas[i]).random((steps, 2))``
+    returns, so a chunk of replicas or a partial rerun reproduces its rows.
     """
-    out = np.empty((replicas, steps, 2))
-    for k in range(replicas):
-        out[k] = replica_rng(master_seed, k).random((steps, 2))
+    out = np.empty((len(replicas), steps, 2))
+    for i, k in enumerate(replicas):
+        out[i] = replica_rng(master_seed, k).random((steps, 2))
     return out
 
 

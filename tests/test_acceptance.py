@@ -79,7 +79,7 @@ def ar1_coupling_run():
     start = time.perf_counter()
     gamma, n, s, t, reps = 0.5, 3, 50, 100, 10_000
     kernel = ar1_split_kernel(gamma, n_max=4)
-    u = replica_uniform_pairs(41, reps, t)
+    u = replica_uniform_pairs(41, range(reps), t)
     pairs = coupled_pair_batch(kernel, n, 1.0, s, t, u)
     return {
         "pairs": pairs,

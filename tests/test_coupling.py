@@ -80,7 +80,7 @@ def test_backward_orbit_needs_enough_uniforms(kernel):
 
 def test_backward_orbit_marginal_moments(kernel):
     t, reps = 20, 100_000
-    u = replica_uniform_pairs(321, reps, t)
+    u = replica_uniform_pairs(321, range(reps), t)
     out = backward_orbit_batch(kernel, 3, 1.0, u, t)
     mean, var = ar1_marginal(Ar1Params(GAMMA, 0.2, x0=1.0), t)
     se_mean = np.sqrt(var / reps)
@@ -91,7 +91,7 @@ def test_backward_orbit_marginal_moments(kernel):
 
 def test_backward_orbit_matches_forward_law(kernel):
     t, reps = 12, 100_000
-    u = replica_uniform_pairs(99, reps, t)
+    u = replica_uniform_pairs(99, range(reps), t)
     backward = backward_orbit_batch(kernel, 3, 1.0, u, t)
     forward = ar1_simulate_batch(
         Ar1Params(GAMMA, 0.2, x0=1.0), t, np.random.default_rng(1234), reps
@@ -121,7 +121,7 @@ def test_coupled_pair_regeneration_forces_coalescence(kernel):
 
 
 def test_traces_absorbing_pattern(kernel):
-    u = replica_uniform_pairs(17, 300, 40)
+    u = replica_uniform_pairs(17, range(300), 40)
     pairs = coupled_pair_batch(kernel, 3, 1.0, 20, 40, u)
     assert pairs.codes.shape == (300, 21)
     for r in pairs:
@@ -160,7 +160,7 @@ def test_coupling_lower_bound_values():
 
 def test_empirical_coupling_beats_lower_bound(kernel):
     s, t, reps = 50, 100, 4000
-    u = replica_uniform_pairs(2718, reps, t)
+    u = replica_uniform_pairs(2718, range(reps), t)
     pairs = coupled_pair_batch(kernel, 3, 1.0, s, t, u)
     frac = np.mean(pairs.coupled)
     se = np.sqrt(frac * (1 - frac) / reps)
@@ -259,7 +259,7 @@ def test_mcre_two_chains_couple_by_third_boundary(kernel):
                            lambda n: ar1_alpha(GAMMA, n), 3)
     t = sched.total_steps
     reps = 400
-    u = replica_uniform_pairs(1000, reps, t)
+    u = replica_uniform_pairs(1000, range(reps), t)
     env = np.zeros((reps, t + 1, 1))
     chains = mcre_coupled_chains_batch(model, env, (1.0, -1.0), sched, t, u)
     frac = np.mean(chains.coupled)

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
+from splitcouple import fracvol
 from splitcouple.errors import RunError
 from splitcouple.fracvol import (
     _kernel_taps,
     _volatility_paths,
     IncrementConstants,
-    RhoProcess,
     SdeParams,
     VolatilityKernel,
     dissipativity_check,
@@ -20,7 +22,6 @@ from splitcouple.fracvol import (
     linear_drift,
     saturating_drift,
     simulate_ensemble,
-    volatility_path,
 )
 from splitcouple.metrics import tv_empirical, tv_empirical_se
 from splitcouple.streams import ConvPlan, replica_rng
@@ -66,21 +67,25 @@ def test_memory_scale_supports_burn_in_invariant():
         _params(burn_in=0.5)  # shorter than 10x the exponential memory scale
 
 
+def _one_path(kernel, db, dt, burn_in):
+    plan = ConvPlan(_kernel_taps(kernel, dt, burn_in), 1, db.size)
+    return _volatility_paths(plan, db[None, :])[0]
+
+
 def test_volatility_path_zero_kernel():
     flat = VolatilityKernel(kind="exponential", lam=1.0, scale=0.0)
-    v = volatility_path(flat, np.ones(300), dt=0.1, burn_in=10.0)
+    v = _one_path(flat, np.ones(300), dt=0.1, burn_in=10.0)
     assert np.all(v == 1.0)
 
 
-def test_volatility_path_shapes_and_errors():
+def test_volatility_paths_shape_and_sign():
+    # one value per grid point after the burn-in window, endpoint included
     dt, burn = 1.0 / 64.0, 10.0
     n_inc = int(burn / dt) + 128
     db = replica_rng(1, 0).standard_normal(n_inc) * math.sqrt(dt)
-    v = volatility_path(EXP_KERNEL, db, dt, burn)
+    v = _one_path(EXP_KERNEL, db, dt, burn)
     assert v.shape == (129,)
     assert np.all(v > 0.0)
-    with pytest.raises(ValueError):
-        volatility_path(EXP_KERNEL, db[:100], dt, burn)
 
 
 @pytest.mark.parametrize("kernel", [EXP_KERNEL, FRAC_KERNEL])
@@ -107,7 +112,7 @@ def test_volatility_variance_matches_isometry(kernel, analytic):
     discrete = discrete_log_vol_variance(p)
     reps, block = 8000, 500
     n_inc = p.burn_steps + p.horizon_steps
-    # One batched convolution per block; each row equals volatility_path's.
+    # One batched convolution per block of replicas.
     plan = ConvPlan(_kernel_taps(kernel, dt, burn), block, n_inc)
     j_end = np.empty(reps)
     for lo in range(0, reps, block):
@@ -171,7 +176,9 @@ def test_simulate_ensemble_share_noise_determinism():
     res1 = simulate_ensemble(p, [0.5, 0.5], 200, [1.0, 2.0], seed=9)
     # identical starts with shared noise produce identical samples
     assert np.array_equal(res1.samples[0], res1.samples[1])
-    res2 = simulate_ensemble(p, [0.5, 0.5], 200, [1.0, 2.0], seed=9, chunk=37)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fracvol, "_DEFAULT_CHUNK", 37)  # 37 does not divide 200
+        res2 = simulate_ensemble(p, [0.5, 0.5], 200, [1.0, 2.0], seed=9)
     assert np.array_equal(res1.samples, res2.samples)
 
 
@@ -221,23 +228,29 @@ def test_ensemble_matches_scalar_reference_path():
             assert res.samples[s, i, 5] == pytest.approx(path[round(t / p.dt)], abs=1e-12)
 
 
-RHO_PROCESS = RhoProcess(c=1.0, kernel=VolatilityKernel(kind="exponential", lam=2.0))
-
-
-@pytest.mark.parametrize("share_noise,rho", [
-    (False, 0.3),
-    (True, RHO_PROCESS),
-    (False, RHO_PROCESS),
-])
-def test_simulate_ensemble_chunk_invariance(share_noise, rho):
-    p = _params(rho=rho, dt=1.0 / 64.0, horizon=1.0)
-    args = (p, [-1.0, 1.0], 200, [0.5, 1.0], 9)
-    whole = simulate_ensemble(*args, share_noise=share_noise)
-    chunked = simulate_ensemble(*args, share_noise=share_noise, chunk=37)  # 37 does not divide 200
-    assert np.array_equal(whole.samples, chunked.samples)
-    # the first state always owns replica streams 0 .. replicas - 1
-    first = simulate_ensemble(p, [-1.0], 200, [0.5, 1.0], 9)
-    assert np.array_equal(whole.samples[0], first.samples[0])
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.sampled_from([EXP_KERNEL, FRAC_KERNEL]),
+    replicas=st.integers(1, 30),
+    chunk=st.integers(1, 12),
+    block=st.integers(1, 5),
+)
+def test_chunking_and_blocking_are_invisible_bit_for_bit(kernel, replicas, chunk, block):
+    # Small chunks and blocks give partial blocks inside partial chunks, a
+    # block wider than its chunk, and runs shorter than one block.  The
+    # reference draws, convolves and steps every replica in one pass.
+    p = _params(kernel=kernel, dt=1.0 / 16.0, horizon=2.0)
+    args = (p, [-1.0, 0.5, 1.0], replicas, [0.0, 0.5, 2.0], 9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fracvol, "_DEFAULT_CHUNK", replicas)
+        mp.setattr(fracvol, "_BLOCK_ROWS", replicas)
+        whole = simulate_ensemble(*args)
+        mp.setattr(fracvol, "_DEFAULT_CHUNK", chunk)
+        mp.setattr(fracvol, "_BLOCK_ROWS", block)
+        split = simulate_ensemble(*args)
+    assert split.checkpoint_times == whole.checkpoint_times
+    assert split.log_vol_variance == whole.log_vol_variance
+    assert np.array_equal(split.samples, whole.samples)
 
 
 def test_simulate_ensemble_resource_cap():
@@ -269,13 +282,6 @@ def test_initialization_forgetting_small():
         a, b = res.samples[0, 2], res.samples[0, j]
         assert abs(a.mean() - b.mean()) < 4 * math.sqrt(a.var() / n + b.var() / n)
         assert abs(a.var() - b.var()) < 4 * math.hypot(var_se(a), var_se(b))
-
-
-def test_rho_process_runs():
-    rho = RhoProcess(c=1.0, kernel=VolatilityKernel(kind="exponential", lam=2.0))
-    p = _params(rho=rho, dt=1.0 / 64.0, horizon=1.0, burn_in=10.0)
-    res = simulate_ensemble(p, [0.0], 300, [1.0], seed=3)
-    assert np.all(np.isfinite(res.samples))
 
 
 def test_increment_check_zero_lag():

@@ -7,7 +7,9 @@ import pytest
 
 from splitcouple.cli import main as cli_main
 from splitcouple.config import MEMORY_CAP_BYTES, load_config, load_config_text, parse_config_text
-from splitcouple.errors import CertificationError, ConfigError
+from splitcouple import harness
+from splitcouple.errors import CertificationError, ConfigError, RunError
+from splitcouple.fracvol import RESOURCE_CAP, simulate_ensemble
 from splitcouple.harness import emit_csv, run, write_report
 
 AR1_BOUND_CFG = """
@@ -411,6 +413,42 @@ def test_cli_refuses_configs_over_the_memory_cap(tmp_path, capsys, text, command
     assert captured.err.startswith("error: replicas: ") and "GiB cap" in captured.err
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_refuses_sde_ensembles_over_the_replica_step_cap(tmp_path, capsys, monkeypatch, command):
+    # A million replicas of the shipped sde-sim plan 1.6 GiB, under the
+    # memory cap, but need 7.68e9 replica-steps, over RESOURCE_CAP.
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the ensemble must not start")
+
+    monkeypatch.setattr(harness, "simulate_ensemble", no_compute)
+    shipped = [path for path in SHIPPED_CONFIGS if path.endswith("sde-sim.cfg")]
+    with open(shipped[0], encoding="utf-8") as fh:
+        text = fh.read()
+    cfg_path = str(tmp_path / "sde-million.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(text + f"replicas = 1000000\noutput.dir = {tmp_path}/run\n")
+    assert cli_main([command, cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: replicas: the ensemble needs 7.68e+09 replica-steps, over the cap 2e+09\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
+def test_validate_and_run_share_the_replica_step_cap():
+    # 7,680 steps a replica: 260,416 replicas fit under 2e9, one more does not,
+    # and the library entry point refuses the same count before any compute.
+    text = "experiment = sde-sim\nreplicas = {}\n"
+    assert 260_416 * 7_680 <= RESOURCE_CAP < 260_417 * 7_680
+    cfg = load_config_text(text.format(260_416))
+    assert cfg.replicas == 260_416
+    with pytest.raises(ConfigError, match="^replicas: .* replica-steps"):
+        load_config_text(text.format(260_417))
+    with pytest.raises(RunError, match="replica-steps"):
+        simulate_ensemble(cfg.model, [0.0], 260_417, [1.0], seed=1)
 
 
 def test_logvol_sim_estimate_is_one_block_plus_outputs():

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 
 import mpmath
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from splitcouple.ar1 import ar1_alpha, ar1_split_kernel
 from splitcouple.errors import CertificationError
@@ -15,9 +13,8 @@ from splitcouple.kernels import (
     SmallSetLadder,
     SplitKernel,
     UniformPair,
-    kernel_inverse_cdf,
+    _split_inverse,
     nu_inverse_cdf,
-    residual_inverse_cdf,
     split_apply,
     split_apply_batch,
     validate_minorization,
@@ -30,6 +27,24 @@ GAMMA = 0.5
 @pytest.fixture(scope="module")
 def kernel():
     return ar1_split_kernel(GAMMA, n_max=8)
+
+
+def _residual_quantile(kernel, n, x, u):
+    """Quantile of the residual law (Q(x, .) - alpha_n nu) / (1 - alpha_n) at u."""
+    a = np.array([kernel.ladder.alphas[n]])
+    return float(_split_inverse(kernel, np.array([x], float), np.array([u], float), a)[0])
+
+
+def _kernel_quantile(kernel, x, u):
+    """Quantile of the full conditional law Q(x, .) at u."""
+    return float(_split_inverse(kernel, np.array([x], float), np.array([u], float), np.zeros(1))[0])
+
+
+def test_split_kernel_requires_innovation(kernel):
+    parts = dict(density=kernel.density, cdf=kernel.cdf, ladder=kernel.ladder,
+                 mean=kernel.mean, stdev=kernel.stdev)
+    with pytest.raises(TypeError, match="innovation"):
+        SplitKernel(**parts)
 
 
 def test_nu_inverse_cdf_values():
@@ -108,9 +123,9 @@ def test_residual_inverse_cdf_against_quadrature_oracle(kernel):
         )[0]
 
     # frozen oracle outputs (quad split at the nu kinks + brentq, xtol 1e-14)
-    assert abs(residual_inverse_cdf(kernel, 2, 0.0, 0.5) - 0.0) < 1e-9
+    assert abs(_residual_quantile(kernel, 2, 0.0, 0.5) - 0.0) < 1e-9
     frozen = -0.13343948222192434
-    got = residual_inverse_cdf(kernel, 2, 0.7, 0.3)
+    got = _residual_quantile(kernel, 2, 0.7, 0.3)
     assert abs(got - frozen) < 1e-9
     live = brentq(lambda z: resid_cdf(0.7, z) - 0.3, -10, 10, xtol=1e-14)
     assert abs(got - live) < 1e-9
@@ -118,19 +133,19 @@ def test_residual_inverse_cdf_against_quadrature_oracle(kernel):
 
 def test_residual_median_approaches_kernel_median(kernel):
     # alpha_8 ~ 3e-6: the residual law is essentially Q(0, .), median 0.
-    assert abs(residual_inverse_cdf(kernel, 8, 0.0, 0.5)) < 1e-4
+    assert abs(_residual_quantile(kernel, 8, 0.0, 0.5)) < 1e-4
 
 
 def test_residual_tail_diverges(kernel):
-    z = residual_inverse_cdf(kernel, 2, 0.0, 1e-12)
+    z = _residual_quantile(kernel, 2, 0.0, 1e-12)
     assert z < -6.0
 
 
 def test_residual_u_domain(kernel):
     with pytest.raises(ValueError):
-        residual_inverse_cdf(kernel, 2, 0.0, 0.0)
+        _residual_quantile(kernel, 2, 0.0, 0.0)
     with pytest.raises(ValueError):
-        residual_inverse_cdf(kernel, 2, 0.0, 1.0)
+        _residual_quantile(kernel, 2, 0.0, 1.0)
 
 
 def test_split_apply_off_set_ignores_u1(kernel):
@@ -145,7 +160,7 @@ def test_split_apply_off_set_ignores_u1(kernel):
 def test_inverse_consistency(kernel):
     for x in (-3.0, 0.0, 1.7):
         for u in np.arange(0.01, 1.0, 0.01):
-            z = kernel_inverse_cdf(kernel, x, float(u))
+            z = _kernel_quantile(kernel, x, float(u))
             assert abs(float(kernel.cdf(x, z)) - u) <= 1e-9
 
 
@@ -176,7 +191,7 @@ def test_validate_minorization_detects_violation():
     )
     bad = SplitKernel(
         density=base.density, cdf=base.cdf, ladder=bad_ladder,
-        mean=base.mean, stdev=base.stdev,
+        mean=base.mean, stdev=base.stdev, innovation=base.innovation,
     )
     n = 2
     x_grid = np.linspace(-2, 2, 201)
@@ -189,7 +204,7 @@ def test_validate_minorization_vanishing_alpha_limit():
     tiny = SmallSetLadder(radii=base.ladder.radii, alphas=(1e-300,) * 3)
     kern = SplitKernel(
         density=base.density, cdf=base.cdf, ladder=tiny,
-        mean=base.mean, stdev=base.stdev,
+        mean=base.mean, stdev=base.stdev, innovation=base.innovation,
     )
     x_grid = np.linspace(-2, 2, 101)
     z_grid = np.linspace(-1, 1, 101)
@@ -213,20 +228,6 @@ def test_bad_ladder_index(kernel):
         split_apply(kernel, 99, 0.0, UniformPair(0.5, 0.5))
 
 
-def test_unbracketable_inversion_raises():
-    # a defective "CDF" capped at 1/2 can never reach u = 0.9
-    ladder = SmallSetLadder(radii=(1.0,), alphas=(0.1,))
-    broken = SplitKernel(
-        density=lambda x, z: 0.5 * np.exp(-0.5 * np.asarray(z) ** 2) / np.sqrt(2 * np.pi),
-        cdf=lambda x, z: 0.5 * ndtr(np.asarray(z, float)),
-        ladder=ladder,
-        mean=lambda x: np.zeros_like(np.asarray(x, float)),
-        stdev=lambda x: np.ones_like(np.asarray(x, float)),
-    )
-    with pytest.raises(CertificationError):
-        kernel_inverse_cdf(broken, 0.0, 0.9)
-
-
 def test_scalar_matches_batch(kernel):
     rng = np.random.default_rng(3)
     x = rng.uniform(-4, 4, 50)
@@ -245,7 +246,7 @@ def test_ar1_alpha_ladder_matches_closed_form(kernel):
         assert kernel.ladder.alphas[n] == ar1_alpha(GAMMA, n)
 
 
-# --- closed-form inversion against the bisection fallback and mpmath -------
+# --- closed-form inversion against a bisection oracle and mpmath -----------
 
 P_LOGVOL = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=geometric_ma(0.5, 64))
 
@@ -268,6 +269,32 @@ def _no_regen(u):
     return np.ones_like(u)  # u1 = 1 never regenerates, so every element inverts
 
 
+def _bisect_split_apply(kernel, n, x, u):
+    """Oracle for ``split_apply_batch(kernel, n, x, 1, u)``: bracketed bisection
+    of the residual CDF built on the kernel's own ``cdf``, to a 1e-12 bracket.
+
+    Elements stop refining individually, as in the closed form's Newton loop.
+    """
+    a = np.where(np.abs(x) <= kernel.ladder.radii[n], kernel.ladder.alphas[n], 0.0)
+    assert np.all(a < 1.0)  # with u1 = 1 no element regenerates
+
+    def g(z):
+        return (kernel.cdf(x, z) - a * np.clip((z + 1.0) * 0.5, 0.0, 1.0)) / (1.0 - a)
+
+    m, s = kernel.mean(x), kernel.stdev(x)
+    lo, hi = m - 12.0 * s, m + 12.0 * s
+    assert np.all(g(lo) <= u) and np.all(g(hi) >= u)  # twelve scales bracket every u here
+    for _ in range(200):
+        active = (hi - lo) > 1e-12
+        if not active.any():
+            break
+        mid = 0.5 * (lo + hi)
+        below = g(mid) < u
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+    return 0.5 * (lo + hi)
+
+
 @pytest.mark.parametrize("model", ["ar1", "logvol"])
 def test_closed_form_matches_bisection_on_dense_grid(kernel, model):
     u_values = np.concatenate([[1e-12, 1e-6, 1e-3], np.linspace(0.005, 0.995, 199),
@@ -276,9 +303,8 @@ def test_closed_form_matches_bisection_on_dense_grid(kernel, model):
     for n in range(len(kernel.ladder) if model == "ar1" else 3):
         closed = kernel if model == "ar1" else _logvol_grid_kernel(x.size, radius=n)
         assert closed.innovation is not None
-        bisect = dataclasses.replace(closed, innovation=None)
         z_closed = split_apply_batch(closed, n, x, _no_regen(u), u)
-        z_bisect = split_apply_batch(bisect, n, x, _no_regen(u), u)
+        z_bisect = _bisect_split_apply(closed, n, x, u)
         # bisection's own error: half its 1e-12 bracket plus rounding of the
         # CDF, magnified by the inverse density
         tol = 1e-12 + 4.0 * 2.0**-52 / closed.density(x, z_bisect)
@@ -354,41 +380,6 @@ def test_counting_cdf_wrapper_keeps_output(kernel, model):
         assert not calls  # the closed form evaluates the innovation law directly
 
 
-# sha256 of split_apply_batch outputs for kernels without an innovation law,
-# recorded before the closed form existed (see _fallback_outputs)
-FALLBACK_DIGESTS = {
-    "ar1": "d92347ab5b78508ad81b8879bac2efc6e103ee5e5735f2370091d940f9ea0a00",
-    "logvol": "27122a55763b7a60ce44018b0faaf8e8d0f490de92338c8bc42ca42a09839119",
-}
-
-
-def _fallback_outputs(model, cdf_calls):
-    rng = np.random.default_rng(2718)
-    x = rng.uniform(-5, 5, 400)
-    u1, u2 = rng.random(400), rng.random(400)
-    if model == "ar1":
-        kern, ladder_idx = ar1_split_kernel(0.5, n_max=8), (0, 3, 8)
-    else:
-        env_z, env_eta = rng.normal(0, 0.5, 400), rng.normal(0, 1, 400)
-        kern, ladder_idx = logvol_kernel(P_LOGVOL, env_z, env_eta, n_max=2), (0, 1, 2)
-        x = rng.uniform(-3, 3, 400)
-
-    def counting_cdf(xs, zs, cdf=kern.cdf):
-        cdf_calls.append(np.size(zs))
-        return cdf(xs, zs)
-
-    kern = dataclasses.replace(kern, innovation=None, cdf=counting_cdf)
-    return np.concatenate([split_apply_batch(kern, n, x, u1, u2) for n in ladder_idx])
-
-
-@pytest.mark.parametrize("model", ["ar1", "logvol"])
-def test_kernel_without_innovation_still_bisects(model):
-    cdf_calls = []
-    out = _fallback_outputs(model, cdf_calls)
-    assert hashlib.sha256(out.tobytes()).hexdigest() == FALLBACK_DIGESTS[model]
-    assert sum(cdf_calls) >= 40 * out.size  # about 47 evaluations per element
-
-
 def test_closed_form_rejects_invalid_residual(kernel):
     # alpha above the kernel's mass on [-1, 1]: the residual is not a law
     ladder = SmallSetLadder(radii=(1.0,), alphas=(0.9,))
@@ -396,13 +387,13 @@ def test_closed_form_rejects_invalid_residual(kernel):
     with pytest.raises(CertificationError):
         split_apply_batch(broken, 0, np.array([0.0]), np.ones(1), np.array([0.5]))
     with pytest.raises(CertificationError):
-        residual_inverse_cdf(broken, 0, 0.0, 0.5)
+        _residual_quantile(broken, 0, 0.0, 0.5)
 
 
 def test_closed_form_rejects_non_finite_result(kernel):
     # a non-finite scale yields no quantile; the inversion must not return one
     nan_scale = dataclasses.replace(kernel, stdev=lambda x: np.full(np.shape(x), np.nan))
     with pytest.raises(CertificationError):
-        kernel_inverse_cdf(nan_scale, 0.0, 0.5)
+        _kernel_quantile(nan_scale, 0.0, 0.5)
     with pytest.raises(CertificationError):
-        residual_inverse_cdf(nan_scale, 2, 0.0, 0.5)
+        _residual_quantile(nan_scale, 2, 0.0, 0.5)

@@ -7,7 +7,7 @@ import pytest
 
 import splitcouple
 from splitcouple.logvol import geometric_ma
-from splitcouple.streams import ConvPlan, replica_rng
+from splitcouple.streams import ConvPlan, replica_rng, replica_uniform_pairs
 
 
 @pytest.mark.parametrize("rows,n_in,n_taps", [
@@ -42,3 +42,11 @@ def test_import_leaves_slow_scipy_modules_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+def test_uniform_pairs_of_a_replica_range_are_rows_of_the_whole_table():
+    whole = replica_uniform_pairs(23, range(9), 5)
+    assert whole.shape == (9, 5, 2)
+    assert np.array_equal(replica_uniform_pairs(23, range(4, 7), 5), whole[4:7])
+    assert np.array_equal(whole[6], replica_rng(23, 6).random((5, 2)))
+    assert replica_uniform_pairs(23, range(3, 3), 5).shape == (0, 5, 2)
