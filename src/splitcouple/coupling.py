@@ -154,8 +154,7 @@ def tv_upper_from_coupling(coupled) -> tuple[float, float]:
 def _smallest_n(tail: Callable[[int], float], target: float, n_min: int, n_cap: int) -> int:
     if tail(n_min) <= target:
         return n_min
-    lo = max(n_min, 1)
-    hi = max(2 * lo, 2)
+    lo, hi = n_min, max(2 * n_min, n_min + 1)  # tail(lo) > target throughout
     while tail(hi) > target:
         lo = hi
         hi *= 2

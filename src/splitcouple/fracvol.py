@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RunError
-from .streams import ConvPlan, replica_rng
+from .streams import ConvPlan, replica_blocks
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
 _DEFAULT_CHUNK = 512
@@ -260,26 +260,30 @@ def simulate_ensemble(
     # Buffers are allocated once and refilled for every chunk and block, so
     # no pass maps and faults in fresh memory.  A block of _BLOCK_ROWS
     # replicas is drawn and convolved row-major, then copied into the chunk's
-    # time-major (steps, rows) series for the Euler loop.
+    # time-major (steps, rows) series for the Euler loop; a block may
+    # straddle chunks, so its rows are copied as far as the chunk reaches.
     series = np.empty((3, h_steps * min(_DEFAULT_CHUNK, replicas)))
-    blk_db = np.empty((_BLOCK_ROWS, n_inc))
-    blk_dw = np.empty((_BLOCK_ROWS, h_steps))
     vol_plan = ConvPlan(_kernel_taps(p.kernel, p.dt, p.burn_in), _BLOCK_ROWS, n_inc)
+    layout = [(np.random.Generator.standard_normal, (n,)) for n in (n_inc, h_steps)]
+    blocks = replica_blocks(seed, range(replicas), _BLOCK_ROWS, layout)
+    a = z = 0  # the drawn block holds replicas a..z-1
 
     for lo in range(0, replicas, _DEFAULT_CHUNK):
         hi = min(lo + _DEFAULT_CHUNK, replicas)
         rows = hi - lo
         vol, db, dw = series[:, : h_steps * rows].reshape(3, h_steps, rows)
-        for a in range(0, rows, _BLOCK_ROWS):
-            z = min(a + _BLOCK_ROWS, rows)
-            for r in range(a, z):
-                rng = replica_rng(seed, lo + r)
-                blk_db[r - a] = rng.standard_normal(n_inc) * sqrt_dt
-                blk_dw[r - a] = rng.standard_normal(h_steps) * sqrt_dt
-            v = _volatility_paths(vol_plan, blk_db[: z - a])
-            vol[:, a:z] = v[:, :h_steps].T
-            db[:, a:z] = blk_db[: z - a, b_steps:].T
-            dw[:, a:z] = blk_dw[: z - a].T
+        k = lo
+        while k < hi:
+            if k == z:
+                a, z, (blk_db, blk_dw) = next(blocks)
+                blk_db *= sqrt_dt  # in place and elementwise: bit-identical to scaling each draw
+                blk_dw *= sqrt_dt
+                v = _volatility_paths(vol_plan, blk_db)
+            e = min(z, hi)
+            vol[:, k - lo : e - lo] = v[k - a : e - a, :h_steps].T
+            db[:, k - lo : e - lo] = blk_db[k - a : e - a, b_steps:].T
+            dw[:, k - lo : e - lo] = blk_dw[k - a : e - a].T
+            k = e
         # The states step together; each step's noise row broadcasts over them.
         l = np.repeat(l0, rows, axis=1)
         for i in cp_at.get(0, ()):

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +35,7 @@ from .logvol import (
     simulate_logvol_batch,
 )
 from .metrics import tv_empirical, tv_empirical_se, tv_gaussian
-from .streams import replica_rng, replica_uniform_pairs
-
-WORKERS_ENV = "SPLITCOUPLE_WORKERS"
+from .streams import replica_blocks, replica_uniform_pairs
 
 
 @dataclass
@@ -55,29 +52,6 @@ class RunReport:
     @property
     def all_flags_true(self) -> bool:
         return all(self.flags.values())
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _chunk_ranges(replicas: int, workers: int) -> list[tuple[int, int]]:
-    per = math.ceil(replicas / workers)
-    return [(lo, min(lo + per, replicas)) for lo in range(0, replicas, per)]
-
-
-def _map_chunks(fn, replicas: int) -> list:
-    """Apply fn(lo, hi) over replica ranges; deterministic replica order."""
-    workers = _worker_count()
-    ranges = _chunk_ranges(replicas, workers)
-    if workers == 1 or len(ranges) == 1:
-        return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: fn(*r), ranges))
 
 
 def _fmt(value) -> str:
@@ -217,12 +191,8 @@ def _run_ar1_couple(cfg: ExperimentConfig) -> RunReport:
     s = cfg.options["s"]
     t = cfg.options["t"]
     kernel = ar1mod.ar1_split_kernel(p.gamma, n_max=max(n, 1))
-
-    def chunk_pairs(lo: int, hi: int):
-        u = replica_uniform_pairs(cfg.seed, range(lo, hi), t)
-        return coupled_pair_batch(kernel, n, p.x0, s, t, u)
-
-    res = np.concatenate(_map_chunks(chunk_pairs, cfg.replicas)).view(np.recarray)
+    u = replica_uniform_pairs(cfg.seed, range(cfg.replicas), t)
+    res = coupled_pair_batch(kernel, n, p.x0, s, t, u)
     frac = int(np.count_nonzero(res.coupled)) / len(res)
     se = math.sqrt(frac * (1.0 - frac) / len(res))
     sup_sq = max(p.x0**2, 1.0 / (1.0 - p.gamma**2))
@@ -297,19 +267,12 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> RunReport:
     censored = t_sim < t_target
 
     model = LogvolMcreModel(p, n_max=max(schedule.n_of_m))
-    n_env = p.lag + t_sim + 2
-
-    def chunk_chains(lo: int, hi: int):
-        eta = np.empty((hi - lo, n_env))
-        u = np.empty((hi - lo, t_sim, 2))
-        for k in range(lo, hi):
-            rng = replica_rng(cfg.seed, k)
-            eta[k - lo] = rng.standard_normal(n_env)
-            u[k - lo] = rng.random((t_sim, 2))
-        env = ma_env_values(p, eta)
-        return mcre_coupled_chains_batch(model, env, tuple(x0_pair), schedule, t_sim, u)
-
-    res = np.concatenate(_map_chunks(chunk_chains, cfg.replicas)).view(np.recarray)
+    gen = np.random.Generator
+    layout = [(gen.standard_normal, (p.lag + t_sim + 2,)), (gen.random, (t_sim, 2))]
+    blocks = replica_blocks(cfg.seed, range(cfg.replicas), cfg.replicas, layout)
+    _, _, (eta, u) = next(blocks)  # one block: the coupling engine takes every replica at once
+    env = ma_env_values(p, eta)
+    res = mcre_coupled_chains_batch(model, env, tuple(x0_pair), schedule, t_sim, u)
     frac = int(np.count_nonzero(res.coupled)) / len(res)
     # Coupling is absorbing, so the fraction at the (possibly capped) horizon
     # is a valid lower bound for the fraction at the target boundary.

@@ -130,6 +130,12 @@ class SplitKernel:
     stdev: Callable[[np.ndarray], np.ndarray]
     innovation: InnovationLaw
 
+    def __post_init__(self) -> None:
+        # Refused here, or a missing law only surfaces at the first off-set inversion.
+        if not isinstance(self.innovation, InnovationLaw):
+            name = type(self.innovation).__name__
+            raise TypeError(f"SplitKernel.innovation must be an InnovationLaw, not {name}")
+
 
 @dataclass(frozen=True)
 class UniformPair:

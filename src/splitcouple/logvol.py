@@ -21,7 +21,7 @@ from scipy.special import ndtr
 from .coupling import BlockSchedule, block_schedule
 from .errors import CertificationError
 from .kernels import STD_NORMAL, InnovationLaw, SmallSetLadder, SplitKernel
-from .streams import ConvPlan, replica_rng
+from .streams import ConvPlan, replica_blocks
 
 DEFAULT_MA_LAG = 512
 _BLOCK_ROWS = 1024  # replicas drawn, convolved and stepped together
@@ -121,10 +121,8 @@ def ma_env_paths(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    n_draws = p.lag + horizon + 2
-    eta = np.empty((replicas, n_draws))
-    for k in range(replicas):
-        eta[k] = replica_rng(master_seed, k).standard_normal(n_draws)
+    layout = [(np.random.Generator.standard_normal, (p.lag + horizon + 2,))]
+    _, _, (eta,) = next(replica_blocks(master_seed, range(replicas), replicas, layout))
     return ma_env_values(p, eta)
 
 
@@ -313,19 +311,12 @@ def simulate_logvol_batch(
     if bad:
         raise ValueError(f"checkpoints outside [0, horizon]: {bad}")
     n_env = p.lag + horizon + 2
-    block = min(replicas, _BLOCK_ROWS)
-    eta = np.empty((block, n_env))
-    eps = np.empty((block, horizon))
-    plan = ConvPlan(p.ma_coeffs, block, n_env)
+    layout = [(np.random.Generator.standard_normal, (n_env,)), (p.eps.sample, (horizon,))]
+    plan = ConvPlan(p.ma_coeffs, min(replicas, _BLOCK_ROWS), n_env)
     root = _scale_root(p.rho)
     out = {t: np.empty(replicas) for t in sorted(set(checkpoints))}
-    for lo in range(0, replicas, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, replicas)
-        for k in range(lo, hi):
-            rng = replica_rng(master_seed, k)
-            eta[k - lo] = rng.standard_normal(n_env)
-            eps[k - lo] = p.eps.sample(rng, (horizon,))
-        blk_eta, blk_eps = eta[: hi - lo], eps[: hi - lo]
+    blocks = replica_blocks(master_seed, range(replicas), _BLOCK_ROWS, layout)
+    for lo, hi, (blk_eta, blk_eps) in blocks:
         z = plan(blk_eta)  # Z_t in column t
         x = np.full(hi - lo, p.x0)
         if 0 in out:

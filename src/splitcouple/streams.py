@@ -2,11 +2,24 @@
 
 One 64-bit master seed governs an experiment.  Replica ``k`` draws from a
 stream derived as ``SeedSequence(master_seed, spawn_key=(k,))``, so any
-replica can be regenerated in isolation and replicas can be produced in
-chunks or in parallel without changing results.
+replica can be regenerated in isolation and replicas can be drawn in blocks
+of any size without changing results.  ``replica_blocks`` is the one place
+that reads these streams; each experiment's per-replica layout, in draw
+order, is:
+
+- ``ar1-couple``: ``t`` uniform pairs;
+- ``logvol-sim``: ``lag + h + 2`` normals, then ``h`` innovations;
+- ``logvol-couple``: ``lag + t + 2`` normals, then ``t`` uniform pairs;
+- ``sde-sim``: ``burn + h`` normals, then ``h`` normals, both scaled by
+  ``sqrt(dt)``.
+
+Here ``h`` is the simulated horizon in steps, ``t`` the coupled horizon and
+``lag`` the moving-average lag.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -18,16 +31,38 @@ def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def replica_blocks(master_seed: int, replicas: range, rows: int, layout: list) -> Iterator:
+    """Yield ``(lo, hi, draws)`` for each block of at most ``rows`` replicas
+    of the contiguous range ``replicas``.
+
+    ``layout`` is a list of ``(draw, shape)`` pairs, such as
+    ``(np.random.Generator.standard_normal, (n,))``; replica ``k`` calls
+    ``draw(replica_rng(master_seed, k), shape)`` for each pair in order, and
+    ``draws[j][k - lo]`` holds the ``j``-th result.  The draws fill buffers
+    allocated once per call, so each block's views are overwritten by the
+    next block: read or copy them before advancing.
+    """
+    bufs = [np.empty((min(rows, len(replicas)), *shape)) for _, shape in layout]
+    for lo in range(replicas.start, replicas.stop, rows):
+        hi = min(lo + rows, replicas.stop)
+        for row, k in enumerate(range(lo, hi)):
+            rng = replica_rng(master_seed, k)
+            for (draw, shape), buf in zip(layout, bufs):
+                buf[row] = draw(rng, shape)
+        yield lo, hi, tuple(buf[: hi - lo] for buf in bufs)
+
+
 def replica_uniform_pairs(master_seed: int, replicas: range, steps: int) -> np.ndarray:
     """Shared-randomness table of uniform pairs, shape (len(replicas), steps, 2).
 
     Row ``i`` is exactly what ``replica_rng(master_seed, replicas[i]).random((steps, 2))``
     returns, so a chunk of replicas or a partial rerun reproduces its rows.
     """
-    out = np.empty((len(replicas), steps, 2))
-    for i, k in enumerate(replicas):
-        out[i] = replica_rng(master_seed, k).random((steps, 2))
-    return out
+    if not replicas:
+        return np.empty((0, steps, 2))
+    layout = [(np.random.Generator.random, (steps, 2))]
+    _, _, (u,) = next(replica_blocks(master_seed, replicas, len(replicas), layout))
+    return u
 
 
 class ConvPlan:

@@ -1,9 +1,10 @@
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from splitcouple.ar1 import Ar1Params, ar1_alpha, ar1_marginal, ar1_simulate_batch, ar1_split_kernel
@@ -201,6 +202,39 @@ def test_block_schedule_errors():
         block_schedule(lambda n: 0.3, lambda n: 0.5, 2, n_cap=1024)
     with pytest.raises(ScheduleError):
         block_schedule(lambda n: 4.0 / n**2, lambda n: 0.0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.floats(0.01, 100.0),
+    r=st.floats(0.05, 0.95),
+    a0=st.floats(0.01, 1.0),
+    decay=st.sampled_from([0.0, 0.01, 0.1]),
+    m_max=st.integers(1, 6),
+    n_min=st.integers(0, 4),
+)
+@example(c=1.0, r=0.5, a0=1.0, decay=0.0, m_max=1, n_min=0)  # tail(n_min) > 2^-m >= tail(n_min + 1)
+def test_block_schedule_matches_brute_force_scan(c, r, a0, decay, m_max, n_min):
+    # Geometric tails and constant (decay 0) or decreasing weights in (0, 1];
+    # each entry must be the first index a plain scan reaches.
+    def tail(n):
+        return min(1.0, c * r**n)
+
+    def alpha(n):
+        return a0 / (1.0 + decay * n)
+
+    sched = block_schedule(tail, alpha, m_max, n_min=n_min)
+    for m in range(1, m_max + 1):
+        n = n_min
+        while tail(n) > 2.0**-m:
+            n += 1
+        assert sched.n_of_m[m - 1] == n
+        assert sched.alphas[m - 1] == alpha(n)
+        rate = math.inf if alpha(n) == 1.0 else -math.log1p(-alpha(n))
+        big_n = 1
+        while big_n * rate < m * math.log(2.0):
+            big_n += 1
+        assert sched.N_of_m[m - 1] == big_n
 
 
 def test_block_schedule_invariants_enforced():

@@ -148,15 +148,6 @@ def test_byte_identical_reruns(tmp_path):
             assert f1.read() == f2.read()
 
 
-def test_worker_env_does_not_change_results(tmp_path, monkeypatch):
-    cfg = load_config_text(AR1_COUPLE_CFG)
-    base = run(cfg)
-    monkeypatch.setenv("SPLITCOUPLE_WORKERS", "4")
-    fanned = run(cfg)
-    assert base.table_rows == fanned.table_rows
-    assert base.results == fanned.results
-
-
 def test_emit_csv_quoting(tmp_path):
     from splitcouple.harness import RunReport
 

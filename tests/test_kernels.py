@@ -47,6 +47,13 @@ def test_split_kernel_requires_innovation(kernel):
         SplitKernel(**parts)
 
 
+def test_split_kernel_refuses_a_non_law_innovation():
+    # Without the check this constructs and fails only at the first off-set
+    # inversion, with an AttributeError on None.ppf.
+    with pytest.raises(TypeError, match="SplitKernel.innovation must be an InnovationLaw"):
+        dataclasses.replace(ar1_split_kernel(0.5, n_max=3), innovation=None)
+
+
 def test_nu_inverse_cdf_values():
     assert nu_inverse_cdf(0.5) == 0.0
     assert nu_inverse_cdf(0.0) == -1.0

@@ -1,13 +1,15 @@
+import glob
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import splitcouple
 from splitcouple.logvol import geometric_ma
-from splitcouple.streams import ConvPlan, replica_rng, replica_uniform_pairs
+from splitcouple.streams import ConvPlan, replica_blocks, replica_rng, replica_uniform_pairs
 
 
 @pytest.mark.parametrize("rows,n_in,n_taps", [
@@ -42,6 +44,45 @@ def test_import_leaves_slow_scipy_modules_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+def test_replica_rng_is_called_in_streams_only():
+    # Each replica's stream layout is drawn in one place (streams.replica_blocks),
+    # and replicas are not fanned out over threads.
+    for path in glob.glob(os.path.join(os.path.dirname(splitcouple.__file__), "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        name = os.path.basename(path)
+        if name != "streams.py":
+            assert "replica_rng(" not in text, name
+        assert "SPLITCOUPLE_WORKERS" not in text and "ThreadPoolExecutor" not in text, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.integers(1, 50),
+    count=st.integers(0, 30),
+    rows=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_replica_blocks_concatenate_to_each_replica_s_direct_draws(start, count, rows, seed):
+    gen = np.random.Generator
+    layout = [(gen.standard_normal, (3,)), (gen.random, (4, 2)), (gen.standard_normal, (2, 3))]
+    replicas = range(start, start + count)
+    starts, got = [], []
+    for lo, hi, draws in replica_blocks(seed, replicas, rows, layout):
+        assert 0 < hi - lo <= rows and all(len(d) == hi - lo for d in draws)
+        starts.append(lo)
+        got.append([d.copy() for d in draws])  # the next block refills these buffers
+    assert starts == list(range(start, start + count, rows))
+    direct = []
+    for k in replicas:
+        rng = replica_rng(seed, k)
+        direct.append([draw(rng, shape) for draw, shape in layout])
+    for j, (_, shape) in enumerate(layout):
+        want = np.array([d[j] for d in direct]).reshape(count, *shape)
+        whole = np.concatenate([g[j] for g in got] or [np.empty((0, *shape))])
+        assert np.array_equal(whole, want)
 
 
 def test_uniform_pairs_of_a_replica_range_are_rows_of_the_whole_table():
