@@ -35,7 +35,7 @@ from .logvol import (
 
 EXPERIMENTS = ("ar1-bound", "ar1-couple", "logvol-sim", "logvol-couple", "sde-sim")
 MEMORY_CAP_BYTES = 4 * 2**30  # the most a run may plan to hold at once
-_CSV_ROW_BYTES = 256  # one table row as Python objects, and its CSV line
+_CSV_ROW_BYTES = 256  # one table record, plus its cell objects and CSV line made at write time
 
 _CALL_RE = re.compile(r"^([a-z_]+)\(([^)]*)\)$")
 

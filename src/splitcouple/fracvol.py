@@ -22,6 +22,7 @@ from .streams import ConvPlan, replica_blocks
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
 _DEFAULT_CHUNK = 512
 _BLOCK_ROWS = 32  # replicas drawn and convolved together within a chunk
+_DISS_GRID_HALFWIDTH = 50.0  # the drift's declared constants are certified on [-50, 50]
 
 
 @dataclass(frozen=True)
@@ -30,16 +31,14 @@ class VolatilityKernel:
 
     ``exponential`` kernels decay as exp(-lam u); ``fractional`` kernels are
     sqrt(2 h) u^(h - 1/2) cut off at a finite memory (an uncut power kernel
-    is not square integrable over the half line).  ``memory`` of None defers
-    to the path generator: the full burn-in window for exponential kernels,
-    a tenth of it for fractional ones.
+    is not square integrable over the half line): the full burn-in window
+    for exponential kernels, a tenth of it for fractional ones.
     """
 
     kind: str
     lam: float = 0.0
     h: float = 0.0
     scale: float = 1.0
-    memory: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("exponential", "fractional"):
@@ -50,12 +49,8 @@ class VolatilityKernel:
             raise ValueError("fractional kernel needs h in (0, 1)")
         if self.scale < 0.0:
             raise ValueError("scale must be nonnegative (zero disables the volatility)")
-        if self.memory is not None and self.memory <= 0.0:
-            raise ValueError("memory must be positive")
 
     def resolved_memory(self, burn_in: float) -> float:
-        if self.memory is not None:
-            return min(self.memory, burn_in)
         return burn_in if self.kind == "exponential" else burn_in / 10.0
 
     def memory_scale(self, burn_in: float) -> float:
@@ -142,7 +137,6 @@ class SdeParams:
     dt: float = 1.0 / 256.0
     horizon: float = 20.0
     burn_in: float = 10.0
-    diss_grid_halfwidth: float = 50.0
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0 or self.horizon < self.dt or self.burn_in <= 0.0:
@@ -154,7 +148,7 @@ class SdeParams:
             raise ValueError(
                 f"burn_in {self.burn_in} shorter than 10x kernel memory scale {scale_time}"
             )
-        grid = np.linspace(-self.diss_grid_halfwidth, self.diss_grid_halfwidth, 2001)
+        grid = np.linspace(-_DISS_GRID_HALFWIDTH, _DISS_GRID_HALFWIDTH, 2001)
         margin = dissipativity_check(
             self.zeta.fn, self.zeta.diss_alpha, self.zeta.diss_beta, grid
         )
@@ -193,10 +187,10 @@ def _volatility_paths(plan: ConvPlan, db: np.ndarray) -> np.ndarray:
     return np.exp(j, out=j)
 
 
-def euler_step(p: SdeParams, L, V, rho, dB, dW):
+def euler_step(p: SdeParams, L, V, dB, dW):
     """One explicit Euler step with left-point coefficients."""
     drift = (p.zeta.fn(L) - np.square(V) / 2.0) * p.dt
-    return L + drift + rho * V * dB + np.sqrt(1.0 - np.square(rho)) * V * dW
+    return L + drift + p.rho * V * dB + np.sqrt(1.0 - np.square(p.rho)) * V * dW
 
 
 @dataclass(frozen=True)
@@ -289,7 +283,7 @@ def simulate_ensemble(
         for i in cp_at.get(0, ()):
             out[:, i, lo:hi] = l
         for step in range(h_steps):
-            l = euler_step(p, l, vol[step], p.rho, db[step], dw[step])
+            l = euler_step(p, l, vol[step], db[step], dw[step])
             for i in cp_at.get(step + 1, ()):
                 out[:, i, lo:hi] = l
     return EnsembleResult(

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,22 +46,11 @@ class RunReport:
     flags: dict[str, bool]
     replicas: int
     wall_clock_s: float
-    table_header: tuple[str, ...] = ()
-    table_rows: list[tuple] = field(default_factory=list)
+    table_rows: np.recarray  # the CSV table: field names are its header
 
     @property
     def all_flags_true(self) -> bool:
         return all(self.flags.values())
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
 
 
 def _json_safe(obj, where: str):
@@ -81,46 +70,23 @@ def _json_safe(obj, where: str):
     return obj
 
 
-def _csv_cells(row) -> str:
-    cells = []
-    for cell in row:
-        text = _fmt(cell)
-        if any(ch in text for ch in ',"\n'):
-            text = '"' + text.replace('"', '""') + '"'
-        cells.append(text)
-    return ",".join(cells)
-
-
-def _row_format(kinds: tuple[type, ...]) -> str | None:
-    """A %-format for a row of these cell types that matches ``_csv_cells``.
-
-    Only ints and floats qualify: their text never needs quoting.  Bools
-    (an int subclass), strings and anything else return None.
-    """
-    parts = []
-    for kind in kinds:
-        if issubclass(kind, (bool, np.bool_)):
-            return None
-        if issubclass(kind, (int, np.integer)):
-            parts.append("%d")
-        elif issubclass(kind, (float, np.floating)):
-            parts.append("%.17g")
-        else:
-            return None
-    return ",".join(parts) or None
+# One %-format per column dtype kind; an object column holds Python ints
+# past int64 (block lengths of a long schedule).
+_CELL_FORMATS = {"b": "%s", "i": "%d", "u": "%d", "f": "%.17g", "O": "%d"}
 
 
 def emit_csv(report: RunReport, path: str) -> None:
-    """Header plus rows, LF line endings, 17-significant-digit decimals."""
-    lines = [",".join(report.table_header)]
-    formats: dict[tuple[type, ...], str | None] = {}
-    for row in report.table_rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        if kinds not in formats:
-            formats[kinds] = _row_format(kinds)
-        fmt = formats[kinds]
-        lines.append(fmt % row if fmt else _csv_cells(row))
+    """Header plus one line per record, LF line endings: ``true``/``false``,
+    exact integers and 17-significant-digit decimals."""
+    table = report.table_rows
+    names = table.dtype.names
+    fmt = ",".join(_CELL_FORMATS[table.dtype[name].kind] for name in names)
+    cols = [
+        np.where(table[name], "true", "false").tolist() if table.dtype[name].kind == "b"
+        else table[name].tolist()
+        for name in names
+    ]
+    lines = [",".join(names), *(fmt % row for row in zip(*cols))]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -166,7 +132,6 @@ def write_report(report: RunReport, outdir: str) -> tuple[str, str]:
 
 def _run_ar1_bound(cfg: ExperimentConfig) -> RunReport:
     p = cfg.model
-    header = ("t", "n", "bound_term1", "bound_term2", "bound_total", "tv_exact", "dominates")
     rows = []
     st_mean, st_var = ar1mod.ar1_stationary(p)
     for t in cfg.options["t_grid"]:
@@ -182,7 +147,10 @@ def _run_ar1_bound(cfg: ExperimentConfig) -> RunReport:
         "bounds": [r[4] for r in rows],
         "tv_exact": [r[5] for r in rows],
     }
-    return RunReport(cfg.experiment, cfg.resolved, results, flags, 1, 0.0, header, rows)
+    table = np.rec.fromrecords(
+        rows, names="t,n,bound_term1,bound_term2,bound_total,tv_exact,dominates"
+    )
+    return RunReport(cfg.experiment, cfg.resolved, results, flags, 1, 0.0, table)
 
 
 def _run_ar1_couple(cfg: ExperimentConfig) -> RunReport:
@@ -215,10 +183,10 @@ def _run_ar1_couple(cfg: ExperimentConfig) -> RunReport:
         "tv_half_width": half_width,
         "tv_exact": tv_exact,
     }
-    header = ("replica", "coupled", "couple_step")
-    # Python scalars, so the CSV cells format as for any other row.
-    rows = list(zip(range(len(res)), res.coupled.tolist(), res.couple_step.tolist()))
-    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, header, rows)
+    table = np.rec.fromarrays(
+        [np.arange(len(res)), res.coupled, res.couple_step], names="replica,coupled,couple_step"
+    )
+    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, table)
 
 
 def _run_logvol_sim(cfg: ExperimentConfig) -> RunReport:
@@ -227,7 +195,6 @@ def _run_logvol_sim(cfg: ExperimentConfig) -> RunReport:
     horizon = max(checkpoints)
     samples = simulate_logvol_batch(p, horizon, cfg.replicas, cfg.seed, checkpoints)
     k_bound = logvol_moment_bound(p)
-    header = ("t", "mean_sq", "se", "moment_bound", "within_bound")
     rows = []
     for t in checkpoints:
         sq = samples[t] ** 2
@@ -241,7 +208,13 @@ def _run_logvol_sim(cfg: ExperimentConfig) -> RunReport:
         "se": [r[2] for r in rows],
         "moment_bound": k_bound,
     }
-    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, header, rows)
+    table = np.rec.fromrecords(rows, names="t,mean_sq,se,moment_bound,within_bound")
+    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, table)
+
+
+# Block lengths grow past int64 on a long schedule, so they stay Python ints.
+_SCHEDULE_DTYPE = [("m", np.int64), ("n", np.int64), ("alpha", np.float64),
+                   ("block_len", object), ("cumulative", object)]
 
 
 def _run_logvol_couple(cfg: ExperimentConfig) -> RunReport:
@@ -250,18 +223,19 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> RunReport:
     target_block = cfg.options["target_block"]
     step_cap = cfg.options["step_cap"]
     x0_pair = cfg.options["x0_pair"]
-    header = ("m", "n", "alpha", "block_len", "cumulative")
     try:
         schedule = logvol_schedule(p, m_max)
     except ScheduleError as exc:
         flags = {"schedule_terminates": False, "coupled_by_target_at_least_half": False}
         results = {"schedule_error": str(exc)}
-        return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, header, [])
+        table = np.rec.fromrecords([], dtype=_SCHEDULE_DTYPE)
+        return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, table)
 
     rows = [
         (m + 1, schedule.n_of_m[m], schedule.alphas[m], schedule.N_of_m[m], schedule.M_of_m[m + 1])
         for m in range(m_max)
     ]
+    table = np.rec.fromrecords(rows, dtype=_SCHEDULE_DTYPE)
     t_target = schedule.M_of_m[target_block]
     t_sim = int(min(t_target, step_cap))
     censored = t_sim < t_target
@@ -286,7 +260,7 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> RunReport:
         "censored_at_cap": censored,
         "coupled_fraction": frac,
     }
-    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, header, rows)
+    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, table)
 
 
 def _run_sde_sim(cfg: ExperimentConfig) -> RunReport:
@@ -296,10 +270,7 @@ def _run_sde_sim(cfg: ExperimentConfig) -> RunReport:
     inc_base = cfg.options["increment_base"]
     lags = cfg.options["increment_lags"]
     # Snap increment lags to whole grid steps (at least one).
-    lag_times = []
-    for h in lags:
-        steps = max(1, int(round(h / p.dt)))
-        lag_times.append(steps * p.dt)
+    lag_times = [max(1, int(round(h / p.dt))) * p.dt for h in lags]
     times = sorted(set(base_cp) | {inc_base} | {inc_base + h for h in lag_times})
     result = simulate_ensemble(p, l0, cfg.replicas, times, cfg.seed)
 
@@ -352,13 +323,18 @@ def _run_sde_sim(cfg: ExperimentConfig) -> RunReport:
         "log_vol_variance": result.log_vol_variance,
         "increments": inc_results,
     }
-    header = ("initial_state_id", "checkpoint_time", "replica_id", "L_value")
-    rows = []
-    for i in range(len(l0)):
-        for j, t in enumerate(result.checkpoint_times):
-            col = result.samples[i, j]
-            rows.extend((i, t, r, col[r]) for r in range(cfg.replicas))
-    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, header, rows)
+    # One record per sample, in (state, checkpoint, replica) order.
+    n_states, n_times, reps = result.samples.shape
+    table = np.rec.fromarrays(
+        [
+            np.repeat(np.arange(n_states), n_times * reps),
+            np.tile(np.repeat(result.checkpoint_times, reps), n_states),
+            np.tile(np.arange(reps), n_states * n_times),
+            result.samples.ravel(),
+        ],
+        names="initial_state_id,checkpoint_time,replica_id,L_value",
+    )
+    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, table)
 
 
 _RUNNERS = {

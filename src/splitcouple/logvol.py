@@ -39,11 +39,11 @@ def geometric_ma(ratio: float, lag: int = DEFAULT_MA_LAG) -> tuple[float, ...]:
     return tuple(ratio**k for k in range(lag + 1))
 
 
-def fractional_ma(h: float, lag: int = DEFAULT_MA_LAG, scale: float = 1.0) -> tuple[float, ...]:
-    """Power-law coefficients a_k = scale * (k + 1)^(h - 3/2), k = 0..lag."""
+def fractional_ma(h: float, lag: int = DEFAULT_MA_LAG) -> tuple[float, ...]:
+    """Power-law coefficients a_k = (k + 1)^(h - 3/2), k = 0..lag."""
     if not 0.0 < h < 1.0:
         raise ValueError("h must lie in (0, 1)")
-    return tuple(scale * (k + 1.0) ** (h - 1.5) for k in range(lag + 1))
+    return tuple((k + 1.0) ** (h - 1.5) for k in range(lag + 1))
 
 
 @dataclass(frozen=True)
@@ -166,21 +166,19 @@ def logvol_alpha(p: LogvolParams, n: int) -> float:
     return min(2.0 * f / (_scale_root(p.rho) * math.exp(n)), 1.0)
 
 
-def logvol_certify_minorization(
-    p: LogvolParams, n: int, n_xze: int = 21, n_w: int = 201
-) -> float:
+def logvol_certify_minorization(p: LogvolParams, n: int) -> float:
     """Grid slack of ``q(x, env, w) >= alpha_n / 2`` over the n-th sets.
 
-    Grids span (x, z, eta) in [-n, n]^3 and targets w in [-1, 1]; endpoints
-    are on the grid, so the binding corners are evaluated exactly.
+    Grids of 21 points span (x, z, eta) in [-n, n]^3 and 201 points span
+    targets w in [-1, 1]; endpoints are on the grid, so the binding corners
+    are evaluated exactly.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     root = _scale_root(p.rho)
-    xg = np.linspace(-n, n, n_xze)[:, None, None, None]
-    zg = np.linspace(-n, n, n_xze)[None, :, None, None]
-    hg = np.linspace(-n, n, n_xze)[None, None, :, None]
-    wg = np.linspace(-1.0, 1.0, n_w)[None, None, None, :]
+    g = np.linspace(-n, n, 21)
+    xg, zg, hg = g[:, None, None, None], g[None, :, None, None], g[None, None, :, None]
+    wg = np.linspace(-1.0, 1.0, 201)[None, None, None, :]
     s = root * np.exp(zg)
     arg = (wg - p.gamma * xg - p.rho * np.exp(zg) * hg) / s
     q = p.eps.pdf(arg) / s
@@ -188,9 +186,9 @@ def logvol_certify_minorization(
     return float(q.min() - half_alpha)
 
 
-def logvol_certified_alpha(p: LogvolParams, n: int, **grid_kwargs) -> float:
+def logvol_certified_alpha(p: LogvolParams, n: int) -> float:
     """``logvol_alpha`` with a grid certificate; raises if the grid refutes it."""
-    margin = logvol_certify_minorization(p, n, **grid_kwargs)
+    margin = logvol_certify_minorization(p, n)
     if margin < 0.0:
         raise CertificationError(
             f"minorization weight for n={n} fails grid certification (margin {margin:.3e})"

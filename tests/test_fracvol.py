@@ -129,9 +129,9 @@ def test_volatility_variance_matches_isometry(kernel, analytic):
 def test_euler_step_arithmetic():
     p = _params(dt=0.01, rho=0.0)
     # linear drift vanishes at zero, leaving -V^2/2 dt + V dW
-    assert euler_step(p, 0.0, 1.0, 0.0, 0.0, 0.1) == pytest.approx(-0.005 + 0.1, rel=1e-15)
+    assert euler_step(p, 0.0, 1.0, 0.0, 0.1) == pytest.approx(-0.005 + 0.1, rel=1e-15)
     # degenerate V = 0 freezes everything but the drift
-    assert euler_step(p, 1.7, 0.0, 0.0, 0.3, 0.4) == pytest.approx(1.7 * (1 - p.dt), rel=1e-12)
+    assert euler_step(p, 1.7, 0.0, 0.3, 0.4) == pytest.approx(1.7 * (1 - p.dt), rel=1e-12)
 
 
 def test_euler_matches_exact_ou():
@@ -223,7 +223,7 @@ def test_ensemble_matches_scalar_reference_path():
         path = [l0]
         for k in range(p.horizon_steps):
             v = math.exp(float(np.dot(taps, db[k : k + taps.size][::-1])))
-            path.append(float(euler_step(p, path[-1], v, p.rho, db[p.burn_steps + k], dw[k])))
+            path.append(float(euler_step(p, path[-1], v, db[p.burn_steps + k], dw[k])))
         for i, t in enumerate(res.checkpoint_times):
             assert res.samples[s, i, 5] == pytest.approx(path[round(t / p.dt)], abs=1e-12)
 

@@ -100,7 +100,7 @@ def test_logvol_ma_spellings():
 def test_ar1_bound_run_and_schema():
     report = run(load_config_text(AR1_BOUND_CFG))
     assert report.flags == {"dominates_all": True}
-    assert report.table_header == (
+    assert report.table_rows.dtype.names == (
         "t", "n", "bound_term1", "bound_term2", "bound_total", "tv_exact", "dominates",
     )
     assert len(report.table_rows) == 4
@@ -132,7 +132,7 @@ def test_sde_sim_run():
     assert report.flags["tv_nonincreasing"]
     assert report.flags["increment_bound_h=0.1"]
     assert report.flags["increment_bound_h=0.01"]
-    assert report.table_header == (
+    assert report.table_rows.dtype.names == (
         "initial_state_id", "checkpoint_time", "replica_id", "L_value",
     )
 
@@ -148,38 +148,41 @@ def test_byte_identical_reruns(tmp_path):
             assert f1.read() == f2.read()
 
 
-def test_emit_csv_quoting(tmp_path):
+def _csv_text(tmp_path, table) -> str:
     from splitcouple.harness import RunReport
 
     report = RunReport(
         experiment="ar1-bound", config={}, results={}, flags={}, replicas=1,
-        wall_clock_s=0.0, table_header=("a", "b"),
-        table_rows=[(1.5, 'x,"y"')],
-    )
-    path = str(tmp_path / "q.csv")
-    emit_csv(report, path)
-    with open(path, "r", encoding="utf-8") as fh:
-        assert fh.read() == 'a,b\n1.5,"x,""y"""\n'
-
-
-def test_emit_csv_row_formats_match_cell_formatting(tmp_path):
-    from splitcouple.harness import RunReport, _csv_cells
-
-    rows = [
-        (0, 0.1, -0.0, 1e-300),
-        (np.int64(-7), np.float64(2.0 / 3.0), float("inf"), float("nan")),
-        (np.uint8(255), np.float32(0.1), 12345678901234567890, 5e300),
-        (3, True, np.bool_(False), "x,y"),
-        (1, 2.5, 3, 4.0),
-    ]
-    report = RunReport(
-        experiment="ar1-bound", config={}, results={}, flags={}, replicas=1,
-        wall_clock_s=0.0, table_header=("a", "b", "c", "d"), table_rows=rows,
+        wall_clock_s=0.0, table_rows=table,
     )
     path = str(tmp_path / "f.csv")
     emit_csv(report, path)
-    with open(path, "r", encoding="utf-8") as fh:
-        assert fh.read() == "\n".join(["a,b,c,d", *map(_csv_cells, rows)]) + "\n"
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def test_emit_csv_formats_each_column_by_its_dtype_kind(tmp_path):
+    table = np.rec.fromarrays(
+        [
+            np.array([True, False, True, False, True]),
+            np.array([0, -7, 2**63 - 1, -(2**63), 1], dtype=np.int64),
+            np.array([0, 1, 128, 255, 2], dtype=np.uint8),
+            np.array([-0.0, 1e-300, np.inf, np.nan, 2.0 / 3.0]),
+            np.array([0.1, -0.0, -np.inf, np.nan, 3.0], dtype=np.float32),
+            np.array([10**57, -(10**57), 0, 2**64, 1], dtype=object),
+        ],
+        names="b,i,u,f,g,o",
+    )
+    assert _csv_text(tmp_path, table) == (
+        "b,i,u,f,g,o\n"
+        "true,0,0,-0,0.10000000149011612,1000000000000000000000000000000000000000000000000000000000\n"
+        "false,-7,1,1e-300,-0,-1000000000000000000000000000000000000000000000000000000000\n"
+        "true,9223372036854775807,128,inf,-inf,0\n"
+        "false,-9223372036854775808,255,nan,nan,18446744073709551616\n"
+        "true,1,2,0.66666666666666663,3,1\n"
+    )
+    empty = np.rec.fromrecords([], dtype=[("a", np.int64), ("b", np.float64), ("c", object)])
+    assert _csv_text(tmp_path, empty) == "a,b,c\n"
 
 
 def test_cli_round_trip(tmp_path, capsys):
@@ -309,8 +312,8 @@ def _tiny_report(results=None):
 
     return RunReport(
         experiment="ar1-bound", config={"seed": 1}, results=results or {"x": 1.0},
-        flags={"ok": True}, replicas=1, wall_clock_s=0.0, table_header=("a",),
-        table_rows=[(1.0,)],
+        flags={"ok": True}, replicas=1, wall_clock_s=0.0,
+        table_rows=np.rec.fromrecords([(1.0,)], names="a"),
     )
 
 
