@@ -18,6 +18,7 @@ from typing import Any
 from .ar1 import Ar1Params
 from .errors import ConfigError, ScheduleError
 from .fracvol import (
+    _BLOCK_ROWS as _SDE_BLOCK,
     _DEFAULT_CHUNK as _SDE_CHUNK,
     RESOURCE_CAP,
     SdeParams,
@@ -196,10 +197,16 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
         return 0
     if experiment == "ar1-couple":  # uniform pairs and an int8 event code per step
         return r * (17 * options["t"] + _CSV_ROW_BYTES)
-    if experiment == "sde-sim":  # one chunk's time-major series, then the outputs
+    if experiment == "sde-sim":
+        # One chunk's q series (a float a replica-step), one block's draws and
+        # transform, four rows' worth more for the kernel's spectrum, the FFT's
+        # scratch and one replica's fresh draws, then the outputs.
+        h, burn = model.horizon_steps, model.burn_steps
+        per_block_row = 8 * (burn + 2 * h) + 16 * (2 * burn + h)
         n_times = len(options["checkpoints"]) + 1 + len(options["increment_lags"])
         per_state = 8 * n_times + _CSV_ROW_BYTES * len(options["checkpoints"])
-        return 24 * model.horizon_steps * min(r, _SDE_CHUNK) + len(options["l0"]) * r * per_state
+        return (8 * h * min(r, _SDE_CHUNK) + (min(r, _SDE_BLOCK) + 4) * per_block_row
+                + len(options["l0"]) * r * per_state)
     lag = model.lag
     if experiment == "logvol-sim":  # one block's draws and transform, then the outputs
         steps = max(options["checkpoints"])

@@ -5,7 +5,11 @@ The log-price solves
 with ``V = exp(J)`` and ``J`` a moving average of the increments of the same
 Brownian motion B against a square-integrable kernel.  Stationarity of the
 volatility is approximated by a finite-history convolution over a burn-in
-window; dissipativity of the drift is certified on a grid.
+window; dissipativity of the drift is certified on a grid.  The left-point
+Euler step splits into the state's drift ``zeta(L) dt`` and a part that does
+not depend on the state,
+``q = V (rho dB + sqrt(1 - rho^2) dW) - V^2/2 dt``,
+which is computed once per replica and step, before any state is stepped.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .errors import RunError
 from .streams import ConvPlan, replica_blocks
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
-_DEFAULT_CHUNK = 512
+_DEFAULT_CHUNK = 1536  # replicas stepped together; one float64 of q per replica-step
 _BLOCK_ROWS = 32  # replicas drawn and convolved together within a chunk
 _DISS_GRID_HALFWIDTH = 50.0  # the drift's declared constants are certified on [-50, 50]
 
@@ -187,10 +191,14 @@ def _volatility_paths(plan: ConvPlan, db: np.ndarray) -> np.ndarray:
     return np.exp(j, out=j)
 
 
-def euler_step(p: SdeParams, L, V, dB, dW):
-    """One explicit Euler step with left-point coefficients."""
-    drift = (p.zeta.fn(L) - np.square(V) / 2.0) * p.dt
-    return L + drift + p.rho * V * dB + np.sqrt(1.0 - np.square(p.rho)) * V * dW
+def euler_step(p: SdeParams, L, q):
+    """One explicit Euler step ``L + zeta(L) dt + q``, in place for an array
+    ``L``; ``q`` is the step's state-free part (see the module docstring)."""
+    drift = p.zeta.fn(L)
+    drift *= p.dt
+    L += drift
+    L += q
+    return L
 
 
 @dataclass(frozen=True)
@@ -218,11 +226,11 @@ def simulate_ensemble(
 
     Replica ``k`` owns stream ``k`` of ``seed``: the volatility/price
     increments dB, then the orthogonal increments dW.  Each replica's history
-    is drawn and convolved once and drives every initial state, which
-    sharpens ensemble comparisons.  Replicas are stepped ``_DEFAULT_CHUNK``
-    at a time and drawn and convolved ``_BLOCK_ROWS`` at a time; every
-    operation is elementwise and per replica, so these sizes bound memory
-    and cannot change the results.
+    is drawn and convolved once into the state-free part ``q`` of every step,
+    which drives every initial state and sharpens ensemble comparisons.
+    Replicas are stepped ``_DEFAULT_CHUNK`` at a time and drawn and convolved
+    ``_BLOCK_ROWS`` at a time; every operation is elementwise and per
+    replica, so these sizes bound memory and cannot change the results.
     """
     l0_list = [float(v) for v in l0_list]
     n_states = len(l0_list)
@@ -253,10 +261,11 @@ def simulate_ensemble(
 
     # Buffers are allocated once and refilled for every chunk and block, so
     # no pass maps and faults in fresh memory.  A block of _BLOCK_ROWS
-    # replicas is drawn and convolved row-major, then copied into the chunk's
-    # time-major (steps, rows) series for the Euler loop; a block may
-    # straddle chunks, so its rows are copied as far as the chunk reaches.
-    series = np.empty((3, h_steps * min(_DEFAULT_CHUNK, replicas)))
+    # replicas is drawn and convolved row-major, and q is built in the
+    # block's own buffers; its last operation writes q into the chunk's
+    # time-major (steps, rows) series for the Euler loop.  A block may
+    # straddle chunks, so that write reaches only as far as the chunk.
+    series = np.empty(h_steps * min(_DEFAULT_CHUNK, replicas))
     vol_plan = ConvPlan(_kernel_taps(p.kernel, p.dt, p.burn_in), _BLOCK_ROWS, n_inc)
     layout = [(np.random.Generator.standard_normal, (n,)) for n in (n_inc, h_steps)]
     blocks = replica_blocks(seed, range(replicas), _BLOCK_ROWS, layout)
@@ -265,25 +274,29 @@ def simulate_ensemble(
     for lo in range(0, replicas, _DEFAULT_CHUNK):
         hi = min(lo + _DEFAULT_CHUNK, replicas)
         rows = hi - lo
-        vol, db, dw = series[:, : h_steps * rows].reshape(3, h_steps, rows)
+        q = series[: h_steps * rows].reshape(h_steps, rows)
         k = lo
         while k < hi:
             if k == z:
                 a, z, (blk_db, blk_dw) = next(blocks)
                 blk_db *= sqrt_dt  # in place and elementwise: bit-identical to scaling each draw
-                blk_dw *= sqrt_dt
-                v = _volatility_paths(vol_plan, blk_db)
+                vol = _volatility_paths(vol_plan, blk_db)[:, :h_steps]
+                noise = blk_db[:, b_steps:]  # becomes V (rho dB + sqrt(1 - rho^2) dW)
+                noise *= p.rho
+                blk_dw *= sqrt_dt * math.sqrt(1.0 - p.rho * p.rho)
+                noise += blk_dw
+                noise *= vol
+                np.square(vol, out=vol)  # becomes V^2/2 dt
+                vol *= p.dt / 2.0
             e = min(z, hi)
-            vol[:, k - lo : e - lo] = v[k - a : e - a, :h_steps].T
-            db[:, k - lo : e - lo] = blk_db[k - a : e - a, b_steps:].T
-            dw[:, k - lo : e - lo] = blk_dw[k - a : e - a].T
+            np.subtract(noise[k - a : e - a].T, vol[k - a : e - a].T, out=q[:, k - lo : e - lo])
             k = e
-        # The states step together; each step's noise row broadcasts over them.
+        # The states step together; each step's row of q broadcasts over them.
         l = np.repeat(l0, rows, axis=1)
         for i in cp_at.get(0, ()):
             out[:, i, lo:hi] = l
         for step in range(h_steps):
-            l = euler_step(p, l, vol[step], db[step], dw[step])
+            l = euler_step(p, l, q[step])
             for i in cp_at.get(step + 1, ()):
                 out[:, i, lo:hi] = l
     return EnsembleResult(

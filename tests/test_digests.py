@@ -16,7 +16,7 @@ from splitcouple.harness import run, write_report
 _SDE = """
 experiment = sde-sim
 seed = {seed}
-replicas = 520
+replicas = 1540
 sde.drift = linear(1.0)
 sde.kernel = {kernel}
 sde.rho = 0.3
@@ -30,7 +30,7 @@ sde.increment_lags = 0.1, 0.01
 """
 
 CONFIGS = {
-    # 520 replicas span one full 512-row chunk and a partial one.
+    # 1,540 replicas span one full 1,536-row chunk and a partial one.
     "sde-exp": _SDE.format(seed=8080, kernel="exponential(1.0)", burn_in=10.0),
     "sde-frac": _SDE.format(seed=8081, kernel="fractional(0.1)", burn_in=2.0),
     "ar1-couple": """
@@ -107,12 +107,12 @@ DIGESTS = {
         "report": "595562da28ef1fa8b47f57a4cb3556b7a005906508fe33394d42ed4b446a820a",
     },
     "sde-exp": {
-        "csv": "210748bb6571a9a67147516746f2169c52ce2b1c7b955a969fe1b39dd34bd56e",
-        "report": "cb15c23422baa693b8f0567d4fec49f86f5c9ac3bfe6df868a590ca0af6eed15",
+        "csv": "c372aad647b85fa91948a584ceb432d309ca4121d77f82f48a6ff8d73609f5e4",
+        "report": "58512910c9b765fa2287caa809e914bd8b7d0962171376abc41b53cc41e35947",
     },
     "sde-frac": {
-        "csv": "4b3bc16ac6583e40e319f529bd288d1cc64ed17f595bbd37b0ead73707b2fbb7",
-        "report": "124eedf887e8fe78fa62e7ece6ae0a37bb86978a39ba41848e30f4dc90888e19",
+        "csv": "5c46ea6f89cc4849e9b45f6197822f0a5abfc497c53367c679f28d2a0f14dcf6",
+        "report": "0f8bf242a25236ba5433a0b1f5db75be1a001367d13a86ffa35318fba519716f",
     },
 }
 

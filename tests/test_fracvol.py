@@ -127,11 +127,15 @@ def test_volatility_variance_matches_isometry(kernel, analytic):
 
 
 def test_euler_step_arithmetic():
-    p = _params(dt=0.01, rho=0.0)
-    # linear drift vanishes at zero, leaving -V^2/2 dt + V dW
-    assert euler_step(p, 0.0, 1.0, 0.0, 0.1) == pytest.approx(-0.005 + 0.1, rel=1e-15)
-    # degenerate V = 0 freezes everything but the drift
-    assert euler_step(p, 1.7, 0.0, 0.3, 0.4) == pytest.approx(1.7 * (1 - p.dt), rel=1e-12)
+    p = _params(zeta=linear_drift(2.0), dt=0.01)
+    # linear drift vanishes at zero, leaving the state-free part alone
+    assert euler_step(p, 0.0, 0.123) == 0.123
+    # states step in place; each replica's q broadcasts over the states
+    L = np.array([[1.7, -0.5, 0.0], [-1.7, 0.5, 3.0]])
+    q = np.array([0.1, -0.2, 0.0])
+    want = L - 2.0 * p.dt * L + q
+    assert euler_step(p, L, q) is L
+    np.testing.assert_allclose(L, want, rtol=1e-15, atol=0.0)
 
 
 def test_euler_matches_exact_ou():
@@ -210,8 +214,9 @@ def test_linear_drift_ensembles_are_exact_translates(kappa, kernel):
 
 def test_ensemble_matches_scalar_reference_path():
     # One replica recomputed from its own stream with a direct left-point sum
-    # for J and a scalar left-point Euler step: this names a noise layout or
-    # volatility timing fault that the translate identity cannot see.
+    # for J and the scalar left-point Euler step written out term by term:
+    # this names a noise layout, volatility timing or state-free-part fault
+    # that the translate identity cannot see.
     p = _params(kernel=FRAC_KERNEL, dt=1.0 / 64.0, horizon=2.0)
     res = simulate_ensemble(p, [-2.0, 2.0], 8, [0.5, 2.0], seed=11)
     rng = replica_rng(11, 5)
@@ -223,7 +228,9 @@ def test_ensemble_matches_scalar_reference_path():
         path = [l0]
         for k in range(p.horizon_steps):
             v = math.exp(float(np.dot(taps, db[k : k + taps.size][::-1])))
-            path.append(float(euler_step(p, path[-1], v, db[p.burn_steps + k], dw[k])))
+            l, dbk = path[-1], db[p.burn_steps + k]
+            drift = (float(p.zeta.fn(l)) - v * v / 2.0) * p.dt
+            path.append(l + drift + p.rho * v * dbk + math.sqrt(1.0 - p.rho**2) * v * dw[k])
         for i, t in enumerate(res.checkpoint_times):
             assert res.samples[s, i, 5] == pytest.approx(path[round(t / p.dt)], abs=1e-12)
 

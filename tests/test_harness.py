@@ -1,13 +1,14 @@
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from splitcouple.cli import main as cli_main
 from splitcouple.config import MEMORY_CAP_BYTES, load_config, load_config_text, parse_config_text
-from splitcouple import harness
+from splitcouple import fracvol, harness
 from splitcouple.errors import CertificationError, ConfigError, RunError
 from splitcouple.fracvol import RESOURCE_CAP, simulate_ensemble
 from splitcouple.harness import emit_csv, run, write_report
@@ -452,3 +453,21 @@ def test_logvol_sim_estimate_is_one_block_plus_outputs():
     large = load_config_text(base + "replicas = 10000000\n").peak_bytes
     assert large - small == 2 * 8 * (10_000_000 - 100_000)
     assert large < MEMORY_CAP_BYTES
+
+
+def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak():
+    # 1,600 replicas span one full chunk and a partial one.  The chunk's q
+    # series, one float a replica-step, dominates what the ensemble holds; an
+    # estimate that kept three floats a replica-step would be over twice it.
+    # One checkpoint keeps the output rows from covering the block scratch.
+    text = "experiment = sde-sim\nreplicas = 1600\nsde.dt = 0.015625\nsde.checkpoints = 20\n"
+    cfg = load_config_text(text)
+    assert fracvol._DEFAULT_CHUNK < cfg.replicas < 2 * fracvol._DEFAULT_CHUNK
+    opt = cfg.options
+    tracemalloc.start()
+    try:
+        simulate_ensemble(cfg.model, opt["l0"], cfg.replicas, opt["checkpoints"], cfg.seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cfg.peak_bytes < 1.5 * peak
