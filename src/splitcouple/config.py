@@ -20,6 +20,7 @@ from .errors import ConfigError, ScheduleError
 from .fracvol import (
     _BLOCK_ROWS as _SDE_BLOCK,
     _DEFAULT_CHUNK as _SDE_CHUNK,
+    _WORKERS as _SDE_WORKERS,
     RESOURCE_CAP,
     SdeParams,
     VolatilityKernel,
@@ -198,14 +199,16 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
     if experiment == "ar1-couple":  # uniform pairs and an int8 event code per step
         return r * (17 * options["t"] + _CSV_ROW_BYTES)
     if experiment == "sde-sim":
-        # One chunk's q series (a float a replica-step), one block's draws and
-        # transform, four rows' worth more for the kernel's spectrum, the FFT's
-        # scratch and one replica's fresh draws, then the outputs.
+        # One chunk's q series (a float a replica-step); for each worker one
+        # block's draws and transform, plus four rows' worth for its kernel
+        # spectrum, FFT scratch and one replica's fresh draws; then the outputs.
         h, burn = model.horizon_steps, model.burn_steps
+        chunk = min(r, _SDE_CHUNK)
+        block = min(-(-chunk // _SDE_WORKERS), _SDE_BLOCK)
         per_block_row = 8 * (burn + 2 * h) + 16 * (2 * burn + h)
         n_times = len(options["checkpoints"]) + 1 + len(options["increment_lags"])
         per_state = 8 * n_times + _CSV_ROW_BYTES * len(options["checkpoints"])
-        return (8 * h * min(r, _SDE_CHUNK) + (min(r, _SDE_BLOCK) + 4) * per_block_row
+        return (8 * h * chunk + _SDE_WORKERS * (block + 4) * per_block_row
                 + len(options["l0"]) * r * per_state)
     lag = model.lag
     if experiment == "logvol-sim":  # one block's draws and transform, then the outputs

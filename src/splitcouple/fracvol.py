@@ -10,11 +10,17 @@ Euler step splits into the state's drift ``zeta(L) dt`` and a part that does
 not depend on the state,
 ``q = V (rho dB + sqrt(1 - rho^2) dW) - V^2/2 dt``,
 which is computed once per replica and step, before any state is stepped.
+Each chunk's ``q`` is built by ``_WORKERS`` threads, each drawing and
+convolving its own contiguous range of the chunk's replicas into its own
+columns; numpy's draws, transforms and ufuncs release the GIL, so the
+workers share the machine's CPUs, and every operation is per replica, so
+the split cannot change a bit.  The Euler loop then runs on one thread.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +31,8 @@ from .streams import ConvPlan, replica_blocks
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
 _DEFAULT_CHUNK = 1536  # replicas stepped together; one float64 of q per replica-step
-_BLOCK_ROWS = 32  # replicas drawn and convolved together within a chunk
+_WORKERS = 2  # threads that build a chunk's q, each over its own replica range
+_BLOCK_ROWS = 16  # replicas one worker draws and convolves together
 _DISS_GRID_HALFWIDTH = 50.0  # the drift's declared constants are certified on [-50, 50]
 
 
@@ -215,6 +222,30 @@ class EnsembleResult:
         raise KeyError(f"no checkpoint at t = {time}")
 
 
+def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan, layout: list, q: np.ndarray,
+                lo: int, replicas: range) -> None:
+    """Write the state-free part of every step of ``replicas`` into their
+    columns of the chunk series ``q``, whose first column is replica ``lo``.
+
+    Blocks of ``_BLOCK_ROWS`` replicas are drawn and convolved row-major and
+    ``q`` is built in the block's own buffers; the last operation writes it
+    in ``q``'s time-major (steps, rows) order.
+    """
+    h_steps, b_steps = p.horizon_steps, p.burn_steps
+    sqrt_dt = math.sqrt(p.dt)
+    for a, z, (blk_db, blk_dw) in replica_blocks(seed, replicas, _BLOCK_ROWS, layout):
+        blk_db *= sqrt_dt  # in place and elementwise: bit-identical to scaling each draw
+        vol = _volatility_paths(plan, blk_db)[:, :h_steps]
+        noise = blk_db[:, b_steps:]  # becomes V (rho dB + sqrt(1 - rho^2) dW)
+        noise *= p.rho
+        blk_dw *= sqrt_dt * math.sqrt(1.0 - p.rho * p.rho)
+        noise += blk_dw
+        noise *= vol
+        np.square(vol, out=vol)  # becomes V^2/2 dt
+        vol *= p.dt / 2.0
+        np.subtract(noise.T, vol.T, out=q[:, a - lo : z - lo])
+
+
 def simulate_ensemble(
     p: SdeParams,
     l0_list,
@@ -228,9 +259,13 @@ def simulate_ensemble(
     increments dB, then the orthogonal increments dW.  Each replica's history
     is drawn and convolved once into the state-free part ``q`` of every step,
     which drives every initial state and sharpens ensemble comparisons.
-    Replicas are stepped ``_DEFAULT_CHUNK`` at a time and drawn and convolved
-    ``_BLOCK_ROWS`` at a time; every operation is elementwise and per
-    replica, so these sizes bound memory and cannot change the results.
+    Replicas are stepped ``_DEFAULT_CHUNK`` at a time.  Each chunk's range is
+    cut into ``_WORKERS`` contiguous parts, and one thread per part draws and
+    convolves it ``_BLOCK_ROWS`` replicas at a time, through its own
+    transform buffers, into its own columns of ``q``; once every part is done
+    the chunk is stepped.  Every operation is elementwise and per replica, so
+    these sizes bound memory and cannot change the results.  A worker's
+    exception is raised here, after every worker has stopped.
     """
     l0_list = [float(v) for v in l0_list]
     n_states = len(l0_list)
@@ -255,50 +290,39 @@ def simulate_ensemble(
     for i, idx in enumerate(cp_idx):
         cp_at.setdefault(idx, []).append(i)
 
-    sqrt_dt = math.sqrt(p.dt)
     out = np.empty((n_states, len(cp_idx), replicas))
     l0 = np.array(l0_list)[:, None]
 
-    # Buffers are allocated once and refilled for every chunk and block, so
-    # no pass maps and faults in fresh memory.  A block of _BLOCK_ROWS
-    # replicas is drawn and convolved row-major, and q is built in the
-    # block's own buffers; its last operation writes q into the chunk's
-    # time-major (steps, rows) series for the Euler loop.  A block may
-    # straddle chunks, so that write reaches only as far as the chunk.
-    series = np.empty(h_steps * min(_DEFAULT_CHUNK, replicas))
-    vol_plan = ConvPlan(_kernel_taps(p.kernel, p.dt, p.burn_in), _BLOCK_ROWS, n_inc)
+    # Buffers are allocated once and refilled for every chunk, so no pass
+    # maps and faults in fresh memory: the chunk's time-major q series and
+    # each worker's transform buffers.
+    chunk = min(_DEFAULT_CHUNK, replicas)
+    series = np.empty(h_steps * chunk)
+    taps = _kernel_taps(p.kernel, p.dt, p.burn_in)
+    plan_rows = min(-(-chunk // _WORKERS), _BLOCK_ROWS)
+    plans = [ConvPlan(taps, plan_rows, n_inc) for _ in range(_WORKERS)]
     layout = [(np.random.Generator.standard_normal, (n,)) for n in (n_inc, h_steps)]
-    blocks = replica_blocks(seed, range(replicas), _BLOCK_ROWS, layout)
-    a = z = 0  # the drawn block holds replicas a..z-1
 
-    for lo in range(0, replicas, _DEFAULT_CHUNK):
-        hi = min(lo + _DEFAULT_CHUNK, replicas)
-        rows = hi - lo
-        q = series[: h_steps * rows].reshape(h_steps, rows)
-        k = lo
-        while k < hi:
-            if k == z:
-                a, z, (blk_db, blk_dw) = next(blocks)
-                blk_db *= sqrt_dt  # in place and elementwise: bit-identical to scaling each draw
-                vol = _volatility_paths(vol_plan, blk_db)[:, :h_steps]
-                noise = blk_db[:, b_steps:]  # becomes V (rho dB + sqrt(1 - rho^2) dW)
-                noise *= p.rho
-                blk_dw *= sqrt_dt * math.sqrt(1.0 - p.rho * p.rho)
-                noise += blk_dw
-                noise *= vol
-                np.square(vol, out=vol)  # becomes V^2/2 dt
-                vol *= p.dt / 2.0
-            e = min(z, hi)
-            np.subtract(noise[k - a : e - a].T, vol[k - a : e - a].T, out=q[:, k - lo : e - lo])
-            k = e
-        # The states step together; each step's row of q broadcasts over them.
-        l = np.repeat(l0, rows, axis=1)
-        for i in cp_at.get(0, ()):
-            out[:, i, lo:hi] = l
-        for step in range(h_steps):
-            l = euler_step(p, l, q[step])
-            for i in cp_at.get(step + 1, ()):
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        for lo in range(0, replicas, _DEFAULT_CHUNK):
+            hi = min(lo + _DEFAULT_CHUNK, replicas)
+            rows = hi - lo
+            q = series[: h_steps * rows].reshape(h_steps, rows)
+            cuts = [lo + rows * w // _WORKERS for w in range(_WORKERS + 1)]
+            jobs = [
+                pool.submit(_fill_noise, p, seed, plan, layout, q, lo, range(a, z))
+                for plan, a, z in zip(plans, cuts, cuts[1:])
+            ]
+            for job in jobs:
+                job.result()
+            # The states step together; each step's row of q broadcasts over them.
+            l = np.repeat(l0, rows, axis=1)
+            for i in cp_at.get(0, ()):
                 out[:, i, lo:hi] = l
+            for step in range(h_steps):
+                l = euler_step(p, l, q[step])
+                for i in cp_at.get(step + 1, ()):
+                    out[:, i, lo:hi] = l
     return EnsembleResult(
         l0_values=tuple(l0_list),
         checkpoint_times=cp_times,

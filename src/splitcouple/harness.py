@@ -243,9 +243,11 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> RunReport:
     model = LogvolMcreModel(p, n_max=max(schedule.n_of_m))
     gen = np.random.Generator
     layout = [(gen.standard_normal, (p.lag + t_sim + 2,)), (gen.random, (t_sim, 2))]
-    blocks = replica_blocks(cfg.seed, range(cfg.replicas), cfg.replicas, layout)
-    _, _, (eta, u) = next(blocks)  # one block: the coupling engine takes every replica at once
+    # One block: the coupling engine takes every replica at once.  The
+    # normals are freed once the environment is built from them.
+    _, _, (eta, u) = next(replica_blocks(cfg.seed, range(cfg.replicas), cfg.replicas, layout))
     env = ma_env_values(p, eta)
+    del eta
     res = mcre_coupled_chains_batch(model, env, tuple(x0_pair), schedule, t_sim, u)
     frac = int(np.count_nonzero(res.coupled)) / len(res)
     # Coupling is absorbing, so the fraction at the (possibly capped) horizon

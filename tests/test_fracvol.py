@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -241,23 +243,47 @@ def test_ensemble_matches_scalar_reference_path():
     replicas=st.integers(1, 30),
     chunk=st.integers(1, 12),
     block=st.integers(1, 5),
+    workers=st.integers(1, 3),
 )
-def test_chunking_and_blocking_are_invisible_bit_for_bit(kernel, replicas, chunk, block):
+def test_chunking_and_blocking_are_invisible_bit_for_bit(kernel, replicas, chunk, block, workers):
     # Small chunks and blocks give partial blocks inside partial chunks, a
-    # block wider than its chunk, and runs shorter than one block.  The
-    # reference draws, convolves and steps every replica in one pass.
+    # block wider than a worker's range, runs shorter than one block, and
+    # more workers than a chunk has rows (so some ranges are empty).  The
+    # reference draws, convolves and steps every replica in one pass on one
+    # worker.
     p = _params(kernel=kernel, dt=1.0 / 16.0, horizon=2.0)
     args = (p, [-1.0, 0.5, 1.0], replicas, [0.0, 0.5, 2.0], 9)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fracvol, "_DEFAULT_CHUNK", replicas)
         mp.setattr(fracvol, "_BLOCK_ROWS", replicas)
+        mp.setattr(fracvol, "_WORKERS", 1)
         whole = simulate_ensemble(*args)
         mp.setattr(fracvol, "_DEFAULT_CHUNK", chunk)
         mp.setattr(fracvol, "_BLOCK_ROWS", block)
+        mp.setattr(fracvol, "_WORKERS", workers)
         split = simulate_ensemble(*args)
     assert split.checkpoint_times == whole.checkpoint_times
     assert split.log_vol_variance == whole.log_vol_variance
     assert np.array_equal(split.samples, whole.samples)
+
+
+def test_a_worker_s_error_reaches_the_caller_after_every_worker_stops(monkeypatch):
+    # 64 replicas give each of the two workers two blocks of 16, so the
+    # volatility convolution runs four times; the second call fails.
+    calls = itertools.count(1)
+    real = fracvol._volatility_paths
+
+    def failing(plan, db):
+        if next(calls) == 2:
+            raise RunError("volatility failed")
+        return real(plan, db)
+
+    monkeypatch.setattr(fracvol, "_volatility_paths", failing)
+    p = _params(dt=1.0 / 16.0, horizon=2.0)
+    before = threading.active_count()
+    with pytest.raises(RunError, match="volatility failed"):
+        simulate_ensemble(p, [-1.0, 1.0], 64, [2.0], seed=9)
+    assert threading.active_count() == before
 
 
 def test_simulate_ensemble_resource_cap():

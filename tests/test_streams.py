@@ -47,15 +47,19 @@ def test_import_leaves_slow_scipy_modules_out():
 
 
 def test_replica_rng_is_called_in_streams_only():
-    # Each replica's stream layout is drawn in one place (streams.replica_blocks),
-    # and replicas are not fanned out over threads.
+    # Each replica's stream layout is drawn in one place (streams.replica_blocks).
+    # Threads build the SDE's noise series (fracvol) and nothing else, and their
+    # number is a constant of the code, never read from the environment.
     for path in glob.glob(os.path.join(os.path.dirname(splitcouple.__file__), "*.py")):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         name = os.path.basename(path)
         if name != "streams.py":
             assert "replica_rng(" not in text, name
-        assert "SPLITCOUPLE_WORKERS" not in text and "ThreadPoolExecutor" not in text, name
+        assert "SPLITCOUPLE_WORKERS" not in text, name
+        if name != "fracvol.py":
+            assert "ThreadPoolExecutor" not in text, name
+        assert "os.environ" not in text and "getenv" not in text, name
 
 
 @settings(max_examples=60, deadline=None)
