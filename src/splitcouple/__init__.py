@@ -7,70 +7,44 @@ rate bounds, and checks everything against exact oracles and Monte Carlo on
 three concrete models: a stable AR(1) chain, a discrete log-volatility chain
 in a moving-average Gaussian environment, and an Euler-discretized
 stochastic-volatility SDE.
+
+The names below load their module on first use, so ``import splitcouple``
+loads no submodule, and the SDE names (``fracvol``) load numpy but no scipy.
 """
 
-from .ar1 import (
-    Ar1Params,
-    ar1_alpha,
-    ar1_bound_curve,
-    ar1_lyapunov_constant,
-    ar1_marginal,
-    ar1_n_schedule,
-    ar1_rate_fit,
-    ar1_split_kernel,
-    ar1_stationary,
-    ar1_step,
-)
-from .coupling import (
-    BlockSchedule,
-    backward_orbit,
-    block_schedule,
-    coupled_pair,
-    coupling_lower_bound,
-    mcre_coupled_chains,
-    mcre_coupled_pair,
-    tv_upper_from_coupling,
-)
-from .errors import CertificationError, ConfigError, RunError, ScheduleError
-from .fracvol import (
-    DriftSpec,
-    SdeParams,
-    VolatilityKernel,
-    dissipativity_check,
-    euler_step,
-    increment_moment_check,
-    linear_drift,
-    saturating_drift,
-    simulate_ensemble,
-)
-from .kernels import (
-    SmallSetLadder,
-    SplitKernel,
-    UniformPair,
-    nu_inverse_cdf,
-    split_apply,
-    validate_minorization,
-)
-from .logvol import (
-    EnvState,
-    InnovationLaw,
-    LogvolParams,
-    geometric_ma,
-    fractional_ma,
-    logvol_alpha,
-    logvol_dn,
-    logvol_moment_bound,
-    logvol_step,
-    logvol_tail,
-    ma_env_path,
-)
-from .metrics import (
-    PathWindow,
-    bounded_wasserstein,
-    path_metric_d,
-    tv_empirical,
-    tv_gaussian,
-    tv_density,
-)
+import importlib
 
+_EXPORTS = {
+    "ar1": ("Ar1Params", "ar1_alpha", "ar1_bound_curve", "ar1_lyapunov_constant",
+            "ar1_marginal", "ar1_n_schedule", "ar1_rate_fit", "ar1_split_kernel",
+            "ar1_stationary", "ar1_step"),
+    "coupling": ("BlockSchedule", "backward_orbit", "block_schedule", "coupled_pair",
+                 "coupling_lower_bound", "mcre_coupled_chains", "mcre_coupled_pair",
+                 "tv_upper_from_coupling"),
+    "errors": ("CertificationError", "ConfigError", "RunError", "ScheduleError"),
+    "fracvol": ("DriftSpec", "SdeParams", "VolatilityKernel", "dissipativity_check",
+                "euler_step", "increment_moment_check", "linear_drift", "saturating_drift",
+                "simulate_ensemble"),
+    "kernels": ("SmallSetLadder", "SplitKernel", "UniformPair", "nu_inverse_cdf",
+                "split_apply", "validate_minorization"),
+    "logvol": ("EnvState", "InnovationLaw", "LogvolParams", "geometric_ma", "fractional_ma",
+               "logvol_alpha", "logvol_dn", "logvol_moment_bound", "logvol_step",
+               "logvol_tail", "ma_env_path"),
+    "metrics": ("PathWindow", "bounded_wasserstein", "path_metric_d", "tv_empirical",
+                "tv_gaussian", "tv_density"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from .ar1 import Ar1Params
 from .errors import ConfigError, ScheduleError
 from .fracvol import (
     _BLOCK_ROWS as _SDE_BLOCK,
@@ -26,13 +25,6 @@ from .fracvol import (
     VolatilityKernel,
     linear_drift,
     saturating_drift,
-)
-from .logvol import (
-    _BLOCK_ROWS as _LOGVOL_BLOCK,
-    LogvolParams,
-    fractional_ma,
-    geometric_ma,
-    logvol_schedule,
 )
 
 EXPERIMENTS = ("ar1-bound", "ar1-couple", "logvol-sim", "logvol-couple", "sde-sim")
@@ -153,6 +145,7 @@ def _parse_call(key: str, text: str, families: dict[str, int]) -> tuple[str, lis
 
 
 def _ma_coeffs(fields: _Fields) -> tuple[float, ...]:
+    from .logvol import fractional_ma, geometric_ma
     text = fields.str_("logvol.ma", "geometric(0.5, 512)")
     if "(" in text:
         name, args = _parse_call("logvol.ma", text, {"geometric": 2, "fractional": 2})
@@ -210,6 +203,7 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
         per_state = 8 * n_times + _CSV_ROW_BYTES * len(options["checkpoints"])
         return (8 * h * chunk + _SDE_WORKERS * (block + 4) * per_block_row
                 + len(options["l0"]) * r * per_state)
+    from .logvol import _BLOCK_ROWS as _LOGVOL_BLOCK, logvol_schedule
     lag = model.lag
     if experiment == "logvol-sim":  # one block's draws and transform, then the outputs
         steps = max(options["checkpoints"])
@@ -237,7 +231,9 @@ def load_config_text(text: str) -> ExperimentConfig:
 
     options: dict[str, Any] = {}
     replicas = 1
+    # ar1 and logvol load scipy.special, so each is imported by its own configs only
     if experiment == "ar1-bound":
+        from .ar1 import Ar1Params
         gamma = fields.float_("ar1.gamma", 0.5)
         beta = fields.float_("ar1.beta", 0.4 * (1.0 - gamma**2))
         x0 = fields.float_("ar1.x0", 0.0)
@@ -250,6 +246,7 @@ def load_config_text(text: str) -> ExperimentConfig:
         if min(options["t_grid"]) < 2:
             raise ConfigError("ar1.t_grid: horizons must be at least 2")
     elif experiment == "ar1-couple":
+        from .ar1 import Ar1Params
         gamma = fields.float_("ar1.gamma", 0.5)
         beta = fields.float_("ar1.beta", 0.4 * (1.0 - gamma**2))
         x0 = fields.float_("ar1.x0", 1.0)
@@ -266,6 +263,7 @@ def load_config_text(text: str) -> ExperimentConfig:
             raise ConfigError("couple.n: ladder index must be nonnegative")
         replicas = fields.int_("replicas", 10000)
     elif experiment in ("logvol-sim", "logvol-couple"):
+        from .logvol import LogvolParams
         gamma = fields.float_("logvol.gamma", 0.5)
         rho = fields.float_("logvol.rho", 0.3)
         x0 = fields.float_("logvol.x0", 0.0)

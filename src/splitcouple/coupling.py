@@ -291,14 +291,20 @@ def _coupled_batch(
         env_ok = model.env_in_small_set(env_row, n)
         u1, u2 = u[:, jprime, 0], u[:, jprime, 1]
         if jprime < depth_w:
-            codes[:, depth_w - 1 - jprime] = _classify(v, w, radius, env_ok)
-            vw = np.concatenate([v, w])
+            code = _classify(v, w, radius, env_ok)
+            codes[:, depth_w - 1 - jprime] = code
+            # A coalesced w equals v and would take v's step bit for bit (each
+            # element is inverted on its own), so w is stepped where it differs.
+            live = np.flatnonzero(code != 0)
+            rows = np.concatenate([np.arange(reps), live])  # replica of each element
+            vw = np.concatenate([v, w[live]])
             out = split_apply_batch(
-                model.kernel(np.concatenate([env_row, env_row], axis=0)), n, vw,
-                np.tile(u1, 2), np.tile(u2, 2),
-                in_set=(np.abs(vw) <= radius) & np.tile(env_ok, 2),
+                model.kernel(env_row[rows]), n, vw, u1[rows], u2[rows],
+                in_set=(np.abs(vw) <= radius) & env_ok[rows],
             )
-            v, w = out[:reps], out[reps:]
+            v = out[:reps]
+            w = v.copy()
+            w[live] = out[reps:]
         else:
             v = split_apply_batch(
                 model.kernel(env_row), n, v, u1, u2, in_set=(np.abs(v) <= radius) & env_ok

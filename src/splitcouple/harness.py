@@ -16,24 +16,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.rec  # loaded on first use otherwise, inside a run (see streams)
 
-from . import ar1 as ar1mod
 from .config import ExperimentConfig
-from .coupling import (
-    coupled_pair_batch,
-    coupling_lower_bound,
-    mcre_coupled_chains_batch,
-    tv_upper_from_coupling,
-)
 from .errors import RunError, ScheduleError
 from .fracvol import increment_constants, increment_moment_check, simulate_ensemble
-from .logvol import (
-    LogvolMcreModel,
-    logvol_moment_bound,
-    logvol_schedule,
-    ma_env_values,
-    simulate_logvol_batch,
-)
 from .metrics import tv_empirical, tv_empirical_se, tv_gaussian
 from .streams import replica_blocks, replica_uniform_pairs
 
@@ -130,7 +117,10 @@ def write_report(report: RunReport, outdir: str) -> tuple[str, str]:
     return csv_path, json_path
 
 
+# The ar1 and logvol drivers import their models when they run: those load
+# scipy.special, which an sde-sim run never needs.
 def _run_ar1_bound(cfg: ExperimentConfig) -> RunReport:
+    from . import ar1 as ar1mod
     p = cfg.model
     rows = []
     st_mean, st_var = ar1mod.ar1_stationary(p)
@@ -154,6 +144,8 @@ def _run_ar1_bound(cfg: ExperimentConfig) -> RunReport:
 
 
 def _run_ar1_couple(cfg: ExperimentConfig) -> RunReport:
+    from . import ar1 as ar1mod
+    from .coupling import coupled_pair_batch, coupling_lower_bound, tv_upper_from_coupling
     p = cfg.model
     n = cfg.options["n"]
     s = cfg.options["s"]
@@ -190,6 +182,7 @@ def _run_ar1_couple(cfg: ExperimentConfig) -> RunReport:
 
 
 def _run_logvol_sim(cfg: ExperimentConfig) -> RunReport:
+    from .logvol import logvol_moment_bound, simulate_logvol_batch
     p = cfg.model
     checkpoints = cfg.options["checkpoints"]
     horizon = max(checkpoints)
@@ -218,6 +211,8 @@ _SCHEDULE_DTYPE = [("m", np.int64), ("n", np.int64), ("alpha", np.float64),
 
 
 def _run_logvol_couple(cfg: ExperimentConfig) -> RunReport:
+    from .coupling import mcre_coupled_chains_batch
+    from .logvol import LogvolMcreModel, logvol_schedule, ma_env_values
     p = cfg.model
     m_max = cfg.options["m_max"]
     target_block = cfg.options["target_block"]

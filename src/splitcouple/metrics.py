@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, ndtr
 
 _MAX_PATH_STEP = 1.0 / 64.0
 
@@ -48,6 +47,7 @@ def tv_density(p_density, q_density, grid) -> float:
 
 
 def _phi(z: float) -> float:
+    from scipy.special import ndtr  # deferred, as in tv_gaussian
     return float(ndtr(z))
 
 
@@ -60,6 +60,7 @@ def tv_gaussian(m1: float, v1: float, m2: float, v2: float) -> float:
     crossing points of the densities.  A point mass against anything else
     (or two distinct point masses) is at the maximal distance 2.
     """
+    from scipy.special import erf  # deferred: the SDE path imports no scipy
     if v1 < 0.0 or v2 < 0.0:
         raise ValueError("variances must be nonnegative")
     if v1 == 0.0 and v2 == 0.0:

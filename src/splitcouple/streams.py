@@ -15,6 +15,10 @@ order, is:
 
 Here ``h`` is the simulated horizon in steps, ``t`` the coupled horizon and
 ``lag`` the moving-average lag.
+
+The module needs numpy alone: ``ConvPlan`` picks its transform length with
+``_fast_len`` rather than ``scipy.fft.next_fast_len``, whose import loads
+``scipy.special``, so the SDE path imports no scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 import numpy as np
-from scipy.fft import next_fast_len
+# numpy loads these on first use; load them with the package, so that set-up
+# pays for them and a run does not
+import numpy.fft
+import numpy.random
 
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
@@ -65,16 +72,32 @@ def replica_uniform_pairs(master_seed: int, replicas: range, steps: int) -> np.n
     return u
 
 
+def _fast_len(n: int) -> int:
+    """Smallest ``2^a 3^b 5^c >= n``: the real-transform length that
+    ``scipy.fft.next_fast_len(n, True)`` returns, for ``n >= 1``."""
+    best = 1 << (n - 1).bit_length()  # the power of two at or above n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that lifts it to n or more
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 class ConvPlan:
     """The "valid" part of each row of a (k <= rows, n_in) array convolved with
     ``taps``, bit for bit as ``scipy.signal.fftconvolve(x, taps[None, :],
-    mode="valid", axes=1)``: pocketfft at its transform length, into buffers
-    the next call reuses, or for one tap the plain product (a new array) it returns.
+    mode="valid", axes=1)``: pocketfft at its transform length (``_fast_len``),
+    into buffers the next call reuses, or for one tap the plain product (a new
+    array) it returns.
     """
 
     def __init__(self, taps, rows: int, n_in: int):
         self.taps = np.asarray(taps, float)
-        self.n = next_fast_len(n_in + self.taps.size - 1, True)
+        self.n = _fast_len(n_in + self.taps.size - 1)
         self.valid = slice(self.taps.size - 1, n_in)
         if self.taps.size > 1:
             self.taps_hat = np.fft.rfft(self.taps, self.n)

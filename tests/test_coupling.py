@@ -22,7 +22,8 @@ from splitcouple.coupling import (
     tv_upper_from_coupling,
 )
 from splitcouple.errors import ScheduleError
-from splitcouple.kernels import SmallSetLadder, UniformPair, split_apply
+from splitcouple.kernels import SmallSetLadder, UniformPair, split_apply, split_apply_batch
+from splitcouple.logvol import LogvolMcreModel, LogvolParams, logvol_schedule
 from splitcouple.streams import replica_uniform_pairs
 
 GAMMA = 0.5
@@ -352,3 +353,89 @@ def test_row_ranges_concatenate_to_whole_table(kernel, reps, s, extra, seed, dat
     for name in whole.dtype.names:
         assert np.array_equal(parts[name], whole[name])
     _check_record_agreement(whole)
+
+
+def _stepped_in_full(model, env, x_v0, x_w0, depth_w, t, u, ladder_index):
+    """Reference engine: both orbits take every shared step, coalesced or not.
+
+    Returns the codes, couple_step and final states the engine should record.
+    """
+    reps = u.shape[0]
+    v, w = np.full(reps, float(x_v0)), np.full(reps, float(x_w0))
+    codes = np.empty((reps, depth_w + 1), np.int8)
+
+    def classify(col, n, env_row, v, w):
+        r = model.ladder.radii[n]
+        both = (np.abs(v) <= r) & (np.abs(w) <= r) & model.env_in_small_set(env_row, n)
+        codes[:, col] = np.where(v == w, 0, np.where(both, 1, 2))
+
+    for k in range(1, t + 1):
+        j = t - k
+        n = ladder_index[j]
+        env_row = env[:, k - 1]
+        ok = model.env_in_small_set(env_row, n)
+        radius = model.ladder.radii[n]
+
+        def step(x):
+            return split_apply_batch(model.kernel(env_row), n, x, u[:, j, 0], u[:, j, 1],
+                                     in_set=(np.abs(x) <= radius) & ok)
+
+        if j < depth_w:
+            classify(depth_w - 1 - j, n, env_row, v, w)
+            w = step(w)
+        v = step(v)
+    classify(depth_w, ladder_index[0], env[:, t], v, w)
+    met = codes == 0
+    return codes, np.where(met[:, -1], met.argmax(axis=1), -1), np.stack([v, w], axis=1)
+
+
+def _assert_records_equal(res, want) -> None:
+    codes, couple_step, final = want
+    assert np.array_equal(res.codes, codes)
+    assert np.array_equal(res.couple_step, couple_step)
+    assert np.array_equal(res.final, final)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    reps=st.integers(1, 6),
+    n=st.integers(0, 6),
+    s=st.integers(1, 40),
+    extra=st.integers(0, 20),
+    x0=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coupled_pair_batch_matches_stepping_both_orbits_in_full(kernel, reps, n, s, extra,
+                                                                 x0, seed):
+    # The engine steps w only where it differs from v; a coalesced w must
+    # still end every step equal to v, bit for bit.
+    t = s + extra
+    u = np.random.default_rng(seed).random((reps, t, 2))
+    want = _stepped_in_full(ConstEnvModel(base=kernel), np.zeros((reps, t + 1, 0)),
+                            x0, x0, s, t, u, [n] * t)
+    _assert_records_equal(coupled_pair_batch(kernel, n, x0, s, t, u), want)
+
+
+_MCRE_PARAMS = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=(0.1,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    reps=st.integers(1, 6),
+    t=st.integers(1, 90),
+    x0_pair=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    env_scale=st.floats(0.1, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mcre_chains_batch_matches_stepping_both_orbits_in_full(reps, t, x0_pair, env_scale,
+                                                                seed):
+    # A per-element environment: the live pairs must meet their own rows.
+    # Orbits merge in floating point after about 55 contracting steps.
+    rng = np.random.default_rng(seed)
+    sched = logvol_schedule(_MCRE_PARAMS, 1)
+    model = LogvolMcreModel(_MCRE_PARAMS, n_max=max(sched.n_of_m))
+    env = env_scale * rng.standard_normal((reps, t + 1, 2))
+    u = rng.random((reps, t, 2))
+    ladder_index = [sched.n_of_m[sched.block_of_uniform_index(j) - 1] for j in range(t)]
+    want = _stepped_in_full(model, env, *x0_pair, t, t, u, ladder_index)
+    _assert_records_equal(mcre_coupled_chains_batch(model, env, x0_pair, sched, t, u), want)

@@ -1,4 +1,6 @@
 import glob
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import splitcouple
 from splitcouple.logvol import geometric_ma
-from splitcouple.streams import ConvPlan, replica_blocks, replica_rng, replica_uniform_pairs
+from splitcouple.streams import (
+    ConvPlan,
+    _fast_len,
+    replica_blocks,
+    replica_rng,
+    replica_uniform_pairs,
+)
 
 
 @pytest.mark.parametrize("rows,n_in,n_taps", [
@@ -44,6 +52,76 @@ def test_import_leaves_slow_scipy_modules_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+_TINY_SDE = """\
+experiment = sde-sim
+seed = 5
+replicas = 100
+sde.kernel = exponential(10.0)
+sde.horizon = 1.0
+sde.burn_in = 1.0
+sde.dt = 0.015625
+sde.checkpoints = 0.25, 1.0
+sde.increment_base = 0.5
+sde.increment_lags = 0.125, 0.03125
+"""
+
+
+def test_sde_path_loads_no_scipy_and_ar1_configs_load_it_at_config_time(tmp_path):
+    # Importing the package, then loading and running an sde-sim config, must
+    # leave scipy out of a fresh process, and the run must import nothing that
+    # set-up did not (numpy loads some submodules on first use); an ar1 config
+    # loads scipy.special in load_config, so that cost stays out of the run.
+    sde_cfg = tmp_path / "sde.cfg"
+    sde_cfg.write_text(_TINY_SDE, encoding="utf-8")
+    ar1_cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "ar1-couple.cfg")
+    code = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import splitcouple, splitcouple.cli, splitcouple.harness\n"
+        "seen = {'import': scipy_modules()}\n"
+        "splitcouple.cli.main(['validate', sys.argv[1]])\n"
+        "before = set(sys.modules)\n"
+        "rc = splitcouple.cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+        "seen['run'] = scipy_modules()\n"
+        "seen['run_imports'] = sorted(set(sys.modules) - before)\n"
+        "from splitcouple.config import load_config\n"
+        "load_config(sys.argv[3])\n"
+        "seen['ar1'] = scipy_modules()\n"
+        "print(json.dumps({'rc': rc, **seen}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(splitcouple.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(sde_cfg), str(tmp_path / "out"), ar1_cfg],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(out.stdout.strip().splitlines()[-1])
+    assert seen["rc"] in (0, 1) and (tmp_path / "out" / "sde-sim.csv").is_file()
+    assert seen["import"] == []
+    assert seen["run"] == []
+    assert seen["run_imports"] == []
+    assert "scipy.special" in seen["ar1"]
+
+
+def test_fast_len_is_scipy_s_real_transform_length():
+    from scipy.fft import next_fast_len
+
+    for n in [*range(1, 20_001), 2**20 + 1, 3**13, 10**6 + 1, 7**9, 2**31 - 1]:
+        assert _fast_len(n) == next_fast_len(n, True), n
+
+
+def test_lazy_exports_are_the_submodules_objects():
+    for module, names in splitcouple._EXPORTS.items():
+        sub = importlib.import_module(f"splitcouple.{module}")
+        for name in names:
+            assert getattr(splitcouple, name) is getattr(sub, name), name
+            assert name in dir(splitcouple), name
+    assert sorted(splitcouple.__all__) == sorted(splitcouple._MODULE_OF)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        splitcouple.no_such_name
 
 
 def test_replica_rng_is_called_in_streams_only():
