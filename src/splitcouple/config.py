@@ -193,12 +193,17 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
         return r * (17 * options["t"] + _CSV_ROW_BYTES)
     if experiment == "sde-sim":
         # One chunk's q series (a float a replica-step); for each worker one
-        # block's draws and transform, plus four rows' worth for its kernel
-        # spectrum, FFT scratch and one replica's fresh draws; then the outputs.
+        # block's draws and convolution buffers, plus four rows' worth for the
+        # kernel's spectrum or the scan's weights, FFT scratch and one
+        # replica's fresh draws; then the outputs.
         h, burn = model.horizon_steps, model.burn_steps
         chunk = min(r, _SDE_CHUNK)
         block = min(-(-chunk // _SDE_WORKERS), _SDE_BLOCK)
-        per_block_row = 8 * (burn + 2 * h) + 16 * (2 * burn + h)
+        per_block_row = 8 * (burn + 2 * h)
+        if model.kernel.kind == "exponential":  # the scan's output and scratch
+            per_block_row += 8 * (burn + 2 * h)
+        else:  # the transform, about 16 bytes a point
+            per_block_row += 16 * (2 * burn + h)
         n_times = len(options["checkpoints"]) + 1 + len(options["increment_lags"])
         per_state = 8 * n_times + _CSV_ROW_BYTES * len(options["checkpoints"])
         return (8 * h * chunk + _SDE_WORKERS * (block + 4) * per_block_row
@@ -227,6 +232,8 @@ def load_config_text(text: str) -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: unknown kind {experiment!r}; expected one of {EXPERIMENTS}")
     seed = fields.int_("seed", 12345)
+    if seed < 0:
+        raise ConfigError(f"seed: must be a non-negative integer, got {seed}")
     output_dir = fields.str_("output.dir", f"runs/{experiment}")
 
     options: dict[str, Any] = {}
@@ -246,6 +253,7 @@ def load_config_text(text: str) -> ExperimentConfig:
         if min(options["t_grid"]) < 2:
             raise ConfigError("ar1.t_grid: horizons must be at least 2")
     elif experiment == "ar1-couple":
+        from . import coupling  # the run's engine, loaded here so that the run imports none
         from .ar1 import Ar1Params
         gamma = fields.float_("ar1.gamma", 0.5)
         beta = fields.float_("ar1.beta", 0.4 * (1.0 - gamma**2))

@@ -5,14 +5,16 @@ The log-price solves
 with ``V = exp(J)`` and ``J`` a moving average of the increments of the same
 Brownian motion B against a square-integrable kernel.  Stationarity of the
 volatility is approximated by a finite-history convolution over a burn-in
-window; dissipativity of the drift is certified on a grid.  The left-point
-Euler step splits into the state's drift ``zeta(L) dt`` and a part that does
-not depend on the state,
+window: a blocked recursive scan for an exponential kernel, whose taps are
+geometric (``streams.ScanPlan``, within about 1e-14 of a direct sum), and an
+FFT for a fractional one (``streams.ConvPlan``).  Dissipativity of the drift
+is certified on a grid.  The left-point Euler step splits into the state's
+drift ``zeta(L) dt`` and a part that does not depend on the state,
 ``q = V (rho dB + sqrt(1 - rho^2) dW) - V^2/2 dt``,
 which is computed once per replica and step, before any state is stepped.
 Each chunk's ``q`` is built by ``_WORKERS`` threads, each drawing and
 convolving its own contiguous range of the chunk's replicas into its own
-columns; numpy's draws, transforms and ufuncs release the GIL, so the
+columns; numpy's draws, transforms, scans and ufuncs release the GIL, so the
 workers share the machine's CPUs, and every operation is per replica, so
 the split cannot change a bit.  The Euler loop then runs on one thread.
 """
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RunError
-from .streams import ConvPlan, replica_blocks
+from .streams import ConvPlan, ScanPlan, replica_blocks
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
 _DEFAULT_CHUNK = 1536  # replicas stepped together; one float64 of q per replica-step
@@ -189,7 +191,7 @@ def discrete_log_vol_variance(p: SdeParams) -> float:
     return float(np.sum(taps * taps) * p.dt)
 
 
-def _volatility_paths(plan: ConvPlan, db: np.ndarray) -> np.ndarray:
+def _volatility_paths(plan: ConvPlan | ScanPlan, db: np.ndarray) -> np.ndarray:
     """Volatility exp(J) of each row of Brownian increments, in ``plan``'s
     buffer until its next call: J at a grid point after the burn-in window is
     the left-point convolution of the kernel taps with the window's increments,
@@ -222,8 +224,8 @@ class EnsembleResult:
         raise KeyError(f"no checkpoint at t = {time}")
 
 
-def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan, layout: list, q: np.ndarray,
-                lo: int, replicas: range) -> None:
+def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan | ScanPlan, layout: list,
+                q: np.ndarray, lo: int, replicas: range) -> None:
     """Write the state-free part of every step of ``replicas`` into their
     columns of the chunk series ``q``, whose first column is replica ``lo``.
 
@@ -262,7 +264,7 @@ def simulate_ensemble(
     Replicas are stepped ``_DEFAULT_CHUNK`` at a time.  Each chunk's range is
     cut into ``_WORKERS`` contiguous parts, and one thread per part draws and
     convolves it ``_BLOCK_ROWS`` replicas at a time, through its own
-    transform buffers, into its own columns of ``q``; once every part is done
+    scan or transform buffers, into its own columns of ``q``; once every part is done
     the chunk is stepped.  Every operation is elementwise and per replica, so
     these sizes bound memory and cannot change the results.  A worker's
     exception is raised here, after every worker has stopped.
@@ -295,12 +297,16 @@ def simulate_ensemble(
 
     # Buffers are allocated once and refilled for every chunk, so no pass
     # maps and faults in fresh memory: the chunk's time-major q series and
-    # each worker's transform buffers.
+    # each worker's scan or transform buffers.
     chunk = min(_DEFAULT_CHUNK, replicas)
     series = np.empty(h_steps * chunk)
     taps = _kernel_taps(p.kernel, p.dt, p.burn_in)
     plan_rows = min(-(-chunk // _WORKERS), _BLOCK_ROWS)
-    plans = [ConvPlan(taps, plan_rows, n_inc) for _ in range(_WORKERS)]
+    if p.kernel.kind == "exponential":  # geometric taps: a recursion
+        rate = p.kernel.lam * p.dt
+        plans = [ScanPlan(taps, rate, plan_rows, n_inc) for _ in range(_WORKERS)]
+    else:
+        plans = [ConvPlan(taps, plan_rows, n_inc) for _ in range(_WORKERS)]
     layout = [(np.random.Generator.standard_normal, (n,)) for n in (n_inc, h_steps)]
 
     with ThreadPoolExecutor(_WORKERS) as pool:

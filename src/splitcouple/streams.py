@@ -1,4 +1,5 @@
-"""Deterministic randomness streams for replicated experiments, and the one convolution.
+"""Deterministic randomness streams for replicated experiments, and the
+moving averages.
 
 One 64-bit master seed governs an experiment.  Replica ``k`` draws from a
 stream derived as ``SeedSequence(master_seed, spawn_key=(k,))``, so any
@@ -16,13 +17,24 @@ order, is:
 Here ``h`` is the simulated horizon in steps, ``t`` the coupled horizon and
 ``lag`` the moving-average lag.
 
-The module needs numpy alone: ``ConvPlan`` picks its transform length with
-``_fast_len`` rather than ``scipy.fft.next_fast_len``, whose import loads
-``scipy.special``, so the SDE path imports no scipy.
+``replica_rng`` defines a replica's stream; building it costs about 27 us,
+most of it in ``SeedSequence``.  ``replica_blocks`` therefore works out the
+PCG64 state of many replicas at once (``_pcg64_states``, numpy's stable
+seeding algorithm run on uint32 arrays) and sets it on one reused
+generator per block, after checking the block's first replica against
+``replica_rng``.  The draws are the same bits either way.
+
+Moving averages go through ``ConvPlan`` (an FFT, bit for bit as
+``scipy.signal.fftconvolve``) or, for a geometric kernel, ``ScanPlan`` (a
+blocked recursion).  The module needs numpy alone: ``ConvPlan`` picks its
+transform length with ``_fast_len`` rather than
+``scipy.fft.next_fast_len``, whose import loads ``scipy.special``, so the SDE
+path imports no scipy.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -31,11 +43,93 @@ import numpy as np
 import numpy.fft
 import numpy.random
 
+from .errors import RunError
+
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
     """Generator for one replica, independent of how other replicas are run."""
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(replica),))
     return np.random.default_rng(ss)
+
+
+# numpy's SeedSequence and PCG64 seeding constants (numpy/random/bit_generator.pyx,
+# pcg64.h); the algorithm is part of numpy's stream-compatibility policy.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy's hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's hash
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # SeedSequence's pool size in uint32 words
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STATE_SLICE = 1024  # replicas whose states are worked out together, bounding the scratch
+
+
+def _hashmix(value, hc):
+    """SeedSequence's ``hashmix`` of a uint32 word (a Python int or a uint32
+    array) under hash constant ``hc``: the hashed word and the next constant."""
+    value = value ^ hc
+    hc = hc * _MULT_A & _MASK32
+    value = value * hc & _MASK32
+    return value ^ value >> 16, hc
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian uint32 words of a non-negative integer (``[0]`` for 0)."""
+    if n < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_states(master_seed: int, replicas: range) -> Iterator[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` of ``replica_rng(master_seed, k)`` for each
+    ``k`` of the contiguous ``replicas``, each in ``[0, 2^32)``, in order.
+
+    The run entropy is the seed's words, zero-padded to the pool size, and the
+    replica index is one word after it, so everything but the last word's
+    mixing and the output hash is the same for every replica and runs on
+    Python ints; those two run on uint32 arrays over the replicas.  The four
+    uint64 output words seed PCG64 as ``pcg64_set_seed`` does.
+    """
+    ks = np.arange(replicas.start, replicas.stop)
+    if ks.size and (ks[0] < 0 or ks[-1] > _MASK32):
+        raise ValueError("replica indices must lie in [0, 2^32)")
+    entropy = _uint32_words(int(master_seed))
+    entropy += [0] * (_POOL - len(entropy))
+    entropy.append(ks.astype(np.uint32))
+    hc = _INIT_A
+    pool = []
+    for word in entropy[:_POOL]:
+        word, hc = _hashmix(word, hc)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], word)
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            hashed, hc = _hashmix(word, hc)
+            pool[dst] = _mix(pool[dst], hashed)
+    hc = _INIT_B
+    out = []
+    for i in range(2 * _POOL):  # generate_state(4, uint64): eight words
+        word = pool[i % _POOL] ^ hc
+        hc = hc * _MULT_B & _MASK32
+        word = word * hc & _MASK32
+        out.append(word ^ word >> 16)
+    low, high = np.array(out[0::2], np.uint64), np.array(out[1::2], np.uint64)
+    for words in (low | high << 32).T:  # low word first
+        s0, s1, i0, i1 = words.tolist()
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        yield ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
 
 
 def replica_blocks(master_seed: int, replicas: range, rows: int, layout: list) -> Iterator:
@@ -48,12 +142,27 @@ def replica_blocks(master_seed: int, replicas: range, rows: int, layout: list) -
     ``draws[j][k - lo]`` holds the ``j``-th result.  The draws fill buffers
     allocated once per call, so each block's views are overwritten by the
     next block: read or copy them before advancing.
+
+    Each block builds one generator, ``replica_rng(master_seed, lo)``, and
+    checks it against the worked-out state of replica ``lo`` (a ``RunError``
+    if they differ); every replica of the block then draws from that
+    generator with its own state set.  States are worked out ``_STATE_SLICE``
+    replicas at a time.
     """
     bufs = [np.empty((min(rows, len(replicas)), *shape)) for _, shape in layout]
+    slices = (range(lo, min(lo + _STATE_SLICE, replicas.stop))
+              for lo in range(replicas.start, replicas.stop, _STATE_SLICE))
+    states = (state for part in slices for state in _pcg64_states(master_seed, part))
+    state = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
     for lo in range(replicas.start, replicas.stop, rows):
         hi = min(lo + rows, replicas.stop)
-        for row, k in enumerate(range(lo, hi)):
-            rng = replica_rng(master_seed, k)
+        rng = replica_rng(master_seed, lo)
+        for row, (pcg_state, inc) in zip(range(hi - lo), states):
+            state["state"] = {"state": pcg_state, "inc": inc}
+            if row == 0 and state != rng.bit_generator.state:
+                raise RunError(f"worked-out stream state of replica {lo} differs "
+                               "from its SeedSequence's")
+            rng.bit_generator.state = state
             for (draw, shape), buf in zip(layout, bufs):
                 buf[row] = draw(rng, shape)
         yield lo, hi, tuple(buf[: hi - lo] for buf in bufs)
@@ -112,3 +221,82 @@ class ConvPlan:
         np.multiply(spec, self.taps_hat, out=spec)
         np.fft.irfft(spec, self.n, axis=1, out=full)
         return full[:, self.valid]
+
+
+_SCAN_BLOCK = 256  # the most steps one block of ScanPlan's scan spans
+
+
+class ScanPlan:
+    """The "valid" part of each row of a (k <= rows, n_in) array convolved with
+    geometric ``taps`` (``taps[i] = taps[0] exp(-rate i)`` up to the last
+    nonzero tap, zeros after it, as a kernel cut at its memory leaves them),
+    as ``ConvPlan`` returns it, by a blocked recursive scan into buffers the
+    next call reuses.
+
+    With ``m`` nonzero taps ``t_i``, ``a = exp(-rate)`` and ``x`` the input
+    past the leading columns that only zero taps reach, ``J_0 = sum_i t_i
+    x[m - 1 - i]`` (a per-row product and ``np.add.reduce``) and
+    ``J_j = a J_{j-1} + t_0 x[j + m - 1] - a t_{m-1} x[j - 1]``.  The
+    recursion runs in blocks of ``T = min(256, max(1, floor(1 / rate)))``
+    steps: inside a block the driving terms are weighted by ``a^(T-1-p)``
+    and summed by ``cumsum``, a loop over blocks carries ``a^T J`` from one
+    block to the next on (rows,) vectors, and one broadcast add and one
+    multiply by ``a^(p+1-T)`` (at most e) finish it.  Every operation is
+    elementwise or a reduction along a row, so a row's result does not
+    depend on the other rows.  It agrees with a direct sum to about 1e-14
+    where the FFT reaches about 1e-15, and costs about a third of the FFT at
+    the shipped ``sde-sim`` sizes.
+    """
+
+    def __init__(self, taps, rate: float, rows: int, n_in: int):
+        taps = np.asarray(taps, float)
+        nonzero = np.flatnonzero(taps)
+        self.m = m = int(nonzero[-1]) + 1 if nonzero.size else 0
+        self.skip = taps.size - m
+        self.n_out = n_in - taps.size + 1
+        steps = self.n_out - 1
+        a = math.exp(-rate)
+        self.block = block = min(_SCAN_BLOCK, max(1, int(1.0 / rate)))
+        self.n_blocks = n_blocks = -(-steps // block)
+        # J_0 ends a first block and J_1, J_2, ... fill the blocks after it,
+        # so each row's scan is a (n_blocks, block) view at a block's offset
+        self.out = np.empty((rows, (n_blocks + 1) * block))
+        if m == 0:
+            return
+        self.rev_taps = taps[m - 1 :: -1].copy()
+        weight = np.tile(a ** np.arange(block - 1, -1, -1.0), n_blocks)[:steps]
+        self.w_in = taps[0] * weight  # the entering input's weighted tap
+        self.w_out = a * taps[m - 1] * weight  # the leaving input's
+        self.finish = a ** np.arange(1.0 - block, 1.0)
+        self.a_block = a**block
+        self.work = np.empty(rows * max(m, n_blocks * block))
+        self.starts = np.empty((rows, n_blocks))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        k, m, steps, block = len(x), self.m, self.n_out - 1, self.block
+        out = self.out[:k]
+        first = block - 1  # J_0's column
+        valid = out[:, first : first + self.n_out]
+        if m == 0:
+            valid[:] = 0.0
+            return valid
+        x = x[:, self.skip :]
+        prod = self.work[: k * m].reshape(k, m)
+        np.multiply(x[:, :m], self.rev_taps, out=prod)
+        np.add.reduce(prod, axis=1, out=out[:, first])
+        drive = self.work[: k * self.n_blocks * block].reshape(k, self.n_blocks * block)
+        np.multiply(x[:, m:], self.w_in, out=drive[:, :steps])
+        leaving = out[:, block : block + steps]  # scratch until the scan writes J there
+        np.multiply(x[:, :steps], self.w_out, out=leaving)
+        np.subtract(drive[:, :steps], leaving, out=drive[:, :steps])
+        drive[:, steps:] = 0.0
+        scan = out.reshape(k, self.n_blocks + 1, block)[:, 1:]
+        np.cumsum(drive.reshape(scan.shape), axis=2, out=scan)
+        starts = self.starts[:k]
+        j = out[:, first]
+        for b in range(self.n_blocks):
+            np.multiply(j, self.a_block, out=starts[:, b])
+            j = starts[:, b] + scan[:, b, -1]
+        scan += starts[:, :, None]
+        scan *= self.finish
+        return valid

@@ -107,8 +107,8 @@ DIGESTS = {
         "report": "595562da28ef1fa8b47f57a4cb3556b7a005906508fe33394d42ed4b446a820a",
     },
     "sde-exp": {
-        "csv": "c372aad647b85fa91948a584ceb432d309ca4121d77f82f48a6ff8d73609f5e4",
-        "report": "58512910c9b765fa2287caa809e914bd8b7d0962171376abc41b53cc41e35947",
+        "csv": "9d224f177272490a5ef17ef105124451c19eaa10350eeb87380bc5342401c125",
+        "report": "72a3268e04b15fe653908a10d601c4a41af780198a1bdd6680395c0ce6738abc",
     },
     "sde-frac": {
         "csv": "5c46ea6f89cc4849e9b45f6197822f0a5abfc497c53367c679f28d2a0f14dcf6",

@@ -261,6 +261,21 @@ def test_cli_validate_rejects_non_finite_numbers(tmp_path, capsys, experiment, l
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("experiment", ["ar1-bound", "ar1-couple", "sde-sim"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, experiment, command):
+    # numpy would refuse the seed only inside the run, without naming the field.
+    cfg_path = str(tmp_path / "exp.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(f"experiment = {experiment}\nseed = -1\noutput.dir = {tmp_path}/run\n")
+    assert cli_main([command, cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed: must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "run").exists()
+    assert load_config_text(f"experiment = {experiment}\nseed = 0\n").seed == 0
+
+
 @pytest.mark.parametrize("payload", [
     {"replicas": 3, "flags": {"ok": True}},
     {"experiment": "ar1-bound", "flags": {"ok": True}},
@@ -455,12 +470,17 @@ def test_logvol_sim_estimate_is_one_block_plus_outputs():
     assert large < MEMORY_CAP_BYTES
 
 
-def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak():
+@pytest.mark.parametrize("kernel", ["exponential(1.0)", "fractional(0.1)"],
+                         ids=["exponential", "fractional"])
+def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(kernel):
     # 1,600 replicas span one full chunk and a partial one.  The chunk's q
     # series, one float a replica-step, dominates what the ensemble holds; an
     # estimate that kept three floats a replica-step would be over twice it.
-    # One checkpoint keeps the output rows from covering the block scratch.
-    text = "experiment = sde-sim\nreplicas = 1600\nsde.dt = 0.015625\nsde.checkpoints = 20\n"
+    # One checkpoint keeps the output rows from covering the block scratch,
+    # which is the recursive scan's for an exponential kernel and the FFT's
+    # for a fractional one.
+    text = ("experiment = sde-sim\nreplicas = 1600\nsde.dt = 0.015625\nsde.checkpoints = 20\n"
+            f"sde.kernel = {kernel}\n")
     cfg = load_config_text(text)
     assert fracvol._DEFAULT_CHUNK < cfg.replicas < 2 * fracvol._DEFAULT_CHUNK
     opt = cfg.options

@@ -1,6 +1,7 @@
 import glob
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,10 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import splitcouple
+from splitcouple import streams
+from splitcouple.errors import RunError
+from splitcouple.fracvol import VolatilityKernel, _kernel_taps
 from splitcouple.logvol import geometric_ma
 from splitcouple.streams import (
     ConvPlan,
+    ScanPlan,
     _fast_len,
+    _pcg64_states,
     replica_blocks,
     replica_rng,
     replica_uniform_pairs,
@@ -106,6 +112,34 @@ def test_sde_path_loads_no_scipy_and_ar1_configs_load_it_at_config_time(tmp_path
     assert "scipy.special" in seen["ar1"]
 
 
+_CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(_CONFIGS)))
+def test_a_run_imports_no_module(name, tmp_path):
+    # Whatever a run needs is imported by the package or by load_config, so
+    # that set-up pays for it: in a fresh process, harness.run and
+    # write_report on each shipped config, cut to 100 replicas, load no
+    # module that load_config had not.
+    with open(os.path.join(_CONFIGS, name), encoding="utf-8") as fh:
+        text = fh.read()
+    if "experiment = ar1-bound" not in text:
+        text += "replicas = 100\n"
+    code = (
+        "import json, sys\n"
+        "from splitcouple import config, harness\n"
+        "cfg = config.load_config_text(sys.stdin.read())\n"
+        "before = set(sys.modules)\n"
+        "harness.write_report(harness.run(cfg), sys.argv[1])\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(splitcouple.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], input=text,
+                         env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == []
+
+
 def test_fast_len_is_scipy_s_real_transform_length():
     from scipy.fft import next_fast_len
 
@@ -173,3 +207,85 @@ def test_uniform_pairs_of_a_replica_range_are_rows_of_the_whole_table():
     assert np.array_equal(replica_uniform_pairs(23, range(4, 7), 5), whole[4:7])
     assert np.array_equal(whole[6], replica_rng(23, 6).random((5, 2)))
     assert replica_uniform_pairs(23, range(3, 3), 5).shape == (0, 5, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 3]),
+    start=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 25),
+    rows=st.integers(1, 7),
+    state_slice=st.integers(1, 9),
+)
+def test_worked_out_states_and_draws_are_each_replica_s_own(seed, start, count, rows,
+                                                            state_slice):
+    # Seeds of one to four words (zero-padded to SeedSequence's pool) and
+    # more, replica indices up to 2^32 - 1, and state slices that cut across
+    # blocks: every replica's state and draws are replica_rng's.
+    replicas = range(start, min(start + count, 2**32))
+    direct = [replica_rng(seed, k) for k in replicas]
+    states = [rng.bit_generator.state for rng in direct]
+    assert all(s["has_uint32"] == s["uinteger"] == 0 for s in states)
+    assert list(_pcg64_states(seed, replicas)) == [
+        (s["state"]["state"], s["state"]["inc"]) for s in states]
+    gen = np.random.Generator
+    layout = [(gen.standard_normal, (3,)), (gen.random, (2, 2))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(streams, "_STATE_SLICE", state_slice)
+        blocks = [[d.copy() for d in draws]
+                  for _, _, draws in replica_blocks(seed, replicas, rows, layout)]
+    for j, (draw, shape) in enumerate(layout):
+        got = np.concatenate([b[j] for b in blocks] or [np.empty((0, *shape))])
+        want = np.array([draw(rng, shape) for rng in direct]).reshape(len(replicas), *shape)
+        assert np.array_equal(got, want)
+
+
+def test_replica_indices_past_one_word_and_negative_seeds_are_refused():
+    layout = [(np.random.Generator.random, (2,))]
+    with pytest.raises(ValueError, match="replica indices"):
+        next(replica_blocks(1, range(2**32 - 2, 2**32 + 1), 8, layout))
+    with pytest.raises(ValueError, match="replica indices"):
+        next(_pcg64_states(1, range(2**32, 2**32 + 1)))
+    with pytest.raises(ValueError, match="non-negative"):
+        next(_pcg64_states(-1, range(3)))
+
+
+def test_a_block_whose_worked_out_state_differs_from_replica_rng_s_is_refused(monkeypatch):
+    monkeypatch.setattr(streams, "_PCG_MULT", streams._PCG_MULT + 2)
+    with pytest.raises(RunError, match="replica 5"):
+        next(replica_blocks(7, range(5, 9), 4, [(np.random.Generator.random, (2,))]))
+
+
+def _direct_sum(x, taps):
+    """The valid convolution of each row with ``taps``, summed in long double."""
+    xl, rev = x.astype(np.longdouble), taps[::-1].astype(np.longdouble)
+    n_out = x.shape[1] - taps.size + 1
+    return np.stack([(xl[:, j : j + taps.size] * rev).sum(axis=1) for j in range(n_out)], 1)
+
+
+@pytest.mark.parametrize("lam,dt,burn_in,steps,scale", [
+    (1.0, 1 / 256, 10.0, 5120, 1.0),  # the shipped sde-sim: 20 blocks of 256 steps
+    (1.0, 0.35, 10.0, 40, 1.0),  # the last tap, at 10.15 > burn_in, is cut to 0
+    (2.0, 0.7, 10.0, 33, 1.0),  # lam dt >= 1: one step a block
+    (1.0, 1 / 64, 10.0, 300, 1.0),  # 300 steps in blocks of 64
+    (5.0, 1 / 64, 2.0, 77, 1.0),  # blocks of 12
+    (1.0, 1 / 64, 10.0, 100, 0.0),  # scale 0: J = 0
+])
+def test_scan_plan_matches_a_direct_sum_and_conv_plan(lam, dt, burn_in, steps, scale):
+    kernel = VolatilityKernel(kind="exponential", lam=lam, scale=scale)
+    taps = _kernel_taps(kernel, dt, burn_in)
+    n_in = taps.size + steps
+    x = replica_rng(29, steps).standard_normal((16, n_in)) * math.sqrt(dt)
+    plan = ScanPlan(taps, lam * dt, 16, n_in)
+    got = plan(x).copy()
+    assert got.shape == (16, steps + 1)
+    rows = 4 if steps > 1000 else 16  # the long-double sum is slow
+    assert np.max(np.abs(got[:rows] - _direct_sum(x[:rows], taps))) <= 1e-13
+    assert np.max(np.abs(got - ConvPlan(taps, 16, n_in)(x))) <= 1e-13
+    if scale == 0.0:
+        assert np.all(got == 0.0)
+    # a row's result does not depend on the rows around it
+    alone = ScanPlan(taps, lam * dt, 1, n_in)
+    for i in (0, 7, 15):
+        assert np.array_equal(alone(x[i : i + 1])[0], got[i])
+    assert np.array_equal(plan(x[3:8]), got[3:8])  # a partial block refills the buffers
