@@ -44,11 +44,6 @@ class Ar1Params:
             raise ValueError("eta must lie in (0, sqrt(2)/gamma)")
 
 
-def ar1_step(p: Ar1Params, x: float, eps: float) -> float:
-    """One forward step gamma * x + eps."""
-    return p.gamma * x + eps
-
-
 def ar1_marginal(p: Ar1Params, t: int) -> tuple[float, float]:
     """Mean and variance of X_t: (gamma^t x0, (1 - gamma^{2t}) / (1 - gamma^2))."""
     if t < 0:
@@ -104,19 +99,19 @@ def ar1_split_kernel(gamma: float, n_max: int = 8) -> SplitKernel:
 
 
 @lru_cache(maxsize=64)
-def ar1_lyapunov_constant(p: Ar1Params, t_grid: int = LYAPUNOV_T_GRID) -> float:
+def ar1_lyapunov_constant(p: Ar1Params) -> float:
     """Supremum over time of E[exp(beta X_t^2)].
 
     Uses the Gaussian identity
     E[exp(b X^2)] = exp(b m^2 / (1 - 2 b s^2)) / sqrt(1 - 2 b s^2)
-    on the exact marginals for t in {0, ..., t_grid} and at the limit.
+    on the exact marginals for t in {0, ..., LYAPUNOV_T_GRID} and at the limit.
     """
     b = p.beta
     g2 = p.gamma**2
     s2_lim = 1.0 / (1.0 - g2)
     if 2.0 * b * s2_lim >= 1.0:
         raise ValueError("2 beta s^2 must stay below 1 for the moment to exist")
-    t = np.arange(t_grid + 1)
+    t = np.arange(LYAPUNOV_T_GRID + 1)
     m = p.gamma**t * p.x0
     s2 = (1.0 - g2**t) * s2_lim
     denom = 1.0 - 2.0 * b * s2
@@ -170,13 +165,3 @@ def ar1_rate_fit(p: Ar1Params, t_grid) -> float:
     log_b = [math.log(ar1_bound_curve(p, int(t), ar1_n_schedule(p, int(t)))) for t in t_arr]
     slope = np.polyfit(np.log(t_arr), log_b, 1)[0]
     return float(-slope)
-
-
-def ar1_simulate_batch(
-    p: Ar1Params, t: int, rng: np.random.Generator, replicas: int
-) -> np.ndarray:
-    """Plain forward simulation of X_t over independent replicas."""
-    x = np.full(replicas, float(p.x0))
-    for _ in range(t):
-        x = p.gamma * x + rng.standard_normal(replicas)
-    return x

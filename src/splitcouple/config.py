@@ -29,6 +29,9 @@ from .fracvol import (
 
 EXPERIMENTS = ("ar1-bound", "ar1-couple", "logvol-sim", "logvol-couple", "sde-sim")
 MEMORY_CAP_BYTES = 4 * 2**30  # the most a run may plan to hold at once
+# A logvol run that draws its environment plans at least 40 bytes a lag step
+# for each of its (at least 100) replicas, so no longer lag fits under the cap.
+_MAX_MA_LAG = MEMORY_CAP_BYTES // (40 * 100)
 _CSV_ROW_BYTES = 256  # one table record, plus its cell objects and CSV line made at write time
 
 _CALL_RE = re.compile(r"^([a-z_]+)\(([^)]*)\)$")
@@ -150,6 +153,11 @@ def _ma_coeffs(fields: _Fields) -> tuple[float, ...]:
     if "(" in text:
         name, args = _parse_call("logvol.ma", text, {"geometric": 2, "fractional": 2})
         lag = int(args[1]) if len(args) > 1 else 512
+        if lag > _MAX_MA_LAG:  # refused before the coefficients are built
+            raise ConfigError(
+                f"logvol.ma: lag {lag} is over {_MAX_MA_LAG}, the longest a run can hold "
+                f"under the {MEMORY_CAP_BYTES / 2**30:g} GiB memory cap"
+            )
         if name == "geometric":
             return geometric_ma(args[0], lag)
         return fractional_ma(args[0], lag)
@@ -289,6 +297,10 @@ def load_config_text(text: str) -> ExperimentConfig:
             options["target_block"] = fields.int_("logvol.target_block", 3)
             options["step_cap"] = fields.int_("logvol.step_cap", 20000)
             options["x0_pair"] = fields.float_list("logvol.x0_pair", (1.0, -1.0))
+            if options["target_block"] < 1:
+                raise ConfigError("logvol.target_block: must be at least 1")
+            if options["step_cap"] < 1:
+                raise ConfigError("logvol.step_cap: must be at least 1")
             if options["m_max"] < options["target_block"]:
                 raise ConfigError("logvol.m_max: must cover the target block")
             if len(options["x0_pair"]) != 2:
@@ -322,6 +334,8 @@ def load_config_text(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise _wrap_invariant("sde", exc) from None
         options["l0"] = fields.float_list("sde.l0", (-2.0, 2.0))
+        if len(options["l0"]) < 2:
+            raise ConfigError("sde.l0: need at least two initial states to compare")
         options["checkpoints"] = fields.float_list("sde.checkpoints", (5.0, 10.0, 20.0))
         options["increment_lags"] = fields.float_list("sde.increment_lags", (0.1, 0.01))
         options["increment_base"] = fields.float_("sde.increment_base", 10.0)

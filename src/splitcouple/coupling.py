@@ -13,6 +13,7 @@ and ``final`` (the two final states).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
@@ -56,26 +57,11 @@ class BlockSchedule:
             if a < 1.0 and self.N_of_m[m - 1] * math.log1p(-a) > target * (1.0 - 1e-12):
                 raise ValueError(f"block {m}: (1-alpha)^N exceeds 2^-{m}")
 
-    @property
-    def m_max(self) -> int:
-        return len(self.n_of_m)
-
-    @property
-    def total_steps(self) -> int:
-        return self.M_of_m[-1]
-
     def block_of_uniform_index(self, j: int) -> int:
         """1-based block of the uniform at backward index j (0 <= j < M_max)."""
         if not 0 <= j < self.M_of_m[-1]:
             raise ValueError(f"uniform index {j} outside the schedule")
-        lo, hi = 0, self.m_max  # invariant: M[lo] <= j, j < M[hi]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.M_of_m[mid] <= j:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        return bisect.bisect_right(self.M_of_m, j)
 
 
 class McreSplitModel(Protocol):

@@ -83,16 +83,6 @@ class VolatilityKernel:
             out[pos] = self.scale * math.sqrt(2.0 * self.h) * u[pos] ** (self.h - 0.5)
         return np.where(u <= mem, out, 0.0)
 
-    def k2_integral(self, t: float, burn_in: float) -> float:
-        """Analytic integral of K^2 over [0, t] (kernel cut at its memory)."""
-        mem = self.resolved_memory(burn_in)
-        t_eff = min(t, mem)
-        if t_eff <= 0.0:
-            return 0.0
-        if self.kind == "exponential":
-            return self.scale**2 * (1.0 - math.exp(-2.0 * self.lam * t_eff)) / (2.0 * self.lam)
-        return self.scale**2 * t_eff ** (2.0 * self.h)
-
 
 @dataclass(frozen=True)
 class DriftSpec:

@@ -117,9 +117,10 @@ def write_report(report: RunReport, outdir: str) -> tuple[str, str]:
     return csv_path, json_path
 
 
-# The ar1 and logvol drivers import their models when they run: those load
-# scipy.special, which an sde-sim run never needs.
-def _run_ar1_bound(cfg: ExperimentConfig) -> RunReport:
+# Each driver returns the run's results, flags and CSV table; ``run`` builds
+# the report.  The ar1 and logvol drivers import their models when they run:
+# those load scipy.special, which an sde-sim run never needs.
+def _run_ar1_bound(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     from . import ar1 as ar1mod
     p = cfg.model
     rows = []
@@ -140,10 +141,10 @@ def _run_ar1_bound(cfg: ExperimentConfig) -> RunReport:
     table = np.rec.fromrecords(
         rows, names="t,n,bound_term1,bound_term2,bound_total,tv_exact,dominates"
     )
-    return RunReport(cfg.experiment, cfg.resolved, results, flags, 1, 0.0, table)
+    return results, flags, table
 
 
-def _run_ar1_couple(cfg: ExperimentConfig) -> RunReport:
+def _run_ar1_couple(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     from . import ar1 as ar1mod
     from .coupling import coupled_pair_batch, coupling_lower_bound, tv_upper_from_coupling
     p = cfg.model
@@ -178,10 +179,10 @@ def _run_ar1_couple(cfg: ExperimentConfig) -> RunReport:
     table = np.rec.fromarrays(
         [np.arange(len(res)), res.coupled, res.couple_step], names="replica,coupled,couple_step"
     )
-    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, table)
+    return results, flags, table
 
 
-def _run_logvol_sim(cfg: ExperimentConfig) -> RunReport:
+def _run_logvol_sim(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     from .logvol import logvol_moment_bound, simulate_logvol_batch
     p = cfg.model
     checkpoints = cfg.options["checkpoints"]
@@ -202,7 +203,7 @@ def _run_logvol_sim(cfg: ExperimentConfig) -> RunReport:
         "moment_bound": k_bound,
     }
     table = np.rec.fromrecords(rows, names="t,mean_sq,se,moment_bound,within_bound")
-    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, table)
+    return results, flags, table
 
 
 # Block lengths grow past int64 on a long schedule, so they stay Python ints.
@@ -210,7 +211,7 @@ _SCHEDULE_DTYPE = [("m", np.int64), ("n", np.int64), ("alpha", np.float64),
                    ("block_len", object), ("cumulative", object)]
 
 
-def _run_logvol_couple(cfg: ExperimentConfig) -> RunReport:
+def _run_logvol_couple(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     from .coupling import mcre_coupled_chains_batch
     from .logvol import LogvolMcreModel, logvol_schedule, ma_env_values
     p = cfg.model
@@ -224,7 +225,7 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> RunReport:
         flags = {"schedule_terminates": False, "coupled_by_target_at_least_half": False}
         results = {"schedule_error": str(exc)}
         table = np.rec.fromrecords([], dtype=_SCHEDULE_DTYPE)
-        return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, table)
+        return results, flags, table
 
     rows = [
         (m + 1, schedule.n_of_m[m], schedule.alphas[m], schedule.N_of_m[m], schedule.M_of_m[m + 1])
@@ -257,10 +258,10 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> RunReport:
         "censored_at_cap": censored,
         "coupled_fraction": frac,
     }
-    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, table)
+    return results, flags, table
 
 
-def _run_sde_sim(cfg: ExperimentConfig) -> RunReport:
+def _run_sde_sim(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     p = cfg.model
     l0 = cfg.options["l0"]
     base_cp = sorted(cfg.options["checkpoints"])
@@ -331,7 +332,7 @@ def _run_sde_sim(cfg: ExperimentConfig) -> RunReport:
         ],
         names="initial_state_id,checkpoint_time,replica_id,L_value",
     )
-    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas, 0.0, table)
+    return results, flags, table
 
 
 _RUNNERS = {
@@ -346,6 +347,6 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig) -> RunReport:
     """Execute the configured experiment and return its report."""
     started = time.perf_counter()
-    report = _RUNNERS[cfg.experiment](cfg)
-    report.wall_clock_s = time.perf_counter() - started
-    return report
+    results, flags, table = _RUNNERS[cfg.experiment](cfg)
+    return RunReport(cfg.experiment, cfg.resolved, results, flags, cfg.replicas,
+                     time.perf_counter() - started, table)

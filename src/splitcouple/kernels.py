@@ -65,9 +65,6 @@ class SmallSetLadder:
         if np.any(np.diff(a) > 0.0):
             raise ValueError("alphas must be nonincreasing")
 
-    def __len__(self) -> int:
-        return len(self.radii)
-
     def check_index(self, n: int) -> int:
         n = int(n)
         if not 0 <= n < len(self.radii):
@@ -147,15 +144,6 @@ class UniformPair:
     def __post_init__(self) -> None:
         if not (0.0 <= self.u1 <= 1.0 and 0.0 <= self.u2 <= 1.0):
             raise ValueError("uniform pair components must lie in [0, 1]")
-
-
-def nu_inverse_cdf(u):
-    """Inverse CDF of the uniform law on [-1, 1]: u -> 2u - 1."""
-    u = np.asarray(u, float)
-    if np.any((u < 0.0) | (u > 1.0)):
-        raise ValueError("u must lie in [0, 1]")
-    out = 2.0 * u - 1.0
-    return float(out) if out.ndim == 0 else out
 
 
 def _newton_middle(law, m, s, a, t):

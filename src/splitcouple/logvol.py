@@ -19,17 +19,12 @@ import numpy as np
 from scipy.special import ndtr
 
 from .coupling import BlockSchedule, block_schedule
-from .errors import CertificationError
 from .kernels import STD_NORMAL, InnovationLaw, SmallSetLadder, SplitKernel
 from .streams import ConvPlan, replica_blocks
 
 DEFAULT_MA_LAG = 512
 _BLOCK_ROWS = 1024  # replicas drawn, convolved and stepped together
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def std_normal_innovations() -> InnovationLaw:
-    return STD_NORMAL
 
 
 def geometric_ma(ratio: float, lag: int = DEFAULT_MA_LAG) -> tuple[float, ...]:
@@ -51,7 +46,7 @@ class LogvolParams:
     gamma: float
     rho: float
     ma_coeffs: tuple[float, ...]
-    eps: InnovationLaw = field(default_factory=std_normal_innovations)
+    eps: InnovationLaw = STD_NORMAL
     x0: float = 0.0
 
     def __post_init__(self) -> None:
@@ -74,14 +69,6 @@ class LogvolParams:
     def env_variance(self) -> float:
         """Variance of the truncated moving average Z_t."""
         return float(sum(a * a for a in self.ma_coeffs))
-
-
-@dataclass(frozen=True)
-class EnvState:
-    """One environment draw: log-volatility Z_t and the upcoming eta_{t+1}."""
-
-    z: float
-    eta_next: float
 
 
 def _scale_root(rho: float) -> float:
@@ -134,12 +121,6 @@ def ma_env_path(p: LogvolParams, horizon: int, seed: int) -> np.ndarray:
     return ma_env_paths(p, horizon, 1, seed)[0]
 
 
-def logvol_step(p: LogvolParams, x: float, env: EnvState, eps: float) -> float:
-    """One step of the chain given the environment pair and an innovation."""
-    vol = math.exp(env.z)
-    return p.gamma * x + p.rho * vol * env.eta_next + _scale_root(p.rho) * vol * eps
-
-
 def logvol_dn(p: LogvolParams, n: int) -> float:
     """Reach of the innovation needed to land in [-1, 1] from the n-th sets.
 
@@ -184,16 +165,6 @@ def logvol_certify_minorization(p: LogvolParams, n: int) -> float:
     q = p.eps.pdf(arg) / s
     half_alpha = float(p.eps.pdf(np.asarray(logvol_dn(p, n)))) / (root * math.exp(n))
     return float(q.min() - half_alpha)
-
-
-def logvol_certified_alpha(p: LogvolParams, n: int) -> float:
-    """``logvol_alpha`` with a grid certificate; raises if the grid refutes it."""
-    margin = logvol_certify_minorization(p, n)
-    if margin < 0.0:
-        raise CertificationError(
-            f"minorization weight for n={n} fails grid certification (margin {margin:.3e})"
-        )
-    return logvol_alpha(p, n)
 
 
 def logvol_moment_bound(p: LogvolParams) -> float:

@@ -14,38 +14,6 @@ import numpy as np
 _MAX_PATH_STEP = 1.0 / 64.0
 
 
-def tv_density(p_density, q_density, grid) -> float:
-    """L1 distance of two densities integrated on the given grid.
-
-    Parameters
-    ----------
-    p_density, q_density : array_like or callable
-        Density values on the grid, or callables evaluated on it.
-    grid : array_like
-        Strictly increasing integration grid.  Each density must integrate
-        to 1 on it within 1e-6 (trapezoid rule), otherwise the input is
-        rejected.
-
-    Returns
-    -------
-    float in [0, 2]
-    """
-    grid = np.asarray(grid, float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be a strictly increasing 1-d array")
-    p = np.asarray(p_density(grid) if callable(p_density) else p_density, float)
-    q = np.asarray(q_density(grid) if callable(q_density) else q_density, float)
-    if p.shape != grid.shape or q.shape != grid.shape:
-        raise ValueError("density values must match the grid shape")
-    if np.any(p < 0.0) or np.any(q < 0.0):
-        raise ValueError("densities must be nonnegative")
-    for name, vals in (("p", p), ("q", q)):
-        mass = np.trapezoid(vals, grid)
-        if abs(mass - 1.0) > 1e-6:
-            raise ValueError(f"{name} integrates to {mass:.8f}, not 1 within 1e-6")
-    return float(min(np.trapezoid(np.abs(p - q), grid), 2.0))
-
-
 def _phi(z: float) -> float:
     from scipy.special import ndtr  # deferred, as in tv_gaussian
     return float(ndtr(z))
@@ -88,14 +56,13 @@ def tv_gaussian(m1: float, v1: float, m2: float, v2: float) -> float:
     return float(min(2.0 * (mass1 - mass2), 2.0))
 
 
-def _histograms(samples1, samples2, bins: int | None):
+def _histograms(samples1, samples2):
     """Bin frequencies of both sample sets on common equal-width bins."""
     s1 = np.asarray(samples1, float).ravel()
     s2 = np.asarray(samples2, float).ravel()
     if s1.size == 0 or s2.size == 0:
         raise ValueError("both sample sets must be nonempty")
-    if bins is None:
-        bins = int(np.ceil(min(s1.size, s2.size) ** (1.0 / 3.0)))
+    bins = int(np.ceil(min(s1.size, s2.size) ** (1.0 / 3.0)))
     lo = min(s1.min(), s2.min())
     hi = max(s1.max(), s2.max())
     if lo == hi:
@@ -106,24 +73,24 @@ def _histograms(samples1, samples2, bins: int | None):
     return h1 / s1.size, h2 / s2.size, s1.size, s2.size
 
 
-def tv_empirical(samples1, samples2, bins: int | None = None) -> float:
+def tv_empirical(samples1, samples2) -> float:
     """Histogram L1 distance on common equal-width bins.
 
-    The estimator carries an upward bias of order sqrt(bins / N); the
-    default bin count ceil(min(N1, N2) ** (1/3)) keeps it modest.
+    The estimator carries an upward bias of order sqrt(bins / N); the bin
+    count ceil(min(N1, N2) ** (1/3)) keeps it modest.
     """
-    p1, p2, _, _ = _histograms(samples1, samples2, bins)
+    p1, p2, _, _ = _histograms(samples1, samples2)
     return float(np.abs(p1 - p2).sum())
 
 
-def tv_empirical_se(samples1, samples2, bins: int | None = None) -> float:
+def tv_empirical_se(samples1, samples2) -> float:
     """Delta-method bound on the standard error of ``tv_empirical``.
 
     Treats the two histograms as independent multinomials; with shared
     randomness across the sample sets this overstates the error, which is
     the safe direction for the monotonicity checks it backs.
     """
-    p1, p2, n1, n2 = _histograms(samples1, samples2, bins)
+    p1, p2, n1, n2 = _histograms(samples1, samples2)
     var = (p1 * (1.0 - p1) / n1 + p2 * (1.0 - p2) / n2).sum()
     return float(np.sqrt(var))
 
@@ -159,12 +126,6 @@ class PathWindow:
     @property
     def grid(self) -> np.ndarray:
         return np.linspace(-self.half_width, self.half_width, self.values.size)
-
-
-def constant_window(level: float, half_width: float, step: float = 1.0 / 64.0) -> PathWindow:
-    """Flat window at the given level, convenient for tests and flat tuples."""
-    npts = int(round(2.0 * half_width / step)) + 1
-    return PathWindow(np.full(npts, float(level)), half_width)
 
 
 def path_metric_d(f: PathWindow, g: PathWindow) -> float:

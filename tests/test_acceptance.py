@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from oracles import constant_window
 from splitcouple.ar1 import (
     Ar1Params,
     ar1_alpha,
@@ -56,7 +57,6 @@ from splitcouple.logvol import (
 )
 from splitcouple.metrics import (
     bounded_wasserstein,
-    constant_window,
     path_metric_d,
     tv_empirical,
     tv_empirical_se,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import ar1_simulate_batch
 from splitcouple.ar1 import (
     Ar1Params,
     ar1_alpha,
@@ -13,10 +14,8 @@ from splitcouple.ar1 import (
     ar1_marginal,
     ar1_n_schedule,
     ar1_rate_fit,
-    ar1_simulate_batch,
     ar1_split_kernel,
     ar1_stationary,
-    ar1_step,
 )
 from splitcouple.kernels import validate_minorization
 from splitcouple.metrics import tv_gaussian
@@ -30,15 +29,6 @@ def test_params_invariants():
         Ar1Params(gamma=0.5, beta=0.375)  # beta must stay below (1 - gamma^2)/2
     with pytest.raises(ValueError):
         Ar1Params(gamma=0.5, beta=0.3, eta=3.0)  # eta must stay below sqrt(2)/gamma
-
-
-def test_step_values():
-    p = Ar1Params(0.5, 0.3)
-    assert ar1_step(p, 2.0, 0.0) == 1.0
-    p9 = Ar1Params(0.9, 0.05)
-    assert ar1_step(p9, 1.0, -0.9) == 0.0
-    tiny = Ar1Params(1e-12, 0.4)
-    assert ar1_step(tiny, 123.0, 0.3) == pytest.approx(0.3, abs=1e-9)
 
 
 def test_marginal_values():

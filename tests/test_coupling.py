@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
-from splitcouple.ar1 import Ar1Params, ar1_alpha, ar1_marginal, ar1_simulate_batch, ar1_split_kernel
+from oracles import ar1_simulate_batch
+from splitcouple.ar1 import Ar1Params, ar1_alpha, ar1_marginal, ar1_split_kernel
 from splitcouple.coupling import (
     BlockSchedule,
     _coupling_records,
@@ -184,7 +185,7 @@ def test_block_schedule_synthetic_example():
     assert sched.n_of_m == (3, 4, 6)  # ceil(2 * 2^(m/2))
     assert sched.N_of_m == (1, 2, 3)
     assert sched.M_of_m == (0, 1, 3, 6)
-    assert sched.total_steps == 6
+    assert sched.M_of_m[-1] == 6
 
 
 def test_block_schedule_certain_regeneration():
@@ -292,7 +293,7 @@ def test_mcre_two_chains_couple_by_third_boundary(kernel):
     model = ConstEnvModel(base=kernel)
     sched = block_schedule(lambda n: min(1.0, (4.0 / 3.0) / n**2),
                            lambda n: ar1_alpha(GAMMA, n), 3)
-    t = sched.total_steps
+    t = sched.M_of_m[-1]
     reps = 400
     u = replica_uniform_pairs(1000, range(reps), t)
     env = np.zeros((reps, t + 1, 1))

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from splitcouple.cli import main as cli_main
-from splitcouple.config import MEMORY_CAP_BYTES, load_config, load_config_text, parse_config_text
-from splitcouple import fracvol, harness
+from splitcouple.config import (
+    _MAX_MA_LAG, MEMORY_CAP_BYTES, load_config, load_config_text, parse_config_text,
+)
+from splitcouple import fracvol, harness, logvol
 from splitcouple.errors import CertificationError, ConfigError, RunError
 from splitcouple.fracvol import RESOURCE_CAP, simulate_ensemble
 from splitcouple.harness import emit_csv, run, write_report
@@ -274,6 +276,57 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys, experiment, command):
     assert captured.err == "error: seed: must be a non-negative integer, got -1\n"
     assert not (tmp_path / "run").exists()
     assert load_config_text(f"experiment = {experiment}\nseed = 0\n").seed == 0
+
+
+# The one-tap logvol-couple config whose schedule terminates, so that a run
+# gets as far as the coupling.
+_MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvol.m_max = 1\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    # one start: the sde-sim run indexed a second state that is not there
+    ("experiment = sde-sim\nreplicas = 100\nsde.l0 = 1.0\n", "sde.l0"),
+    # the coupling was asked for zero steps
+    (_MCRE_TEXT + "logvol.target_block = 1\nlogvol.step_cap = 0\n", "logvol.step_cap"),
+    (_MCRE_TEXT + "logvol.target_block = 0\n", "logvol.target_block"),
+    # a negative m_max passed as covering the target and failed without a field name
+    ("experiment = logvol-couple\nlogvol.m_max = -1\nlogvol.target_block = -2\n",
+     "logvol.target_block"),
+], ids=["one-start", "step-cap-0", "target-block-0", "negative-m-max"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_refuses_configs_a_run_cannot_run(tmp_path, capsys, text, key, command):
+    cfg_path = str(tmp_path / "exp.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(text + f"output.dir = {tmp_path}/run\n")
+    assert cli_main([command, cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key}: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("family", ["geometric", "fractional"])
+def test_validate_refuses_an_oversized_ma_lag_before_building_it(tmp_path, capsys, monkeypatch,
+                                                                 family):
+    # 2e6 lags would take about a second and 100 MiB to build, only for the
+    # memory estimate to refuse the run and blame replicas.
+    def no_build(*args, **kwargs):
+        raise AssertionError("the coefficients must not be built")
+
+    monkeypatch.setattr(logvol, "geometric_ma", no_build)
+    monkeypatch.setattr(logvol, "fractional_ma", no_build)
+    cfg_path = str(tmp_path / "lag.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(f"experiment = logvol-sim\nreplicas = 100\nlogvol.ma = {family}(0.5, 2000000)\n")
+    assert cli_main(["validate", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: logvol.ma: lag 2000000 is over ")
+    assert captured.err.count("\n") == 1
+    # the longest lag passes the check and reaches the family function
+    with pytest.raises(AssertionError, match="must not be built"):
+        load_config_text(f"experiment = logvol-sim\nlogvol.ma = {family}(0.5, {_MAX_MA_LAG})\n")
 
 
 @pytest.mark.parametrize("payload", [

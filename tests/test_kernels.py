@@ -4,8 +4,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.stats import kstest
 
 from splitcouple.ar1 import ar1_alpha, ar1_split_kernel
 from splitcouple.errors import CertificationError
@@ -14,7 +16,6 @@ from splitcouple.kernels import (
     SplitKernel,
     UniformPair,
     _split_inverse,
-    nu_inverse_cdf,
     split_apply,
     split_apply_batch,
     validate_minorization,
@@ -52,19 +53,6 @@ def test_split_kernel_refuses_a_non_law_innovation():
     # inversion, with an AttributeError on None.ppf.
     with pytest.raises(TypeError, match="SplitKernel.innovation must be an InnovationLaw"):
         dataclasses.replace(ar1_split_kernel(0.5, n_max=3), innovation=None)
-
-
-def test_nu_inverse_cdf_values():
-    assert nu_inverse_cdf(0.5) == 0.0
-    assert nu_inverse_cdf(0.0) == -1.0
-    assert nu_inverse_cdf(0.75) == 0.5
-
-
-def test_nu_inverse_cdf_domain():
-    with pytest.raises(ValueError):
-        nu_inverse_cdf(1.2)
-    with pytest.raises(ValueError):
-        nu_inverse_cdf(-0.1)
 
 
 def test_uniform_pair_validation():
@@ -307,7 +295,7 @@ def test_closed_form_matches_bisection_on_dense_grid(kernel, model):
     u_values = np.concatenate([[1e-12, 1e-6, 1e-3], np.linspace(0.005, 0.995, 199),
                                [1 - 1e-3, 1 - 1e-6, 1 - 1e-12]])
     x, u = _grid(np.linspace(-9.0, 9.0, 145), u_values)
-    for n in range(len(kernel.ladder) if model == "ar1" else 3):
+    for n in range(len(kernel.ladder.radii) if model == "ar1" else 3):
         closed = kernel if model == "ar1" else _logvol_grid_kernel(x.size, radius=n)
         assert closed.innovation is not None
         z_closed = split_apply_batch(closed, n, x, _no_regen(u), u)
@@ -404,3 +392,28 @@ def test_closed_form_rejects_non_finite_result(kernel):
         _kernel_quantile(nan_scale, 0.0, 0.5)
     with pytest.raises(CertificationError):
         _residual_quantile(nan_scale, 2, 0.0, 0.5)
+
+
+# --- law preservation: the split mapping's output over uniform pairs is Q(x, .) ---
+
+
+@pytest.mark.parametrize("model, n_max", [("ar1", 6), ("logvol", 2)])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_split_mapping_preserves_its_law(model, n_max, data):
+    # KS test of 2,000 outputs at one state against the kernel's own CDF, over
+    # random kernels, ladder indices and states in and off the small set.  A
+    # logvol environment stays in [-n, n]^2, where the ladder weights hold.
+    gamma = data.draw(st.floats(0.05, 0.95), label="gamma")
+    n = data.draw(st.integers(0, n_max), label="n")
+    if model == "ar1":
+        kernel = ar1_split_kernel(gamma, n_max=n_max)
+    else:
+        z, eta_next = data.draw(st.tuples(st.floats(-n, n), st.floats(-n, n)), label="env")
+        kernel = logvol_kernel(LogvolParams(gamma=gamma, rho=0.3, ma_coeffs=(0.5,)), z, eta_next,
+                               n_max=n_max)
+    x = data.draw(st.floats(-1.5, 1.5), label="x / radius") * max(kernel.ladder.radii[n], 1.0)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    u1, u2 = np.random.default_rng(seed).random((2, 2000))
+    out = split_apply_batch(kernel, n, np.full(2000, x), u1, u2)
+    assert kstest(out, lambda w: kernel.cdf(x, w)).pvalue >= 1e-6

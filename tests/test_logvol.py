@@ -8,28 +8,23 @@ from scipy.stats import ks_2samp
 
 from splitcouple import logvol
 from splitcouple.ar1 import ar1_alpha
-from splitcouple.errors import CertificationError
-from splitcouple.kernels import split_apply_batch
+from splitcouple.kernels import STD_NORMAL, split_apply_batch
 from splitcouple.logvol import (
-    EnvState,
     InnovationLaw,
     LogvolMcreModel,
     LogvolParams,
     fractional_ma,
     geometric_ma,
     logvol_alpha,
-    logvol_certified_alpha,
     logvol_certify_minorization,
     logvol_dn,
     logvol_kernel,
     logvol_moment_bound,
-    logvol_step,
     logvol_tail,
     ma_env_path,
     ma_env_paths,
     ma_env_values,
     simulate_logvol_batch,
-    std_normal_innovations,
 )
 from splitcouple.streams import ConvPlan, replica_rng
 
@@ -96,31 +91,45 @@ def test_env_path_single_matches_batch_row():
     assert np.array_equal(window, batch[0])
 
 
+def _replica_draws(p, horizon, seed, replica):
+    """One replica's own stream, in logvol-sim's layout: ``lag + horizon + 2``
+    environment normals, then ``horizon`` innovations."""
+    rng = replica_rng(seed, replica)
+    eta = rng.standard_normal(p.lag + horizon + 2)
+    return eta, p.eps.sample(rng, (horizon,))
+
+
 def test_logvol_step_degeneracies():
-    env = EnvState(z=0.0, eta_next=1.0)
-    p = LogvolParams(gamma=0.5, rho=0.6, ma_coeffs=(0.5,))
-    assert logvol_step(p, 0.0, env, 0.0) == pytest.approx(0.6, rel=1e-15)
-    # rho = 0, Z = 0 reduces to the AR(1) step
-    assert logvol_step(P_RHO0, 2.0, EnvState(0.0, 5.0), -0.3) == 0.5 * 2.0 - 0.3
+    horizon, seed, replica = 6, 21, 2
+    # rho = 0 and Z = 0 reduce the chain to the AR(1) step, bit for bit
+    p = LogvolParams(gamma=0.5, rho=0.0, ma_coeffs=(0.0,), x0=2.0)
+    got = simulate_logvol_batch(p, horizon, 3, seed, tuple(range(1, horizon + 1)))
+    _, eps = _replica_draws(p, horizon, seed, replica)
+    x = p.x0
+    for t in range(horizon):
+        x = p.gamma * x + eps[t]
+        assert got[t + 1][replica] == x
+    # Z = 0 from x0 = 0: one step is rho eta_1 + sqrt(1 - rho^2) eps_1
+    p = LogvolParams(gamma=0.5, rho=0.6, ma_coeffs=(0.0,))
+    got = simulate_logvol_batch(p, 1, 3, seed, (1,))
+    eta, eps = _replica_draws(p, 1, seed, replica)
+    assert got[1][replica] == pytest.approx(0.6 * eta[p.lag + 1] + 0.8 * eps[0], rel=1e-15)
 
 
 def test_logvol_expansion_closed_form():
-    # five steps unrolled against the direct weighted sum, machine precision
-    rng = np.random.default_rng(3)
+    # simulate_logvol_batch's X_t against the unrolled weighted sum over one
+    # replica's own draws, with Z_s = sum_k a_k eta_{s-k}
     p = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=geometric_ma(0.5, lag=16), x0=0.7)
-    t = 5
-    z = rng.normal(size=t)
-    eta = rng.normal(size=t)
-    eps = rng.normal(size=t)
-    x = p.x0
-    for s in range(t):
-        x = logvol_step(p, x, EnvState(z[s], eta[s]), eps[s])
+    horizon, seed, replica = 5, 3, 4
+    got = simulate_logvol_batch(p, horizon, 6, seed, (horizon,))[horizon][replica]
+    eta, eps = _replica_draws(p, horizon, seed, replica)
+    z = [sum(a * eta[s + p.lag - k] for k, a in enumerate(p.ma_coeffs)) for s in range(horizon)]
     root = math.sqrt(1 - p.rho**2)
-    closed = p.gamma**t * p.x0 + sum(
-        p.gamma ** (t - 1 - s) * math.exp(z[s]) * (p.rho * eta[s] + root * eps[s])
-        for s in range(t)
+    closed = p.gamma**horizon * p.x0 + sum(
+        p.gamma ** (horizon - 1 - s) * math.exp(z[s]) * (p.rho * eta[p.lag + 1 + s] + root * eps[s])
+        for s in range(horizon)
     )
-    assert x == pytest.approx(closed, rel=1e-13)
+    assert got == pytest.approx(closed, rel=1e-13)
 
 
 def test_dn_values():
@@ -144,9 +153,9 @@ def test_alpha_values_and_monotonicity():
 def test_alpha_requires_symmetric_unimodal():
     skew = InnovationLaw(
         name="skewed",
-        pdf=std_normal_innovations().pdf,
-        cdf=std_normal_innovations().cdf,
-        ppf=std_normal_innovations().ppf,
+        pdf=STD_NORMAL.pdf,
+        cdf=STD_NORMAL.cdf,
+        ppf=STD_NORMAL.ppf,
         sample=lambda rng, size: rng.standard_normal(size),
         second_moment=1.0,
         symmetric_unimodal=False,
@@ -159,13 +168,12 @@ def test_alpha_requires_symmetric_unimodal():
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_certification_margins(n):
     assert logvol_certify_minorization(P_STD, n) >= 0.0
-    assert logvol_certified_alpha(P_STD, n) == logvol_alpha(P_STD, n)
 
 
 def test_certification_catches_nonunimodal_density():
     # a density mistakenly flagged unimodal: a dip strictly inside (-d(1), d(1))
     # undercuts the claimed floor f(d(1)), and the grid certificate says so
-    base = std_normal_innovations()
+    base = STD_NORMAL
     dipped = InnovationLaw(
         name="interior_dip",
         pdf=lambda x: base.pdf(x) * np.where((np.abs(x) > 3.0) & (np.abs(x) < 4.0), 0.01, 1.0),
@@ -177,8 +185,6 @@ def test_certification_catches_nonunimodal_density():
     p_bad = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=geometric_ma(0.5), eps=dipped)
     assert logvol_dn(p_bad, 1) > 4.0  # the dip sits inside the needed reach
     assert logvol_certify_minorization(p_bad, 1) < 0.0
-    with pytest.raises(CertificationError):
-        logvol_certified_alpha(p_bad, 1)
 
 
 def test_moment_bound_values():

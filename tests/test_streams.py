@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -156,6 +157,26 @@ def test_lazy_exports_are_the_submodules_objects():
     assert sorted(splitcouple.__all__) == sorted(splitcouple._MODULE_OF)
     with pytest.raises(AttributeError, match="no_such_name"):
         splitcouple.no_such_name
+
+
+def test_every_export_has_a_caller_or_a_readme_entry():
+    # An exported name must be used by the package outside its own
+    # definition and the export table, or be named in the README.
+    pkg = os.path.dirname(splitcouple.__file__)
+    src = ""
+    for path in glob.glob(os.path.join(pkg, "*.py")):
+        if os.path.basename(path) != "__init__.py":
+            with open(path, encoding="utf-8") as fh:
+                src += fh.read()
+    with open(os.path.join(pkg, "..", "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    unused = []
+    for name in splitcouple.__all__:
+        word = rf"\b{re.escape(name)}\b"
+        uses = len(re.findall(word, src)) - len(re.findall(rf"(?:def|class) {word}", src))
+        if uses == 0 and not re.search(word, readme):
+            unused.append(name)
+    assert unused == []
 
 
 def test_replica_rng_is_called_in_streams_only():
