@@ -5,9 +5,10 @@ The log-price solves
 with ``V = exp(J)`` and ``J`` a moving average of the increments of the same
 Brownian motion B against a square-integrable kernel.  Stationarity of the
 volatility is approximated by a finite-history convolution over a burn-in
-window: a blocked recursive scan for an exponential kernel, whose taps are
-geometric (``streams.ScanPlan``, within about 1e-14 of a direct sum), and an
-FFT for a fractional one (``streams.ConvPlan``).  Dissipativity of the drift
+window, through the plan ``streams.ma_plan`` picks: a blocked recursive
+scan for an exponential kernel, whose taps are geometric
+(``streams.ScanPlan``, within about 1e-14 of a direct sum), and an FFT for
+a fractional one (``streams.ConvPlan``).  Dissipativity of the drift
 is certified on a grid.  The left-point Euler step splits into the state's
 drift ``zeta(L) dt`` and a part that does not depend on the state,
 ``q = V (rho dB + sqrt(1 - rho^2) dW) - V^2/2 dt``,
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RunError
-from .streams import ConvPlan, ScanPlan, replica_blocks
+from .streams import ConvPlan, ScanPlan, ma_plan, replica_blocks
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
 _DEFAULT_CHUNK = 1536  # replicas stepped together; one float64 of q per replica-step
@@ -292,11 +293,9 @@ def simulate_ensemble(
     series = np.empty(h_steps * chunk)
     taps = _kernel_taps(p.kernel, p.dt, p.burn_in)
     plan_rows = min(-(-chunk // _WORKERS), _BLOCK_ROWS)
-    if p.kernel.kind == "exponential":  # geometric taps: a recursion
-        rate = p.kernel.lam * p.dt
-        plans = [ScanPlan(taps, rate, plan_rows, n_inc) for _ in range(_WORKERS)]
-    else:
-        plans = [ConvPlan(taps, plan_rows, n_inc) for _ in range(_WORKERS)]
+    # an exponential kernel's taps are geometric, decaying by lam dt a step
+    rate = p.kernel.lam * p.dt if p.kernel.kind == "exponential" else None
+    plans = [ma_plan(taps, plan_rows, n_inc, rate) for _ in range(_WORKERS)]
     layout = [(np.random.Generator.standard_normal, (n,)) for n in (n_inc, h_steps)]
 
     with ThreadPoolExecutor(_WORKERS) as pool:

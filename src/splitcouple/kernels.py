@@ -76,17 +76,19 @@ class SmallSetLadder:
 class InnovationLaw:
     """Density, CDF, quantile and sampler of a standardized innovation law.
 
-    ``pdf``, ``cdf`` and ``ppf`` must be numpy-vectorized.  The minorization
-    formula of the log-volatility chain requires a symmetric unimodal
-    density; laws without that property can still be simulated but cannot
-    produce ladder weights.
+    ``pdf``, ``cdf`` and ``ppf`` must be numpy-vectorized.  ``sample(rng,
+    size=None, *, out=None)`` has the form of numpy's samplers: it returns
+    ``size`` draws, or fills the float64 array ``out`` with the same bits.
+    The minorization formula of the log-volatility chain requires a
+    symmetric unimodal density; laws without that property can still be
+    simulated but cannot produce ladder weights.
     """
 
     name: str
     pdf: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     ppf: Callable[[np.ndarray], np.ndarray]
-    sample: Callable[[np.random.Generator, tuple], np.ndarray]
+    sample: Callable[..., np.ndarray]
     second_moment: float
     symmetric_unimodal: bool = True
 
@@ -100,7 +102,7 @@ STD_NORMAL = InnovationLaw(
     pdf=_std_normal_pdf,
     cdf=lambda x: ndtr(np.asarray(x, float)),
     ppf=ndtri,
-    sample=lambda rng, size: rng.standard_normal(size),
+    sample=np.random.Generator.standard_normal,
     second_moment=1.0,
 )
 

@@ -20,7 +20,7 @@ from scipy.special import ndtr
 
 from .coupling import BlockSchedule, block_schedule
 from .kernels import STD_NORMAL, InnovationLaw, SmallSetLadder, SplitKernel
-from .streams import ConvPlan, replica_blocks
+from .streams import ma_plan, replica_blocks
 
 DEFAULT_MA_LAG = 512
 _BLOCK_ROWS = 1024  # replicas drawn, convolved and stepped together
@@ -66,6 +66,17 @@ class LogvolParams:
         return len(self.ma_coeffs) - 1
 
     @property
+    def ma_rate(self) -> float | None:
+        """Decay a lag step, ``-log r``, when ``ma_coeffs`` are exactly
+        ``geometric_ma(r, lag)`` with ``0 < r < 1`` and ``lag >= 1``, so that
+        the moving average can run as a recursive scan; None for any other
+        coefficients (one tap, ``r = 0``, fractional or hand-written)."""
+        a = tuple(self.ma_coeffs)
+        if len(a) > 1 and 0.0 < a[1] < 1.0 and a == geometric_ma(a[1], self.lag):
+            return -math.log(a[1])
+        return None
+
+    @property
     def env_variance(self) -> float:
         """Variance of the truncated moving average Z_t."""
         return float(sum(a * a for a in self.ma_coeffs))
@@ -80,17 +91,20 @@ def ma_env_values(p: LogvolParams, eta: np.ndarray) -> np.ndarray:
 
     ``eta`` has shape (replicas, lag + horizon + 2); the result has shape
     (replicas, horizon + 1, 2) covering t = 0..horizon.  The moving average is
-    convolved in blocks of ``_BLOCK_ROWS`` (1,024) rows through one reused
-    transform of about 16 (2 lag + horizon) bytes a row, so beside ``eta`` and
-    the result the working memory is one block (18 MiB at lag 512, horizon
-    100) whatever the replica count.
+    computed in blocks of ``_BLOCK_ROWS`` (1,024) rows through one reused
+    plan that ``streams.ma_plan`` picks: for a geometric MA
+    (``LogvolParams.ma_rate``) a recursive scan, whose scratch is about
+    8 (lag + 2 horizon) bytes a row (5.6 MiB a block at lag 512, horizon 100);
+    for any other a transform of about 16 (2 lag + horizon) bytes a row
+    (18 MiB a block).  Beside ``eta`` and the result that one block is the
+    working memory, whatever the replica count.
     """
     a = np.asarray(p.ma_coeffs, float)
     if eta.ndim != 2 or eta.shape[1] < a.size + 1:
         raise ValueError("eta must cover lag + horizon + 2 draws per replica")
     horizon = eta.shape[1] - a.size - 1
     out = np.empty((eta.shape[0], horizon + 1, 2))
-    plan = ConvPlan(a, min(len(eta), _BLOCK_ROWS), eta.shape[1])
+    plan = ma_plan(a, min(len(eta), _BLOCK_ROWS), eta.shape[1], p.ma_rate)
     for lo in range(0, len(eta), _BLOCK_ROWS):
         blk = eta[lo : lo + _BLOCK_ROWS]
         out[lo : lo + len(blk), :, 0] = plan(blk)[:, : horizon + 1]  # Z_t
@@ -194,18 +208,21 @@ def logvol_schedule(p: LogvolParams, m_max: int) -> BlockSchedule:
     return block_schedule(lambda n: logvol_tail(p, n), lambda n: logvol_alpha(p, n), m_max, n_min=1)
 
 
-def logvol_kernel(p: LogvolParams, z, eta_next, n_max: int = 2) -> SplitKernel:
+def logvol_kernel(p: LogvolParams, z, eta_next, n_max: int = 2,
+                  ladder: SmallSetLadder | None = None) -> SplitKernel:
     """Split kernel of the chain with the environment frozen at (z, eta_next).
 
     ``z`` and ``eta_next`` may be scalars or arrays aligned with the state
-    vectors the kernel will be applied to.
+    vectors the kernel will be applied to.  ``ladder`` is
+    ``logvol_ladder(p, n_max)``, built here when not given.
     """
     z = np.asarray(z, float)
     eta_next = np.asarray(eta_next, float)
     root = _scale_root(p.rho)
     shift = p.rho * np.exp(z) * eta_next
     scale = root * np.exp(z)
-    ladder = logvol_ladder(p, n_max)
+    if ladder is None:
+        ladder = logvol_ladder(p, n_max)
 
     def density(x, w):
         arg = (np.asarray(w, float) - p.gamma * np.asarray(x, float) - shift) / scale
@@ -246,9 +263,8 @@ class LogvolMcreModel:
 
     def kernel(self, env_values: np.ndarray) -> SplitKernel:
         env_values = np.asarray(env_values, float)
-        return logvol_kernel(
-            self.params, env_values[..., 0], env_values[..., 1], n_max=self.n_max
-        )
+        return logvol_kernel(self.params, env_values[..., 0], env_values[..., 1],
+                             ladder=self.ladder)
 
     def env_in_small_set(self, env_values: np.ndarray, n: int) -> np.ndarray:
         env_values = np.asarray(env_values, float)
@@ -269,10 +285,12 @@ def simulate_logvol_batch(
 
     Replica stream layout: raw environment normals first, then the horizon's
     innovations.  Replicas are drawn, convolved and stepped in blocks of
-    ``_BLOCK_ROWS`` (1,024) in buffers allocated once, so memory is one
-    block's draws and transform (about 24 MiB at lag 512, horizon 100) plus
-    8 bytes per replica and checkpoint, whatever the replica count.  Every
-    operation is per replica, so the blocking changes no bit of the result.
+    ``_BLOCK_ROWS`` (1,024) in buffers allocated once.  The moving average
+    runs through the plan ``streams.ma_plan`` picks (see ``ma_env_values``),
+    so memory is one block's draws and scan (about 11 MiB at lag 512,
+    horizon 100; 24 MiB with a non-geometric MA's transform) plus 8 bytes
+    per replica and checkpoint, whatever the replica count.  Every operation
+    is per replica, so the blocking changes no bit of the result.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -281,7 +299,7 @@ def simulate_logvol_batch(
         raise ValueError(f"checkpoints outside [0, horizon]: {bad}")
     n_env = p.lag + horizon + 2
     layout = [(np.random.Generator.standard_normal, (n_env,)), (p.eps.sample, (horizon,))]
-    plan = ConvPlan(p.ma_coeffs, min(replicas, _BLOCK_ROWS), n_env)
+    plan = ma_plan(p.ma_coeffs, min(replicas, _BLOCK_ROWS), n_env, p.ma_rate)
     root = _scale_root(p.rho)
     out = {t: np.empty(replicas) for t in sorted(set(checkpoints))}
     blocks = replica_blocks(master_seed, range(replicas), _BLOCK_ROWS, layout)

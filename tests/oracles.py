@@ -38,3 +38,12 @@ def k2_integral(kernel: VolatilityKernel, t: float, burn_in: float) -> float:
     if kernel.kind == "exponential":
         return kernel.scale**2 * (1.0 - math.exp(-2.0 * kernel.lam * t_eff)) / (2.0 * kernel.lam)
     return kernel.scale**2 * t_eff ** (2.0 * kernel.h)
+
+
+def direct_valid_sum(x: np.ndarray, taps) -> np.ndarray:
+    """The valid convolution of each row of ``x`` with ``taps``, summed in
+    long double."""
+    taps = np.asarray(taps, float)
+    xl, rev = x.astype(np.longdouble), taps[::-1].astype(np.longdouble)
+    n_out = x.shape[1] - taps.size + 1
+    return np.stack([(xl[:, j : j + taps.size] * rev).sum(axis=1) for j in range(n_out)], 1)

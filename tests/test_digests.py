@@ -59,6 +59,17 @@ logvol.rho = 0.3
 logvol.ma = geometric(0.5, 64)
 logvol.checkpoints = 10, 50
 """,
+    # Scan blocks of 19 steps (1 / -log 0.95), so the geometric moving
+    # average's recursion runs across multi-step blocks.
+    "logvol-sim-geometric-0.95": """
+experiment = logvol-sim
+seed = 701
+replicas = 500
+logvol.gamma = 0.5
+logvol.rho = 0.3
+logvol.ma = geometric(0.95, 64)
+logvol.checkpoints = 10, 50
+""",
     # A block schedule that terminates, so the MCRE coupling engine runs.
     "logvol-couple": """
 experiment = logvol-couple
@@ -103,8 +114,12 @@ DIGESTS = {
         "report": "90043418635b095fe154fc6c78e13aabf814fba16492ba27a84a6998f8c08d2f",
     },
     "logvol-sim": {
-        "csv": "3a97257cfda90ec06f008ad50ae717ddd0e61a0f787e21ecdc1532600acab634",
-        "report": "595562da28ef1fa8b47f57a4cb3556b7a005906508fe33394d42ed4b446a820a",
+        "csv": "19420198d8e13d58d20a1500f57c69d59cead32e329a5b8fcd7a302979ca8efe",
+        "report": "ed6c278b71a51316d7eb87d0fbcf3dce3a5e73448fe4e3491969612bceca4656",
+    },
+    "logvol-sim-geometric-0.95": {
+        "csv": "501dd74e4bdf970f57f67903d84dc641d8f5e46c38f2cd81fc3c7820f6ba6f9b",
+        "report": "923e8b33f5368cace96649e2ab5656fe840cbaca771abaa86e1e3b64af6739f2",
     },
     "sde-exp": {
         "csv": "9d224f177272490a5ef17ef105124451c19eaa10350eeb87380bc5342401c125",

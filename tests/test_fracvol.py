@@ -49,10 +49,13 @@ def test_kernel_validation():
 
 
 def test_kernel_square_integral_saturates():
-    # exponential: the energy past the burn-in window is negligible
-    burn = 10.0
+    # exponential: the energy past the burn-in window, which the cut kernel
+    # drops, is the uncut tail exp(-2 lam burn) / (2 lam): negligible beside
+    # the window's energy
+    burn, lam = 10.0, EXP_KERNEL.lam
     full = k2_integral(EXP_KERNEL, burn, burn)
-    assert (k2_integral(EXP_KERNEL, 2 * burn, burn) - full) / full < 1e-3
+    tail = math.exp(-2.0 * lam * burn) / (2.0 * lam)
+    assert tail / full < 1e-3
     assert full == pytest.approx((1 - math.exp(-20.0)) / 2.0, rel=1e-12)
     # fractional: the kernel is cut at its memory, so the integral is constant
     mem = FRAC_KERNEL.resolved_memory(burn)

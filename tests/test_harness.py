@@ -523,6 +523,25 @@ def test_logvol_sim_estimate_is_one_block_plus_outputs():
     assert large < MEMORY_CAP_BYTES
 
 
+@pytest.mark.parametrize("ma", ["geometric(0.5, 512)", "fractional(0.1, 512)"],
+                         ids=["geometric", "fractional"])
+def test_logvol_sim_estimate_covers_the_simulation_s_traced_peak(ma):
+    # 1,500 replicas span one full block and a partial one.  The block's
+    # draws and its plan's scratch dominate: the recursive scan's for a
+    # geometric MA, about a third of the transform's for a fractional one.
+    cfg = load_config_text(f"experiment = logvol-sim\nreplicas = 1500\nlogvol.ma = {ma}\n")
+    assert logvol._BLOCK_ROWS < cfg.replicas < 2 * logvol._BLOCK_ROWS
+    checkpoints = cfg.options["checkpoints"]
+    tracemalloc.start()
+    try:
+        logvol.simulate_logvol_batch(cfg.model, max(checkpoints), cfg.replicas, cfg.seed,
+                                     checkpoints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cfg.peak_bytes < 1.5 * peak
+
+
 @pytest.mark.parametrize("kernel", ["exponential(1.0)", "fractional(0.1)"],
                          ids=["exponential", "fractional"])
 def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(kernel):

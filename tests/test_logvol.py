@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
+from oracles import direct_valid_sum
 from splitcouple import logvol
 from splitcouple.ar1 import ar1_alpha
+from splitcouple.config import load_config_text
+from splitcouple.harness import run
 from splitcouple.kernels import STD_NORMAL, split_apply_batch
 from splitcouple.logvol import (
     InnovationLaw,
@@ -26,7 +29,7 @@ from splitcouple.logvol import (
     ma_env_values,
     simulate_logvol_batch,
 )
-from splitcouple.streams import ConvPlan, replica_rng
+from splitcouple.streams import ConvPlan, ScanPlan, ma_plan, replica_rng
 
 P_STD = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=geometric_ma(0.5))
 P_RHO0 = LogvolParams(gamma=0.5, rho=0.0, ma_coeffs=geometric_ma(0.5))
@@ -156,7 +159,7 @@ def test_alpha_requires_symmetric_unimodal():
         pdf=STD_NORMAL.pdf,
         cdf=STD_NORMAL.cdf,
         ppf=STD_NORMAL.ppf,
-        sample=lambda rng, size: rng.standard_normal(size),
+        sample=np.random.Generator.standard_normal,
         second_moment=1.0,
         symmetric_unimodal=False,
     )
@@ -255,6 +258,61 @@ def test_mcre_model_adapter():
     np.testing.assert_allclose(means, expected, rtol=1e-14)
 
 
+def _counted(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_mcre_model_kernels_share_the_model_s_ladder(monkeypatch):
+    model = LogvolMcreModel(P_STD, n_max=2)
+    assert model.kernel(np.array([[0.5, -1.5], [2.5, 0.0]])).ladder is model.ladder
+    # a whole MCRE run builds the ladder once, not once a kernel
+    ladders, kernels = [], []
+    monkeypatch.setattr(logvol, "logvol_ladder", _counted(logvol.logvol_ladder, ladders))
+    monkeypatch.setattr(logvol, "logvol_kernel", _counted(logvol.logvol_kernel, kernels))
+    report = run(load_config_text(
+        "experiment = logvol-couple\nseed = 801\nreplicas = 100\nlogvol.ma = 0.1\n"
+        "logvol.m_max = 1\nlogvol.target_block = 1\nlogvol.step_cap = 50\n"))
+    assert report.results["simulated_steps"] == 50
+    assert len(kernels) >= 50 and len(ladders) == 1
+
+
+@pytest.mark.parametrize("lag", [1, 64, 512])
+@pytest.mark.parametrize("ratio", [0.05, 0.5, 0.95, 0.999])
+def test_geometric_ma_runs_as_a_scan_within_1e_13_of_a_long_double_sum(ratio, lag):
+    # Scan blocks span 1 step at ratio 0.05 and 0.5, 19 at 0.95 and 256 at
+    # 0.999, so 300 steps cover a partial block after whole ones.
+    p = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=geometric_ma(ratio, lag))
+    assert p.ma_rate == -math.log(ratio)
+    horizon = 300
+    eta = replica_rng(3, lag).standard_normal((6, lag + horizon + 2))
+    assert isinstance(ma_plan(p.ma_coeffs, 6, eta.shape[1], p.ma_rate), ScanPlan)
+    z = ma_env_values(p, eta)[:, :, 0]
+    ref = direct_valid_sum(eta, p.ma_coeffs)[:, : horizon + 1]
+    assert np.max(np.abs(z - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+_GEOM = geometric_ma(0.5, 8)
+
+
+@pytest.mark.parametrize("coeffs", [
+    fractional_ma(0.1, 64),
+    (0.7,),  # one tap
+    geometric_ma(0.0, 8),  # r = 0: one nonzero tap among zeros
+    _GEOM[:4] + (np.nextafter(_GEOM[4], 1.0),) + _GEOM[5:],  # a_4 one ulp off
+    tuple(2.0 * a for a in _GEOM),  # geometric, but a_0 != 1
+], ids=["fractional", "one-tap", "ratio-0", "perturbed", "scaled"])
+def test_other_moving_averages_keep_the_transform_bit_for_bit(coeffs):
+    p = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=coeffs)
+    assert p.ma_rate is None
+    horizon = 12
+    eta = replica_rng(5, len(coeffs)).standard_normal((7, p.lag + horizon + 2))
+    want = ConvPlan(p.ma_coeffs, 7, eta.shape[1])(eta)[:, : horizon + 1]
+    assert np.array_equal(ma_env_values(p, eta)[:, :, 0], want)
+
+
 def test_simulate_batch_checkpoints_and_reproducibility():
     out_a = simulate_logvol_batch(P_STD, 20, 5, 101, (0, 10, 20))
     out_b = simulate_logvol_batch(P_STD, 20, 3, 101, (0, 10, 20))
@@ -266,7 +324,8 @@ def test_simulate_batch_checkpoints_and_reproducibility():
 
 
 def _whole_ensemble(p, horizon, replicas, seed, checkpoints):
-    """Every replica drawn, convolved and stepped at once, as before blocking."""
+    """Every replica drawn, convolved and stepped at once, as before blocking,
+    through the plan the module picks for ``p``'s moving average."""
     n_env = p.lag + horizon + 2
     eta = np.empty((replicas, n_env))
     eps = np.empty((replicas, horizon))
@@ -274,7 +333,7 @@ def _whole_ensemble(p, horizon, replicas, seed, checkpoints):
         rng = replica_rng(seed, k)
         eta[k] = rng.standard_normal(n_env)
         eps[k] = p.eps.sample(rng, (horizon,))
-    z = ConvPlan(p.ma_coeffs, replicas, n_env)(eta)
+    z = ma_plan(p.ma_coeffs, replicas, n_env, p.ma_rate)(eta)
     env = np.stack([z[:, : horizon + 1], eta[:, p.lag + 1 :]], axis=-1)
     root = math.sqrt(1.0 - p.rho**2)
     x = np.full(replicas, p.x0)
@@ -288,7 +347,7 @@ def _whole_ensemble(p, horizon, replicas, seed, checkpoints):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    coeffs=st.sampled_from([(0.7,), geometric_ma(0.5, 6)]),
+    coeffs=st.sampled_from([(0.7,), geometric_ma(0.5, 6), geometric_ma(0.95, 6)]),
     replicas=st.integers(1, 15),
     horizon=st.integers(1, 8),
     data=st.data(),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import splitcouple
+from oracles import direct_valid_sum
 from splitcouple import streams
 from splitcouple.errors import RunError
 from splitcouple.fracvol import VolatilityKernel, _kernel_taps
@@ -277,13 +278,6 @@ def test_a_block_whose_worked_out_state_differs_from_replica_rng_s_is_refused(mo
         next(replica_blocks(7, range(5, 9), 4, [(np.random.Generator.random, (2,))]))
 
 
-def _direct_sum(x, taps):
-    """The valid convolution of each row with ``taps``, summed in long double."""
-    xl, rev = x.astype(np.longdouble), taps[::-1].astype(np.longdouble)
-    n_out = x.shape[1] - taps.size + 1
-    return np.stack([(xl[:, j : j + taps.size] * rev).sum(axis=1) for j in range(n_out)], 1)
-
-
 @pytest.mark.parametrize("lam,dt,burn_in,steps,scale", [
     (1.0, 1 / 256, 10.0, 5120, 1.0),  # the shipped sde-sim: 20 blocks of 256 steps
     (1.0, 0.35, 10.0, 40, 1.0),  # the last tap, at 10.15 > burn_in, is cut to 0
@@ -301,7 +295,7 @@ def test_scan_plan_matches_a_direct_sum_and_conv_plan(lam, dt, burn_in, steps, s
     got = plan(x).copy()
     assert got.shape == (16, steps + 1)
     rows = 4 if steps > 1000 else 16  # the long-double sum is slow
-    assert np.max(np.abs(got[:rows] - _direct_sum(x[:rows], taps))) <= 1e-13
+    assert np.max(np.abs(got[:rows] - direct_valid_sum(x[:rows], taps))) <= 1e-13
     assert np.max(np.abs(got - ConvPlan(taps, 16, n_in)(x))) <= 1e-13
     if scale == 0.0:
         assert np.all(got == 0.0)
