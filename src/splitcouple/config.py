@@ -188,16 +188,16 @@ def _wrap_invariant(section: str, exc: Exception) -> ConfigError:
     return ConfigError(f"{section}: {exc}")
 
 
-def _ma_plan_row_bytes(model, n_in: int) -> int:
-    """Bytes one row of a logvol moving-average plan over ``n_in`` draws
-    holds, for the plan ``streams.ma_plan`` picks: the scan's output,
+def _ma_plan_row_bytes(model, steps: int) -> int:
+    """Bytes one row of a logvol moving-average plan over ``lag + steps + 2``
+    draws holds, for the plan ``streams.ma_plan`` picks: the scan's output,
     scratch and block starts for a geometric MA; the transform's spectrum
     and output (16 bytes a point) for any other."""
     lag, rate = model.lag, model.ma_rate
     if rate is None:
-        return 16 * (_fast_len(n_in + lag) + 1)
+        return 16 * (_fast_len(2 * lag + steps + 2) + 1)
     block = _scan_block(rate)
-    n_blocks = -(-(n_in - lag - 1) // block)
+    n_blocks = -(-(steps + 1) // block)
     return 8 * ((n_blocks + 1) * block + max(lag + 1, n_blocks * block) + n_blocks)
 
 
@@ -235,7 +235,7 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
     if experiment == "logvol-sim":  # one block's draws and plan, then the outputs
         steps = max(options["checkpoints"])
         per_replica = 8 * len(set(options["checkpoints"]))
-        per_block_row = 8 * (lag + 2 * steps + 2) + _ma_plan_row_bytes(model, lag + steps + 2)
+        per_block_row = 8 * (lag + 2 * steps + 2) + _ma_plan_row_bytes(model, steps)
     else:  # logvol-couple: draws, uniform pairs, environment and codes per replica
         try:
             schedule = logvol_schedule(model, options["m_max"])
@@ -243,7 +243,7 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
             return 0  # the run stops once the schedule fails
         steps = min(schedule.M_of_m[options["target_block"]], options["step_cap"])
         per_replica = 8 * (lag + steps + 2) + 33 * steps + 18
-        per_block_row = _ma_plan_row_bytes(model, lag + steps + 2)
+        per_block_row = _ma_plan_row_bytes(model, steps)
     # Beside the block: up to about 200 bytes a replica for the stream states
     # that streams works out 1,024 at a time, and up to about 200 KiB of
     # numpy's iteration buffers in the scan's broadcast finish.
