@@ -287,7 +287,7 @@ def simulate_logvol_batch(
     innovations.  Replicas are drawn, convolved and stepped in blocks of
     ``_BLOCK_ROWS`` (1,024) in buffers allocated once.  The moving average
     runs through the plan ``streams.ma_plan`` picks (see ``ma_env_values``),
-    so memory is one block's draws and scan (about 11 MiB at lag 512,
+    so memory is one block's draws and scan (about 12 MiB at lag 512,
     horizon 100; 24 MiB with a non-geometric MA's transform) plus 8 bytes
     per replica and checkpoint, whatever the replica count.  Every operation
     is per replica, so the blocking changes no bit of the result.
