@@ -17,16 +17,13 @@ from typing import Any
 
 from .errors import ConfigError, ScheduleError
 from .fracvol import (
-    _BLOCK_ROWS as _SDE_BLOCK,
-    _DEFAULT_CHUNK as _SDE_CHUNK,
-    _WORKERS as _SDE_WORKERS,
     RESOURCE_CAP,
     SdeParams,
     VolatilityKernel,
+    ensemble_working_bytes,
     linear_drift,
     saturating_drift,
 )
-from .streams import _fast_len, _scan_block
 
 EXPERIMENTS = ("ar1-bound", "ar1-couple", "logvol-sim", "logvol-couple", "sde-sim")
 MEMORY_CAP_BYTES = 4 * 2**30  # the most a run may plan to hold at once
@@ -153,7 +150,10 @@ def _ma_coeffs(fields: _Fields) -> tuple[float, ...]:
     text = fields.str_("logvol.ma", "geometric(0.5, 512)")
     if "(" in text:
         name, args = _parse_call("logvol.ma", text, {"geometric": 2, "fractional": 2})
-        lag = int(args[1]) if len(args) > 1 else 512
+        lag = args[1] if len(args) > 1 else 512
+        if lag < 0 or lag != int(lag):
+            raise ConfigError(f"logvol.ma: lag must be a non-negative integer, got {lag:g}")
+        lag = int(lag)
         if lag > _MAX_MA_LAG:  # refused before the coefficients are built
             raise ConfigError(
                 f"logvol.ma: lag {lag} is over {_MAX_MA_LAG}, the longest a run can hold "
@@ -188,66 +188,32 @@ def _wrap_invariant(section: str, exc: Exception) -> ConfigError:
     return ConfigError(f"{section}: {exc}")
 
 
-def _ma_plan_row_bytes(model, steps: int) -> int:
-    """Bytes one row of a logvol moving-average plan over ``lag + steps + 2``
-    draws holds, for the plan ``streams.ma_plan`` picks: the scan's output,
-    scratch and block starts for a geometric MA; the transform's spectrum
-    and output (16 bytes a point) for any other."""
-    lag, rate = model.lag, model.ma_rate
-    if rate is None:
-        return 16 * (_fast_len(2 * lag + steps + 2) + 1)
-    block = _scan_block(rate)
-    n_blocks = -(-(steps + 1) // block)
-    return 8 * ((n_blocks + 1) * block + max(lag + 1, n_blocks * block) + n_blocks)
-
-
 def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -> int:
-    """Bytes a run holds at once: its largest arrays (8 bytes a float; a
-    transform of n points about 16 n per row) and its per-replica CSV rows.
-
-    Plain arithmetic on the sizes the drivers allocate, so a config that
-    cannot fit is refused before any compute.
-    """
+    """Bytes a run holds at once, by arithmetic before any compute: the
+    per-replica arrays its driver keeps (8 bytes a float) and CSV rows, plus
+    the working set its simulator states (``fracvol.ensemble_working_bytes``,
+    ``logvol.block_working_bytes``)."""
     r = replicas
     if experiment == "ar1-bound":
         return 0
     if experiment == "ar1-couple":  # uniform pairs and an int8 event code per step
         return r * (17 * options["t"] + _CSV_ROW_BYTES)
-    if experiment == "sde-sim":
-        # One chunk's q series (a float a replica-step); for each worker one
-        # block's draws and convolution buffers, plus four rows' worth for the
-        # kernel's spectrum or the scan's weights, FFT scratch and one
-        # replica's fresh draws; then the outputs.
-        h, burn = model.horizon_steps, model.burn_steps
-        chunk = min(r, _SDE_CHUNK)
-        block = min(-(-chunk // _SDE_WORKERS), _SDE_BLOCK)
-        per_block_row = 8 * (burn + 2 * h)
-        if model.kernel.kind == "exponential":  # the scan's output and scratch
-            per_block_row += 8 * (burn + 2 * h)
-        else:  # the transform, about 16 bytes a point
-            per_block_row += 16 * (2 * burn + h)
+    if experiment == "sde-sim":  # each state's samples and CSV rows
         n_times = len(options["checkpoints"]) + 1 + len(options["increment_lags"])
         per_state = 8 * n_times + _CSV_ROW_BYTES * len(options["checkpoints"])
-        return (8 * h * chunk + _SDE_WORKERS * (block + 4) * per_block_row
-                + len(options["l0"]) * r * per_state)
-    from .logvol import _BLOCK_ROWS as _LOGVOL_BLOCK, logvol_schedule
-    lag = model.lag
-    if experiment == "logvol-sim":  # one block's draws and plan, then the outputs
+        return ensemble_working_bytes(model, r) + len(options["l0"]) * r * per_state
+    from .logvol import block_working_bytes, logvol_schedule
+    if experiment == "logvol-sim":  # the checkpoint samples
         steps = max(options["checkpoints"])
-        per_replica = 8 * len(set(options["checkpoints"]))
-        per_block_row = 8 * (lag + 2 * steps + 2) + _ma_plan_row_bytes(model, steps)
-    else:  # logvol-couple: draws, uniform pairs, environment and codes per replica
-        try:
-            schedule = logvol_schedule(model, options["m_max"])
-        except ScheduleError:
-            return 0  # the run stops once the schedule fails
-        steps = min(schedule.M_of_m[options["target_block"]], options["step_cap"])
-        per_replica = 8 * (lag + steps + 2) + 33 * steps + 18
-        per_block_row = _ma_plan_row_bytes(model, steps)
-    # Beside the block: up to about 200 bytes a replica for the stream states
-    # that streams works out 1,024 at a time, and up to about 200 KiB of
-    # numpy's iteration buffers in the scan's broadcast finish.
-    return r * per_replica + min(r, _LOGVOL_BLOCK) * (per_block_row + 256) + 2**18
+        return r * 8 * len(set(options["checkpoints"])) + block_working_bytes(model, steps, r)
+    try:
+        schedule = logvol_schedule(model, options["m_max"])
+    except ScheduleError:
+        return 0  # the run stops once the schedule fails
+    # logvol-couple: draws, uniform pairs, environment and codes per replica
+    steps = min(schedule.M_of_m[options["target_block"]], options["step_cap"])
+    per_replica = 8 * (model.lag + steps + 2) + 33 * steps + 18
+    return r * per_replica + block_working_bytes(model, steps, r, draws=False)
 
 
 def load_config_text(text: str) -> ExperimentConfig:
@@ -264,29 +230,23 @@ def load_config_text(text: str) -> ExperimentConfig:
     options: dict[str, Any] = {}
     replicas = 1
     # ar1 and logvol load scipy.special, so each is imported by its own configs only
-    if experiment == "ar1-bound":
+    if experiment in ("ar1-bound", "ar1-couple"):
         from .ar1 import Ar1Params
+        bound = experiment == "ar1-bound"
         gamma = fields.float_("ar1.gamma", 0.5)
         beta = fields.float_("ar1.beta", 0.4 * (1.0 - gamma**2))
-        x0 = fields.float_("ar1.x0", 0.0)
-        eta = fields.float_("ar1.eta", 0.1)
+        x0 = fields.float_("ar1.x0", 0.0 if bound else 1.0)
+        eta = {"eta": fields.float_("ar1.eta", 0.1)} if bound else {}  # a bound-schedule knob
         try:
-            model = Ar1Params(gamma=gamma, beta=beta, x0=x0, eta=eta)
+            model = Ar1Params(gamma=gamma, beta=beta, x0=x0, **eta)
         except ValueError as exc:
             raise _wrap_invariant("ar1", exc) from None
+    if experiment == "ar1-bound":
         options["t_grid"] = fields.int_list("ar1.t_grid", (10, 100, 1000, 10000))
         if min(options["t_grid"]) < 2:
             raise ConfigError("ar1.t_grid: horizons must be at least 2")
     elif experiment == "ar1-couple":
         from . import coupling  # the run's engine, loaded here so that the run imports none
-        from .ar1 import Ar1Params
-        gamma = fields.float_("ar1.gamma", 0.5)
-        beta = fields.float_("ar1.beta", 0.4 * (1.0 - gamma**2))
-        x0 = fields.float_("ar1.x0", 1.0)
-        try:
-            model = Ar1Params(gamma=gamma, beta=beta, x0=x0)
-        except ValueError as exc:
-            raise _wrap_invariant("ar1", exc) from None
         options["n"] = fields.int_("couple.n", 3)
         options["s"] = fields.int_("couple.s", 50)
         options["t"] = fields.int_("couple.t", 100)
@@ -314,10 +274,9 @@ def load_config_text(text: str) -> ExperimentConfig:
             options["target_block"] = fields.int_("logvol.target_block", 3)
             options["step_cap"] = fields.int_("logvol.step_cap", 20000)
             options["x0_pair"] = fields.float_list("logvol.x0_pair", (1.0, -1.0))
-            if options["target_block"] < 1:
-                raise ConfigError("logvol.target_block: must be at least 1")
-            if options["step_cap"] < 1:
-                raise ConfigError("logvol.step_cap: must be at least 1")
+            for key in ("target_block", "step_cap"):
+                if options[key] < 1:
+                    raise ConfigError(f"logvol.{key}: must be at least 1")
             if options["m_max"] < options["target_block"]:
                 raise ConfigError("logvol.m_max: must cover the target block")
             if len(options["x0_pair"]) != 2:
@@ -332,11 +291,9 @@ def load_config_text(text: str) -> ExperimentConfig:
             raise _wrap_invariant("sde.drift", exc) from None
         kern_text = fields.str_("sde.kernel", "exponential(1.0)")
         kname, kargs = _parse_call("sde.kernel", kern_text, {"exponential": 1, "fractional": 1})
+        param, default = ("lam", 1.0) if kname == "exponential" else ("h", 0.1)
         try:
-            if kname == "exponential":
-                kernel = VolatilityKernel(kind="exponential", lam=kargs[0] if kargs else 1.0)
-            else:
-                kernel = VolatilityKernel(kind="fractional", h=kargs[0] if kargs else 0.1)
+            kernel = VolatilityKernel(kind=kname, **{param: kargs[0] if kargs else default})
         except ValueError as exc:
             raise _wrap_invariant("sde.kernel", exc) from None
         try:
@@ -355,6 +312,8 @@ def load_config_text(text: str) -> ExperimentConfig:
             raise ConfigError("sde.l0: need at least two initial states to compare")
         options["checkpoints"] = fields.float_list("sde.checkpoints", (5.0, 10.0, 20.0))
         options["increment_lags"] = fields.float_list("sde.increment_lags", (0.1, 0.01))
+        if min(options["increment_lags"]) <= 0.0:
+            raise ConfigError("sde.increment_lags: lags must be positive")
         options["increment_base"] = fields.float_("sde.increment_base", 10.0)
         options["tv_threshold"] = fields.float_("sde.tv_threshold", 0.1)
         for t in options["checkpoints"]:
@@ -365,9 +324,8 @@ def load_config_text(text: str) -> ExperimentConfig:
             raise ConfigError("sde.increment_base: increment window leaves [0, horizon]")
         replicas = fields.int_("replicas", 10000)
 
-    if experiment != "ar1-bound":
-        if replicas < 100:
-            raise ConfigError("replicas: Monte Carlo experiments need at least 100 replicas")
+    if experiment != "ar1-bound" and replicas < 100:
+        raise ConfigError("replicas: Monte Carlo experiments need at least 100 replicas")
 
     unused = fields.unused_keys()
     if unused:

@@ -5,12 +5,11 @@ The log-price solves
 with ``V = exp(J)`` and ``J`` a moving average of the increments of the same
 Brownian motion B against a square-integrable kernel.  Stationarity of the
 volatility is approximated by a finite-history convolution over a burn-in
-window, through the plan ``streams.ma_plan`` picks: a blocked recursive
-scan for an exponential kernel, whose taps are geometric
-(``streams.ScanPlan``, within about 1e-14 of a direct sum), and an FFT for
-a fractional one (``streams.ConvPlan``).  Dissipativity of the drift
-is certified on a grid.  The left-point Euler step splits into the state's
-drift ``zeta(L) dt`` and a part that does not depend on the state,
+window, through the plan ``streams.ma_plan`` picks: a blocked recursive scan
+for an exponential kernel, whose taps are geometric (``VolatilityKernel.rate``),
+and an FFT for a fractional one.  Dissipativity of the drift is certified on
+a grid.  The left-point Euler step splits into the state's drift
+``zeta(L) dt`` and a part that does not depend on the state,
 ``q = V (rho dB + sqrt(1 - rho^2) dW) - V^2/2 dt``,
 which is computed once per replica and step, before any state is stepped.
 Each chunk's ``q`` is built by ``_WORKERS`` threads, each drawing and
@@ -30,10 +29,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import RunError
-from .streams import ConvPlan, ScanPlan, ma_plan, replica_blocks
+from .streams import ConvPlan, ScanPlan, ma_plan, ma_plan_row_bytes, replica_blocks
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
-_DEFAULT_CHUNK = 1536  # replicas stepped together; one float64 of q per replica-step
+_DEFAULT_CHUNK = 1536  # replicas stepped together (memory: ensemble_working_bytes)
 _WORKERS = 2  # threads that build a chunk's q, each over its own replica range
 _BLOCK_ROWS = 16  # replicas one worker draws and convolves together
 _DISS_GRID_HALFWIDTH = 50.0  # the drift's declared constants are certified on [-50, 50]
@@ -63,6 +62,10 @@ class VolatilityKernel:
             raise ValueError("fractional kernel needs h in (0, 1)")
         if self.scale < 0.0:
             raise ValueError("scale must be nonnegative (zero disables the volatility)")
+
+    def rate(self, dt: float) -> float | None:
+        """Decay a ``dt`` step of an exponential kernel's taps (the scan's); None if fractional."""
+        return self.lam * dt if self.kind == "exponential" else None
 
     def resolved_memory(self, burn_in: float) -> float:
         return burn_in if self.kind == "exponential" else burn_in / 10.0
@@ -215,6 +218,22 @@ class EnsembleResult:
         raise KeyError(f"no checkpoint at t = {time}")
 
 
+def _chunk_sizes(replicas: int) -> tuple[int, int]:
+    """Replicas in a chunk of ``replicas``, and rows in a worker's block."""
+    chunk = min(_DEFAULT_CHUNK, replicas)
+    return chunk, min(-(-chunk // _WORKERS), _BLOCK_ROWS)
+
+
+def ensemble_working_bytes(p: SdeParams, replicas: int) -> int:
+    """Bytes ``simulate_ensemble`` holds beside its samples: a chunk's q series (a float a
+    replica-step); per worker a block's draws and plan (``streams.ma_plan_row_bytes``) and
+    four rows more for the plan's spectrum or weights and the transform's scratch."""
+    h, n_inc = p.horizon_steps, p.burn_steps + p.horizon_steps
+    chunk, rows = _chunk_sizes(replicas)
+    per_row = 8 * (n_inc + h) + ma_plan_row_bytes(p.burn_steps, n_inc, p.kernel.rate(p.dt))
+    return 8 * h * chunk + _WORKERS * (rows + 4) * per_row
+
+
 def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan | ScanPlan, layout: list,
                 q: np.ndarray, lo: int, replicas: range) -> None:
     """Write the state-free part of every step of ``replicas`` into their
@@ -254,11 +273,11 @@ def simulate_ensemble(
     which drives every initial state and sharpens ensemble comparisons.
     Replicas are stepped ``_DEFAULT_CHUNK`` at a time.  Each chunk's range is
     cut into ``_WORKERS`` contiguous parts, and one thread per part draws and
-    convolves it ``_BLOCK_ROWS`` replicas at a time, through its own
-    scan or transform buffers, into its own columns of ``q``; once every part is done
-    the chunk is stepped.  Every operation is elementwise and per replica, so
-    these sizes bound memory and cannot change the results.  A worker's
-    exception is raised here, after every worker has stopped.
+    convolves it ``_BLOCK_ROWS`` replicas at a time, through its own plan,
+    into its own columns of ``q``; then the chunk is stepped.  These sizes
+    bound memory (``ensemble_working_bytes``), and every operation is per
+    replica, so they cannot change the results.  A worker's exception is
+    raised here, after every worker has stopped.
     """
     l0_list = [float(v) for v in l0_list]
     n_states = len(l0_list)
@@ -289,13 +308,10 @@ def simulate_ensemble(
     # Buffers are allocated once and refilled for every chunk, so no pass
     # maps and faults in fresh memory: the chunk's time-major q series and
     # each worker's scan or transform buffers.
-    chunk = min(_DEFAULT_CHUNK, replicas)
+    chunk, plan_rows = _chunk_sizes(replicas)
     series = np.empty(h_steps * chunk)
     taps = _kernel_taps(p.kernel, p.dt, p.burn_in)
-    plan_rows = min(-(-chunk // _WORKERS), _BLOCK_ROWS)
-    # an exponential kernel's taps are geometric, decaying by lam dt a step
-    rate = p.kernel.lam * p.dt if p.kernel.kind == "exponential" else None
-    plans = [ma_plan(taps, plan_rows, n_inc, rate) for _ in range(_WORKERS)]
+    plans = [ma_plan(taps, plan_rows, n_inc, p.kernel.rate(p.dt)) for _ in range(_WORKERS)]
     layout = [(np.random.Generator.standard_normal, (n,)) for n in (n_inc, h_steps)]
 
     with ThreadPoolExecutor(_WORKERS) as pool:

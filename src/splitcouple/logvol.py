@@ -20,7 +20,7 @@ from scipy.special import ndtr
 
 from .coupling import BlockSchedule, block_schedule
 from .kernels import STD_NORMAL, InnovationLaw, SmallSetLadder, SplitKernel
-from .streams import ma_plan, replica_blocks
+from .streams import ma_plan, ma_plan_row_bytes, replica_blocks, stream_state_bytes
 
 DEFAULT_MA_LAG = 512
 _BLOCK_ROWS = 1024  # replicas drawn, convolved and stepped together
@@ -93,11 +93,9 @@ def ma_env_values(p: LogvolParams, eta: np.ndarray) -> np.ndarray:
     (replicas, horizon + 1, 2) covering t = 0..horizon.  The moving average is
     computed in blocks of ``_BLOCK_ROWS`` (1,024) rows through one reused
     plan that ``streams.ma_plan`` picks: for a geometric MA
-    (``LogvolParams.ma_rate``) a recursive scan, whose scratch is about
-    8 (lag + 2 horizon) bytes a row (5.6 MiB a block at lag 512, horizon 100);
-    for any other a transform of about 16 (2 lag + horizon) bytes a row
-    (18 MiB a block).  Beside ``eta`` and the result that one block is the
-    working memory, whatever the replica count.
+    (``LogvolParams.ma_rate``) a recursive scan, for any other a transform.
+    Beside ``eta`` and the result, that block (``block_working_bytes`` with
+    ``draws=False``) is the working memory, whatever the replica count.
     """
     a = np.asarray(p.ma_coeffs, float)
     if eta.ndim != 2 or eta.shape[1] < a.size + 1:
@@ -274,6 +272,18 @@ class LogvolMcreModel:
         )
 
 
+def block_working_bytes(p: LogvolParams, horizon: int, replicas: int, draws: bool = True) -> int:
+    """Bytes a block of ``min(replicas, _BLOCK_ROWS)`` rows holds over ``horizon``
+    steps: its plan (``streams.ma_plan_row_bytes``); with ``draws``, the normals
+    and innovations ``simulate_logvol_batch`` draws into it; the stream states
+    (``streams.stream_state_bytes``); and 256 KiB for numpy's iteration buffers."""
+    n_env = p.lag + horizon + 2
+    per_row = ma_plan_row_bytes(len(p.ma_coeffs), n_env, p.ma_rate)
+    if draws:
+        per_row += 8 * (n_env + horizon)
+    return min(replicas, _BLOCK_ROWS) * per_row + stream_state_bytes(replicas) + 2**18
+
+
 def simulate_logvol_batch(
     p: LogvolParams,
     horizon: int,
@@ -287,10 +297,9 @@ def simulate_logvol_batch(
     innovations.  Replicas are drawn, convolved and stepped in blocks of
     ``_BLOCK_ROWS`` (1,024) in buffers allocated once.  The moving average
     runs through the plan ``streams.ma_plan`` picks (see ``ma_env_values``),
-    so memory is one block's draws and scan (about 12 MiB at lag 512,
-    horizon 100; 24 MiB with a non-geometric MA's transform) plus 8 bytes
-    per replica and checkpoint, whatever the replica count.  Every operation
-    is per replica, so the blocking changes no bit of the result.
+    so memory is one block's draws and plan (``block_working_bytes``) plus
+    8 bytes per replica and checkpoint, whatever the replica count.  Every
+    operation is per replica, so the blocking changes no bit of the result.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")

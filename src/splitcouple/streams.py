@@ -29,13 +29,10 @@ Every moving average is built by ``ma_plan``, the one place that picks its
 convolution: ``ScanPlan`` (a blocked recursion) for geometric taps, which
 are the SDE's exponential kernel and a ``geometric(r, lag)`` log-volatility
 environment, and ``ConvPlan`` (an FFT, bit for bit as
-``scipy.signal.fftconvolve``) for any other.  At the shipped
-``logvol-sim`` size (1,024 rows of 614 draws, 513 taps) the scan takes
-about 4 ms a block where the FFT takes about 13 ms (medians on 2 CPUs), and
-it is within 1e-15 of a long-double direct sum, relative to the largest
-value.  The module needs numpy alone: ``ConvPlan`` picks its transform
-length with ``_fast_len`` rather than ``scipy.fft.next_fast_len``, whose
-import loads ``scipy.special``, so the SDE path imports no scipy.
+``scipy.signal.fftconvolve``) for any other; ``ma_plan_row_bytes`` is what a
+row of either holds.  The module needs numpy alone: ``ConvPlan`` picks its
+transform length with ``_fast_len`` rather than ``scipy.fft.next_fast_len``,
+whose import loads ``scipy.special``, so the SDE path imports no scipy.
 """
 
 from __future__ import annotations
@@ -177,6 +174,12 @@ def replica_blocks(master_seed: int, replicas: range, rows: int, layout: list) -
         yield lo, hi, tuple(buf[: hi - lo] for buf in bufs)
 
 
+def stream_state_bytes(replicas: int) -> int:
+    """Bytes ``replica_blocks`` holds beside its buffers: its generator (about 8 KiB) and
+    the worked-out states of up to ``_STATE_SLICE`` replicas (about 200 bytes each)."""
+    return 2**14 + 256 * min(replicas, _STATE_SLICE)
+
+
 def replica_uniform_pairs(master_seed: int, replicas: range, steps: int) -> np.ndarray:
     """Shared-randomness table of uniform pairs, shape (len(replicas), steps, 2).
 
@@ -215,11 +218,11 @@ class ConvPlan:
 
     def __init__(self, taps, rows: int, n_in: int):
         self.taps = np.asarray(taps, float)
-        self.n = _fast_len(n_in + self.taps.size - 1)
+        spec_cols, self.n = _conv_shape(self.taps.size, n_in)
         self.valid = slice(self.taps.size - 1, n_in)
         if self.taps.size > 1:
             self.taps_hat = np.fft.rfft(self.taps, self.n)
-            self.spec = np.empty((rows, self.n // 2 + 1), complex)
+            self.spec = np.empty((rows, spec_cols), complex)
             self.full = np.empty((rows, self.n))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -232,13 +235,21 @@ class ConvPlan:
         return full[:, self.valid]
 
 
+def _conv_shape(n_taps: int, n_in: int) -> tuple[int, int]:
+    """Row columns of ``ConvPlan``'s complex spectrum and real output (its transform length)."""
+    n = _fast_len(n_in + n_taps - 1)
+    return n // 2 + 1, n
+
+
 _SCAN_BLOCK = 256  # the most steps one block of ScanPlan's scan spans
 
 
-def _scan_block(rate: float) -> int:
-    """Steps one block of ``ScanPlan``'s scan spans at a decay of ``rate`` a
-    step: ``min(256, max(1, floor(1 / rate)))``."""
-    return min(_SCAN_BLOCK, max(1, int(1.0 / rate)))
+def _scan_shape(n_taps: int, n_in: int, rate: float, m: int) -> tuple[int, tuple[int, int, int]]:
+    """``ScanPlan``'s block length, and the columns a row of its output, work
+    and block-start buffers take (one start a block) for ``m`` nonzero taps."""
+    block = min(_SCAN_BLOCK, max(1, int(1.0 / rate)))
+    n_blocks = -(-(n_in - n_taps) // block)
+    return block, ((n_blocks + 1) * block, max(m, n_blocks * block), n_blocks)
 
 
 class ScanPlan:
@@ -259,8 +270,7 @@ class ScanPlan:
     multiply by ``a^(p+1-T)`` (at most e) finish it.  Every operation is
     elementwise or a reduction along a row, so a row's result does not
     depend on the other rows.  It agrees with a direct sum to about 1e-14
-    where the FFT reaches about 1e-15, and costs about a third of the FFT at
-    the shipped ``sde-sim`` sizes.
+    where the FFT reaches about 1e-15, at about a third of the FFT's cost.
     """
 
     def __init__(self, taps, rate: float, rows: int, n_in: int):
@@ -271,11 +281,11 @@ class ScanPlan:
         self.n_out = n_in - taps.size + 1
         steps = self.n_out - 1
         a = math.exp(-rate)
-        self.block = block = _scan_block(rate)
-        self.n_blocks = n_blocks = -(-steps // block)
+        block, (out_cols, work_cols, n_blocks) = _scan_shape(taps.size, n_in, rate, m)
+        self.block, self.n_blocks = block, n_blocks
         # J_0 ends a first block and J_1, J_2, ... fill the blocks after it,
         # so each row's scan is a (n_blocks, block) view at a block's offset
-        self.out = np.empty((rows, (n_blocks + 1) * block))
+        self.out = np.empty((rows, out_cols))
         if m == 0:
             return
         self.rev_taps = taps[m - 1 :: -1].copy()
@@ -284,7 +294,7 @@ class ScanPlan:
         self.w_out = a * taps[m - 1] * weight  # the leaving input's
         self.finish = a ** np.arange(1.0 - block, 1.0)
         self.a_block = a**block
-        self.work = np.empty(rows * max(m, n_blocks * block))
+        self.work = np.empty(rows * work_cols)
         self.starts = np.empty((rows, n_blocks))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -320,9 +330,16 @@ class ScanPlan:
 def ma_plan(taps, rows: int, n_in: int, rate: float | None = None) -> ConvPlan | ScanPlan:
     """The plan that convolves (k <= rows, n_in) arrays with ``taps``: a
     ``ScanPlan`` when the caller knows the taps geometric with decay ``rate``
-    a step, a ``ConvPlan`` for any other (``rate`` None).  Every moving
-    average of the package is built here, so this is the one place that
-    picks its convolution."""
+    a step, a ``ConvPlan`` for any other (``rate`` None)."""
     if rate is None:
         return ConvPlan(taps, rows, n_in)
     return ScanPlan(taps, rate, rows, n_in)
+
+
+def ma_plan_row_bytes(n_taps: int, n_in: int, rate: float | None = None) -> int:
+    """Bytes a row of ``ma_plan(taps, rows, n_in, rate)`` holds for ``n_taps`` taps, by the
+    shapes its plan allocates (a scan's taps all nonzero), or one tap's product."""
+    if rate is not None:
+        return 8 * sum(_scan_shape(n_taps, n_in, rate, n_taps)[1])
+    spec_cols, full_cols = _conv_shape(n_taps, n_in)
+    return 16 * spec_cols + 8 * full_cols if n_taps > 1 else 8 * n_in

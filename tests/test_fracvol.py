@@ -362,3 +362,16 @@ def test_increment_check_from_ensemble():
     consts = increment_constants(p, l_tilde)
     check = increment_moment_check(res.at(0, 5.0), res.at(0, 5.0 + h), h, consts)
     assert check.passed
+
+
+@pytest.mark.parametrize("kernel", [EXP_KERNEL, VolatilityKernel("exponential", lam=2.5, scale=0.7),
+                                    FRAC_KERNEL], ids=["exp-1", "exp-2.5", "fractional"])
+def test_kernel_rate_is_the_decay_of_its_taps_a_step(kernel):
+    # The ensemble's plan and its memory estimate both take the rate from here.
+    dt = 1.0 / 64.0
+    rate = kernel.rate(dt)
+    if kernel.kind == "fractional":
+        assert rate is None
+    else:
+        taps = _kernel_taps(kernel, dt, 10.0)
+        np.testing.assert_allclose(taps[1:] / taps[:-1], math.exp(-rate), rtol=1e-12)

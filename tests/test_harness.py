@@ -292,7 +292,16 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
     # a negative m_max passed as covering the target and failed without a field name
     ("experiment = logvol-couple\nlogvol.m_max = -1\nlogvol.target_block = -2\n",
      "logvol.target_block"),
-], ids=["one-start", "step-cap-0", "target-block-0", "negative-m-max"])
+    # a fractional lag ran at its integer part while the report echoed the text
+    ("experiment = logvol-sim\nreplicas = 100\nlogvol.ma = geometric(0.5, 2.5)\n", "logvol.ma"),
+    # a negative lag failed as "logvol: ma_coeffs must be nonempty"
+    ("experiment = logvol-sim\nreplicas = 100\nlogvol.ma = geometric(0.5, -3)\n", "logvol.ma"),
+    # a lag at or below zero ran as one grid step under the flag of its own name
+    ("experiment = sde-sim\nreplicas = 100\nsde.increment_lags = -0.5, 0.01\n",
+     "sde.increment_lags"),
+    ("experiment = sde-sim\nreplicas = 100\nsde.increment_lags = 0.1, 0\n", "sde.increment_lags"),
+], ids=["one-start", "step-cap-0", "target-block-0", "negative-m-max", "fractional-ma-lag",
+        "negative-ma-lag", "negative-increment-lag", "zero-increment-lag"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_refuses_configs_a_run_cannot_run(tmp_path, capsys, text, key, command):
     cfg_path = str(tmp_path / "exp.cfg")
@@ -327,6 +336,12 @@ def test_validate_refuses_an_oversized_ma_lag_before_building_it(tmp_path, capsy
     # the longest lag passes the check and reaches the family function
     with pytest.raises(AssertionError, match="must not be built"):
         load_config_text(f"experiment = logvol-sim\nlogvol.ma = {family}(0.5, {_MAX_MA_LAG})\n")
+
+
+def test_an_ma_lag_written_as_a_whole_float_is_its_integer():
+    cfg = load_config_text("experiment = logvol-sim\nlogvol.ma = geometric(0.5, 1e3)\n")
+    assert cfg.model.lag == 1000
+    assert cfg.resolved["logvol.ma"] == "geometric(0.5, 1e3)"
 
 
 @pytest.mark.parametrize("payload", [
@@ -523,14 +538,21 @@ def test_logvol_sim_estimate_is_one_block_plus_outputs():
     assert large < MEMORY_CAP_BYTES
 
 
-@pytest.mark.parametrize("ma", ["geometric(0.5, 512)", "fractional(0.1, 512)"],
-                         ids=["geometric", "fractional"])
-def test_logvol_sim_estimate_covers_the_simulation_s_traced_peak(ma):
-    # 1,500 replicas span one full block and a partial one.  The block's
-    # draws and its plan's scratch dominate: the recursive scan's for a
-    # geometric MA, about a third of the transform's for a fractional one.
+@pytest.mark.parametrize("ma, block_rows", [
+    ("geometric(0.5, 512)", None),
+    ("fractional(0.1, 512)", None),
+    ("geometric(0.5, 512)", 256),
+    ("fractional(0.1, 512)", 256),
+], ids=["geometric", "fractional", "geometric-block-256", "fractional-block-256"])
+def test_logvol_sim_estimate_covers_the_simulation_s_traced_peak(monkeypatch, ma, block_rows):
+    # 1,500 replicas span one full block and a partial one, or six blocks of
+    # 256 rows: the estimate reads the simulation's live block size.  The
+    # block's draws and its plan's scratch dominate: the recursive scan's for
+    # a geometric MA, about a third of the transform's for a fractional one.
+    if block_rows is not None:
+        monkeypatch.setattr(logvol, "_BLOCK_ROWS", block_rows)
     cfg = load_config_text(f"experiment = logvol-sim\nreplicas = 1500\nlogvol.ma = {ma}\n")
-    assert logvol._BLOCK_ROWS < cfg.replicas < 2 * logvol._BLOCK_ROWS
+    assert logvol._BLOCK_ROWS < cfg.replicas < 2 * logvol._BLOCK_ROWS or block_rows
     checkpoints = cfg.options["checkpoints"]
     tracemalloc.start()
     try:
@@ -542,19 +564,25 @@ def test_logvol_sim_estimate_covers_the_simulation_s_traced_peak(ma):
     assert peak <= cfg.peak_bytes < 1.5 * peak
 
 
-@pytest.mark.parametrize("kernel", ["exponential(1.0)", "fractional(0.1)"],
-                         ids=["exponential", "fractional"])
-def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(kernel):
-    # 1,600 replicas span one full chunk and a partial one.  The chunk's q
+@pytest.mark.parametrize("kernel, chunk", [
+    ("exponential(1.0)", None),
+    ("fractional(0.1)", None),
+    ("exponential(1.0)", 400),
+], ids=["exponential", "fractional", "exponential-chunk-400"])
+def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(monkeypatch, kernel, chunk):
+    # 1,600 replicas span one full chunk and a partial one, or four chunks of
+    # 400: the estimate reads the ensemble's live chunk size.  The chunk's q
     # series, one float a replica-step, dominates what the ensemble holds; an
     # estimate that kept three floats a replica-step would be over twice it.
     # One checkpoint keeps the output rows from covering the block scratch,
     # which is the recursive scan's for an exponential kernel and the FFT's
     # for a fractional one.
+    if chunk is not None:
+        monkeypatch.setattr(fracvol, "_DEFAULT_CHUNK", chunk)
     text = ("experiment = sde-sim\nreplicas = 1600\nsde.dt = 0.015625\nsde.checkpoints = 20\n"
             f"sde.kernel = {kernel}\n")
     cfg = load_config_text(text)
-    assert fracvol._DEFAULT_CHUNK < cfg.replicas < 2 * fracvol._DEFAULT_CHUNK
+    assert fracvol._DEFAULT_CHUNK < cfg.replicas < 2 * fracvol._DEFAULT_CHUNK or chunk
     opt = cfg.options
     tracemalloc.start()
     try:

@@ -16,6 +16,7 @@ from splitcouple.logvol import (
     InnovationLaw,
     LogvolMcreModel,
     LogvolParams,
+    block_working_bytes,
     fractional_ma,
     geometric_ma,
     logvol_alpha,
@@ -385,3 +386,19 @@ def test_simulate_batch_memory_is_per_block():
     growth = peak(6 * block) - peak(2 * block)
     extra_outputs = 2 * (4 * block) * 8  # two checkpoints, four more blocks of doubles
     assert growth <= extra_outputs + 64 * 1024
+
+
+@pytest.mark.parametrize("coeffs", [geometric_ma(0.5, 512), fractional_ma(0.1, 512), (0.1,)],
+                         ids=["geometric", "fractional", "one-tap"])
+def test_environment_memory_is_the_block_it_states(coeffs):
+    # Beside eta and its result, ma_env_values holds one block, the size the
+    # logvol-couple memory estimate counts for it; 1,500 rows span two blocks.
+    p = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=coeffs)
+    eta = replica_rng(3, 0).standard_normal((1500, p.lag + 100 + 2))
+    tracemalloc.start()
+    try:
+        env = ma_env_values(p, eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - env.nbytes <= block_working_bytes(p, 100, len(eta), draws=False)

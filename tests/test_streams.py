@@ -1,3 +1,4 @@
+import ast
 import glob
 import importlib
 import json
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +24,12 @@ from splitcouple.streams import (
     ScanPlan,
     _fast_len,
     _pcg64_states,
+    ma_plan,
+    ma_plan_row_bytes,
     replica_blocks,
     replica_rng,
     replica_uniform_pairs,
+    stream_state_bytes,
 )
 
 
@@ -180,6 +185,33 @@ def test_every_export_has_a_caller_or_a_readme_entry():
     assert unused == []
 
 
+def test_no_module_imports_another_module_s_private_name():
+    # What one module needs of another, such as the sizes a memory estimate
+    # reads, the other states under a public name; an underscore name stays
+    # in its module, so changing it cannot leave a stale copy elsewhere.
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(splitcouple.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        name = os.path.basename(path)
+        siblings = set()  # names bound to the package's modules
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if not (node.level or (node.module or "").startswith("splitcouple")):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{name}: from {node.module} import {alias.name}")
+                if node.module in (None, "splitcouple"):
+                    siblings.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings and node.attr.startswith("_")):
+                found.append(f"{name}: {node.value.id}.{node.attr}")
+    assert found == []
+
+
 def test_replica_rng_is_called_in_streams_only():
     # Each replica's stream layout is drawn in one place (streams.replica_blocks).
     # Threads build the SDE's noise series (fracvol) and nothing else, and their
@@ -304,3 +336,41 @@ def test_scan_plan_matches_a_direct_sum_and_conv_plan(lam, dt, burn_in, steps, s
     for i in (0, 7, 15):
         assert np.array_equal(alone(x[i : i + 1])[0], got[i])
     assert np.array_equal(plan(x[3:8]), got[3:8])  # a partial block refills the buffers
+
+
+@pytest.mark.parametrize("n_taps, n_in, rate", [
+    (513, 614, None),  # the shipped logvol-sim environment by transform
+    (513, 614, math.log(2.0)),  # and by scan, one step a block
+    (65, 166, -math.log(0.95)),  # scan blocks of 19 steps
+    (640, 1920, 1.0 / 64.0),  # an sde-sim exponential kernel at dt = 1/64
+    (640, 1920, None),  # and a fractional one
+    (1, 203, None),  # one tap: the product the plan returns
+    (2, 5, None),
+])
+def test_ma_plan_row_bytes_are_what_a_row_of_the_plan_holds(n_taps, n_in, rate):
+    rows = 3
+    plan = ma_plan(0.9 ** np.arange(n_taps), rows, n_in, rate)
+    if rate is not None:
+        held = plan.out.nbytes + plan.work.nbytes + plan.starts.nbytes
+    elif n_taps > 1:
+        held = plan.spec.nbytes + plan.full.nbytes
+    else:
+        held = plan(np.ones((rows, n_in))).nbytes
+    assert rows * ma_plan_row_bytes(n_taps, n_in, rate) == held
+
+
+@pytest.mark.parametrize("replicas, rows", [(1, 1), (16, 1), (1023, 64), (1025, 1024), (3000, 16)])
+def test_stream_state_bytes_cover_what_replica_blocks_holds_beside_its_buffers(replicas, rows):
+    gen = np.random.Generator
+    layout = [(gen.standard_normal, (40,)), (gen.random, (10, 2))]
+    tracemalloc.start()
+    try:
+        for _ in replica_blocks(2**70 + 5, range(9, 9 + replicas), rows, layout):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = peak - min(rows, replicas) * 8 * (40 + 20)  # beside the draw buffers
+    assert held <= stream_state_bytes(replicas)
+    if replicas > 1000:  # where the states, not the generator, dominate
+        assert stream_state_bytes(replicas) < 1.5 * held
