@@ -27,9 +27,7 @@ from .fracvol import (
 
 EXPERIMENTS = ("ar1-bound", "ar1-couple", "logvol-sim", "logvol-couple", "sde-sim")
 MEMORY_CAP_BYTES = 4 * 2**30  # the most a run may plan to hold at once
-# A logvol run that draws its environment plans at least 40 bytes a lag step
-# for each of its (at least 100) replicas, so no longer lag fits under the cap.
-_MAX_MA_LAG = MEMORY_CAP_BYTES // (40 * 100)
+_MIN_REPLICAS = 100  # the fewest a Monte Carlo experiment may run
 _CSV_ROW_BYTES = 256  # one table record, plus its cell objects and CSV line made at write time
 
 _CALL_RE = re.compile(r"^([a-z_]+)\(([^)]*)\)$")
@@ -146,7 +144,7 @@ def _parse_call(key: str, text: str, families: dict[str, int]) -> tuple[str, lis
 
 
 def _ma_coeffs(fields: _Fields) -> tuple[float, ...]:
-    from .logvol import fractional_ma, geometric_ma
+    from .logvol import LogvolParams, block_working_bytes, fractional_ma, geometric_ma
     text = fields.str_("logvol.ma", "geometric(0.5, 512)")
     if "(" in text:
         name, args = _parse_call("logvol.ma", text, {"geometric": 2, "fractional": 2})
@@ -154,14 +152,19 @@ def _ma_coeffs(fields: _Fields) -> tuple[float, ...]:
         if lag < 0 or lag != int(lag):
             raise ConfigError(f"logvol.ma: lag must be a non-negative integer, got {lag:g}")
         lag = int(lag)
-        if lag > _MAX_MA_LAG:  # refused before the coefficients are built
+        family = geometric_ma if name == "geometric" else fractional_ma
+        # Refused before the coefficients are built when the smallest run, one
+        # step of logvol-sim, cannot hold them.  Whether the MA runs as a scan
+        # is the same at every lag from 2 on, so three taps decide the rate.
+        rate = LogvolParams(gamma=0.5, rho=0.0, ma_coeffs=family(args[0], min(lag, 2))).ma_rate
+        need = block_working_bytes(lag, rate, 1, _MIN_REPLICAS)
+        if need > MEMORY_CAP_BYTES:
             raise ConfigError(
-                f"logvol.ma: lag {lag} is over {_MAX_MA_LAG}, the longest a run can hold "
-                f"under the {MEMORY_CAP_BYTES / 2**30:g} GiB memory cap"
+                f"logvol.ma: lag {lag} is over the longest a run can hold under the "
+                f"{MEMORY_CAP_BYTES / 2**30:g} GiB memory cap ({_MIN_REPLICAS} replicas for "
+                f"one step would hold {need / 2**30:.3g} GiB)"
             )
-        if name == "geometric":
-            return geometric_ma(args[0], lag)
-        return fractional_ma(args[0], lag)
+        return family(args[0], lag)
     try:
         coeffs = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
@@ -205,7 +208,8 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
     from .logvol import block_working_bytes, logvol_schedule
     if experiment == "logvol-sim":  # the checkpoint samples
         steps = max(options["checkpoints"])
-        return r * 8 * len(set(options["checkpoints"])) + block_working_bytes(model, steps, r)
+        return (r * 8 * len(set(options["checkpoints"]))
+                + block_working_bytes(model.lag, model.ma_rate, steps, r))
     try:
         schedule = logvol_schedule(model, options["m_max"])
     except ScheduleError:
@@ -213,7 +217,7 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
     # logvol-couple: draws, uniform pairs, environment and codes per replica
     steps = min(schedule.M_of_m[options["target_block"]], options["step_cap"])
     per_replica = 8 * (model.lag + steps + 2) + 33 * steps + 18
-    return r * per_replica + block_working_bytes(model, steps, r, draws=False)
+    return r * per_replica + block_working_bytes(model.lag, model.ma_rate, steps, r, draws=False)
 
 
 def load_config_text(text: str) -> ExperimentConfig:
@@ -312,8 +316,9 @@ def load_config_text(text: str) -> ExperimentConfig:
             raise ConfigError("sde.l0: need at least two initial states to compare")
         options["checkpoints"] = fields.float_list("sde.checkpoints", (5.0, 10.0, 20.0))
         options["increment_lags"] = fields.float_list("sde.increment_lags", (0.1, 0.01))
-        if min(options["increment_lags"]) <= 0.0:
-            raise ConfigError("sde.increment_lags: lags must be positive")
+        if min(round(h / model.dt) for h in options["increment_lags"]) < 1:
+            raise ConfigError(f"sde.increment_lags: lags must be at least half a grid step "
+                              f"(sde.dt = {model.dt:g})")
         options["increment_base"] = fields.float_("sde.increment_base", 10.0)
         options["tv_threshold"] = fields.float_("sde.tv_threshold", 0.1)
         for t in options["checkpoints"]:
@@ -324,8 +329,8 @@ def load_config_text(text: str) -> ExperimentConfig:
             raise ConfigError("sde.increment_base: increment window leaves [0, horizon]")
         replicas = fields.int_("replicas", 10000)
 
-    if experiment != "ar1-bound" and replicas < 100:
-        raise ConfigError("replicas: Monte Carlo experiments need at least 100 replicas")
+    if experiment != "ar1-bound" and replicas < _MIN_REPLICAS:
+        raise ConfigError(f"replicas: a Monte Carlo experiment needs {_MIN_REPLICAS} or more")
 
     unused = fields.unused_keys()
     if unused:

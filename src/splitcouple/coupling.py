@@ -4,8 +4,11 @@ Orbits of different depths share one table of uniform pairs: entry ``i`` of
 a sequence drives the step at backward time ``-i``, so the depth-t and
 depth-s compositions consume identical randomness on their common suffix
 and coalesce exactly when the split mapping's regeneration branch fires
-while both orbits sit inside the active small set.  One engine,
-``_coupled_batch``, steps every coupling, plain or in a random environment,
+while both orbits sit inside the active small set.  That set is the kernel's
+own (``SplitKernel.in_small_set``): in a random environment the kernel is
+frozen at each step's environment values, so the set is joint.  One engine,
+``_coupled_batch``, steps every coupling, plain (``coupled_pair_batch``) or
+in a random environment (``mcre_coupled_chains_batch``, ``mcre_coupled_pair``),
 and returns a numpy record array with one record per replica: ``coupled``,
 ``couple_step`` (-1 for never), ``codes`` (0/1/2 = A/B/C per recorded step)
 and ``final`` (the two final states).
@@ -65,13 +68,12 @@ class BlockSchedule:
 
 
 class McreSplitModel(Protocol):
-    """Environment-dependent split kernel, as supplied by a model module."""
+    """Environment-dependent split kernel, as supplied by a model module:
+    ``kernel(env_values)`` is frozen at (and carries) those values."""
 
     ladder: SmallSetLadder
 
     def kernel(self, env_values: np.ndarray) -> SplitKernel: ...
-
-    def env_in_small_set(self, env_values: np.ndarray, n: int) -> np.ndarray: ...
 
 
 def _as_uniform_table(u_seq, need: int) -> np.ndarray:
@@ -83,27 +85,6 @@ def _as_uniform_table(u_seq, need: int) -> np.ndarray:
     if u.shape[1] < need:
         raise ValueError(f"uniform sequence too short: {u.shape[1]} < {need}")
     return u
-
-
-def backward_orbit_batch(kernel: SplitKernel, n: int, x0, u_table: np.ndarray, t: int):
-    """Depth-t backward composition, one row of ``u_table`` per replica."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    u = _as_uniform_table(u_table, t)
-    x = np.broadcast_to(np.asarray(x0, float), (u.shape[0],)).copy()
-    for i in range(t - 1, -1, -1):
-        x = split_apply_batch(kernel, n, x, u[:, i, 0], u[:, i, 1])
-    return x
-
-
-def backward_orbit(kernel: SplitKernel, n: int, x0: float, u_seq, t: int) -> float:
-    """Compose the split mapping backward over ``u_seq[t-1], ..., u_seq[0]``.
-
-    The output is distributed as the forward t-step law started at ``x0``;
-    orbits of different depths built from the same sequence share the
-    uniforms with matching indices.
-    """
-    return float(backward_orbit_batch(kernel, n, x0, u_seq, t)[0])
 
 
 def coupling_lower_bound(alpha: float, s: int, eps: float) -> float:
@@ -218,12 +199,6 @@ def block_schedule(
     )
 
 
-def _classify(v, w, radius, env_ok) -> np.ndarray:
-    eq = v == w
-    in_set = (np.abs(v) <= radius) & (np.abs(w) <= radius) & env_ok
-    return np.where(eq, 0, np.where(in_set, 1, 2)).astype(np.int8)
-
-
 def _coupling_records(codes: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.recarray:
     """One record per replica from its event codes and final states.
 
@@ -268,36 +243,29 @@ def _coupled_batch(
 
     v = np.full(reps, float(x_v0))
     w = np.full(reps, float(x_w0))
-    codes = np.empty((reps, depth_w + 1), np.int8)
-    for k in range(1, t + 1):
-        jprime = t - k  # backward index of the uniform consumed by this step
-        n = ladder_index[jprime]
-        radius = model.ladder.radii[n]
+    codes = np.zeros((reps, depth_w + 1), np.int8)  # A unless classified B or C
+    for k in range(1, t + 2):
+        jprime = t - k  # backward index of the uniform consumed by this step; -1 ends
+        n = ladder_index[max(jprime, 0)]
         env_row = env_batch[:, k - 1]
-        env_ok = model.env_in_small_set(env_row, n)
+        if jprime >= depth_w:
+            v = split_apply_batch(model.kernel(env_row), n, v, u[:, jprime, 0], u[:, jprime, 1])
+            continue
+        # A coalesced w equals v and would take v's step bit for bit (each
+        # element is inverted on its own), so w is stepped where it differs.
+        live = np.flatnonzero(v != w)
+        rows = np.concatenate([np.arange(reps), live])  # replica of each element
+        vw = np.concatenate([v, w[live]])
+        kernel = model.kernel(env_row[rows])
+        in_set = kernel.in_small_set(vw, n)  # of every v, then of each live w
+        codes[live, depth_w - 1 - jprime] = np.where(in_set[live] & in_set[reps:], 1, 2)
+        if jprime < 0:
+            break
         u1, u2 = u[:, jprime, 0], u[:, jprime, 1]
-        if jprime < depth_w:
-            code = _classify(v, w, radius, env_ok)
-            codes[:, depth_w - 1 - jprime] = code
-            # A coalesced w equals v and would take v's step bit for bit (each
-            # element is inverted on its own), so w is stepped where it differs.
-            live = np.flatnonzero(code != 0)
-            rows = np.concatenate([np.arange(reps), live])  # replica of each element
-            vw = np.concatenate([v, w[live]])
-            out = split_apply_batch(
-                model.kernel(env_row[rows]), n, vw, u1[rows], u2[rows],
-                in_set=(np.abs(vw) <= radius) & env_ok[rows],
-            )
-            v = out[:reps]
-            w = v.copy()
-            w[live] = out[reps:]
-        else:
-            v = split_apply_batch(
-                model.kernel(env_row), n, v, u1, u2, in_set=(np.abs(v) <= radius) & env_ok
-            )
-    n0 = ladder_index[0]
-    env_ok0 = model.env_in_small_set(env_batch[:, t], n0)
-    codes[:, depth_w] = _classify(v, w, model.ladder.radii[n0], env_ok0)
+        out = split_apply_batch(kernel, n, vw, u1[rows], u2[rows], in_set=in_set)
+        v = out[:reps]
+        w = v.copy()
+        w[live] = out[reps:]
     return _coupling_records(codes, v, w)
 
 
@@ -314,31 +282,25 @@ class _FixedKernel:
     def kernel(self, env_values: np.ndarray) -> SplitKernel:
         return self.base
 
-    def env_in_small_set(self, env_values: np.ndarray, n: int) -> np.ndarray:
-        return np.ones(np.shape(env_values)[:-1], bool)
-
 
 def coupled_pair_batch(
     kernel: SplitKernel, n: int, x0: float, s: int, t: int, u_table: np.ndarray
 ) -> np.recarray:
-    """Vectorized ``coupled_pair`` over replicas (rows of ``u_table``)."""
+    """Couple the depth-t and depth-s backward orbits, one replica per row of
+    ``u_table``.
+
+    Steps are classified chronologically from the deepest shared index down
+    to the present; once the orbits coalesce they stay equal bit-for-bit,
+    because every later step applies the identical deterministic map.
+    ``s == t`` runs one orbit: ``final[:, 0]`` is the depth-t backward
+    composition, distributed as the forward t-step law from ``x0``.
+    """
     if not 1 <= s <= t:
         raise ValueError("need 1 <= s <= t")
     reps = _as_uniform_table(u_table, t).shape[0]
     return _coupled_batch(
         _FixedKernel(kernel), np.empty((reps, t + 1, 0)), x0, x0, s, t, u_table, [n] * t
     )
-
-
-def coupled_pair(kernel: SplitKernel, n: int, x0: float, s: int, t: int, u_seq) -> np.record:
-    """Couple the depth-t and depth-s backward orbits on shared uniforms.
-
-    Steps are classified chronologically from the deepest shared index down
-    to the present; once the orbits coalesce they stay equal bit-for-bit,
-    because every later step applies the identical deterministic map.
-    ``s == t`` is allowed for testing and coalesces immediately.
-    """
-    return coupled_pair_batch(kernel, n, x0, s, t, u_seq)[0]
 
 
 def _schedule_ladder_index(schedule: BlockSchedule, t: int) -> list[int]:
@@ -366,21 +328,12 @@ def mcre_coupled_pair(
     )[0]
 
 
-def mcre_coupled_chains(
-    model: McreSplitModel, env: np.ndarray, x0_pair: tuple[float, float],
-    schedule: BlockSchedule, t: int, u_seq,
-) -> np.record:
-    """Couple two depth-t chains from distinct starts in one environment."""
-    return mcre_coupled_chains_batch(
-        model, np.asarray(env, float)[None], x0_pair, schedule, t, u_seq
-    )[0]
-
-
 def mcre_coupled_chains_batch(
     model: McreSplitModel, env_batch: np.ndarray, x0_pair: tuple[float, float],
     schedule: BlockSchedule, t: int, u_table: np.ndarray,
 ) -> np.recarray:
-    """Vectorized ``mcre_coupled_chains`` over replicas (rows of both tables)."""
+    """Couple two depth-t chains from distinct starts, one replica per row of
+    ``env_batch`` (its (t+1, components) environment window) and ``u_table``."""
     return _coupled_batch(
         model, env_batch, x0_pair[0], x0_pair[1], t, t, u_table,
         _schedule_ladder_index(schedule, t),

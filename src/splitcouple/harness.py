@@ -267,8 +267,8 @@ def _run_sde_sim(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     base_cp = sorted(cfg.options["checkpoints"])
     inc_base = cfg.options["increment_base"]
     lags = cfg.options["increment_lags"]
-    # Snap increment lags to whole grid steps (at least one).
-    lag_times = [max(1, int(round(h / p.dt))) * p.dt for h in lags]
+    # Snap increment lags to whole grid steps (validate refuses a lag of none).
+    lag_times = [int(round(h / p.dt)) * p.dt for h in lags]
     times = sorted(set(base_cp) | {inc_base} | {inc_base + h for h in lag_times})
     result = simulate_ensemble(p, l0, cfg.replicas, times, cfg.seed)
 

@@ -9,6 +9,11 @@ Off the small set the full conditional CDF is inverted and the first uniform
 is ignored.  All branches are driven by the same ``(u1, u2)`` pair, so two
 states sharing the pair coalesce exactly when the regeneration branch fires.
 
+A kernel frozen at an environment value carries it, and its minorization
+holds only while the environment lies in the small set too:
+``SplitKernel.in_small_set``, the state and every environment component
+within b_n, is the one membership rule, and ``split_apply_batch``'s default.
+
 For a kernel that is a location-scale family of a known innovation law
 with CDF ``F``, the residual CDF is ``F / (1 - alpha_n)`` below ``z = -1``
 and ``(F - alpha_n) / (1 - alpha_n)`` above ``z = 1``.  Both tails invert
@@ -120,6 +125,10 @@ class SplitKernel:
     ``mean`` and ``stdev`` are the exact location and scale and CDF
     inversions are closed-form except on [-1, 1].  The inversion reads the
     innovation law, never ``cdf``; ``density`` serves the grid certificate.
+
+    ``env`` holds the environment components the kernel was frozen at, each a
+    scalar or an array aligned with the states (none for a kernel without an
+    environment); ``in_small_set`` tests them with the state.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -128,6 +137,7 @@ class SplitKernel:
     mean: Callable[[np.ndarray], np.ndarray]
     stdev: Callable[[np.ndarray], np.ndarray]
     innovation: InnovationLaw
+    env: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
         # Refused here, or a missing law only surfaces at the first off-set inversion.
@@ -135,17 +145,13 @@ class SplitKernel:
             name = type(self.innovation).__name__
             raise TypeError(f"SplitKernel.innovation must be an InnovationLaw, not {name}")
 
-
-@dataclass(frozen=True)
-class UniformPair:
-    """The (u1, u2) randomness unit driving one split-mapping application."""
-
-    u1: float
-    u2: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.u1 <= 1.0 and 0.0 <= self.u2 <= 1.0):
-            raise ValueError("uniform pair components must lie in [0, 1]")
+    def in_small_set(self, x, n: int) -> np.ndarray:
+        """Whether ``|x| <= b_n`` and every environment component is within b_n."""
+        b = self.ladder.radii[self.ladder.check_index(n)]
+        inside = np.abs(x) <= b
+        for component in self.env:
+            inside = inside & (np.abs(component) <= b)
+        return inside
 
 
 def _newton_middle(law, m, s, a, t):
@@ -224,7 +230,7 @@ def _split_inverse(kernel: SplitKernel, x, u, a_eff):
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("u must lie strictly inside (0, 1) for CDF inversion")
     a = np.asarray(a_eff, float)
-    # a == 1 rows never reach this branch in split_apply; make them inert.
+    # a == 1 rows never reach this branch in split_apply_batch; make them inert.
     a = np.where(a >= 1.0, 0.0, a)
     # Location and scale come from the full state array: a kernel may close
     # over per-element arrays aligned with it.
@@ -244,9 +250,9 @@ def split_apply_batch(
 ) -> np.ndarray:
     """Apply the split mapping elementwise over states sharing a ladder index.
 
-    ``in_set`` overrides the membership test ``|x| <= b_n``; models with an
-    extra environment coordinate pass the joint membership of (state, env)
-    so that regeneration only fires where the minorization actually holds.
+    ``in_set`` defaults to the kernel's joint membership of state and
+    environment, ``kernel.in_small_set(x, n)``, so that regeneration only
+    fires where the minorization holds; a caller holding it may pass it.
     """
     n = kernel.ladder.check_index(n)
     x = np.asarray(x, float)
@@ -254,10 +260,9 @@ def split_apply_batch(
     u2 = np.asarray(u2, float)
     if np.any((u1 < 0.0) | (u1 > 1.0)) or np.any((u2 < 0.0) | (u2 > 1.0)):
         raise ValueError("uniform pair components must lie in [0, 1]")
-    b = kernel.ladder.radii[n]
     a = kernel.ladder.alphas[n]
     if in_set is None:
-        in_set = np.abs(x) <= b
+        in_set = kernel.in_small_set(x, n)
     else:
         in_set = np.asarray(in_set, bool)
     regen = in_set & (u1 <= a)
@@ -269,21 +274,6 @@ def split_apply_batch(
     a_eff = np.where(in_set & ~regen, a, 0.0)
     z = _split_inverse(kernel, x, np.where(regen, 0.5, u2), a_eff)
     return np.where(regen, 2.0 * u2 - 1.0, z)
-
-
-def split_apply(kernel: SplitKernel, n: int, x: float, u: UniformPair) -> float:
-    """One application of the split random mapping at state ``x``.
-
-    On the small set the mapping regenerates from the minorizing measure when
-    ``u1 <= alpha_n`` (and is then constant in ``x``), otherwise it inverts
-    the residual CDF at ``u2``.  Off the set it inverts the full conditional
-    CDF at ``u2`` and ignores ``u1``.  In every case the output over a
-    uniform pair is distributed exactly as Q(x, .).
-    """
-    out = split_apply_batch(
-        kernel, n, np.array([x], float), np.array([u.u1]), np.array([u.u2])
-    )
-    return float(out[0])
 
 
 def validate_minorization(

@@ -125,14 +125,6 @@ def ma_env_paths(
     return ma_env_values(p, eta)
 
 
-def ma_env_path(p: LogvolParams, horizon: int, seed: int) -> np.ndarray:
-    """Single stationary environment window over t = 0..horizon.
-
-    Row t is the pair (Z_t, eta_{t+1}); the shape is (horizon + 1, 2).
-    """
-    return ma_env_paths(p, horizon, 1, seed)[0]
-
-
 def logvol_dn(p: LogvolParams, n: int) -> float:
     """Reach of the innovation needed to land in [-1, 1] from the n-th sets.
 
@@ -211,8 +203,10 @@ def logvol_kernel(p: LogvolParams, z, eta_next, n_max: int = 2,
     """Split kernel of the chain with the environment frozen at (z, eta_next).
 
     ``z`` and ``eta_next`` may be scalars or arrays aligned with the state
-    vectors the kernel will be applied to.  ``ladder`` is
-    ``logvol_ladder(p, n_max)``, built here when not given.
+    vectors the kernel will be applied to; the kernel carries them as its
+    ``env``, so its small sets are the joint boxes [-n, n]^3 on which the
+    ladder weights hold.  ``ladder`` is ``logvol_ladder(p, n_max)``, built
+    here when not given.
     """
     z = np.asarray(z, float)
     eta_next = np.asarray(eta_next, float)
@@ -238,6 +232,7 @@ def logvol_kernel(p: LogvolParams, z, eta_next, n_max: int = 2,
 
     return SplitKernel(
         density=density, cdf=cdf, ladder=ladder, mean=mean, stdev=stdev, innovation=p.eps,
+        env=(z, eta_next),
     )
 
 
@@ -264,21 +259,16 @@ class LogvolMcreModel:
         return logvol_kernel(self.params, env_values[..., 0], env_values[..., 1],
                              ladder=self.ladder)
 
-    def env_in_small_set(self, env_values: np.ndarray, n: int) -> np.ndarray:
-        env_values = np.asarray(env_values, float)
-        radius = self.ladder.radii[self.ladder.check_index(n)]
-        return (np.abs(env_values[..., 0]) <= radius) & (
-            np.abs(env_values[..., 1]) <= radius
-        )
 
-
-def block_working_bytes(p: LogvolParams, horizon: int, replicas: int, draws: bool = True) -> int:
+def block_working_bytes(lag: int, rate: float | None, horizon: int, replicas: int,
+                        draws: bool = True) -> int:
     """Bytes a block of ``min(replicas, _BLOCK_ROWS)`` rows holds over ``horizon``
-    steps: its plan (``streams.ma_plan_row_bytes``); with ``draws``, the normals
-    and innovations ``simulate_logvol_batch`` draws into it; the stream states
+    steps of an MA of ``lag`` and ``LogvolParams.ma_rate`` ``rate``: its plan
+    (``streams.ma_plan_row_bytes``); with ``draws``, the normals and innovations
+    ``simulate_logvol_batch`` draws into it; the stream states
     (``streams.stream_state_bytes``); and 256 KiB for numpy's iteration buffers."""
-    n_env = p.lag + horizon + 2
-    per_row = ma_plan_row_bytes(len(p.ma_coeffs), n_env, p.ma_rate)
+    n_env = lag + horizon + 2
+    per_row = ma_plan_row_bytes(lag + 1, n_env, rate)
     if draws:
         per_row += 8 * (n_env + horizon)
     return min(replicas, _BLOCK_ROWS) * per_row + stream_state_bytes(replicas) + 2**18

@@ -12,10 +12,7 @@ from splitcouple.ar1 import Ar1Params, ar1_alpha, ar1_marginal, ar1_split_kernel
 from splitcouple.coupling import (
     BlockSchedule,
     _coupling_records,
-    backward_orbit,
-    backward_orbit_batch,
     block_schedule,
-    coupled_pair,
     coupled_pair_batch,
     coupling_lower_bound,
     mcre_coupled_chains_batch,
@@ -23,7 +20,7 @@ from splitcouple.coupling import (
     tv_upper_from_coupling,
 )
 from splitcouple.errors import ScheduleError
-from splitcouple.kernels import SmallSetLadder, UniformPair, split_apply, split_apply_batch
+from splitcouple.kernels import SmallSetLadder, split_apply_batch
 from splitcouple.logvol import LogvolMcreModel, LogvolParams, logvol_schedule
 from splitcouple.streams import replica_uniform_pairs
 
@@ -52,8 +49,8 @@ def kernel():
 
 @dataclass
 class ConstEnvModel:
-    """AR(1) kernel dressed as an environment-dependent model; the
-    environment is ignored and always counts as inside its small set."""
+    """AR(1) kernel dressed as an environment-dependent model; the kernel
+    ignores the environment and carries none, so its small set is the state's."""
 
     base: object
 
@@ -64,27 +61,31 @@ class ConstEnvModel:
     def kernel(self, env_values):
         return self.base
 
-    def env_in_small_set(self, env_values, n):
-        env_values = np.asarray(env_values)
-        return np.ones(env_values.shape[:-1], bool)
+
+def _backward_orbit(kernel, n, x0, u, t):
+    """The depth-t backward composition: the coupling's one orbit at s = t."""
+    return coupled_pair_batch(kernel, n, x0, t, t, u).final[:, 0]
 
 
 def test_backward_orbit_depth_zero_and_one(kernel):
+    # Depth zero is the identity, which the engine does not run.
     u = np.array([[0.3, 0.8], [0.6, 0.1]])
-    assert backward_orbit(kernel, 2, 1.5, u, 0) == 1.5
-    one = backward_orbit(kernel, 2, 1.5, u, 1)
-    assert one == split_apply(kernel, 2, 1.5, UniformPair(0.3, 0.8))
+    with pytest.raises(ValueError, match="1 <= s <= t"):
+        _backward_orbit(kernel, 2, 1.5, u, 0)
+    one = _backward_orbit(kernel, 2, 1.5, u, 1)
+    assert one[0] == split_apply_batch(kernel, 2, np.array([1.5]), np.array([0.3]),
+                                      np.array([0.8]))[0]
 
 
 def test_backward_orbit_needs_enough_uniforms(kernel):
     with pytest.raises(ValueError):
-        backward_orbit(kernel, 2, 0.0, np.zeros((3, 2)) + 0.5, 4)
+        _backward_orbit(kernel, 2, 0.0, np.zeros((3, 2)) + 0.5, 4)
 
 
 def test_backward_orbit_marginal_moments(kernel):
     t, reps = 20, 100_000
     u = replica_uniform_pairs(321, range(reps), t)
-    out = backward_orbit_batch(kernel, 3, 1.0, u, t)
+    out = _backward_orbit(kernel, 3, 1.0, u, t)
     mean, var = ar1_marginal(Ar1Params(GAMMA, 0.2, x0=1.0), t)
     se_mean = np.sqrt(var / reps)
     se_var = var * np.sqrt(2.0 / reps)
@@ -95,7 +96,7 @@ def test_backward_orbit_marginal_moments(kernel):
 def test_backward_orbit_matches_forward_law(kernel):
     t, reps = 12, 100_000
     u = replica_uniform_pairs(99, range(reps), t)
-    backward = backward_orbit_batch(kernel, 3, 1.0, u, t)
+    backward = _backward_orbit(kernel, 3, 1.0, u, t)
     forward = ar1_simulate_batch(
         Ar1Params(GAMMA, 0.2, x0=1.0), t, np.random.default_rng(1234), reps
     )
@@ -104,7 +105,7 @@ def test_backward_orbit_matches_forward_law(kernel):
 
 def test_coupled_pair_degenerate_equal_depths(kernel):
     u = np.random.default_rng(0).random((5, 2))
-    pair = coupled_pair(kernel, 2, 0.5, 5, 5, u)
+    pair = coupled_pair_batch(kernel, 2, 0.5, 5, 5, u)[0]
     assert _events(pair.codes)[0] == "A"
     assert pair.couple_step == 0
     assert pair.final[0] == pair.final[1]
@@ -116,7 +117,7 @@ def test_coupled_pair_regeneration_forces_coalescence(kernel):
     u = rng.random((6, 2))
     u[:, 0] = np.minimum(u[:, 0], 0.9)  # keep brackets sane
     u[0] = (0.0, 0.7)  # backward index 0 is the final step
-    pair = coupled_pair(kernel, 4, 0.5, 3, 6, u)
+    pair = coupled_pair_batch(kernel, 4, 0.5, 3, 6, u)[0]
     events = _events(pair.codes)
     if events[-2] in "AB":  # in the set (or already met) before the last step
         assert events[-1] == "A"
@@ -268,7 +269,7 @@ def test_mcre_constant_env_reduces_to_coupled_pair(kernel):
     u = rng.random((t, 2))
     env = np.zeros((t + 1, 1))
     mcre = mcre_coupled_pair(model, env, 1.0, sched, t, u)
-    plain = coupled_pair(kernel, 1, 1.0, s, t, u)
+    plain = coupled_pair_batch(kernel, 1, 1.0, s, t, u)[0]
     assert _events(mcre.codes) == _events(plain.codes)
     assert tuple(mcre.final) == tuple(plain.final)
 
@@ -360,21 +361,26 @@ def _stepped_in_full(model, env, x_v0, x_w0, depth_w, t, u, ladder_index):
     """Reference engine: both orbits take every shared step, coalesced or not.
 
     Returns the codes, couple_step and final states the engine should record.
+    Membership is written out here, the state and every environment component
+    within the radius, apart from the kernel rule the engine reads.
     """
     reps = u.shape[0]
     v, w = np.full(reps, float(x_v0)), np.full(reps, float(x_w0))
     codes = np.empty((reps, depth_w + 1), np.int8)
 
+    def env_ok(env_row, n):
+        return np.all(np.abs(env_row) <= model.ladder.radii[n], axis=-1)
+
     def classify(col, n, env_row, v, w):
         r = model.ladder.radii[n]
-        both = (np.abs(v) <= r) & (np.abs(w) <= r) & model.env_in_small_set(env_row, n)
+        both = (np.abs(v) <= r) & (np.abs(w) <= r) & env_ok(env_row, n)
         codes[:, col] = np.where(v == w, 0, np.where(both, 1, 2))
 
     for k in range(1, t + 1):
         j = t - k
         n = ladder_index[j]
         env_row = env[:, k - 1]
-        ok = model.env_in_small_set(env_row, n)
+        ok = env_ok(env_row, n)
         radius = model.ladder.radii[n]
 
         def step(x):

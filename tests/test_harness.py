@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,8 +10,9 @@ import pytest
 
 from splitcouple.cli import main as cli_main
 from splitcouple.config import (
-    _MAX_MA_LAG, MEMORY_CAP_BYTES, load_config, load_config_text, parse_config_text,
+    MEMORY_CAP_BYTES, load_config, load_config_text, parse_config_text,
 )
+import splitcouple
 from splitcouple import fracvol, harness, logvol
 from splitcouple.errors import CertificationError, ConfigError, RunError
 from splitcouple.fracvol import RESOURCE_CAP, simulate_ensemble
@@ -300,8 +303,12 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
     ("experiment = sde-sim\nreplicas = 100\nsde.increment_lags = -0.5, 0.01\n",
      "sde.increment_lags"),
     ("experiment = sde-sim\nreplicas = 100\nsde.increment_lags = 0.1, 0\n", "sde.increment_lags"),
+    # a lag under half a step (dt = 1/256) ran as one full step under its own name
+    ("experiment = sde-sim\nreplicas = 100\nsde.increment_lags = 0.001, 0.1\n",
+     "sde.increment_lags"),
 ], ids=["one-start", "step-cap-0", "target-block-0", "negative-m-max", "fractional-ma-lag",
-        "negative-ma-lag", "negative-increment-lag", "zero-increment-lag"])
+        "negative-ma-lag", "negative-increment-lag", "zero-increment-lag",
+        "sub-step-increment-lag"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_refuses_configs_a_run_cannot_run(tmp_path, capsys, text, key, command):
     cfg_path = str(tmp_path / "exp.cfg")
@@ -315,27 +322,39 @@ def test_cli_refuses_configs_a_run_cannot_run(tmp_path, capsys, text, key, comma
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("family", ["geometric", "fractional"])
+def _three_taps_at_most(build):
+    def guarded(arg, lag):
+        if lag > 2:  # config may build three taps to learn the plan, never the list
+            raise AssertionError("the coefficients must not be built")
+        return build(arg, lag)
+    return guarded
+
+
+@pytest.mark.parametrize("family, lag, longest", [
+    # the smallest run, 100 replicas for one step, at the longest lag holds
+    # just under 4 GiB: a scan for a geometric MA, a transform for another
+    ("geometric", 3_000_000, 2_684_159),
+    ("fractional", 2_000_000, 1_062_880),
+], ids=["geometric", "fractional"])
 def test_validate_refuses_an_oversized_ma_lag_before_building_it(tmp_path, capsys, monkeypatch,
-                                                                 family):
+                                                                 family, lag, longest):
     # 2e6 lags would take about a second and 100 MiB to build, only for the
     # memory estimate to refuse the run and blame replicas.
-    def no_build(*args, **kwargs):
-        raise AssertionError("the coefficients must not be built")
-
-    monkeypatch.setattr(logvol, "geometric_ma", no_build)
-    monkeypatch.setattr(logvol, "fractional_ma", no_build)
+    monkeypatch.setattr(logvol, "geometric_ma", _three_taps_at_most(logvol.geometric_ma))
+    monkeypatch.setattr(logvol, "fractional_ma", _three_taps_at_most(logvol.fractional_ma))
     cfg_path = str(tmp_path / "lag.cfg")
     with open(cfg_path, "w", encoding="utf-8") as fh:
-        fh.write(f"experiment = logvol-sim\nreplicas = 100\nlogvol.ma = {family}(0.5, 2000000)\n")
+        fh.write(f"experiment = logvol-sim\nreplicas = 100\nlogvol.ma = {family}(0.5, {lag})\n")
     assert cli_main(["validate", cfg_path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: logvol.ma: lag 2000000 is over ")
+    assert captured.err.startswith(f"error: logvol.ma: lag {lag} is over ")
     assert captured.err.count("\n") == 1
     # the longest lag passes the check and reaches the family function
     with pytest.raises(AssertionError, match="must not be built"):
-        load_config_text(f"experiment = logvol-sim\nlogvol.ma = {family}(0.5, {_MAX_MA_LAG})\n")
+        load_config_text(f"experiment = logvol-sim\nlogvol.ma = {family}(0.5, {longest})\n")
+    with pytest.raises(ConfigError, match=f"lag {longest + 1} is over"):
+        load_config_text(f"experiment = logvol-sim\nlogvol.ma = {family}(0.5, {longest + 1})\n")
 
 
 def test_an_ma_lag_written_as_a_whole_float_is_its_integer():
@@ -591,3 +610,44 @@ def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(monkeypatch, kernel,
     finally:
         tracemalloc.stop()
     assert peak <= cfg.peak_bytes < 1.5 * peak
+
+
+_PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def test_perfbench_tracer_still_binds_and_keeps_every_artifact(tmp_path):
+    # The benchmark's tracer rebinds split_apply_batch with the signature
+    # (kernel, n, x, u1, u2, in_set=None), replaces a kernel's cdf through
+    # dataclasses.replace, and wraps the coupling engines, block_schedule and
+    # logvol_kernel by name.  In a fresh process, a small ar1-couple run and a
+    # small terminating logvol-couple run are written untraced, then traced;
+    # the artifacts must match byte for byte and the traced layers must fire.
+    code = (
+        "import json, sys\n"
+        "from splitcouple import config, harness\n"
+        "cfgs = [config.load_config_text(t) for t in json.loads(sys.stdin.read())]\n"
+        "for i, cfg in enumerate(cfgs):\n"
+        "    harness.write_report(harness.run(cfg), f'{sys.argv[1]}/plain/{i}')\n"
+        "sys.path.insert(0, sys.argv[2])\n"
+        "import tracer\n"
+        "tr = tracer.install()\n"
+        "for i, cfg in enumerate(cfgs):\n"
+        "    harness.write_report(harness.run(cfg), f'{sys.argv[1]}/traced/{i}')\n"
+        "print(json.dumps({**tr.layers(0.0), **tr.calls}))\n"
+    )
+    texts = [AR1_COUPLE_CFG.replace("replicas = 300", "replicas = 1000"),
+             _MCRE_TEXT.replace("replicas = 100", "replicas = 300")
+             + "logvol.target_block = 1\nlogvol.step_cap = 60\n"]
+    src = os.path.dirname(os.path.dirname(splitcouple.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path), _PERFBENCH],
+                         input=json.dumps(texts), env=env, capture_output=True, text=True,
+                         check=True)
+    layers = json.loads(out.stdout.strip().splitlines()[-1])
+    assert layers["kernels.element_steps"] > 0
+    for span in ("coupling.pair", "coupling.mcre", "coupling.schedule", "logvol.kernel"):
+        assert layers[span] > 0, span
+    for i, name in enumerate(["ar1-couple", "logvol-couple"]):
+        for artifact in ("report.json", f"{name}.csv"):
+            plain = (tmp_path / "plain" / str(i) / artifact).read_bytes()
+            assert (tmp_path / "traced" / str(i) / artifact).read_bytes() == plain, artifact

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import ndtri
 from scipy.stats import kstest
 
 from splitcouple.ar1 import ar1_alpha, ar1_split_kernel
@@ -14,13 +16,11 @@ from splitcouple.errors import CertificationError
 from splitcouple.kernels import (
     SmallSetLadder,
     SplitKernel,
-    UniformPair,
     _split_inverse,
-    split_apply,
     split_apply_batch,
     validate_minorization,
 )
-from splitcouple.logvol import LogvolParams, geometric_ma, logvol_kernel
+from splitcouple.logvol import LogvolMcreModel, LogvolParams, geometric_ma, logvol_kernel
 
 GAMMA = 0.5
 
@@ -55,10 +55,15 @@ def test_split_kernel_refuses_a_non_law_innovation():
         dataclasses.replace(ar1_split_kernel(0.5, n_max=3), innovation=None)
 
 
-def test_uniform_pair_validation():
-    UniformPair(0.0, 1.0)
-    with pytest.raises(ValueError):
-        UniformPair(1.5, 0.2)
+def _apply_one(kernel, n, x, u1, u2):
+    """The split mapping at one state, as a one-element batch."""
+    return float(split_apply_batch(kernel, n, np.array([x]), np.array([u1]), np.array([u2]))[0])
+
+
+def test_uniform_pair_validation(kernel):
+    _apply_one(kernel, 2, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="uniform pair"):
+        _apply_one(kernel, 2, 0.0, 1.5, 0.2)
 
 
 def test_ladder_invariants():
@@ -76,17 +81,17 @@ def test_regeneration_branch_is_constant_in_x(kernel):
     for _ in range(200):
         n = rng.integers(1, 6)
         a = kernel.ladder.alphas[n]
-        u = UniformPair(float(rng.random() * a), float(rng.random()))
+        u1, u2 = float(rng.random() * a), float(rng.random())
         x1, x2 = rng.uniform(-n, n, size=2)
-        y1 = split_apply(kernel, int(n), float(x1), u)
-        y2 = split_apply(kernel, int(n), float(x2), u)
-        assert y1 == y2 == 2.0 * u.u2 - 1.0
+        y1 = _apply_one(kernel, int(n), float(x1), u1, u2)
+        y2 = _apply_one(kernel, int(n), float(x2), u1, u2)
+        assert y1 == y2 == 2.0 * u2 - 1.0
 
 
 def test_split_apply_example_values(kernel):
     # regeneration branch: u2 = 0.75 lands on nu quantile 0.5 for any x in the set
     for x in (-2.0, 0.3, 2.0):
-        assert split_apply(kernel, 2, x, UniformPair(0.0, 0.75)) == 0.5
+        assert _apply_one(kernel, 2, x, 0.0, 0.75) == 0.5
 
 
 def test_split_apply_law_moments(kernel):
@@ -146,8 +151,8 @@ def test_residual_u_domain(kernel):
 def test_split_apply_off_set_ignores_u1(kernel):
     # x outside the set: only u2 matters and the full kernel CDF is inverted.
     x = 10.0
-    out1 = split_apply(kernel, 3, x, UniformPair(0.0, 0.42))
-    out2 = split_apply(kernel, 3, x, UniformPair(0.99, 0.42))
+    out1 = _apply_one(kernel, 3, x, 0.0, 0.42)
+    out2 = _apply_one(kernel, 3, x, 0.99, 0.42)
     assert out1 == out2
     assert abs(float(kernel.cdf(x, out1)) - 0.42) < 1e-9
 
@@ -220,7 +225,7 @@ def test_validate_minorization_grid_preconditions(kernel):
 
 def test_bad_ladder_index(kernel):
     with pytest.raises(ValueError):
-        split_apply(kernel, 99, 0.0, UniformPair(0.5, 0.5))
+        _apply_one(kernel, 99, 0.0, 0.5, 0.5)
 
 
 def test_scalar_matches_batch(kernel):
@@ -230,7 +235,7 @@ def test_scalar_matches_batch(kernel):
     u2 = rng.random(50)
     batch = split_apply_batch(kernel, 3, x, u1, u2)
     singles = np.array([
-        split_apply(kernel, 3, float(xi), UniformPair(float(a), float(b)))
+        _apply_one(kernel, 3, float(xi), float(a), float(b))
         for xi, a, b in zip(x, u1, u2)
     ])
     assert np.array_equal(batch, singles)
@@ -340,6 +345,48 @@ def test_closed_form_tails_match_mpmath(kernel, u):
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (m, s, a)
 
 
+def test_default_membership_keeps_an_environment_outside_its_set_from_regenerating():
+    # States in [-n, n] and u1 <= alpha_n, but the environment outside
+    # [-n, n]^2, where the ladder weight does not hold: the mapping inverts
+    # the full conditional law at u2 instead of returning 2 u2 - 1.
+    n = 1
+    rng = np.random.default_rng(29)
+    env = rng.uniform(-3.0, 3.0, (2, 4000))
+    z, eta = env[:, np.any(np.abs(env) > n, axis=0)]
+    size = z.size
+    x = rng.uniform(-n, n, size)
+    kern = logvol_kernel(P_LOGVOL, z, eta)
+    u1 = rng.random(size) * kern.ladder.alphas[n]
+    u2 = rng.uniform(0.01, 0.99, size)
+    out = split_apply_batch(kern, n, x, u1, u2)
+    root = math.sqrt(1.0 - P_LOGVOL.rho**2)
+    full = P_LOGVOL.gamma * x + P_LOGVOL.rho * np.exp(z) * eta + root * np.exp(z) * ndtri(u2)
+    np.testing.assert_allclose(out, full, rtol=1e-14, atol=1e-14)
+    assert not np.any(out == 2.0 * u2 - 1.0)
+    # the same rows regenerate once the environment is inside the set
+    inside = logvol_kernel(P_LOGVOL, np.zeros(size), np.zeros(size))
+    assert np.array_equal(split_apply_batch(inside, n, x, u1, u2), 2.0 * u2 - 1.0)
+
+
+# states and environments on a grid that crosses every radius up to 2
+_X, _Z, _ETA = np.array(list(itertools.product((-3.0, -2.0, -1.5, -1.0, 0.0, 0.5, 1.0, 2.5),
+                                                repeat=3))).T
+
+
+@pytest.mark.parametrize("case", ["ar1", "logvol_kernel", "mcre_model_kernel"])
+def test_in_small_set_is_the_box_in_state_and_environment(case):
+    z, eta = _Z, _ETA
+    if case == "ar1":  # no environment: the box in the state alone
+        kern, z, eta = ar1_split_kernel(GAMMA, n_max=2), 0.0 * _Z, 0.0 * _ETA
+    elif case == "logvol_kernel":
+        kern = logvol_kernel(P_LOGVOL, _Z, _ETA)
+    else:
+        kern = LogvolMcreModel(P_LOGVOL).kernel(np.stack([_Z, _ETA], axis=-1))
+    for n in range(3):
+        box = (np.abs(_X) <= n) & (np.abs(z) <= n) & (np.abs(eta) <= n)
+        assert np.array_equal(kern.in_small_set(_X, n), box), n
+
+
 def test_closed_form_scalar_matches_batch_logvol():
     rng = np.random.default_rng(11)
     size = 300
@@ -349,7 +396,7 @@ def test_closed_form_scalar_matches_batch_logvol():
     for n in range(3):
         batch = split_apply_batch(logvol_kernel(P_LOGVOL, env_z, env_eta), n, x, u1, u2)
         singles = np.array([
-            split_apply(logvol_kernel(P_LOGVOL, zi, ei), n, float(xi), UniformPair(a, b))
+            _apply_one(logvol_kernel(P_LOGVOL, zi, ei), n, float(xi), a, b)
             for zi, ei, xi, a, b in zip(env_z, env_eta, x, u1, u2)
         ])
         assert np.array_equal(batch, singles)

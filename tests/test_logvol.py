@@ -25,7 +25,6 @@ from splitcouple.logvol import (
     logvol_kernel,
     logvol_moment_bound,
     logvol_tail,
-    ma_env_path,
     ma_env_paths,
     ma_env_values,
     simulate_logvol_batch,
@@ -89,7 +88,7 @@ def test_env_stationarity_across_time():
 
 
 def test_env_path_single_matches_batch_row():
-    window = ma_env_path(P_STD, 20, seed=99)
+    window = ma_env_paths(P_STD, 20, 1, 99)[0]
     batch = ma_env_paths(P_STD, 20, 3, 99)
     assert window.shape == (21, 2)
     assert np.array_equal(window, batch[0])
@@ -250,10 +249,10 @@ def test_frozen_kernel_law():
 def test_mcre_model_adapter():
     model = LogvolMcreModel(P_STD, n_max=2)
     env = np.array([[0.5, -1.5], [2.5, 0.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(
-        model.env_in_small_set(env, 2), np.array([True, False, True])
-    )
     kern = model.kernel(env)
+    np.testing.assert_array_equal(
+        kern.in_small_set(np.zeros(3), 2), np.array([True, False, True])
+    )
     means = kern.mean(np.array([1.0, 1.0, 1.0]))
     expected = 0.5 + 0.3 * np.exp(env[:, 0]) * env[:, 1]
     np.testing.assert_allclose(means, expected, rtol=1e-14)
@@ -401,4 +400,4 @@ def test_environment_memory_is_the_block_it_states(coeffs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - env.nbytes <= block_working_bytes(p, 100, len(eta), draws=False)
+    assert peak - env.nbytes <= block_working_bytes(p.lag, p.ma_rate, 100, len(eta), draws=False)
