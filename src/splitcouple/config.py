@@ -156,7 +156,11 @@ def _ma_coeffs(fields: _Fields) -> tuple[float, ...]:
         # Refused before the coefficients are built when the smallest run, one
         # step of logvol-sim, cannot hold them.  Whether the MA runs as a scan
         # is the same at every lag from 2 on, so three taps decide the rate.
-        rate = LogvolParams(gamma=0.5, rho=0.0, ma_coeffs=family(args[0], min(lag, 2))).ma_rate
+        try:
+            head = family(args[0], min(lag, 2))
+        except ValueError as exc:
+            raise _wrap_invariant("logvol.ma", exc) from None
+        rate = LogvolParams(gamma=0.5, rho=0.0, ma_coeffs=head).ma_rate
         need = block_working_bytes(lag, rate, 1, _MIN_REPLICAS)
         if need > MEMORY_CAP_BYTES:
             raise ConfigError(

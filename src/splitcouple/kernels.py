@@ -154,38 +154,48 @@ class SplitKernel:
         return inside
 
 
-def _newton_middle(law, m, s, a, t):
+def _newton_middle(law, m, s, a, t, z):
     """Solve law.cdf((z - m) / s) - a (z + 1) / 2 = t for z in [-1, 1].
 
     The left side increases on [-1, 1] where the minorization holds and
-    brackets t there.  The start solves the equation with z frozen at 0 in
-    the linear term.  Newton steps that leave the bracket or fail to halve
-    the previous step are replaced by bisection steps.  Each element stops
-    on its own, so a value is independent of what else shares the batch.
+    brackets t there.  The start ``z`` solves the equation with z frozen at 0
+    in the linear term, clipped to [-1, 1].  Newton steps that leave the
+    bracket or fail to halve the previous step are replaced by bisection
+    steps.  Each element stops on its own, so a value is independent of what
+    else shares the batch; finished elements leave it only on iterations
+    where some stopped.
     """
     out = np.empty_like(t)
     idx = np.arange(t.size)
+    half_a = 0.5 * a  # 0.5 * a * (z + 1.0) multiplies left first: the same bits
     lo = np.full_like(t, -1.0)
     hi = np.ones_like(t)
-    z = np.clip(m + s * law.ppf(t + 0.5 * a), -1.0, 1.0)
     step = np.full_like(t, 2.0)
     for _ in range(_NEWTON_MAX_ITER):
         w = (z - m) / s
-        h = law.cdf(w) - 0.5 * a * (z + 1.0) - t
-        slope = law.pdf(w) / s - 0.5 * a
-        lo = np.where(h < 0.0, z, lo)
-        hi = np.where(h > 0.0, z, hi)
+        h = law.cdf(w) - half_a * (z + 1.0) - t
+        slope = law.pdf(w) / s - half_a
+        np.putmask(lo, h < 0.0, z)
+        np.putmask(hi, h > 0.0, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = z - h / slope
         take = (lo <= newton) & (newton <= hi) & (np.abs(2.0 * h) <= np.abs(step * slope))
-        step = np.where(take, newton - z, 0.5 * (hi - lo))
-        z = np.where(h == 0.0, z, np.where(take, newton, 0.5 * (lo + hi)))
-        done = (h == 0.0) | (np.abs(step) <= _NEWTON_TOL)
-        out[idx[done]] = z[done]
-        if done.all():
+        step = 0.5 * (hi - lo)
+        np.putmask(step, take, newton - z)
+        zero = h == 0.0
+        z_next = 0.5 * (lo + hi)
+        np.putmask(z_next, take, newton)
+        np.putmask(z_next, zero, z)
+        z = z_next
+        done = zero | (np.abs(step) <= _NEWTON_TOL)
+        if not done.any():
+            continue
+        fin = np.flatnonzero(done)
+        out[idx[fin]] = z[fin]
+        if fin.size == z.size:
             return out
-        keep = ~done
-        idx, m, s, a, t = idx[keep], m[keep], s[keep], a[keep], t[keep]
+        keep = np.flatnonzero(~done)
+        idx, m, s, half_a, t = idx[keep], m[keep], s[keep], half_a[keep], t[keep]
         lo, hi, z, step = lo[keep], hi[keep], z[keep], step[keep]
     raise CertificationError(
         f"residual CDF inversion on [-1, 1] did not converge in {_NEWTON_MAX_ITER} "
@@ -194,30 +204,37 @@ def _newton_middle(law, m, s, a, t):
 
 
 def _closed_form_inverse(law, m, s, u, a):
-    """Invert the residual CDF of a location-scale kernel, piece by piece."""
-    out = np.empty(u.shape)
+    """Invert the residual CDF of a location-scale kernel, piece by piece.
+
+    One pass sorts every element into a piece, and one quantile call serves
+    all of them: the lower tail at ``t``, the upper tail at ``tail`` and the
+    middle piece at its Newton start.  An element with ``a == 0`` inverts the
+    full conditional law; its ``t`` is ``u`` itself, so it takes the lower
+    tail's formula whatever its mass below -1.
+    """
+    f_lo = law.cdf((-1.0 - m) / s)  # kernel mass below -1
+    sf_hi = law.cdf((m - 1.0) / s)  # kernel mass above 1, by symmetry
     off = a == 0.0
-    out[off] = m[off] + s[off] * law.ppf(u[off])
-    on = ~off
-    if on.any():
-        m, s, u, a = m[on], s[on], u[on], a[on]
-        f_lo = law.cdf((-1.0 - m) / s)  # kernel mass below -1
-        sf_hi = law.cdf((m - 1.0) / s)  # kernel mass above 1, by symmetry
-        if np.any(1.0 - sf_hi - a < f_lo):
-            raise CertificationError(
-                "the residual law is not a distribution: alpha exceeds the kernel's "
-                "mass on [-1, 1] (minorization violated?)"
-            )
-        t = u * (1.0 - a)  # residual mass below z, before dividing by 1 - a
-        tail = (1.0 - u) * (1.0 - a)  # residual mass above z
-        below = t <= f_lo
-        above = ~below & (tail <= sf_hi)
-        middle = ~(below | above)
-        z = np.empty(u.shape)
-        z[below] = m[below] + s[below] * law.ppf(t[below])
-        z[above] = m[above] - s[above] * law.ppf(tail[above])
-        z[middle] = _newton_middle(law, m[middle], s[middle], a[middle], t[middle])
-        out[on] = z
+    if np.any((1.0 - sf_hi - a < f_lo) & ~off):
+        raise CertificationError(
+            "the residual law is not a distribution: alpha exceeds the kernel's "
+            "mass on [-1, 1] (minorization violated?)"
+        )
+    rest = 1.0 - a
+    t = u * rest  # residual mass below z, before dividing by 1 - a
+    tail = (1.0 - u) * rest  # residual mass above z
+    below = off | (t <= f_lo)
+    above = ~below & (tail <= sf_hi)
+    middle = ~(below | above)
+    q = np.where(above, tail, t)
+    np.putmask(q, middle, t + 0.5 * a)  # the Newton start's quantile argument
+    sp = s * law.ppf(q)
+    out = m + sp
+    np.putmask(out, above, m - sp)
+    mid = np.flatnonzero(middle)
+    if mid.size:
+        start = np.clip(out[mid], -1.0, 1.0)
+        out[mid] = _newton_middle(law, m[mid], s[mid], a[mid], t[mid], start)
     if not np.all(np.isfinite(out)):
         raise CertificationError("residual CDF inversion produced a non-finite value")
     return out

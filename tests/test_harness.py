@@ -299,6 +299,9 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
     ("experiment = logvol-sim\nreplicas = 100\nlogvol.ma = geometric(0.5, 2.5)\n", "logvol.ma"),
     # a negative lag failed as "logvol: ma_coeffs must be nonempty"
     ("experiment = logvol-sim\nreplicas = 100\nlogvol.ma = geometric(0.5, -3)\n", "logvol.ma"),
+    # a family's own refusal of its first argument came out without the field
+    ("experiment = logvol-sim\nreplicas = 100\nlogvol.ma = geometric(1.5, 10)\n", "logvol.ma"),
+    ("experiment = logvol-sim\nreplicas = 100\nlogvol.ma = fractional(1.5, 10)\n", "logvol.ma"),
     # a lag at or below zero ran as one grid step under the flag of its own name
     ("experiment = sde-sim\nreplicas = 100\nsde.increment_lags = -0.5, 0.01\n",
      "sde.increment_lags"),
@@ -307,7 +310,7 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
     ("experiment = sde-sim\nreplicas = 100\nsde.increment_lags = 0.001, 0.1\n",
      "sde.increment_lags"),
 ], ids=["one-start", "step-cap-0", "target-block-0", "negative-m-max", "fractional-ma-lag",
-        "negative-ma-lag", "negative-increment-lag", "zero-increment-lag",
+        "negative-ma-lag", "geometric-ma-ratio", "fractional-ma-h", "negative-increment-lag", "zero-increment-lag",
         "sub-step-increment-lag"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_refuses_configs_a_run_cannot_run(tmp_path, capsys, text, key, command):

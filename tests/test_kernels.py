@@ -11,11 +11,13 @@ from scipy.optimize import brentq
 from scipy.special import ndtri
 from scipy.stats import kstest
 
+from oracles import closed_form_inverse_reference
 from splitcouple.ar1 import ar1_alpha, ar1_split_kernel
 from splitcouple.errors import CertificationError
 from splitcouple.kernels import (
     SmallSetLadder,
     SplitKernel,
+    _closed_form_inverse,
     _split_inverse,
     split_apply_batch,
     validate_minorization,
@@ -464,3 +466,90 @@ def test_split_mapping_preserves_its_law(model, n_max, data):
     u1, u2 = np.random.default_rng(seed).random((2, 2000))
     out = split_apply_batch(kernel, n, np.full(2000, x), u1, u2)
     assert kstest(out, lambda w: kernel.cdf(x, w)).pvalue >= 1e-6
+
+
+# --- the residual inversion against its reference form, bit for bit ---
+
+
+def _edge_u(law, m, s, a, rng):
+    """``u`` a few ulps inside the lower or the upper edge of the middle piece."""
+    f_lo, sf_hi = law.cdf((-1.0 - m) / s), law.cdf((m - 1.0) / s)
+    nudge = 1.0 + rng.integers(1, 8, m.size) * 2.0**-52
+    lower, upper = f_lo / (1.0 - a) * nudge, 1.0 - sf_hi / (1.0 - a) * nudge
+    return np.clip(np.where(rng.random(m.size) < 0.5, lower, upper), 1e-300, 1.0 - 2.0**-53)
+
+
+def _inversion_rows(kernel, n, rng, size):
+    """Inputs ``(m, s, u, a)`` of the residual inversion that mix every piece.
+
+    States of ``kernel`` in the small set invert at weight alpha_n, states
+    far off it at weight 0 with |m| >> 1; their ``u`` is uniform, deep in
+    either tail or at an edge of the middle piece.  Two blocks of a third as
+    many rows each follow.  One puts a kernel on [-1, 1] at a tiny weight and
+    ``u`` at an edge, where a Newton start can round past -1 or 1 and be
+    clipped and the iteration falls back to bisection.  The other is a steep
+    kernel at subnormal weights and masses, where halving a weight is inexact.
+    """
+    b = kernel.ladder.radii[n]
+    inside = rng.random(size) < 0.75
+    far = (b + 10.0 ** rng.uniform(1.0, 4.0, size)) * rng.choice([-1.0, 1.0], size)
+    x = np.where(inside, rng.uniform(-b, b, size), far)
+    a = np.where(inside, kernel.ladder.alphas[n], 0.0)
+    m = np.asarray(kernel.mean(x), float)
+    s = np.broadcast_to(np.asarray(kernel.stdev(x), float), x.shape)
+    u = np.choose(rng.integers(0, 4, size), [
+        rng.random(size),
+        10.0 ** -rng.uniform(1.0, 300.0, size),
+        1.0 - 10.0 ** -rng.uniform(1.0, 16.0, size),
+        _edge_u(kernel.innovation, m, s, a, rng),
+    ])
+    k = size // 3
+    m_edge, s_edge, a_edge = rng.uniform(-1.0, 1.0, k), 10.0 ** rng.uniform(-1.0, 1.0, k), 4e-58
+    u_edge = _edge_u(kernel.innovation, m_edge, s_edge, a_edge, rng)
+    return (
+        np.concatenate([m, m_edge, rng.uniform(-0.5, 0.5, k)]),
+        np.concatenate([s, s_edge, 10.0 ** rng.uniform(-3.0, -1.5, k)]),
+        np.concatenate([u, u_edge, 10.0 ** -rng.uniform(308.0, 318.0, k)]),
+        np.concatenate([a, np.full(k, a_edge), 10.0 ** -rng.uniform(310.0, 320.0, k)]),
+    )
+
+
+@pytest.mark.parametrize("model, n_max", [("ar1", 6), ("logvol", 2)])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_inversion_matches_its_reference_bit_for_bit(model, n_max, data):
+    # The inversion updates its arrays in place, compacts only when an element
+    # stops and calls the quantile once; none of that may move a bit.
+    gamma = data.draw(st.floats(0.05, 0.95), label="gamma")
+    n = data.draw(st.integers(0, n_max), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    size = 1500
+    if model == "ar1":
+        kernel = ar1_split_kernel(gamma, n_max=n_max)
+    else:
+        env = rng.uniform(-n, n, (2, size))
+        kernel = logvol_kernel(LogvolParams(gamma=gamma, rho=0.3, ma_coeffs=(0.5,)),
+                               env[0], env[1], n_max=n_max)
+    law = kernel.innovation
+    m, s, u, a = _inversion_rows(kernel, n, rng, size)
+
+    # the batch holds every piece, a clipped start and far-off states
+    f_lo, sf_hi = law.cdf((-1.0 - m) / s), law.cdf((m - 1.0) / s)
+    t, tail = u * (1.0 - a), (1.0 - u) * (1.0 - a)
+    below, above = (a > 0.0) & (t <= f_lo), (a > 0.0) & (t > f_lo) & (tail <= sf_hi)
+    middle = (a > 0.0) & (t > f_lo) & (tail > sf_hi)
+    clipped = middle & (np.abs(m + s * law.ppf(t + 0.5 * a)) > 1.0)
+    assert below.any() and above.any() and clipped.any()
+    assert np.any(a == 0.0) and np.max(np.abs(m)) > 10.0
+
+    with np.errstate(over="ignore"):  # Newton quotients of subnormal slopes
+        want = closed_form_inverse_reference(law, m, s, u, a)
+        got = _closed_form_inverse(law, m, s, u, a)
+        assert got.tobytes() == want.tobytes()
+        perm = rng.permutation(m.size)
+        permuted = _closed_form_inverse(law, m[perm], s[perm], u[perm], a[perm])
+        assert permuted.tobytes() == got[perm].tobytes()
+        cut = int(rng.integers(1, m.size))
+        halves = [_closed_form_inverse(law, m[part], s[part], u[part], a[part])
+                  for part in (slice(None, cut), slice(cut, None))]
+        assert np.concatenate(halves).tobytes() == got.tobytes()
