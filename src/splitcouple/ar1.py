@@ -105,6 +105,7 @@ def ar1_lyapunov_constant(p: Ar1Params) -> float:
     Uses the Gaussian identity
     E[exp(b X^2)] = exp(b m^2 / (1 - 2 b s^2)) / sqrt(1 - 2 b s^2)
     on the exact marginals for t in {0, ..., LYAPUNOV_T_GRID} and at the limit.
+    It is inf where the moment overflows a double.
     """
     b = p.beta
     g2 = p.gamma**2
@@ -115,7 +116,8 @@ def ar1_lyapunov_constant(p: Ar1Params) -> float:
     m = p.gamma**t * p.x0
     s2 = (1.0 - g2**t) * s2_lim
     denom = 1.0 - 2.0 * b * s2
-    vals = np.exp(b * m * m / denom) / np.sqrt(denom)
+    with np.errstate(over="ignore"):
+        vals = np.exp(b * m * m / denom) / np.sqrt(denom)
     limit = 1.0 / math.sqrt(1.0 - 2.0 * b * s2_lim)
     return float(max(vals.max(), limit))
 

@@ -239,7 +239,7 @@ def load_config_text(text: str) -> ExperimentConfig:
     replicas = 1
     # ar1 and logvol load scipy.special, so each is imported by its own configs only
     if experiment in ("ar1-bound", "ar1-couple"):
-        from .ar1 import Ar1Params
+        from .ar1 import Ar1Params, ar1_lyapunov_constant
         bound = experiment == "ar1-bound"
         gamma = fields.float_("ar1.gamma", 0.5)
         beta = fields.float_("ar1.beta", 0.4 * (1.0 - gamma**2))
@@ -249,6 +249,11 @@ def load_config_text(text: str) -> ExperimentConfig:
             model = Ar1Params(gamma=gamma, beta=beta, x0=x0, **eta)
         except ValueError as exc:
             raise _wrap_invariant("ar1", exc) from None
+        # The run's Lyapunov term: the bound's 4 sup_t E[exp(beta X_t^2)], or
+        # x0^2 in the coupling's sup_t E[X_t^2].
+        lyapunov = 4.0 * ar1_lyapunov_constant(model) if bound else x0 * x0
+        if not math.isfinite(lyapunov):
+            raise ConfigError(f"ar1.x0: {x0:g} overflows the run's Lyapunov term")
     if experiment == "ar1-bound":
         options["t_grid"] = fields.int_list("ar1.t_grid", (10, 100, 1000, 10000))
         if min(options["t_grid"]) < 2:
@@ -295,6 +300,8 @@ def load_config_text(text: str) -> ExperimentConfig:
         name, args = _parse_call("sde.drift", drift_text, {"linear": 1, "saturating": 2})
         try:
             drift = linear_drift(*args) if name == "linear" else saturating_drift(*args)
+        except OverflowError:  # a parameter squared past the largest double
+            raise ConfigError(f"sde.drift: {drift_text}: the growth constant overflows") from None
         except ValueError as exc:
             raise _wrap_invariant("sde.drift", exc) from None
         kern_text = fields.str_("sde.kernel", "exponential(1.0)")
@@ -304,20 +311,22 @@ def load_config_text(text: str) -> ExperimentConfig:
             kernel = VolatilityKernel(kind=kname, **{param: kargs[0] if kargs else default})
         except ValueError as exc:
             raise _wrap_invariant("sde.kernel", exc) from None
+        # read before the invariants, whose refusals name the section alone
+        rho = fields.float_("sde.rho", 0.3)
+        dt = fields.float_("sde.dt", 1.0 / 256.0)
+        horizon = fields.float_("sde.horizon", 20.0)
+        burn_in = fields.float_("sde.burn_in", 10.0)
         try:
-            model = SdeParams(
-                zeta=drift,
-                kernel=kernel,
-                rho=fields.float_("sde.rho", 0.3),
-                dt=fields.float_("sde.dt", 1.0 / 256.0),
-                horizon=fields.float_("sde.horizon", 20.0),
-                burn_in=fields.float_("sde.burn_in", 10.0),
-            )
+            model = SdeParams(zeta=drift, kernel=kernel, rho=rho, dt=dt, horizon=horizon,
+                              burn_in=burn_in)
         except ValueError as exc:
             raise _wrap_invariant("sde", exc) from None
         options["l0"] = fields.float_list("sde.l0", (-2.0, 2.0))
         if len(options["l0"]) < 2:
             raise ConfigError("sde.l0: need at least two initial states to compare")
+        if len(set(options["l0"])) < len(options["l0"]):
+            raise ConfigError("sde.l0: initial states must be distinct; equal starts "
+                              "forget nothing")
         options["checkpoints"] = fields.float_list("sde.checkpoints", (5.0, 10.0, 20.0))
         options["increment_lags"] = fields.float_list("sde.increment_lags", (0.1, 0.01))
         if min(round(h / model.dt) for h in options["increment_lags"]) < 1:

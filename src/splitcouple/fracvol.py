@@ -103,6 +103,12 @@ class DriftSpec:
     diss_alpha: float
     diss_beta: float
 
+    def __post_init__(self) -> None:
+        # zeta^2 <= growth_k (x^2 + 1) is certified on the grid, so both sides must stay finite
+        if not math.isfinite(self.growth_k * (_DISS_GRID_HALFWIDTH**2 + 1.0)):
+            raise ValueError(f"{self.name}: the growth constant overflows on the grid "
+                             f"[-{_DISS_GRID_HALFWIDTH:g}, {_DISS_GRID_HALFWIDTH:g}]")
+
 
 def linear_drift(kappa: float = 1.0) -> DriftSpec:
     if kappa <= 0.0:

@@ -177,7 +177,7 @@ def _newton_middle(law, m, s, a, t, z):
         slope = law.pdf(w) / s - half_a
         np.putmask(lo, h < 0.0, z)
         np.putmask(hi, h > 0.0, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = z - h / slope
         take = (lo <= newton) & (newton <= hi) & (np.abs(2.0 * h) <= np.abs(step * slope))
         step = 0.5 * (hi - lo)
@@ -244,7 +244,7 @@ def _split_inverse(kernel: SplitKernel, x, u, a_eff):
     """Invert z -> (cdf(x,z) - a*nuCDF(z)) / (1-a) at u, elementwise in x."""
     x = np.asarray(x, float)
     u = np.asarray(u, float)
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    if not ((u > 0.0) & (u < 1.0)).all():  # NaN fails both comparisons
         raise ValueError("u must lie strictly inside (0, 1) for CDF inversion")
     a = np.asarray(a_eff, float)
     # a == 1 rows never reach this branch in split_apply_batch; make them inert.
@@ -275,7 +275,8 @@ def split_apply_batch(
     x = np.asarray(x, float)
     u1 = np.asarray(u1, float)
     u2 = np.asarray(u2, float)
-    if np.any((u1 < 0.0) | (u1 > 1.0)) or np.any((u2 < 0.0) | (u2 > 1.0)):
+    # NaN fails both comparisons, so it is refused with the out-of-range values
+    if not (((u1 >= 0.0) & (u1 <= 1.0)).all() and ((u2 >= 0.0) & (u2 <= 1.0)).all()):
         raise ValueError("uniform pair components must lie in [0, 1]")
     a = kernel.ladder.alphas[n]
     if in_set is None:

@@ -1,10 +1,12 @@
-"""Reference computations the tests compare the package against.
+"""Reference computations the tests compare the package against, and the
+shipped configs they run.
 
 None of these is reached by a run of the package; each is the plain,
 independent form of something a test checks.
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -13,6 +15,9 @@ from splitcouple.errors import CertificationError
 from splitcouple.fracvol import VolatilityKernel
 from splitcouple.kernels import _NEWTON_MAX_ITER, _NEWTON_TOL
 from splitcouple.metrics import PathWindow
+
+_CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED_CONFIGS = sorted(os.path.join(_CONFIG_DIR, name) for name in os.listdir(_CONFIG_DIR))
 
 
 def ar1_simulate_batch(
@@ -75,7 +80,7 @@ def newton_middle_reference(law, m, s, a, t):
         slope = law.pdf(w) / s - 0.5 * a
         lo = np.where(h < 0.0, z, lo)
         hi = np.where(h > 0.0, z, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = z - h / slope
         take = (lo <= newton) & (newton <= hi) & (np.abs(2.0 * h) <= np.abs(step * slope))
         step = np.where(take, newton - z, 0.5 * (hi - lo))

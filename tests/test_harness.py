@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import SHIPPED_CONFIGS
 from splitcouple.cli import main as cli_main
 from splitcouple.config import (
     MEMORY_CAP_BYTES, load_config, load_config_text, parse_config_text,
@@ -252,6 +253,9 @@ def test_cli_overflowing_ma_coefficients(tmp_path, capsys, experiment, command):
     ("sde-sim", "sde.kernel = exponential(inf)"),
     ("ar1-bound", "ar1.x0 = -inf"),
     ("logvol-sim", "logvol.ma = 0.5, nan"),
+    # read inside the SdeParams refusal, these came out as "sde: sde.dt: ..."
+    ("sde-sim", "sde.dt = nan"),
+    ("sde-sim", "sde.rho = nan"),
 ])
 def test_cli_validate_rejects_non_finite_numbers(tmp_path, capsys, experiment, line):
     key = line.split(" = ")[0]
@@ -289,6 +293,14 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
 @pytest.mark.parametrize("text, key", [
     # one start: the sde-sim run indexed a second state that is not there
     ("experiment = sde-sim\nreplicas = 100\nsde.l0 = 1.0\n", "sde.l0"),
+    # equal starts ran and passed every flag with TV 0: nothing to forget
+    ("experiment = sde-sim\nreplicas = 100\nsde.l0 = 2, 2\n", "sde.l0"),
+    # overflows: an OverflowError naming no field, a non-finite report field, or a
+    # growth certificate that passed on NaN
+    ("experiment = ar1-couple\nreplicas = 100\nar1.x0 = 1e300\n", "ar1.x0"),
+    ("experiment = ar1-bound\nar1.x0 = 1e200\n", "ar1.x0"),
+    ("experiment = sde-sim\nreplicas = 100\nsde.drift = linear(1e200)\n", "sde.drift"),
+    ("experiment = sde-sim\nreplicas = 100\nsde.drift = linear(1e154)\n", "sde.drift"),
     # the coupling was asked for zero steps
     (_MCRE_TEXT + "logvol.target_block = 1\nlogvol.step_cap = 0\n", "logvol.step_cap"),
     (_MCRE_TEXT + "logvol.target_block = 0\n", "logvol.target_block"),
@@ -309,8 +321,9 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
     # a lag under half a step (dt = 1/256) ran as one full step under its own name
     ("experiment = sde-sim\nreplicas = 100\nsde.increment_lags = 0.001, 0.1\n",
      "sde.increment_lags"),
-], ids=["one-start", "step-cap-0", "target-block-0", "negative-m-max", "fractional-ma-lag",
-        "negative-ma-lag", "geometric-ma-ratio", "fractional-ma-h", "negative-increment-lag", "zero-increment-lag",
+], ids=["one-start", "equal-starts", "ar1-couple-x0-overflow", "ar1-bound-x0-overflow",
+        "drift-overflow", "drift-grid-overflow", "step-cap-0", "target-block-0", "negative-m-max",
+        "fractional-ma-lag", "negative-ma-lag", "geometric-ma-ratio", "fractional-ma-h", "negative-increment-lag", "zero-increment-lag",
         "sub-step-increment-lag"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_refuses_configs_a_run_cannot_run(tmp_path, capsys, text, key, command):
@@ -482,12 +495,6 @@ def test_cli_non_finite_report_exit_code(tmp_path, capsys, monkeypatch):
     assert cli_main(["run", cfg_path]) == 2
     assert capsys.readouterr().err == "error: report field results.tv is not a finite number\n"
     assert os.listdir(tmp_path / "run") == []  # refused before any file was written
-
-
-SHIPPED_CONFIGS = sorted(
-    os.path.join(os.path.dirname(__file__), "..", "configs", name)
-    for name in os.listdir(os.path.join(os.path.dirname(__file__), "..", "configs"))
-)
 
 
 def test_shipped_configs_validate_under_the_memory_cap(capsys):

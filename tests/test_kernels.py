@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -64,8 +65,10 @@ def _apply_one(kernel, n, x, u1, u2):
 
 def test_uniform_pair_validation(kernel):
     _apply_one(kernel, 2, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="uniform pair"):
-        _apply_one(kernel, 2, 0.0, 1.5, 0.2)
+    # a NaN u1 never regenerated, and a NaN u2 ran 200 Newton steps to a CertificationError
+    for u1, u2 in ((1.5, 0.2), (math.nan, 0.2), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="uniform pair"):
+            _apply_one(kernel, 2, 0.0, u1, u2)
 
 
 def test_ladder_invariants():
@@ -148,6 +151,8 @@ def test_residual_u_domain(kernel):
         _residual_quantile(kernel, 2, 0.0, 0.0)
     with pytest.raises(ValueError):
         _residual_quantile(kernel, 2, 0.0, 1.0)
+    with pytest.raises(ValueError, match="strictly inside"):
+        _residual_quantile(kernel, 2, 0.0, math.nan)
 
 
 def test_split_apply_off_set_ignores_u1(kernel):
@@ -542,7 +547,8 @@ def test_inversion_matches_its_reference_bit_for_bit(model, n_max, data):
     assert below.any() and above.any() and clipped.any()
     assert np.any(a == 0.0) and np.max(np.abs(m)) > 10.0
 
-    with np.errstate(over="ignore"):  # Newton quotients of subnormal slopes
+    with warnings.catch_warnings():  # no warning: a subnormal slope's infinite quotient is handled
+        warnings.simplefilter("error")
         want = closed_form_inverse_reference(law, m, s, u, a)
         got = _closed_form_inverse(law, m, s, u, a)
         assert got.tobytes() == want.tobytes()
