@@ -276,8 +276,9 @@ def load_config_text(text: str) -> ExperimentConfig:
         coeffs = _ma_coeffs(fields)
         try:
             model = LogvolParams(gamma=gamma, rho=rho, ma_coeffs=coeffs, x0=x0)
-        except ValueError as exc:
-            raise _wrap_invariant("logvol", exc) from None
+        except ValueError as exc:  # its refusals of the coefficients name ma_coeffs
+            key = "logvol.ma" if str(exc).startswith("ma_coeffs") else "logvol"
+            raise _wrap_invariant(key, exc) from None
         if experiment == "logvol-sim":
             options["checkpoints"] = fields.int_list("logvol.checkpoints", (10, 100))
             if min(options["checkpoints"]) < 1:
@@ -321,6 +322,14 @@ def load_config_text(text: str) -> ExperimentConfig:
                               burn_in=burn_in)
         except ValueError as exc:
             raise _wrap_invariant("sde", exc) from None
+        # at lipschitz * dt >= 2 an explicit Euler step of a linear drift multiplies
+        # the state by 1 - kappa dt <= -1: the paths oscillate without decay or overflow
+        if drift.lipschitz * dt >= 2.0:
+            raise ConfigError(
+                f"sde.drift: {drift_text}: its Lipschitz constant {drift.lipschitz:g} times "
+                f"sde.dt = {dt:g} is {drift.lipschitz * dt:.3g}, at or past 2, where the "
+                f"explicit Euler step is unstable"
+            )
         options["l0"] = fields.float_list("sde.l0", (-2.0, 2.0))
         if len(options["l0"]) < 2:
             raise ConfigError("sde.l0: need at least two initial states to compare")

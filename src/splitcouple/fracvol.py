@@ -32,7 +32,7 @@ from .errors import RunError
 from .streams import ConvPlan, ScanPlan, ma_plan, ma_plan_row_bytes, replica_blocks
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
-_DEFAULT_CHUNK = 1536  # replicas stepped together (memory: ensemble_working_bytes)
+_DEFAULT_CHUNK = 1024  # most replicas stepped together (memory: ensemble_working_bytes)
 _WORKERS = 2  # threads that build a chunk's q, each over its own replica range
 _BLOCK_ROWS = 16  # replicas one worker draws and convolves together
 _DISS_GRID_HALFWIDTH = 50.0  # the drift's declared constants are certified on [-50, 50]
@@ -90,11 +90,13 @@ class VolatilityKernel:
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Drift callable with its declared growth and dissipativity constants.
+    """Drift callable with its declared growth, dissipativity and Lipschitz constants.
 
     ``growth_k`` must satisfy zeta(x)^2 <= growth_k (x^2 + 1); ``diss_alpha``
-    and ``diss_beta`` must satisfy x zeta(x) <= -diss_alpha x^2 + diss_beta.
-    Both declarations are grid-certified when the parameters are built.
+    and ``diss_beta`` must satisfy x zeta(x) <= -diss_alpha x^2 + diss_beta;
+    ``lipschitz`` must satisfy |zeta(x) - zeta(y)| <= lipschitz |x - y|, and
+    bounds the Euler step size ``config`` accepts.  Every declaration is
+    grid-certified when the parameters are built.
     """
 
     name: str
@@ -102,6 +104,7 @@ class DriftSpec:
     growth_k: float
     diss_alpha: float
     diss_beta: float
+    lipschitz: float
 
     def __post_init__(self) -> None:
         # zeta^2 <= growth_k (x^2 + 1) is certified on the grid, so both sides must stay finite
@@ -119,6 +122,7 @@ def linear_drift(kappa: float = 1.0) -> DriftSpec:
         growth_k=kappa**2,
         diss_alpha=kappa,
         diss_beta=1e-6,
+        lipschitz=kappa,
     )
 
 
@@ -131,6 +135,7 @@ def saturating_drift(kappa: float = 1.0, a: float = 1.0) -> DriftSpec:
         growth_k=2.0 * max(kappa**2, a**2),
         diss_alpha=kappa / 2.0,
         diss_beta=a**2 / (2.0 * kappa) if a > 0.0 else 1e-6,
+        lipschitz=kappa + a,
     )
 
 
@@ -167,9 +172,14 @@ class SdeParams:
         )
         if margin < 0.0:
             raise ValueError(f"declared dissipativity fails on the grid (margin {margin:.3e})")
-        growth = np.max(self.zeta.fn(grid) ** 2 - self.zeta.growth_k * (grid**2 + 1.0))
+        values = self.zeta.fn(grid)
+        growth = np.max(values**2 - self.zeta.growth_k * (grid**2 + 1.0))
         if growth > 0.0:
             raise ValueError("declared growth constant fails on the grid")
+        # a difference quotient of a linear drift rounds off its slope by ~1e-13
+        slope = np.max(np.abs(np.diff(values)) / np.diff(grid))
+        if slope > self.zeta.lipschitz * (1.0 + 1e-9):
+            raise ValueError("declared Lipschitz constant fails on the grid")
 
     @property
     def horizon_steps(self) -> int:
@@ -225,9 +235,17 @@ class EnsembleResult:
 
 
 def _chunk_sizes(replicas: int) -> tuple[int, int]:
-    """Replicas in a chunk of ``replicas``, and rows in a worker's block."""
-    chunk = min(_DEFAULT_CHUNK, replicas)
+    """Replicas in the largest chunk ``_chunk_cuts`` makes of ``replicas``, and
+    rows in a worker's block."""
+    chunk = -(-replicas // -(-replicas // _DEFAULT_CHUNK))
     return chunk, min(-(-chunk // _WORKERS), _BLOCK_ROWS)
+
+
+def _chunk_cuts(replicas: int) -> list[int]:
+    """Bounds of the fewest chunks of at most ``_DEFAULT_CHUNK`` replicas, whose
+    sizes differ by at most one: 2,000 replicas step as two chunks of 1,000."""
+    n = -(-replicas // _DEFAULT_CHUNK)
+    return [replicas * c // n for c in range(n + 1)]
 
 
 def ensemble_working_bytes(p: SdeParams, replicas: int) -> int:
@@ -246,8 +264,9 @@ def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan | ScanPlan, layout: list
     columns of the chunk series ``q``, whose first column is replica ``lo``.
 
     Blocks of ``_BLOCK_ROWS`` replicas are drawn and convolved row-major and
-    ``q`` is built in the block's own buffers; the last operation writes it
-    in ``q``'s time-major (steps, rows) order.
+    ``q`` is built in the block's own rows, each operation over contiguous
+    rows; one transposed copy then writes it in ``q``'s time-major
+    (steps, rows) order.
     """
     h_steps, b_steps = p.horizon_steps, p.burn_steps
     sqrt_dt = math.sqrt(p.dt)
@@ -261,7 +280,8 @@ def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan | ScanPlan, layout: list
         noise *= vol
         np.square(vol, out=vol)  # becomes V^2/2 dt
         vol *= p.dt / 2.0
-        np.subtract(noise.T, vol.T, out=q[:, a - lo : z - lo])
+        noise -= vol  # becomes q
+        q[:, a - lo : z - lo] = noise.T
 
 
 def simulate_ensemble(
@@ -277,8 +297,10 @@ def simulate_ensemble(
     increments dB, then the orthogonal increments dW.  Each replica's history
     is drawn and convolved once into the state-free part ``q`` of every step,
     which drives every initial state and sharpens ensemble comparisons.
-    Replicas are stepped ``_DEFAULT_CHUNK`` at a time.  Each chunk's range is
-    cut into ``_WORKERS`` contiguous parts, and one thread per part draws and
+    Replicas are stepped in the fewest chunks of at most ``_DEFAULT_CHUNK``,
+    whose sizes differ by at most one, and the q series is sized to the
+    largest: 10,000 replicas step as ten chunks of 1,000.  Each chunk's range
+    is cut into ``_WORKERS`` contiguous parts, and one thread per part draws and
     convolves it ``_BLOCK_ROWS`` replicas at a time, through its own plan,
     into its own columns of ``q``; then the chunk is stepped.  These sizes
     bound memory (``ensemble_working_bytes``), and every operation is per
@@ -320,9 +342,9 @@ def simulate_ensemble(
     plans = [ma_plan(taps, plan_rows, n_inc, p.kernel.rate(p.dt)) for _ in range(_WORKERS)]
     layout = [(np.random.Generator.standard_normal, (n,)) for n in (n_inc, h_steps)]
 
+    chunk_cuts = _chunk_cuts(replicas)
     with ThreadPoolExecutor(_WORKERS) as pool:
-        for lo in range(0, replicas, _DEFAULT_CHUNK):
-            hi = min(lo + _DEFAULT_CHUNK, replicas)
+        for lo, hi in zip(chunk_cuts, chunk_cuts[1:]):
             rows = hi - lo
             q = series[: h_steps * rows].reshape(h_steps, rows)
             cuts = [lo + rows * w // _WORKERS for w in range(_WORKERS + 1)]

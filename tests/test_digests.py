@@ -30,7 +30,7 @@ sde.increment_lags = 0.1, 0.01
 """
 
 CONFIGS = {
-    # 1,540 replicas span one full 1,536-row chunk and a partial one.
+    # 1,540 replicas step as two chunks of 770.
     "sde-exp": _SDE.format(seed=8080, kernel="exponential(1.0)", burn_in=10.0),
     "sde-frac": _SDE.format(seed=8081, kernel="fractional(0.1)", burn_in=2.0),
     "ar1-couple": """

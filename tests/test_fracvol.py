@@ -179,6 +179,13 @@ def test_params_validation():
     object.__setattr__(bad_drift, "diss_alpha", 5.0)  # impossible declaration
     with pytest.raises(ValueError):
         _params(zeta=bad_drift)
+    steep = saturating_drift(1.0, 1.0)
+    object.__setattr__(steep, "lipschitz", 1.5)  # the slope -1 + cos x reaches -2
+    with pytest.raises(ValueError, match="Lipschitz"):
+        _params(zeta=steep)
+    # a linear drift's difference quotients round off its slope, and still certify
+    for drift in (linear_drift(600.0), linear_drift(1e150), saturating_drift(400.0, 200.0)):
+        _params(zeta=drift)
 
 
 def test_simulate_ensemble_share_noise_determinism():
@@ -187,7 +194,7 @@ def test_simulate_ensemble_share_noise_determinism():
     # identical starts with shared noise produce identical samples
     assert np.array_equal(res1.samples[0], res1.samples[1])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fracvol, "_DEFAULT_CHUNK", 37)  # 37 does not divide 200
+        mp.setattr(fracvol, "_DEFAULT_CHUNK", 37)  # six chunks of 33 or 34
         res2 = simulate_ensemble(p, [0.5, 0.5], 200, [1.0, 2.0], seed=9)
     assert np.array_equal(res1.samples, res2.samples)
 
@@ -239,6 +246,22 @@ def test_ensemble_matches_scalar_reference_path():
             path.append(l + drift + p.rho * v * dbk + math.sqrt(1.0 - p.rho**2) * v * dw[k])
         for i, t in enumerate(res.checkpoint_times):
             assert res.samples[s, i, 5] == pytest.approx(path[round(t / p.dt)], abs=1e-12)
+
+
+@pytest.mark.parametrize("replicas, chunk", [
+    (2000, 1000), (10_000, 1000), (1540, 770), (1024, 1024), (1, 1),
+    (3073, 769),  # stepping by 769 would leave a last chunk of 766
+])
+def test_chunks_are_the_fewest_under_the_cap_and_equal(replicas, chunk):
+    # The q series is sized to the largest chunk, so the chunks are as equal
+    # as whole replicas allow: 2,000 replicas hold 1,000 rows, not 1,024.
+    assert fracvol._chunk_sizes(replicas)[0] == chunk
+    cuts = fracvol._chunk_cuts(replicas)
+    sizes = np.diff(cuts)
+    assert cuts[0] == 0 and cuts[-1] == replicas
+    assert len(sizes) == -(-replicas // fracvol._DEFAULT_CHUNK)
+    assert sizes.max() == chunk <= fracvol._DEFAULT_CHUNK
+    assert sizes.max() - sizes.min() <= 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -241,7 +241,7 @@ def test_cli_overflowing_ma_coefficients(tmp_path, capsys, experiment, command):
     assert cli_main([command, cfg_path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: logvol: ma_coeffs")
+    assert captured.err.startswith("error: logvol.ma: ma_coeffs")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
@@ -321,10 +321,14 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
     # a lag under half a step (dt = 1/256) ran as one full step under its own name
     ("experiment = sde-sim\nreplicas = 100\nsde.increment_lags = 0.001, 0.1\n",
      "sde.increment_lags"),
+    # an Euler step past its stable range (Lipschitz constant times dt = 2.34)
+    # validated, then overflowed into a non-finite report field
+    ("experiment = sde-sim\nreplicas = 100\nsde.drift = linear(600)\n", "sde.drift"),
+    ("experiment = sde-sim\nreplicas = 100\nsde.drift = saturating(400, 200)\n", "sde.drift"),
 ], ids=["one-start", "equal-starts", "ar1-couple-x0-overflow", "ar1-bound-x0-overflow",
         "drift-overflow", "drift-grid-overflow", "step-cap-0", "target-block-0", "negative-m-max",
         "fractional-ma-lag", "negative-ma-lag", "geometric-ma-ratio", "fractional-ma-h", "negative-increment-lag", "zero-increment-lag",
-        "sub-step-increment-lag"])
+        "sub-step-increment-lag", "unstable-euler-linear", "unstable-euler-saturating"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_refuses_configs_a_run_cannot_run(tmp_path, capsys, text, key, command):
     cfg_path = str(tmp_path / "exp.cfg")
@@ -336,6 +340,20 @@ def test_cli_refuses_configs_a_run_cannot_run(tmp_path, capsys, text, key, comma
     assert captured.err.startswith(f"error: {key}: ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_runs_a_stiff_drift_inside_the_euler_step_s_stable_range(tmp_path, capsys):
+    # kappa dt = 500/256 = 1.95: each step multiplies the state by -0.95, so
+    # the paths oscillate but decay, and every reported statistic is finite.
+    cfg_path = str(tmp_path / "stiff.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write("experiment = sde-sim\nreplicas = 200\nsde.drift = linear(500)\n"
+                 f"sde.horizon = 12\nsde.checkpoints = 5, 10, 12\noutput.dir = {tmp_path}/run\n")
+    assert cli_main(["validate", cfg_path]) == 0
+    assert cli_main(["run", cfg_path]) in (0, 1)
+    with open(tmp_path / "run" / "report.json", encoding="utf-8") as fh:
+        moments = json.load(fh)["results"]["moments"]
+    assert moments and all(np.isfinite([m["mean"], m["variance"]]).all() for m in moments)
 
 
 def _three_taps_at_most(build):
@@ -599,7 +617,7 @@ def test_logvol_sim_estimate_covers_the_simulation_s_traced_peak(monkeypatch, ma
     ("exponential(1.0)", 400),
 ], ids=["exponential", "fractional", "exponential-chunk-400"])
 def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(monkeypatch, kernel, chunk):
-    # 1,600 replicas span one full chunk and a partial one, or four chunks of
+    # 1,600 replicas step as two chunks of 800, or four of 400 under a cap of
     # 400: the estimate reads the ensemble's live chunk size.  The chunk's q
     # series, one float a replica-step, dominates what the ensemble holds; an
     # estimate that kept three floats a replica-step would be over twice it.
