@@ -36,6 +36,7 @@ class Ar1Params:
     eta: float = 0.1
 
     def __post_init__(self) -> None:
+        # each refusal starts with the name of the field it refuses
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.beta < (1.0 - self.gamma**2) / 2.0:

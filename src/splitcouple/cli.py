@@ -45,13 +45,15 @@ def _cmd_report(args) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except OSError as exc:
-        raise RunError(f"cannot read {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise RunError(f"{path}: cannot read a run report: {exc}") from exc
     if not isinstance(payload, dict) or not {"experiment", "replicas"} <= payload.keys():
-        raise RunError(f"{path} is not a run report: it needs 'experiment' and 'replicas'")
+        raise RunError(f"{path}: not a run report: it needs 'experiment' and 'replicas'")
+    flags = payload.get("flags", {})
+    if not isinstance(flags, dict) or not all(isinstance(ok, bool) for ok in flags.values()):
+        raise RunError(f"{path}: 'flags' must map each flag's name to true or false")
     print(f"experiment: {payload['experiment']}")
     print(f"replicas: {payload['replicas']}")
-    flags = payload.get("flags", {})
     for name, ok in sorted(flags.items()):
         print(f"flag {name}: {'PASS' if ok else 'FAIL'}")
     return 0 if all(flags.values()) else 1

@@ -159,7 +159,7 @@ def _ma_coeffs(fields: _Fields) -> tuple[float, ...]:
         try:
             head = family(args[0], min(lag, 2))
         except ValueError as exc:
-            raise _wrap_invariant("logvol.ma", exc) from None
+            raise ConfigError(f"logvol.ma: {exc}") from None
         rate = LogvolParams(gamma=0.5, rho=0.0, ma_coeffs=head).ma_rate
         need = block_working_bytes(lag, rate, 1, _MIN_REPLICAS)
         if need > MEMORY_CAP_BYTES:
@@ -191,8 +191,14 @@ class ExperimentConfig:
     peak_bytes: int = 0  # estimate, see _estimate_peak_bytes
 
 
+_CONFIG_NAMES = {"ma_coeffs": "ma", "zeta": "drift"}  # model fields keyed under another name
+
+
 def _wrap_invariant(section: str, exc: Exception) -> ConfigError:
-    return ConfigError(f"{section}: {exc}")
+    """A model's refusal under its config key: each refusal's message starts
+    with the model field it refuses (``gamma must lie ...`` is ``ar1.gamma``)."""
+    name = str(exc).split(" ", 1)[0]
+    return ConfigError(f"{section}.{_CONFIG_NAMES.get(name, name)}: {exc}")
 
 
 def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -> int:
@@ -206,8 +212,7 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
     if experiment == "ar1-couple":  # uniform pairs and an int8 event code per step
         return r * (17 * options["t"] + _CSV_ROW_BYTES)
     if experiment == "sde-sim":  # each state's samples and CSV rows
-        n_times = len(options["checkpoints"]) + 1 + len(options["increment_lags"])
-        per_state = 8 * n_times + _CSV_ROW_BYTES * len(options["checkpoints"])
+        per_state = 8 * len(options["record_steps"]) + _CSV_ROW_BYTES * len(options["checkpoints"])
         return ensemble_working_bytes(model, r) + len(options["l0"]) * r * per_state
     from .logvol import block_working_bytes, logvol_schedule
     if experiment == "logvol-sim":  # the checkpoint samples
@@ -276,9 +281,8 @@ def load_config_text(text: str) -> ExperimentConfig:
         coeffs = _ma_coeffs(fields)
         try:
             model = LogvolParams(gamma=gamma, rho=rho, ma_coeffs=coeffs, x0=x0)
-        except ValueError as exc:  # its refusals of the coefficients name ma_coeffs
-            key = "logvol.ma" if str(exc).startswith("ma_coeffs") else "logvol"
-            raise _wrap_invariant(key, exc) from None
+        except ValueError as exc:
+            raise _wrap_invariant("logvol", exc) from None
         if experiment == "logvol-sim":
             options["checkpoints"] = fields.int_list("logvol.checkpoints", (10, 100))
             if min(options["checkpoints"]) < 1:
@@ -304,15 +308,15 @@ def load_config_text(text: str) -> ExperimentConfig:
         except OverflowError:  # a parameter squared past the largest double
             raise ConfigError(f"sde.drift: {drift_text}: the growth constant overflows") from None
         except ValueError as exc:
-            raise _wrap_invariant("sde.drift", exc) from None
+            raise ConfigError(f"sde.drift: {exc}") from None
         kern_text = fields.str_("sde.kernel", "exponential(1.0)")
         kname, kargs = _parse_call("sde.kernel", kern_text, {"exponential": 1, "fractional": 1})
         param, default = ("lam", 1.0) if kname == "exponential" else ("h", 0.1)
         try:
             kernel = VolatilityKernel(kind=kname, **{param: kargs[0] if kargs else default})
         except ValueError as exc:
-            raise _wrap_invariant("sde.kernel", exc) from None
-        # read before the invariants, whose refusals name the section alone
+            raise ConfigError(f"sde.kernel: {exc}") from None
+        # read before the try, which would key their own refusals a second time
         rho = fields.float_("sde.rho", 0.3)
         dt = fields.float_("sde.dt", 1.0 / 256.0)
         horizon = fields.float_("sde.horizon", 20.0)
@@ -338,7 +342,7 @@ def load_config_text(text: str) -> ExperimentConfig:
                               "forget nothing")
         options["checkpoints"] = fields.float_list("sde.checkpoints", (5.0, 10.0, 20.0))
         options["increment_lags"] = fields.float_list("sde.increment_lags", (0.1, 0.01))
-        if min(round(h / model.dt) for h in options["increment_lags"]) < 1:
+        if min(model.step_of(h) for h in options["increment_lags"]) < 1:
             raise ConfigError(f"sde.increment_lags: lags must be at least half a grid step "
                               f"(sde.dt = {model.dt:g})")
         options["increment_base"] = fields.float_("sde.increment_base", 10.0)
@@ -346,9 +350,16 @@ def load_config_text(text: str) -> ExperimentConfig:
         for t in options["checkpoints"]:
             if not 0.0 <= t <= model.horizon:
                 raise ConfigError(f"sde.checkpoints: {t} outside [0, horizon]")
-        reach = options["increment_base"] + max(options["increment_lags"])
-        if not 0.0 <= options["increment_base"] <= model.horizon or reach > model.horizon:
+        # the increment window is checked on the grid it runs on, base step plus lag steps
+        base = model.step_of(options["increment_base"])
+        reach = base + model.step_of(max(options["increment_lags"]))
+        if options["increment_base"] < 0.0 or reach > model.horizon_steps:
             raise ConfigError("sde.increment_base: increment window leaves [0, horizon]")
+        # the distinct grid steps a run records: each checkpoint, the base and the base plus each lag
+        options["record_steps"] = sorted(
+            {model.step_of(t) for t in options["checkpoints"]}
+            | {base} | {base + model.step_of(h) for h in options["increment_lags"]}
+        )
         replicas = fields.int_("replicas", 10000)
 
     if experiment != "ar1-bound" and replicas < _MIN_REPLICAS:

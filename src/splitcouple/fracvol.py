@@ -157,8 +157,13 @@ class SdeParams:
     burn_in: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0 or self.horizon < self.dt or self.burn_in <= 0.0:
-            raise ValueError("need dt > 0, horizon >= dt, burn_in > 0")
+        # each refusal starts with the name of the field it refuses
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt:g}")
+        if not self.horizon >= self.dt:
+            raise ValueError(f"horizon {self.horizon:g} is shorter than one step dt = {self.dt:g}")
+        if not self.burn_in > 0.0:
+            raise ValueError(f"burn_in must be positive, got {self.burn_in:g}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
         scale_time = self.kernel.memory_scale(self.burn_in)
@@ -171,23 +176,28 @@ class SdeParams:
             self.zeta.fn, self.zeta.diss_alpha, self.zeta.diss_beta, grid
         )
         if margin < 0.0:
-            raise ValueError(f"declared dissipativity fails on the grid (margin {margin:.3e})")
+            raise ValueError(f"zeta fails its declared dissipativity on the grid "
+                             f"(margin {margin:.3e})")
         values = self.zeta.fn(grid)
         growth = np.max(values**2 - self.zeta.growth_k * (grid**2 + 1.0))
         if growth > 0.0:
-            raise ValueError("declared growth constant fails on the grid")
+            raise ValueError("zeta fails its declared growth constant on the grid")
         # a difference quotient of a linear drift rounds off its slope by ~1e-13
         slope = np.max(np.abs(np.diff(values)) / np.diff(grid))
         if slope > self.zeta.lipschitz * (1.0 + 1e-9):
-            raise ValueError("declared Lipschitz constant fails on the grid")
+            raise ValueError("zeta fails its declared Lipschitz constant on the grid")
+
+    def step_of(self, t: float) -> int:
+        """The Euler grid step nearest time ``t``: the one rule that snaps a time to the grid."""
+        return int(round(t / self.dt))
 
     @property
     def horizon_steps(self) -> int:
-        return int(round(self.horizon / self.dt))
+        return self.step_of(self.horizon)
 
     @property
     def burn_steps(self) -> int:
-        return int(round(self.burn_in / self.dt))
+        return self.step_of(self.burn_in)
 
 
 def _kernel_taps(kernel: VolatilityKernel, dt: float, burn_in: float) -> np.ndarray:
@@ -218,20 +228,6 @@ def euler_step(p: SdeParams, L, q):
     L += drift
     L += q
     return L
-
-
-@dataclass(frozen=True)
-class EnsembleResult:
-    l0_values: tuple[float, ...]
-    checkpoint_times: tuple[float, ...]
-    samples: np.ndarray  # (n_states, n_checkpoints, replicas)
-    log_vol_variance: float
-
-    def at(self, state_idx: int, time: float) -> np.ndarray:
-        for i, t in enumerate(self.checkpoint_times):
-            if abs(t - time) < 1e-9:
-                return self.samples[state_idx, i]
-        raise KeyError(f"no checkpoint at t = {time}")
 
 
 def _chunk_sizes(replicas: int) -> tuple[int, int]:
@@ -288,10 +284,12 @@ def simulate_ensemble(
     p: SdeParams,
     l0_list,
     replicas: int,
-    checkpoints,
+    steps,
     seed: int,
-) -> EnsembleResult:
-    """Replica paths from each initial state, recorded at the checkpoints.
+) -> np.ndarray:
+    """Replica paths from each initial state, recorded after each of ``steps``,
+    increasing grid steps in ``[0, horizon_steps]``: an array of shape
+    ``(states, len(steps), replicas)``.
 
     Replica ``k`` owns stream ``k`` of ``seed``: the volatility/price
     increments dB, then the orthogonal increments dW.  Each replica's history
@@ -307,31 +305,23 @@ def simulate_ensemble(
     replica, so they cannot change the results.  A worker's exception is
     raised here, after every worker has stopped.
     """
-    l0_list = [float(v) for v in l0_list]
-    n_states = len(l0_list)
-    if n_states == 0 or replicas < 1:
+    l0 = np.array([float(v) for v in l0_list])[:, None]
+    if l0.size == 0 or replicas < 1:
         raise ValueError("need at least one initial state and one replica")
     h_steps = p.horizon_steps
-    b_steps = p.burn_steps
-    n_inc = b_steps + h_steps
+    n_inc = p.burn_steps + h_steps
     if replicas * n_inc > RESOURCE_CAP:
         raise RunError(
             f"ensemble needs {replicas * n_inc:.3g} replica-steps, "
             f"over the cap {RESOURCE_CAP:.3g}"
         )
-    cp_idx = []
-    for t in checkpoints:
-        idx = int(round(float(t) / p.dt))
-        if not 0 <= idx <= h_steps:
-            raise ValueError(f"checkpoint {t} outside [0, horizon]")
-        cp_idx.append(idx)
-    cp_times = tuple(i * p.dt for i in cp_idx)
-    cp_at: dict[int, list[int]] = {}  # step -> checkpoints recorded after it
-    for i, idx in enumerate(cp_idx):
-        cp_at.setdefault(idx, []).append(i)
-
-    out = np.empty((n_states, len(cp_idx), replicas))
-    l0 = np.array(l0_list)[:, None]
+    steps = np.asarray(steps)
+    if (steps.ndim != 1 or steps.size == 0 or steps.dtype.kind not in "iu"
+            or np.any(steps[1:] <= steps[:-1]) or steps[0] < 0 or steps[-1] > h_steps):
+        raise ValueError(f"steps must be increasing grid steps in [0, {h_steps}], "
+                         f"got {steps.tolist()}")
+    col = {int(s): j for j, s in enumerate(steps)}  # step -> its column of the samples
+    out = np.empty((l0.size, steps.size, replicas))
 
     # Buffers are allocated once and refilled for every chunk, so no pass
     # maps and faults in fresh memory: the chunk's time-major q series and
@@ -356,18 +346,13 @@ def simulate_ensemble(
                 job.result()
             # The states step together; each step's row of q broadcasts over them.
             l = np.repeat(l0, rows, axis=1)
-            for i in cp_at.get(0, ()):
-                out[:, i, lo:hi] = l
+            if 0 in col:
+                out[:, col[0], lo:hi] = l
             for step in range(h_steps):
                 l = euler_step(p, l, q[step])
-                for i in cp_at.get(step + 1, ()):
-                    out[:, i, lo:hi] = l
-    return EnsembleResult(
-        l0_values=tuple(l0_list),
-        checkpoint_times=cp_times,
-        samples=out,
-        log_vol_variance=discrete_log_vol_variance(p),
-    )
+                if step + 1 in col:
+                    out[:, col[step + 1], lo:hi] = l
+    return out
 
 
 @dataclass(frozen=True)

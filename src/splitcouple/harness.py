@@ -20,7 +20,9 @@ import numpy.rec  # loaded on first use otherwise, inside a run (see streams)
 
 from .config import ExperimentConfig
 from .errors import RunError, ScheduleError
-from .fracvol import increment_constants, increment_moment_check, simulate_ensemble
+from .fracvol import (
+    discrete_log_vol_variance, increment_constants, increment_moment_check, simulate_ensemble,
+)
 from .metrics import tv_empirical, tv_empirical_se, tv_gaussian
 from .streams import replica_blocks, replica_uniform_pairs
 
@@ -264,37 +266,27 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
 def _run_sde_sim(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     p = cfg.model
     l0 = cfg.options["l0"]
-    base_cp = sorted(cfg.options["checkpoints"])
-    inc_base = cfg.options["increment_base"]
-    lags = cfg.options["increment_lags"]
-    # Snap increment lags to whole grid steps (validate refuses a lag of none).
-    lag_times = [int(round(h / p.dt)) * p.dt for h in lags]
-    times = sorted(set(base_cp) | {inc_base} | {inc_base + h for h in lag_times})
-    result = simulate_ensemble(p, l0, cfg.replicas, times, cfg.seed)
+    steps = cfg.options["record_steps"]
+    samples = simulate_ensemble(p, l0, cfg.replicas, steps, cfg.seed)
+    at = dict(zip(steps, samples.transpose(1, 0, 2)))  # step -> its (states, replicas) samples
 
-    tv_vals, tv_ses = [], []
-    for t in base_cp:
-        a = result.at(0, round(t / p.dt) * p.dt)
-        b = result.at(1, round(t / p.dt) * p.dt)
-        tv_vals.append(tv_empirical(a, b))
-        tv_ses.append(tv_empirical_se(a, b))
+    cp_steps = sorted({p.step_of(t) for t in cfg.options["checkpoints"]})
+    tv_vals = [tv_empirical(at[s][0], at[s][1]) for s in cp_steps]
+    tv_ses = [tv_empirical_se(at[s][0], at[s][1]) for s in cp_steps]
     nonincreasing = all(
         tv_vals[i + 1] <= tv_vals[i] + 3.0 * math.hypot(tv_ses[i], tv_ses[i + 1])
         for i in range(len(tv_vals) - 1)
     )
-    l_tilde = float(max(np.mean(result.samples[i, j] ** 2)
-                        for i in range(len(l0)) for j in range(len(times))))
+    l_tilde = float(max(np.mean(x**2) for x in samples.reshape(-1, cfg.replicas)))
     consts = increment_constants(p, l_tilde)
-    base_time = round(inc_base / p.dt) * p.dt
-    inc_flags = {}
-    inc_results = []
-    for h_req, h_act in zip(lags, lag_times):
-        check = increment_moment_check(
-            result.at(0, base_time), result.at(0, base_time + h_act), h_act, consts
-        )
+    base = p.step_of(cfg.options["increment_base"])
+    inc_flags, inc_results = {}, []
+    for h_req in cfg.options["increment_lags"]:
+        k = p.step_of(h_req)  # validate refuses a lag of no step
+        check = increment_moment_check(at[base][0], at[base + k][0], k * p.dt, consts)
         inc_flags[f"increment_bound_h={h_req:g}"] = check.passed
         inc_results.append(
-            {"h_requested": h_req, "h_actual": h_act, "empirical": check.empirical,
+            {"h_requested": h_req, "h_actual": k * p.dt, "empirical": check.empirical,
              "bound": check.bound, "se": check.se}
         )
     flags = {
@@ -302,33 +294,34 @@ def _run_sde_sim(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
         "tv_nonincreasing": nonincreasing,
         **inc_flags,
     }
+    times = [s * p.dt for s in steps]
     moments = [
         {
             "initial_state": l0[i],
-            "checkpoint_time": result.checkpoint_times[j],
-            "mean": float(result.samples[i, j].mean()),
-            "variance": float(result.samples[i, j].var()),
+            "checkpoint_time": times[j],
+            "mean": float(samples[i, j].mean()),
+            "variance": float(samples[i, j].var()),
         }
         for i in range(len(l0))
-        for j in range(len(result.checkpoint_times))
+        for j in range(len(steps))
     ]
     results = {
-        "checkpoints": base_cp,
+        "checkpoints": [s * p.dt for s in cp_steps],
         "tv_empirical": tv_vals,
         "tv_se": tv_ses,
         "moments": moments,
         "l_tilde": l_tilde,
-        "log_vol_variance": result.log_vol_variance,
+        "log_vol_variance": discrete_log_vol_variance(p),
         "increments": inc_results,
     }
-    # One record per sample, in (state, checkpoint, replica) order.
-    n_states, n_times, reps = result.samples.shape
+    # One record per sample, in (state, recorded step, replica) order.
+    n_states, n_times, reps = samples.shape
     table = np.rec.fromarrays(
         [
             np.repeat(np.arange(n_states), n_times * reps),
-            np.tile(np.repeat(result.checkpoint_times, reps), n_states),
+            np.tile(np.repeat(times, reps), n_states),
             np.tile(np.arange(reps), n_states * n_times),
-            result.samples.ravel(),
+            samples.ravel(),
         ],
         names="initial_state_id,checkpoint_time,replica_id,L_value",
     )

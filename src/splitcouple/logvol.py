@@ -50,6 +50,7 @@ class LogvolParams:
     x0: float = 0.0
 
     def __post_init__(self) -> None:
+        # each refusal starts with the name of the field it refuses
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         if not -1.0 < self.rho < 1.0:

@@ -10,7 +10,9 @@ the scheduled two-term bound is still in its pre-asymptotic regime on every
 reachable horizon grid (criterion 2), and the log-volatility minorization
 weights on the scheduled set sizes underflow double precision, so no finite
 block schedule exists (criterion 8).  Both are marked xfail with the full
-reason inline, so the suite documents the shortfall without hiding it.
+reason inline, so the suite documents the shortfall without hiding it.  The
+xfails are strict: both criteria are deterministic, so a pass would mean the
+README's "unattainable as stated" note has gone stale, and fails the suite.
 """
 
 import math
@@ -88,7 +90,6 @@ def test_criterion_1_bound_dominance():
 
 
 @pytest.mark.xfail(
-    strict=False,
     reason="unattainable as stated: with the ceiling schedule the geometric "
     "term is still ~2 on every t <= 1e6, so the fitted slope is near 0 for "
     "all admissible (beta, eta); a parameter sweep caps the slope at ~1.65",
@@ -182,7 +183,6 @@ def test_criterion_7_mcre_moment_bound(shipped):
 
 
 @pytest.mark.xfail(
-    strict=False,
     reason="unattainable as stated: the smallest set size with tail(n) <= 1/2 "
     "is n = 7 (the moment bound K ~ 19 forces K/n^2 <= 2^-m), where the "
     "minorization weight 2 f(d(n)) / (sqrt(1-rho^2) e^n) evaluates below the "

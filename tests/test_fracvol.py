@@ -171,17 +171,22 @@ def test_dissipativity_check_values():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    # each refusal starts with the field it refuses, which config keys it by
+    with pytest.raises(ValueError, match="^rho "):
         _params(rho=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dt "):
         _params(dt=-0.1)
+    with pytest.raises(ValueError, match="^horizon "):
+        _params(horizon=0.001)
+    with pytest.raises(ValueError, match="^burn_in "):
+        _params(burn_in=0.5)
     bad_drift = saturating_drift(1.0, 1.0)
     object.__setattr__(bad_drift, "diss_alpha", 5.0)  # impossible declaration
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^zeta .*dissipativity"):
         _params(zeta=bad_drift)
     steep = saturating_drift(1.0, 1.0)
     object.__setattr__(steep, "lipschitz", 1.5)  # the slope -1 + cos x reaches -2
-    with pytest.raises(ValueError, match="Lipschitz"):
+    with pytest.raises(ValueError, match="^zeta .*Lipschitz"):
         _params(zeta=steep)
     # a linear drift's difference quotients round off its slope, and still certify
     for drift in (linear_drift(600.0), linear_drift(1e150), saturating_drift(400.0, 200.0)):
@@ -190,23 +195,23 @@ def test_params_validation():
 
 def test_simulate_ensemble_share_noise_determinism():
     p = _params(dt=1.0 / 64.0, horizon=2.0)
-    res1 = simulate_ensemble(p, [0.5, 0.5], 200, [1.0, 2.0], seed=9)
+    res1 = simulate_ensemble(p, [0.5, 0.5], 200, [64, 128], seed=9)
     # identical starts with shared noise produce identical samples
-    assert np.array_equal(res1.samples[0], res1.samples[1])
+    assert np.array_equal(res1[0], res1[1])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fracvol, "_DEFAULT_CHUNK", 37)  # six chunks of 33 or 34
-        res2 = simulate_ensemble(p, [0.5, 0.5], 200, [1.0, 2.0], seed=9)
-    assert np.array_equal(res1.samples, res2.samples)
+        res2 = simulate_ensemble(p, [0.5, 0.5], 200, [64, 128], seed=9)
+    assert np.array_equal(res1, res2)
 
 
 def test_shared_noise_pair_equals_single_starts():
     # stepping both starts over one draw of the noise is exactly the same
     # arithmetic as running each start on its own
     p = _params(dt=1.0 / 64.0, horizon=2.0)
-    times = [0.0, 0.5, 2.0]
-    pair = simulate_ensemble(p, [-2.0, 2.0], 150, times, seed=4)
-    singles = [simulate_ensemble(p, [l0], 150, times, seed=4).samples[0] for l0 in (-2.0, 2.0)]
-    assert np.array_equal(pair.samples, np.stack(singles))
+    steps = [0, 32, 128]
+    pair = simulate_ensemble(p, [-2.0, 2.0], 150, steps, seed=4)
+    singles = [simulate_ensemble(p, [l0], 150, steps, seed=4)[0] for l0 in (-2.0, 2.0)]
+    assert np.array_equal(pair, np.stack(singles))
 
 
 @pytest.mark.parametrize("kappa,kernel", [(1.0, EXP_KERNEL), (2.5, FRAC_KERNEL)])
@@ -218,10 +223,10 @@ def test_linear_drift_ensembles_are_exact_translates(kappa, kernel):
     # within a few ulps of the largest states (13 ulps of 2 here).
     p = _params(zeta=linear_drift(kappa), kernel=kernel, dt=1.0 / 64.0, horizon=4.0)
     a, b = -2.0, 2.0
-    res = simulate_ensemble(p, [a, b], 64, [0.0, 0.5, 1.0, 2.0, 4.0], seed=11)
-    for i, t in enumerate(res.checkpoint_times):
-        k = round(t / p.dt)
-        gap = res.samples[0, i] - res.samples[1, i]
+    steps = [0, 32, 64, 128, 256]
+    res = simulate_ensemble(p, [a, b], 64, steps, seed=11)
+    for i, k in enumerate(steps):
+        gap = res[0, i] - res[1, i]
         assert np.max(np.abs(gap - (1.0 - kappa * p.dt) ** k * (a - b))) <= 32 * np.spacing(b)
 
 
@@ -231,7 +236,8 @@ def test_ensemble_matches_scalar_reference_path():
     # this names a noise layout, volatility timing or state-free-part fault
     # that the translate identity cannot see.
     p = _params(kernel=FRAC_KERNEL, dt=1.0 / 64.0, horizon=2.0)
-    res = simulate_ensemble(p, [-2.0, 2.0], 8, [0.5, 2.0], seed=11)
+    steps = [32, 128]
+    res = simulate_ensemble(p, [-2.0, 2.0], 8, steps, seed=11)
     rng = replica_rng(11, 5)
     sqrt_dt = math.sqrt(p.dt)
     db = rng.standard_normal(p.burn_steps + p.horizon_steps) * sqrt_dt
@@ -244,8 +250,8 @@ def test_ensemble_matches_scalar_reference_path():
             l, dbk = path[-1], db[p.burn_steps + k]
             drift = (float(p.zeta.fn(l)) - v * v / 2.0) * p.dt
             path.append(l + drift + p.rho * v * dbk + math.sqrt(1.0 - p.rho**2) * v * dw[k])
-        for i, t in enumerate(res.checkpoint_times):
-            assert res.samples[s, i, 5] == pytest.approx(path[round(t / p.dt)], abs=1e-12)
+        for i, k in enumerate(steps):
+            assert res[s, i, 5] == pytest.approx(path[k], abs=1e-12)
 
 
 @pytest.mark.parametrize("replicas, chunk", [
@@ -279,7 +285,7 @@ def test_chunking_and_blocking_are_invisible_bit_for_bit(kernel, replicas, chunk
     # reference draws, convolves and steps every replica in one pass on one
     # worker.
     p = _params(kernel=kernel, dt=1.0 / 16.0, horizon=2.0)
-    args = (p, [-1.0, 0.5, 1.0], replicas, [0.0, 0.5, 2.0], 9)
+    args = (p, [-1.0, 0.5, 1.0], replicas, [0, 8, 32], 9)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fracvol, "_DEFAULT_CHUNK", replicas)
         mp.setattr(fracvol, "_BLOCK_ROWS", replicas)
@@ -289,9 +295,7 @@ def test_chunking_and_blocking_are_invisible_bit_for_bit(kernel, replicas, chunk
         mp.setattr(fracvol, "_BLOCK_ROWS", block)
         mp.setattr(fracvol, "_WORKERS", workers)
         split = simulate_ensemble(*args)
-    assert split.checkpoint_times == whole.checkpoint_times
-    assert split.log_vol_variance == whole.log_vol_variance
-    assert np.array_equal(split.samples, whole.samples)
+    assert np.array_equal(split, whole)
 
 
 def test_a_worker_s_error_reaches_the_caller_after_every_worker_stops(monkeypatch):
@@ -309,22 +313,47 @@ def test_a_worker_s_error_reaches_the_caller_after_every_worker_stops(monkeypatc
     p = _params(dt=1.0 / 16.0, horizon=2.0)
     before = threading.active_count()
     with pytest.raises(RunError, match="volatility failed"):
-        simulate_ensemble(p, [-1.0, 1.0], 64, [2.0], seed=9)
+        simulate_ensemble(p, [-1.0, 1.0], 64, [32], seed=9)
     assert threading.active_count() == before
 
 
 def test_simulate_ensemble_resource_cap():
     p = _params()
     with pytest.raises(RunError):
-        simulate_ensemble(p, [0.0], 10**9, [1.0], seed=1)
+        simulate_ensemble(p, [0.0], 10**9, [256], seed=1)
+
+
+def test_step_of_snaps_to_the_nearest_grid_step():
+    p = _params(dt=1.0 / 64.0, horizon=3.0, burn_in=10.0)
+    assert p.step_of(p.horizon) == p.horizon_steps == 192
+    assert p.step_of(p.burn_in) == p.burn_steps == 640
+    # 2.1 and 2 + 0.1 both snap to step 134, the grid time 2.09375
+    assert p.step_of(2.1) == p.step_of(2.0) + p.step_of(0.1) == 134
+    assert p.step_of(0.0) == 0 and p.step_of(0.49 * p.dt) == 0 and p.step_of(0.51 * p.dt) == 1
+
+
+@pytest.mark.parametrize("steps", [
+    [64, 32],  # unsorted
+    [32, 32, 64],  # repeated
+    [-1, 32],  # before the start
+    [32, 129],  # past the horizon (128 steps)
+    [0.0, 32.0],  # times, not steps
+    [],
+], ids=["unsorted", "repeated", "negative", "past-horizon", "floats", "empty"])
+def test_simulate_ensemble_refuses_steps_that_are_not_increasing_grid_steps(steps):
+    p = _params(dt=1.0 / 64.0, horizon=2.0)
+    with pytest.raises(ValueError, match=r"steps must be increasing grid steps in \[0, 128\]"):
+        simulate_ensemble(p, [-1.0, 1.0], 4, steps, seed=9)
+    res = simulate_ensemble(p, [-1.0, 1.0], 4, [0, 128], seed=9)
+    assert res.shape == (2, 2, 4) and np.array_equal(res[:, 0], [[-1.0] * 4, [1.0] * 4])
 
 
 def test_initialization_forgetting_small():
     p = _params(dt=1.0 / 128.0, horizon=14.0)
-    res = simulate_ensemble(p, [-2.0, 2.0], 3000, [2.0, 6.0, 10.0, 12.0, 14.0], seed=23)
+    res = simulate_ensemble(p, [-2.0, 2.0], 3000, [256, 768, 1280, 1536, 1792], seed=23)
     tvs, ses = [], []
-    for i, t in enumerate(res.checkpoint_times):
-        a, b = res.samples[0, i], res.samples[1, i]
+    for i in range(res.shape[1]):
+        a, b = res[0, i], res[1, i]
         tvs.append(tv_empirical(a, b))
         ses.append(tv_empirical_se(a, b))
     assert tvs[-1] < 0.15
@@ -332,14 +361,14 @@ def test_initialization_forgetting_small():
         assert tvs[i + 1] <= tvs[i] + 3 * math.hypot(ses[i], ses[i + 1])
     # stationarity transfer: the last three checkpoints share mean and variance
     # (variance SEs account for the heavy tails of the volatility mixture)
-    n = res.samples.shape[-1]
+    n = res.shape[-1]
 
     def var_se(x):
         c = x - x.mean()
         return math.sqrt(max(np.mean(c**4) - x.var() ** 2, 0.0) / n)
 
     for j in (3, 4):
-        a, b = res.samples[0, 2], res.samples[0, j]
+        a, b = res[0, 2], res[0, j]
         assert abs(a.mean() - b.mean()) < 4 * math.sqrt(a.var() / n + b.var() / n)
         assert abs(a.var() - b.var()) < 4 * math.hypot(var_se(a), var_se(b))
 
@@ -368,22 +397,21 @@ def test_increment_check_constant_coefficients():
 
 def test_increment_scaling_linear_in_h():
     p = _params(dt=1.0 / 128.0, horizon=6.0)
-    h1, h2 = 8 * p.dt, 16 * p.dt
-    times = [5.0, 5.0 + h1, 5.0 + h2]
-    res = simulate_ensemble(p, [0.0], 20_000, times, seed=77)
-    base = res.at(0, 5.0)
-    m1 = np.mean((res.at(0, 5.0 + h1) - base) ** 2)
-    m2 = np.mean((res.at(0, 5.0 + h2) - base) ** 2)
+    # t = 5 is step 640; the lags are 8 and 16 steps
+    res = simulate_ensemble(p, [0.0], 20_000, [640, 648, 656], seed=77)
+    base = res[0, 0]
+    m1 = np.mean((res[0, 1] - base) ** 2)
+    m2 = np.mean((res[0, 2] - base) ** 2)
     assert 1.4 < m2 / m1 < 2.6
 
 
 def test_increment_check_from_ensemble():
     p = _params(dt=1.0 / 128.0, horizon=6.0)
     h = 16 * p.dt
-    res = simulate_ensemble(p, [0.0], 5000, [5.0, 5.0 + h], seed=5)
-    l_tilde = max(float(np.mean(res.samples[0, j] ** 2)) for j in range(2))
+    res = simulate_ensemble(p, [0.0], 5000, [640, 656], seed=5)  # t = 5 and 5 + h
+    l_tilde = max(float(np.mean(res[0, j] ** 2)) for j in range(2))
     consts = increment_constants(p, l_tilde)
-    check = increment_moment_check(res.at(0, 5.0), res.at(0, 5.0 + h), h, consts)
+    check = increment_moment_check(res[0, 0], res[0, 1], h, consts)
     assert check.passed
 
 

@@ -81,7 +81,7 @@ def test_config_validation_errors():
         load_config_text("experiment = nonsense\n")
     with pytest.raises(ConfigError, match="replicas"):
         load_config_text("experiment = ar1-couple\nreplicas = 0\n")
-    with pytest.raises(ConfigError, match="ar1: gamma"):
+    with pytest.raises(ConfigError, match="^ar1.gamma: "):
         load_config_text("experiment = ar1-bound\nar1.gamma = 1.5\n")
     with pytest.raises(ConfigError, match="unknown field"):
         load_config_text("experiment = ar1-bound\nsde.rho = 0.1\n")
@@ -142,6 +142,32 @@ def test_sde_sim_run():
     assert report.table_rows.dtype.names == (
         "initial_state_id", "checkpoint_time", "replica_id", "L_value",
     )
+
+
+def test_sde_sim_records_each_grid_step_once():
+    # Checkpoint 2.1 and the increment endpoint 2 + 0.1 both snap to step 134
+    # of dt = 1/64; the driver recorded that step twice (2,400 CSV rows for
+    # 2,000 keys, 12 moments) and reported checkpoint 2.1 for a TV measured
+    # at 2.09375.
+    cfg = load_config_text(
+        "experiment = sde-sim\nreplicas = 200\nsde.dt = 0.015625\nsde.horizon = 3\n"
+        "sde.checkpoints = 1, 2.1, 3\nsde.increment_base = 2\nsde.increment_lags = 0.1, 0.01\n"
+    )
+    steps = [64, 128, 129, 134, 192]
+    assert cfg.options["record_steps"] == steps
+    report = run(cfg)
+    table = report.table_rows
+    assert len(table) == 2 * len(steps) * 200
+    keys = set(zip(table.initial_state_id.tolist(), table.checkpoint_time.tolist(),
+                   table.replica_id.tolist()))
+    assert len(keys) == len(table)
+    assert sorted(set(table.checkpoint_time.tolist())) == [k / 64 for k in steps]
+    assert report.results["checkpoints"] == [1.0, 2.09375, 3.0]
+    moments = report.results["moments"]
+    assert [(m["initial_state"], m["checkpoint_time"]) for m in moments] == [
+        (l0, k / 64) for l0 in (-2.0, 2.0) for k in steps
+    ]
+    assert [inc["h_actual"] for inc in report.results["increments"]] == [6 / 64, 1 / 64]
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -325,10 +351,26 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
     # validated, then overflowed into a non-finite report field
     ("experiment = sde-sim\nreplicas = 100\nsde.drift = linear(600)\n", "sde.drift"),
     ("experiment = sde-sim\nreplicas = 100\nsde.drift = saturating(400, 200)\n", "sde.drift"),
+    # a model's own invariants were refused under its section alone ("ar1: gamma ...")
+    ("experiment = ar1-bound\nar1.gamma = 1.5\n", "ar1.gamma"),
+    ("experiment = logvol-sim\nreplicas = 100\nlogvol.gamma = 1.5\n", "logvol.gamma"),
+    ("experiment = logvol-sim\nreplicas = 100\nlogvol.rho = 1.0\n", "logvol.rho"),
+    # these two named no field at all: "sde: need dt > 0, horizon >= dt, burn_in > 0"
+    ("experiment = sde-sim\nreplicas = 100\nsde.dt = -0.1\n", "sde.dt"),
+    ("experiment = sde-sim\nreplicas = 100\nsde.horizon = 0.001\n", "sde.horizon"),
+    ("experiment = sde-sim\nreplicas = 100\nsde.burn_in = 0.5\n", "sde.burn_in"),
+    ("experiment = sde-sim\nreplicas = 100\nsde.rho = 1.0\n", "sde.rho"),
+    # the window reads 193 of 193 steps, but base 189.5 and lag 3.5 snap to
+    # steps 190 and 4, so the run recorded a step past the horizon
+    ("experiment = sde-sim\nreplicas = 100\nsde.dt = 0.015625\nsde.horizon = 3.015625\n"
+     "sde.checkpoints = 1\nsde.increment_base = 2.9609375\nsde.increment_lags = 0.0546875\n",
+     "sde.increment_base"),
 ], ids=["one-start", "equal-starts", "ar1-couple-x0-overflow", "ar1-bound-x0-overflow",
         "drift-overflow", "drift-grid-overflow", "step-cap-0", "target-block-0", "negative-m-max",
         "fractional-ma-lag", "negative-ma-lag", "geometric-ma-ratio", "fractional-ma-h", "negative-increment-lag", "zero-increment-lag",
-        "sub-step-increment-lag", "unstable-euler-linear", "unstable-euler-saturating"])
+        "sub-step-increment-lag", "unstable-euler-linear", "unstable-euler-saturating",
+        "ar1-gamma", "logvol-gamma", "logvol-rho", "sde-dt", "sde-horizon", "sde-burn-in",
+        "sde-rho", "increment-window-past-the-horizon-step"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_refuses_configs_a_run_cannot_run(tmp_path, capsys, text, key, command):
     cfg_path = str(tmp_path / "exp.cfg")
@@ -401,13 +443,20 @@ def test_an_ma_lag_written_as_a_whole_float_is_its_integer():
     {"replicas": 3, "flags": {"ok": True}},
     {"experiment": "ar1-bound", "flags": {"ok": True}},
     ["not", "a", "report"],
+    # a flag that is not a boolean: the string "false" printed PASS and exited 0,
+    # and a list of flags failed as "AttributeError: 'list' object has no attribute 'items'"
+    {"experiment": "ar1-bound", "replicas": 3, "flags": {"ok": "false"}},
+    {"experiment": "ar1-bound", "replicas": 3, "flags": ["a"]},
+    "{not json",
 ])
 def test_cli_report_on_malformed_report(tmp_path, capsys, payload):
     with open(tmp_path / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(payload if isinstance(payload, str) else json.dumps(payload))
     assert cli_main(["report", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {tmp_path / 'report.json'}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_certification_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -573,7 +622,7 @@ def test_validate_and_run_share_the_replica_step_cap():
     with pytest.raises(ConfigError, match="^replicas: .* replica-steps"):
         load_config_text(text.format(260_417))
     with pytest.raises(RunError, match="replica-steps"):
-        simulate_ensemble(cfg.model, [0.0], 260_417, [1.0], seed=1)
+        simulate_ensemble(cfg.model, [0.0], 260_417, [256], seed=1)
 
 
 def test_logvol_sim_estimate_is_one_block_plus_outputs():
@@ -633,7 +682,7 @@ def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(monkeypatch, kernel,
     opt = cfg.options
     tracemalloc.start()
     try:
-        simulate_ensemble(cfg.model, opt["l0"], cfg.replicas, opt["checkpoints"], cfg.seed)
+        simulate_ensemble(cfg.model, opt["l0"], cfg.replicas, opt["record_steps"], cfg.seed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
