@@ -19,8 +19,7 @@ _EXPORTS = {
             "ar1_marginal", "ar1_n_schedule", "ar1_rate_fit", "ar1_split_kernel",
             "ar1_stationary"),
     "coupling": ("BlockSchedule", "block_schedule", "coupled_pair_batch",
-                 "coupling_lower_bound", "mcre_coupled_chains_batch", "mcre_coupled_pair",
-                 "tv_upper_from_coupling"),
+                 "coupling_lower_bound", "mcre_coupled_chains_batch", "tv_upper_from_coupling"),
     "errors": ("CertificationError", "ConfigError", "RunError", "ScheduleError"),
     "fracvol": ("DriftSpec", "SdeParams", "VolatilityKernel", "dissipativity_check",
                 "euler_step", "increment_moment_check", "linear_drift", "saturating_drift",

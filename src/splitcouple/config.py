@@ -28,7 +28,7 @@ from .fracvol import (
 EXPERIMENTS = ("ar1-bound", "ar1-couple", "logvol-sim", "logvol-couple", "sde-sim")
 MEMORY_CAP_BYTES = 4 * 2**30  # the most a run may plan to hold at once
 _MIN_REPLICAS = 100  # the fewest a Monte Carlo experiment may run
-_CSV_ROW_BYTES = 256  # one table record, plus its cell objects and CSV line made at write time
+_CSV_ROW_BYTES = 320  # one table record, plus its cell objects and CSV line made at write time
 
 _CALL_RE = re.compile(r"^([a-z_]+)\(([^)]*)\)$")
 
@@ -205,15 +205,16 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
     """Bytes a run holds at once, by arithmetic before any compute: the
     per-replica arrays its driver keeps (8 bytes a float) and CSV rows, plus
     the working set its simulator states (``fracvol.ensemble_working_bytes``,
-    ``logvol.block_working_bytes``)."""
+    ``logvol.block_working_bytes``).  ``sde-sim`` frees the ensemble's buffers
+    before it builds its table, so its peak is the larger of the two phases."""
     r = replicas
     if experiment == "ar1-bound":
         return 0
     if experiment == "ar1-couple":  # uniform pairs and an int8 event code per step
         return r * (17 * options["t"] + _CSV_ROW_BYTES)
-    if experiment == "sde-sim":  # each state's samples and CSV rows
-        per_state = 8 * len(options["record_steps"]) + _CSV_ROW_BYTES * len(options["checkpoints"])
-        return ensemble_working_bytes(model, r) + len(options["l0"]) * r * per_state
+    if experiment == "sde-sim":  # a sample, then a CSV row, per state, recorded step and replica
+        rows = len(options["l0"]) * len(options["record_steps"]) * r
+        return max(ensemble_working_bytes(model, r) + 8 * rows, _CSV_ROW_BYTES * rows)
     from .logvol import block_working_bytes, logvol_schedule
     if experiment == "logvol-sim":  # the checkpoint samples
         steps = max(options["checkpoints"])
@@ -244,7 +245,7 @@ def load_config_text(text: str) -> ExperimentConfig:
     replicas = 1
     # ar1 and logvol load scipy.special, so each is imported by its own configs only
     if experiment in ("ar1-bound", "ar1-couple"):
-        from .ar1 import Ar1Params, ar1_lyapunov_constant
+        from .ar1 import Ar1Params, ar1_alpha, ar1_lyapunov_constant
         bound = experiment == "ar1-bound"
         gamma = fields.float_("ar1.gamma", 0.5)
         beta = fields.float_("ar1.beta", 0.4 * (1.0 - gamma**2))
@@ -272,6 +273,13 @@ def load_config_text(text: str) -> ExperimentConfig:
             raise ConfigError("couple.s: need 1 <= s <= t")
         if options["n"] < 0:
             raise ConfigError("couple.n: ladder index must be nonnegative")
+        try:
+            alpha = ar1_alpha(gamma, options["n"])
+        except OverflowError:  # an index past the largest double
+            alpha = 0.0
+        if alpha == 0.0:
+            raise ConfigError(f"couple.n: the minorization weight of [-n, n] underflows to 0 "
+                              f"at n = {options['n']}, so no step can regenerate")
         replicas = fields.int_("replicas", 10000)
     elif experiment in ("logvol-sim", "logvol-couple"):
         from .logvol import LogvolParams
@@ -299,6 +307,9 @@ def load_config_text(text: str) -> ExperimentConfig:
                 raise ConfigError("logvol.m_max: must cover the target block")
             if len(options["x0_pair"]) != 2:
                 raise ConfigError("logvol.x0_pair: need exactly two starts")
+            if options["x0_pair"][0] == options["x0_pair"][1]:
+                raise ConfigError("logvol.x0_pair: initial states must be distinct; equal "
+                                  "starts are coupled before the first step")
         replicas = fields.int_("replicas", 10000)
     else:  # sde-sim
         drift_text = fields.str_("sde.drift", "linear(1.0)")

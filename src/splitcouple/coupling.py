@@ -7,24 +7,25 @@ and coalesce exactly when the split mapping's regeneration branch fires
 while both orbits sit inside the active small set.  That set is the kernel's
 own (``SplitKernel.in_small_set``): in a random environment the kernel is
 frozen at each step's environment values, so the set is joint.  One engine,
-``_coupled_batch``, steps every coupling, plain (``coupled_pair_batch``) or
-in a random environment (``mcre_coupled_chains_batch``, ``mcre_coupled_pair``),
-and returns a numpy record array with one record per replica: ``coupled``,
+``_coupled_batch``, steps every coupling.  It takes its kernel as a function
+``kernel_at(env_rows) -> SplitKernel`` of the step's environment rows: a
+constant one for a plain chain (``coupled_pair_batch``), or the model's
+frozen kernel in a random environment (``mcre_coupled_chains_batch``).  It
+returns a numpy record array with one record per replica: ``coupled``,
 ``couple_step`` (-1 for never), ``codes`` (0/1/2 = A/B/C per recorded step)
 and ``final`` (the two final states).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ScheduleError
-from .kernels import SmallSetLadder, SplitKernel, split_apply_batch
+from .kernels import SplitKernel, split_apply_batch
 
 _LN2 = math.log(2.0)
 
@@ -59,21 +60,6 @@ class BlockSchedule:
                 raise ValueError(f"block {m}: tail exceeds 2^-{m}")
             if a < 1.0 and self.N_of_m[m - 1] * math.log1p(-a) > target * (1.0 - 1e-12):
                 raise ValueError(f"block {m}: (1-alpha)^N exceeds 2^-{m}")
-
-    def block_of_uniform_index(self, j: int) -> int:
-        """1-based block of the uniform at backward index j (0 <= j < M_max)."""
-        if not 0 <= j < self.M_of_m[-1]:
-            raise ValueError(f"uniform index {j} outside the schedule")
-        return bisect.bisect_right(self.M_of_m, j)
-
-
-class McreSplitModel(Protocol):
-    """Environment-dependent split kernel, as supplied by a model module:
-    ``kernel(env_values)`` is frozen at (and carries) those values."""
-
-    ladder: SmallSetLadder
-
-    def kernel(self, env_values: np.ndarray) -> SplitKernel: ...
 
 
 def _as_uniform_table(u_seq, need: int) -> np.ndarray:
@@ -220,21 +206,20 @@ def _coupling_records(codes: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.rec
 
 
 def _coupled_batch(
-    model: McreSplitModel, env_batch: np.ndarray, x_v0: float, x_w0: float,
-    depth_w: int, t: int, u_table: np.ndarray, ladder_index: Sequence[int],
+    kernel_at: Callable[[np.ndarray], SplitKernel], env_batch: np.ndarray, x_v0: float,
+    x_w0: float, depth_w: int, t: int, u_table: np.ndarray, ladder_index: Sequence[int],
 ) -> np.recarray:
     """The coupling engine: step two orbits on shared uniforms and classify.
 
     The v orbit runs all t forward steps; the w orbit joins for the last
     ``depth_w`` of them.  The step consuming the uniform at backward index
-    j uses ladder index ``ladder_index[j]``.  ``env_batch`` has shape
-    (replicas, t+1, components); row ``k-1`` enters forward step k and the
-    final row tags the terminal event.
+    j uses ladder index ``ladder_index[j]``, checked where the kernel uses
+    it.  ``env_batch`` has shape (replicas, t+1, components); row ``k-1``
+    enters forward step k, whose kernel is ``kernel_at`` of the step's
+    (elements, components) rows, and the final row tags the terminal event.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    for n in set(ladder_index):
-        model.ladder.check_index(n)
     u = _as_uniform_table(u_table, t)
     reps = u.shape[0]
     env_batch = np.asarray(env_batch, float)
@@ -249,7 +234,7 @@ def _coupled_batch(
         n = ladder_index[max(jprime, 0)]
         env_row = env_batch[:, k - 1]
         if jprime >= depth_w:
-            v = split_apply_batch(model.kernel(env_row), n, v, u[:, jprime, 0], u[:, jprime, 1])
+            v = split_apply_batch(kernel_at(env_row), n, v, u[:, jprime, 0], u[:, jprime, 1])
             continue
         # A coalesced w equals v and would take v's step bit for bit (each
         # element is inverted on its own), so w is stepped where it differs.
@@ -257,7 +242,7 @@ def _coupled_batch(
         rows = np.concatenate([np.arange(reps), live])  # replica of each element
         vw = np.concatenate([v, w[live]])
         # take() gathers from the strided column about 3x faster than env_row[rows].
-        kernel = model.kernel(env_batch[:, k - 1].take(rows, axis=0))
+        kernel = kernel_at(env_row.take(rows, axis=0))
         in_set = kernel.in_small_set(vw, n)  # of every v, then of each live w
         codes[live, depth_w - 1 - jprime] = np.where(in_set[live] & in_set[reps:], 1, 2)
         if jprime < 0:
@@ -268,20 +253,6 @@ def _coupled_batch(
         w = v.copy()
         w[live] = out[reps:]
     return _coupling_records(codes, v, w)
-
-
-@dataclass(frozen=True)
-class _FixedKernel:
-    """One split kernel seen as a model whose environment never matters."""
-
-    base: SplitKernel
-
-    @property
-    def ladder(self) -> SmallSetLadder:
-        return self.base.ladder
-
-    def kernel(self, env_values: np.ndarray) -> SplitKernel:
-        return self.base
 
 
 def coupled_pair_batch(
@@ -300,42 +271,34 @@ def coupled_pair_batch(
         raise ValueError("need 1 <= s <= t")
     reps = _as_uniform_table(u_table, t).shape[0]
     return _coupled_batch(
-        _FixedKernel(kernel), np.empty((reps, t + 1, 0)), x0, x0, s, t, u_table, [n] * t
+        lambda env: kernel, np.empty((reps, t + 1, 0)), x0, x0, s, t, u_table, [n] * t
     )
 
 
 def _schedule_ladder_index(schedule: BlockSchedule, t: int) -> list[int]:
     """Ladder index of the block of each of the first t backward uniform indices."""
-    return [schedule.n_of_m[schedule.block_of_uniform_index(j) - 1] for j in range(t)]
-
-
-def mcre_coupled_pair(
-    model: McreSplitModel, env: np.ndarray, x0: float, schedule: BlockSchedule, t: int, u_seq
-) -> np.record:
-    """Couple the depth-t orbit with the orbit at the last block boundary.
-
-    ``env`` is one replica's (t+1, components) environment window.  The
-    partner depth is the largest schedule boundary strictly below ``t``.
-    Each step uses the ladder index of its block, and the B tag additionally
-    requires the step's environment value inside its small set.  The
-    environment row consumed by a step is the same row whose small-set
-    membership licenses the preceding B tag; this pairing is what makes the
-    regeneration branch fire with the full block weight.
-    """
-    s = schedule.M_of_m[schedule.block_of_uniform_index(t - 1) - 1]
-    return _coupled_batch(
-        model, np.asarray(env, float)[None], x0, x0, s, t, u_seq,
-        _schedule_ladder_index(schedule, t),
-    )[0]
+    if t > schedule.M_of_m[-1]:
+        raise ValueError(f"t = {t} runs past the schedule's end, {schedule.M_of_m[-1]}")
+    index = [n for n, length in zip(schedule.n_of_m, schedule.N_of_m)
+             for _ in range(min(length, t))]
+    return index[:t]
 
 
 def mcre_coupled_chains_batch(
-    model: McreSplitModel, env_batch: np.ndarray, x0_pair: tuple[float, float],
-    schedule: BlockSchedule, t: int, u_table: np.ndarray,
+    kernel_at: Callable[[np.ndarray], SplitKernel], env_batch: np.ndarray,
+    x0_pair: tuple[float, float], schedule: BlockSchedule, t: int, u_table: np.ndarray,
 ) -> np.recarray:
     """Couple two depth-t chains from distinct starts, one replica per row of
-    ``env_batch`` (its (t+1, components) environment window) and ``u_table``."""
+    ``env_batch`` (its (t+1, components) environment window) and ``u_table``.
+
+    Each step uses the ladder index of its block and the kernel
+    ``kernel_at(env_rows)`` frozen at its environment, whose small set is
+    joint in state and environment.  The environment row consumed by a step
+    is the same row whose small-set membership licenses the preceding B tag;
+    this pairing is what makes the regeneration branch fire with the full
+    block weight.
+    """
     return _coupled_batch(
-        model, env_batch, x0_pair[0], x0_pair[1], t, t, u_table,
+        kernel_at, env_batch, x0_pair[0], x0_pair[1], t, t, u_table,
         _schedule_ladder_index(schedule, t),
     )

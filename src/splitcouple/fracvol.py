@@ -29,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import RunError
-from .streams import ConvPlan, ScanPlan, ma_plan, ma_plan_row_bytes, replica_blocks
+from .streams import (ConvPlan, ScanPlan, ma_plan, ma_plan_row_bytes, replica_blocks,
+                      stream_state_bytes)
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
 _DEFAULT_CHUNK = 1024  # most replicas stepped together (memory: ensemble_working_bytes)
@@ -246,12 +247,15 @@ def _chunk_cuts(replicas: int) -> list[int]:
 
 def ensemble_working_bytes(p: SdeParams, replicas: int) -> int:
     """Bytes ``simulate_ensemble`` holds beside its samples: a chunk's q series (a float a
-    replica-step); per worker a block's draws and plan (``streams.ma_plan_row_bytes``) and
-    four rows more for the plan's spectrum or weights and the transform's scratch."""
+    replica-step); per worker a block's draws and plan (``streams.ma_plan_row_bytes``),
+    four rows more for the plan's spectrum or weights and the transform's scratch, and
+    the stream states of its part of the chunk (``streams.stream_state_bytes``); and
+    256 KiB for numpy's iteration buffers."""
     h, n_inc = p.horizon_steps, p.burn_steps + p.horizon_steps
     chunk, rows = _chunk_sizes(replicas)
     per_row = 8 * (n_inc + h) + ma_plan_row_bytes(p.burn_steps, n_inc, p.kernel.rate(p.dt))
-    return 8 * h * chunk + _WORKERS * (rows + 4) * per_row
+    streams = stream_state_bytes(-(-chunk // _WORKERS))
+    return 8 * h * chunk + _WORKERS * ((rows + 4) * per_row + streams) + 2**18
 
 
 def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan | ScanPlan, layout: list,

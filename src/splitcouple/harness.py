@@ -215,7 +215,7 @@ _SCHEDULE_DTYPE = [("m", np.int64), ("n", np.int64), ("alpha", np.float64),
 
 def _run_logvol_couple(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     from .coupling import mcre_coupled_chains_batch
-    from .logvol import LogvolMcreModel, logvol_schedule, ma_env_values
+    from .logvol import logvol_kernel, logvol_ladder, logvol_schedule, ma_env_values
     p = cfg.model
     m_max = cfg.options["m_max"]
     target_block = cfg.options["target_block"]
@@ -238,7 +238,7 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     t_sim = int(min(t_target, step_cap))
     censored = t_sim < t_target
 
-    model = LogvolMcreModel(p, n_max=max(schedule.n_of_m))
+    ladder = logvol_ladder(p, max(schedule.n_of_m))  # once: every step's kernel shares it
     gen = np.random.Generator
     layout = [(gen.standard_normal, (p.lag + t_sim + 2,)), (gen.random, (t_sim, 2))]
     # One block: the coupling engine takes every replica at once.  The
@@ -246,7 +246,10 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     _, _, (eta, u) = next(replica_blocks(cfg.seed, range(cfg.replicas), cfg.replicas, layout))
     env = ma_env_values(p, eta)
     del eta
-    res = mcre_coupled_chains_batch(model, env, tuple(x0_pair), schedule, t_sim, u)
+    res = mcre_coupled_chains_batch(
+        lambda rows: logvol_kernel(p, rows[:, 0], rows[:, 1], ladder=ladder),
+        env, tuple(x0_pair), schedule, t_sim, u,
+    )
     frac = int(np.count_nonzero(res.coupled)) / len(res)
     # Coupling is absorbing, so the fraction at the (possibly capped) horizon
     # is a valid lower bound for the fraction at the target boundary.

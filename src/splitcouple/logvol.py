@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -242,23 +242,6 @@ def logvol_ladder(p: LogvolParams, n_max: int) -> SmallSetLadder:
         radii=tuple(float(n) for n in range(n_max + 1)),
         alphas=tuple(logvol_alpha(p, n) for n in range(n_max + 1)),
     )
-
-
-@dataclass(frozen=True)
-class LogvolMcreModel:
-    """Environment-dependent split kernel adapter for the coupling engine."""
-
-    params: LogvolParams
-    n_max: int = 2
-    ladder: SmallSetLadder = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ladder", logvol_ladder(self.params, self.n_max))
-
-    def kernel(self, env_values: np.ndarray) -> SplitKernel:
-        env_values = np.asarray(env_values, float)
-        return logvol_kernel(self.params, env_values[..., 0], env_values[..., 1],
-                             ladder=self.ladder)
 
 
 def block_working_bytes(lag: int, rate: float | None, horizon: int, replicas: int,

@@ -1,6 +1,6 @@
+import bisect
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,16 +12,16 @@ from splitcouple.ar1 import Ar1Params, ar1_alpha, ar1_marginal, ar1_split_kernel
 from splitcouple.coupling import (
     BlockSchedule,
     _coupling_records,
+    _schedule_ladder_index,
     block_schedule,
     coupled_pair_batch,
     coupling_lower_bound,
     mcre_coupled_chains_batch,
-    mcre_coupled_pair,
     tv_upper_from_coupling,
 )
 from splitcouple.errors import ScheduleError
-from splitcouple.kernels import SmallSetLadder, split_apply_batch
-from splitcouple.logvol import LogvolMcreModel, LogvolParams, logvol_schedule
+from splitcouple.kernels import split_apply_batch
+from splitcouple.logvol import LogvolParams, logvol_kernel, logvol_ladder, logvol_schedule
 from splitcouple.streams import replica_uniform_pairs
 
 GAMMA = 0.5
@@ -47,19 +47,10 @@ def kernel():
     return ar1_split_kernel(GAMMA, n_max=6)
 
 
-@dataclass
-class ConstEnvModel:
-    """AR(1) kernel dressed as an environment-dependent model; the kernel
-    ignores the environment and carries none, so its small set is the state's."""
-
-    base: object
-
-    @property
-    def ladder(self) -> SmallSetLadder:
-        return self.base.ladder
-
-    def kernel(self, env_values):
-        return self.base
+def _const(kernel):
+    """The AR(1) kernel as a function of the environment that ignores it; the
+    kernel carries no environment, so its small set is the state's."""
+    return lambda env_rows: kernel
 
 
 def _backward_orbit(kernel, n, x0, u, t):
@@ -250,33 +241,44 @@ def test_block_schedule_invariants_enforced():
         BlockSchedule(n_of_m=(3,), N_of_m=(1,), M_of_m=(0, 1), alphas=(0.5,), tails=(0.6,))
 
 
-def test_block_of_uniform_index():
+def _ladder_index_by_search(sched, t):
+    """Ladder index of each backward uniform index, found by searching the
+    block boundaries: the uniform at index j lies in the block m with
+    M_of_m[m-1] <= j < M_of_m[m]."""
+    return [sched.n_of_m[bisect.bisect_right(sched.M_of_m, j) - 1] for j in range(t)]
+
+
+def test_schedule_ladder_index():
     sched = block_schedule(lambda n: 4.0 / n**2, lambda n: 0.5, 3)
-    assert [sched.block_of_uniform_index(j) for j in range(6)] == [1, 2, 2, 3, 3, 3]
+    assert sched.n_of_m == (3, 4, 6) and sched.M_of_m == (0, 1, 3, 6)
+    assert _schedule_ladder_index(sched, 6) == [3, 4, 4, 6, 6, 6]
+    for t in range(7):  # a t inside a block cuts that block short
+        assert _schedule_ladder_index(sched, t) == _ladder_index_by_search(sched, t)
     with pytest.raises(ValueError):
-        sched.block_of_uniform_index(6)
+        _schedule_ladder_index(sched, 7)
 
 
 def test_mcre_constant_env_reduces_to_coupled_pair(kernel):
-    model = ConstEnvModel(base=kernel)
+    # Each chain of the MCRE coupling, under an environment its kernel
+    # ignores and one ladder index, is the plain depth-t backward orbit from
+    # its own start; where the orbits meet, the plain pair from that start meets.
     a1 = kernel.ladder.alphas[1]
     sched = BlockSchedule(
         n_of_m=(1, 1), N_of_m=(5, 10), M_of_m=(0, 5, 15),
         alphas=(a1, a1), tails=(0.4, 0.2),
     )
-    rng = np.random.default_rng(42)
-    s, t = 5, 12
-    u = rng.random((t, 2))
-    env = np.zeros((t + 1, 1))
-    mcre = mcre_coupled_pair(model, env, 1.0, sched, t, u)
-    plain = coupled_pair_batch(kernel, 1, 1.0, s, t, u)[0]
-    assert _events(mcre.codes) == _events(plain.codes)
-    assert tuple(mcre.final) == tuple(plain.final)
+    t, reps = 12, 50
+    u = np.random.default_rng(42).random((reps, t, 2))
+    env = np.zeros((reps, t + 1, 1))
+    mcre = mcre_coupled_chains_batch(_const(kernel), env, (1.0, -1.0), sched, t, u)
+    for col, x0 in enumerate((1.0, -1.0)):
+        plain = coupled_pair_batch(kernel, 1, x0, t, t, u)
+        assert np.array_equal(mcre.final[:, col], plain.final[:, 0])
+    assert 0 < np.count_nonzero(mcre.coupled) < reps
 
 
 def test_mcre_regeneration_on_b_step(kernel):
     # both chains in the set with u1 = 0 on the final step: next event is A
-    model = ConstEnvModel(base=kernel)
     a4 = kernel.ladder.alphas[4]
     sched = BlockSchedule(
         n_of_m=(4,), N_of_m=(80,), M_of_m=(0, 80), alphas=(a4,), tails=(0.4,),
@@ -284,21 +286,20 @@ def test_mcre_regeneration_on_b_step(kernel):
     u = np.full((1, 3, 2), 0.5)
     u[0, 0] = (0.0, 0.25)
     env = np.zeros((1, 4, 1))
-    chain = mcre_coupled_chains_batch(model, env, (1.0, -1.0), sched, 3, u)[0]
+    chain = mcre_coupled_chains_batch(_const(kernel), env, (1.0, -1.0), sched, 3, u)[0]
     assert _events(chain.codes)[-2] == "B"
     assert _events(chain.codes)[-1] == "A"
     assert tuple(chain.final) == (-0.5, -0.5)
 
 
 def test_mcre_two_chains_couple_by_third_boundary(kernel):
-    model = ConstEnvModel(base=kernel)
     sched = block_schedule(lambda n: min(1.0, (4.0 / 3.0) / n**2),
                            lambda n: ar1_alpha(GAMMA, n), 3)
     t = sched.M_of_m[-1]
     reps = 400
     u = replica_uniform_pairs(1000, range(reps), t)
     env = np.zeros((reps, t + 1, 1))
-    chains = mcre_coupled_chains_batch(model, env, (1.0, -1.0), sched, t, u)
+    chains = mcre_coupled_chains_batch(_const(kernel), env, (1.0, -1.0), sched, t, u)
     frac = np.mean(chains.coupled)
     assert frac >= 0.5  # block failure mass gives at least 1/2 in theory
     for r in chains[:40]:
@@ -307,30 +308,41 @@ def test_mcre_two_chains_couple_by_third_boundary(kernel):
 
 
 def test_mcre_preconditions(kernel):
-    model = ConstEnvModel(base=kernel)
+    # t past the schedule's last boundary, and an environment window short of t+1 rows
     sched = BlockSchedule(
         n_of_m=(1,), N_of_m=(5,), M_of_m=(0, 5),
         alphas=(kernel.ladder.alphas[1],), tails=(0.4,),
     )
     u = np.zeros((8, 2)) + 0.5
-    with pytest.raises(ValueError):
-        mcre_coupled_pair(model, np.zeros((9, 1)), 0.0, sched, 8, u)
-    with pytest.raises(ValueError):
-        mcre_coupled_pair(model, np.zeros((3, 1)), 0.0, sched, 5, u)
+    with pytest.raises(ValueError, match="past the schedule"):
+        mcre_coupled_chains_batch(_const(kernel), np.zeros((1, 9, 1)), (0.0, 1.0), sched, 8, u)
+    with pytest.raises(ValueError, match="environment"):
+        mcre_coupled_chains_batch(_const(kernel), np.zeros((1, 3, 1)), (0.0, 1.0), sched, 5, u)
 
 
 def test_environment_window_validation(kernel):
-    # An environment window is a (steps, components) array; 1-D is rejected.
-    model = ConstEnvModel(base=kernel)
+    # An environment batch is a (replicas, steps, components) array; fewer axes are rejected.
     sched = BlockSchedule(
         n_of_m=(1,), N_of_m=(5,), M_of_m=(0, 5),
         alphas=(kernel.ladder.alphas[1],), tails=(0.4,),
     )
     u = np.zeros((5, 2)) + 0.5
-    with pytest.raises(ValueError, match="environment"):
-        mcre_coupled_pair(model, np.zeros(6), 0.0, sched, 5, u)
-    with pytest.raises(ValueError, match="environment"):
-        mcre_coupled_chains_batch(model, np.zeros((1, 6)), (0.0, 1.0), sched, 5, u)
+    for env in (np.zeros(6), np.zeros((1, 6)), np.zeros((6, 1))):
+        with pytest.raises(ValueError, match="environment"):
+            mcre_coupled_chains_batch(_const(kernel), env, (0.0, 1.0), sched, 5, u)
+
+
+@pytest.mark.parametrize("s", [1, 3])
+def test_engine_refuses_a_ladder_index_past_the_kernel_s_ladder(s):
+    # Ladder indices 0..2: index 3 is refused whether the step moves v alone
+    # (s < t) or classifies both orbits first (s = t), and from a schedule.
+    kernel = ar1_split_kernel(GAMMA, n_max=2)
+    u = np.full((2, 3, 2), 0.5)
+    with pytest.raises(ValueError, match=r"^ladder index 3 outside 0\.\.2$"):
+        coupled_pair_batch(kernel, 3, 1.0, s, 3, u)
+    sched = BlockSchedule(n_of_m=(3,), N_of_m=(3,), M_of_m=(0, 3), alphas=(0.5,), tails=(0.4,))
+    with pytest.raises(ValueError, match=r"^ladder index 3 outside 0\.\.2$"):
+        mcre_coupled_chains_batch(_const(kernel), np.zeros((2, 4, 0)), (1.0, -1.0), sched, s, u)
 
 
 @settings(max_examples=30, deadline=None)
@@ -357,22 +369,23 @@ def test_row_ranges_concatenate_to_whole_table(kernel, reps, s, extra, seed, dat
     _check_record_agreement(whole)
 
 
-def _stepped_in_full(model, env, x_v0, x_w0, depth_w, t, u, ladder_index):
+def _stepped_in_full(kernel_at, env, x_v0, x_w0, depth_w, t, u, ladder_index):
     """Reference engine: both orbits take every shared step, coalesced or not.
 
     Returns the codes, couple_step and final states the engine should record.
     Membership is written out here, the state and every environment component
     within the radius, apart from the kernel rule the engine reads.
     """
+    ladder = kernel_at(env[:, 0]).ladder
     reps = u.shape[0]
     v, w = np.full(reps, float(x_v0)), np.full(reps, float(x_w0))
     codes = np.empty((reps, depth_w + 1), np.int8)
 
     def env_ok(env_row, n):
-        return np.all(np.abs(env_row) <= model.ladder.radii[n], axis=-1)
+        return np.all(np.abs(env_row) <= ladder.radii[n], axis=-1)
 
     def classify(col, n, env_row, v, w):
-        r = model.ladder.radii[n]
+        r = ladder.radii[n]
         both = (np.abs(v) <= r) & (np.abs(w) <= r) & env_ok(env_row, n)
         codes[:, col] = np.where(v == w, 0, np.where(both, 1, 2))
 
@@ -381,10 +394,10 @@ def _stepped_in_full(model, env, x_v0, x_w0, depth_w, t, u, ladder_index):
         n = ladder_index[j]
         env_row = env[:, k - 1]
         ok = env_ok(env_row, n)
-        radius = model.ladder.radii[n]
+        radius = ladder.radii[n]
 
         def step(x):
-            return split_apply_batch(model.kernel(env_row), n, x, u[:, j, 0], u[:, j, 1],
+            return split_apply_batch(kernel_at(env_row), n, x, u[:, j, 0], u[:, j, 1],
                                      in_set=(np.abs(x) <= radius) & ok)
 
         if j < depth_w:
@@ -418,7 +431,7 @@ def test_coupled_pair_batch_matches_stepping_both_orbits_in_full(kernel, reps, n
     # still end every step equal to v, bit for bit.
     t = s + extra
     u = np.random.default_rng(seed).random((reps, t, 2))
-    want = _stepped_in_full(ConstEnvModel(base=kernel), np.zeros((reps, t + 1, 0)),
+    want = _stepped_in_full(_const(kernel), np.zeros((reps, t + 1, 0)),
                             x0, x0, s, t, u, [n] * t)
     _assert_records_equal(coupled_pair_batch(kernel, n, x0, s, t, u), want)
 
@@ -440,9 +453,12 @@ def test_mcre_chains_batch_matches_stepping_both_orbits_in_full(reps, t, x0_pair
     # Orbits merge in floating point after about 55 contracting steps.
     rng = np.random.default_rng(seed)
     sched = logvol_schedule(_MCRE_PARAMS, 1)
-    model = LogvolMcreModel(_MCRE_PARAMS, n_max=max(sched.n_of_m))
+    ladder = logvol_ladder(_MCRE_PARAMS, max(sched.n_of_m))
+
+    def kernel_at(rows):
+        return logvol_kernel(_MCRE_PARAMS, rows[:, 0], rows[:, 1], ladder=ladder)
+
     env = env_scale * rng.standard_normal((reps, t + 1, 2))
     u = rng.random((reps, t, 2))
-    ladder_index = [sched.n_of_m[sched.block_of_uniform_index(j) - 1] for j in range(t)]
-    want = _stepped_in_full(model, env, *x0_pair, t, t, u, ladder_index)
-    _assert_records_equal(mcre_coupled_chains_batch(model, env, x0_pair, sched, t, u), want)
+    want = _stepped_in_full(kernel_at, env, *x0_pair, t, t, u, _ladder_index_by_search(sched, t))
+    _assert_records_equal(mcre_coupled_chains_batch(kernel_at, env, x0_pair, sched, t, u), want)

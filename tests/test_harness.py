@@ -321,6 +321,15 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
     ("experiment = sde-sim\nreplicas = 100\nsde.l0 = 1.0\n", "sde.l0"),
     # equal starts ran and passed every flag with TV 0: nothing to forget
     ("experiment = sde-sim\nreplicas = 100\nsde.l0 = 2, 2\n", "sde.l0"),
+    # equal logvol-couple starts: coupled before the first step, the flag passed vacuously
+    (_MCRE_TEXT + "logvol.target_block = 1\nlogvol.step_cap = 50\nlogvol.x0_pair = 1, 1\n",
+     "logvol.x0_pair"),
+    # alpha_80 = sqrt(2/pi) exp(-41^2/2) underflows to 0: the run exited 2 with
+    # "alphas must lie in (0, 1]", naming no field, after building the ladder
+    ("experiment = ar1-couple\nreplicas = 100\ncouple.n = 80\n", "couple.n"),
+    ("experiment = ar1-couple\nreplicas = 100\ncouple.n = 3000000\n", "couple.n"),
+    # an index past the largest double, whose ladder the run could never build
+    ("experiment = ar1-couple\nreplicas = 100\ncouple.n = " + "9" * 400 + "\n", "couple.n"),
     # overflows: an OverflowError naming no field, a non-finite report field, or a
     # growth certificate that passed on NaN
     ("experiment = ar1-couple\nreplicas = 100\nar1.x0 = 1e300\n", "ar1.x0"),
@@ -365,7 +374,8 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
     ("experiment = sde-sim\nreplicas = 100\nsde.dt = 0.015625\nsde.horizon = 3.015625\n"
      "sde.checkpoints = 1\nsde.increment_base = 2.9609375\nsde.increment_lags = 0.0546875\n",
      "sde.increment_base"),
-], ids=["one-start", "equal-starts", "ar1-couple-x0-overflow", "ar1-bound-x0-overflow",
+], ids=["one-start", "equal-starts", "equal-x0-pair", "couple-n-underflow",
+        "couple-n-3e6", "couple-n-past-double", "ar1-couple-x0-overflow", "ar1-bound-x0-overflow",
         "drift-overflow", "drift-grid-overflow", "step-cap-0", "target-block-0", "negative-m-max",
         "fractional-ma-lag", "negative-ma-lag", "geometric-ma-ratio", "fractional-ma-h", "negative-increment-lag", "zero-increment-lag",
         "sub-step-increment-lag", "unstable-euler-linear", "unstable-euler-saturating",
@@ -382,6 +392,16 @@ def test_cli_refuses_configs_a_run_cannot_run(tmp_path, capsys, text, key, comma
     assert captured.err.startswith(f"error: {key}: ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_runs_a_couple_n_whose_weight_is_tiny_but_positive(tmp_path):
+    # alpha_60 = sqrt(2/pi) exp(-31^2/2), about 1e-209, is no underflow
+    cfg_path = str(tmp_path / "exp.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write("experiment = ar1-couple\nreplicas = 100\ncouple.n = 60\n"
+                 f"output.dir = {tmp_path}/run\n")
+    assert cli_main(["validate", cfg_path]) == 0
+    assert cli_main(["run", cfg_path]) == 0
 
 
 def test_cli_runs_a_stiff_drift_inside_the_euler_step_s_stable_range(tmp_path, capsys):
@@ -591,7 +611,7 @@ def test_cli_refuses_configs_over_the_memory_cap(tmp_path, capsys, text, command
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_refuses_sde_ensembles_over_the_replica_step_cap(tmp_path, capsys, monkeypatch, command):
-    # A million replicas of the shipped sde-sim plan 1.6 GiB, under the
+    # A million replicas of the shipped sde-sim plan 3.0 GiB, under the
     # memory cap, but need 7.68e9 replica-steps, over RESOURCE_CAP.
     def no_compute(*args, **kwargs):
         raise AssertionError("the ensemble must not start")
@@ -686,6 +706,27 @@ def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(monkeypatch, kernel,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= cfg.peak_bytes < 1.5 * peak
+
+
+def test_sde_sim_estimate_covers_run_and_write_when_csv_rows_dominate(tmp_path):
+    # The checkpoint, the base and 20 lags are 22 recorded steps: 88,000 CSV
+    # rows, whose write-time objects (about 300 B a row) outweigh the
+    # ensemble's buffers.  Counting a row per checkpoint instead of per
+    # recorded step covered a fifth of this peak.
+    lags = ", ".join(f"{0.01 * k:g}" for k in range(1, 21))
+    cfg = load_config_text("experiment = sde-sim\nreplicas = 2000\nsde.horizon = 1\n"
+                           "sde.checkpoints = 1\nsde.increment_base = 0.5\n"
+                           f"sde.increment_lags = {lags}\n")
+    assert len(cfg.options["record_steps"]) == 22
+    tracemalloc.start()
+    try:
+        report = run(cfg)
+        write_report(report, str(tmp_path / "run"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.table_rows) == 88_000
     assert peak <= cfg.peak_bytes < 1.5 * peak
 
 

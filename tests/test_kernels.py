@@ -23,7 +23,7 @@ from splitcouple.kernels import (
     split_apply_batch,
     validate_minorization,
 )
-from splitcouple.logvol import LogvolMcreModel, LogvolParams, geometric_ma, logvol_kernel
+from splitcouple.logvol import LogvolParams, geometric_ma, logvol_kernel, logvol_ladder
 
 GAMMA = 0.5
 
@@ -387,8 +387,9 @@ def test_in_small_set_is_the_box_in_state_and_environment(case):
         kern, z, eta = ar1_split_kernel(GAMMA, n_max=2), 0.0 * _Z, 0.0 * _ETA
     elif case == "logvol_kernel":
         kern = logvol_kernel(P_LOGVOL, _Z, _ETA)
-    else:
-        kern = LogvolMcreModel(P_LOGVOL).kernel(np.stack([_Z, _ETA], axis=-1))
+    else:  # as the MCRE run builds it: from environment rows, on a shared ladder
+        rows = np.stack([_Z, _ETA], axis=-1)
+        kern = logvol_kernel(P_LOGVOL, rows[:, 0], rows[:, 1], ladder=logvol_ladder(P_LOGVOL, 2))
     for n in range(3):
         box = (np.abs(_X) <= n) & (np.abs(z) <= n) & (np.abs(eta) <= n)
         assert np.array_equal(kern.in_small_set(_X, n), box), n

@@ -14,7 +14,6 @@ from splitcouple.harness import run
 from splitcouple.kernels import STD_NORMAL, split_apply_batch
 from splitcouple.logvol import (
     InnovationLaw,
-    LogvolMcreModel,
     LogvolParams,
     block_working_bytes,
     fractional_ma,
@@ -23,6 +22,7 @@ from splitcouple.logvol import (
     logvol_certify_minorization,
     logvol_dn,
     logvol_kernel,
+    logvol_ladder,
     logvol_moment_bound,
     logvol_tail,
     ma_env_paths,
@@ -246,10 +246,11 @@ def test_frozen_kernel_law():
     assert ks_2samp(draws, direct).pvalue >= 0.01
 
 
-def test_mcre_model_adapter():
-    model = LogvolMcreModel(P_STD, n_max=2)
+def test_mcre_kernel_of_environment_rows():
+    # The kernel the MCRE run builds from a step's (elements, 2) environment
+    # rows: each element's small set and mean read its own (z, eta).
     env = np.array([[0.5, -1.5], [2.5, 0.0], [0.0, 0.0]])
-    kern = model.kernel(env)
+    kern = logvol_kernel(P_STD, env[:, 0], env[:, 1], ladder=logvol_ladder(P_STD, 2))
     np.testing.assert_array_equal(
         kern.in_small_set(np.zeros(3), 2), np.array([True, False, True])
     )
@@ -266,8 +267,9 @@ def _counted(fn, calls):
 
 
 def test_mcre_model_kernels_share_the_model_s_ladder(monkeypatch):
-    model = LogvolMcreModel(P_STD, n_max=2)
-    assert model.kernel(np.array([[0.5, -1.5], [2.5, 0.0]])).ladder is model.ladder
+    ladder = logvol_ladder(P_STD, 2)
+    assert logvol_kernel(P_STD, np.array([0.5, 2.5]), np.array([-1.5, 0.0]),
+                         ladder=ladder).ladder is ladder
     # a whole MCRE run builds the ladder once, not once a kernel
     ladders, kernels = [], []
     monkeypatch.setattr(logvol, "logvol_ladder", _counted(logvol.logvol_ladder, ladders))
