@@ -25,7 +25,7 @@ _EXPORTS = {
                 "euler_step", "increment_moment_check", "linear_drift", "saturating_drift",
                 "simulate_ensemble"),
     "kernels": ("SmallSetLadder", "SplitKernel", "split_apply_batch", "validate_minorization"),
-    "logvol": ("InnovationLaw", "LogvolParams", "geometric_ma", "fractional_ma",
+    "logvol": ("LogvolParams", "geometric_ma", "fractional_ma",
                "logvol_alpha", "logvol_dn", "logvol_moment_bound", "logvol_tail"),
     "metrics": ("PathWindow", "bounded_wasserstein", "path_metric_d", "tv_empirical",
                 "tv_gaussian"),

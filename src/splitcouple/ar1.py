@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .kernels import STD_NORMAL, SmallSetLadder, SplitKernel
+from .kernels import SmallSetLadder, SplitKernel, normal_pdf
 
 LYAPUNOV_T_GRID = 10_000
 
@@ -69,20 +69,17 @@ def ar1_alpha(gamma: float, n: int) -> float:
     if n < 0:
         raise ValueError("n must be nonnegative")
     d = -1.0 - gamma * float(n)
-    return float(2.0 * STD_NORMAL.pdf(d))
+    return float(2.0 * normal_pdf(d))
 
 
 def ar1_split_kernel(gamma: float, n_max: int = 8) -> SplitKernel:
     """Split kernel for the AR(1) chain with ladder sets [-n, n], n <= n_max."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    ladder = SmallSetLadder(
-        radii=tuple(float(n) for n in range(n_max + 1)),
-        alphas=tuple(ar1_alpha(gamma, n) for n in range(n_max + 1)),
-    )
+    ladder = SmallSetLadder(alphas=tuple(ar1_alpha(gamma, n) for n in range(n_max + 1)))
 
     def density(x, z):
-        return STD_NORMAL.pdf(np.asarray(z, float) - gamma * np.asarray(x, float))
+        return normal_pdf(np.asarray(z, float) - gamma * np.asarray(x, float))
 
     def cdf(x, z):
         return ndtr(np.asarray(z, float) - gamma * np.asarray(x, float))
@@ -93,10 +90,7 @@ def ar1_split_kernel(gamma: float, n_max: int = 8) -> SplitKernel:
     def stdev(x):
         return np.ones_like(np.asarray(x, float))
 
-    return SplitKernel(
-        density=density, cdf=cdf, ladder=ladder, mean=mean, stdev=stdev,
-        innovation=STD_NORMAL,
-    )
+    return SplitKernel(density=density, cdf=cdf, ladder=ladder, mean=mean, stdev=stdev)
 
 
 @lru_cache(maxsize=64)

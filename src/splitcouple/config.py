@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -126,6 +127,17 @@ def _require_finite(key: str, values) -> None:
             raise ConfigError(f"{key}: {v!r} is not a finite number")
 
 
+def _require_summable_fourth_powers(key: str, starts, replicas: int) -> None:
+    """The se of a mean of squares sums fourth powers over the replicas, and a
+    chain that starts far out stays near its start for the first steps: refuse
+    a start whose fourth power, summed over the replicas, overflows a double."""
+    limit = (sys.float_info.max / replicas) ** 0.25
+    for x in starts:
+        if abs(x) > limit:
+            raise ConfigError(f"{key}: {x:g} is past {limit:.3g}, where its fourth power "
+                              f"summed over {replicas} replicas overflows")
+
+
 def _parse_call(key: str, text: str, families: dict[str, int]) -> tuple[str, list[float]]:
     m = _CALL_RE.match(text.strip())
     if not m:
@@ -205,16 +217,20 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
     """Bytes a run holds at once, by arithmetic before any compute: the
     per-replica arrays its driver keeps (8 bytes a float) and CSV rows, plus
     the working set its simulator states (``fracvol.ensemble_working_bytes``,
-    ``logvol.block_working_bytes``).  ``sde-sim`` frees the ensemble's buffers
-    before it builds its table, so its peak is the larger of the two phases."""
+    ``logvol.block_working_bytes``, ``coupling.engine_step_bytes``).
+    ``sde-sim`` frees the ensemble's buffers before it builds its table, so
+    its peak is the larger of the two phases."""
     r = replicas
     if experiment == "ar1-bound":
         return 0
-    if experiment == "ar1-couple":  # uniform pairs and an int8 event code per step
-        return r * (17 * options["t"] + _CSV_ROW_BYTES)
     if experiment == "sde-sim":  # a sample, then a CSV row, per state, recorded step and replica
         rows = len(options["l0"]) * len(options["record_steps"]) * r
         return max(ensemble_working_bytes(model, r) + 8 * rows, _CSV_ROW_BYTES * rows)
+    from .coupling import engine_step_bytes
+    if experiment == "ar1-couple":
+        # uniform pairs a step, an int8 event code a coupled step and a step of
+        # the engine; the CSV rows, fewer bytes, are written once they are freed
+        return r * (16 * options["t"] + options["s"] + 1) + engine_step_bytes(r)
     from .logvol import block_working_bytes, logvol_schedule
     if experiment == "logvol-sim":  # the checkpoint samples
         steps = max(options["checkpoints"])
@@ -227,7 +243,8 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
     # logvol-couple: draws, uniform pairs, environment and codes per replica
     steps = min(schedule.M_of_m[options["target_block"]], options["step_cap"])
     per_replica = 8 * (model.lag + steps + 2) + 33 * steps + 18
-    return r * per_replica + block_working_bytes(model.lag, model.ma_rate, steps, r, draws=False)
+    return (r * per_replica + engine_step_bytes(r)
+            + block_working_bytes(model.lag, model.ma_rate, steps, r, draws=False))
 
 
 def load_config_text(text: str) -> ExperimentConfig:
@@ -375,6 +392,10 @@ def load_config_text(text: str) -> ExperimentConfig:
 
     if experiment != "ar1-bound" and replicas < _MIN_REPLICAS:
         raise ConfigError(f"replicas: a Monte Carlo experiment needs {_MIN_REPLICAS} or more")
+    if experiment in ("logvol-sim", "logvol-couple"):
+        _require_summable_fourth_powers("logvol.x0", (model.x0,), replicas)
+    elif experiment == "sde-sim":
+        _require_summable_fourth_powers("sde.l0", options["l0"], replicas)
 
     unused = fields.unused_keys()
     if unused:

@@ -255,6 +255,14 @@ def _coupled_batch(
     return _coupling_records(codes, v, w)
 
 
+def engine_step_bytes(replicas: int) -> int:
+    """Bytes a step of ``_coupled_batch`` holds beside its tables: about 40
+    arrays of its up to ``2 * replicas`` elements (each replica's v, and w
+    where it differs), for the gathered uniforms and environment rows, the
+    frozen kernel and the inversion's pieces and Newton iterates."""
+    return 40 * 8 * 2 * replicas
+
+
 def coupled_pair_batch(
     kernel: SplitKernel, n: int, x0: float, s: int, t: int, u_table: np.ndarray
 ) -> np.recarray:

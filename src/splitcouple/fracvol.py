@@ -3,7 +3,7 @@
 The log-price solves
 ``dL = (zeta(L) - V^2/2) dt + rho V dB + sqrt(1 - rho^2) V dW``
 with ``V = exp(J)`` and ``J`` a moving average of the increments of the same
-Brownian motion B against a square-integrable kernel.  Stationarity of the
+Brownian motion B against a square-integrable kernel of unit scale.  Stationarity of the
 volatility is approximated by a finite-history convolution over a burn-in
 window, through the plan ``streams.ma_plan`` picks: a blocked recursive scan
 for an exponential kernel, whose taps are geometric (``VolatilityKernel.rate``),
@@ -52,7 +52,6 @@ class VolatilityKernel:
     kind: str
     lam: float = 0.0
     h: float = 0.0
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("exponential", "fractional"):
@@ -61,8 +60,6 @@ class VolatilityKernel:
             raise ValueError("exponential kernel needs lam > 0")
         if self.kind == "fractional" and not 0.0 < self.h < 1.0:
             raise ValueError("fractional kernel needs h in (0, 1)")
-        if self.scale < 0.0:
-            raise ValueError("scale must be nonnegative (zero disables the volatility)")
 
     def rate(self, dt: float) -> float | None:
         """Decay a ``dt`` step of an exponential kernel's taps (the scan's); None if fractional."""
@@ -81,11 +78,11 @@ class VolatilityKernel:
         u = np.asarray(u, float)
         mem = self.resolved_memory(burn_in)
         if self.kind == "exponential":
-            out = self.scale * np.exp(-self.lam * u)
+            out = np.exp(-self.lam * u)
         else:
             out = np.zeros_like(u)
             pos = u > 0.0
-            out[pos] = self.scale * math.sqrt(2.0 * self.h) * u[pos] ** (self.h - 0.5)
+            out[pos] = math.sqrt(2.0 * self.h) * u[pos] ** (self.h - 0.5)
         return np.where(u <= mem, out, 0.0)
 
 

@@ -159,7 +159,7 @@ def _run_ar1_couple(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     frac = int(np.count_nonzero(res.coupled)) / len(res)
     se = math.sqrt(frac * (1.0 - frac) / len(res))
     sup_sq = max(p.x0**2, 1.0 / (1.0 - p.gamma**2))
-    eps_hat = min(sup_sq / kernel.ladder.radii[n] ** 2 if n > 0 else 0.5, 0.5)
+    eps_hat = min(sup_sq / n**2 if n > 0 else 0.5, 0.5)
     lower = coupling_lower_bound(kernel.ladder.alphas[n], s, eps_hat)
     tv_bound, half_width = tv_upper_from_coupling(res.coupled)
     m_s, v_s = ar1mod.ar1_marginal(p, s)

@@ -1,7 +1,7 @@
 """Minorized transition kernels and their split random-mapping realization.
 
 A one-step kernel ``Q(x, .)`` that dominates ``alpha_n * nu`` on each small
-set ``X_n = [-b_n, b_n]`` (with ``nu`` uniform on [-1, 1]) can be written as
+set ``X_n = [-n, n]`` (with ``nu`` uniform on [-1, 1]) can be written as
 a deterministic map of a pair of uniforms: with probability ``alpha_n`` the
 map regenerates from ``nu`` and is constant in ``x`` on the small set,
 otherwise it inverts the residual law ``(Q - alpha_n * nu) / (1 - alpha_n)``.
@@ -12,14 +12,13 @@ states sharing the pair coalesce exactly when the regeneration branch fires.
 A kernel frozen at an environment value carries it, and its minorization
 holds only while the environment lies in the small set too:
 ``SplitKernel.in_small_set``, the state and every environment component
-within b_n, is the one membership rule, and ``split_apply_batch``'s default.
+within n, is the one membership rule, and ``split_apply_batch``'s default.
 
-For a kernel that is a location-scale family of a known innovation law
-with CDF ``F``, the residual CDF is ``F / (1 - alpha_n)`` below ``z = -1``
-and ``(F - alpha_n) / (1 - alpha_n)`` above ``z = 1``.  Both tails invert
-in closed form through the innovation quantile, and only the piece on
-[-1, 1] is solved iteratively, by a safeguarded Newton iteration.  Every
-kernel carries its innovation law, so this is the only inversion.
+Every kernel is a location-scale family of the standard normal law, with
+CDF ``Phi``: the residual CDF is ``Phi / (1 - alpha_n)`` below ``z = -1``
+and ``(Phi - alpha_n) / (1 - alpha_n)`` above ``z = 1``.  Both tails invert
+in closed form through the normal quantile, and only the piece on [-1, 1]
+is solved iteratively, by a safeguarded Newton iteration.
 """
 
 from __future__ import annotations
@@ -41,75 +40,40 @@ _NEWTON_TOL = 2.0**-46
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def normal_pdf(x):
+    """Standard normal density."""
+    return np.exp(-0.5 * np.asarray(x, float) ** 2) * _INV_SQRT_2PI
+
+
 @dataclass(frozen=True)
 class SmallSetLadder:
-    """Growing family of symmetric small sets with their minorization weights.
+    """Minorization weights of the growing small sets [-n, n], n = 0, 1, ...
 
-    Parameters
-    ----------
-    radii : tuple of float
-        ``radii[n]`` is the half-width b_n of the n-th set [-b_n, b_n].
-        Nondecreasing.
-    alphas : tuple of float
-        Minorization weight on each set, in (0, 1], nonincreasing in n.
-        The shared minorizing measure is the uniform law on [-1, 1].
+    ``alphas[n]``, in (0, 1] and nonincreasing in n, is the weight on the
+    n-th set.  The shared minorizing measure is the uniform law on [-1, 1].
     """
 
-    radii: tuple[float, ...]
     alphas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.radii) != len(self.alphas) or not self.radii:
-            raise ValueError("ladder needs matching, nonempty radii and alphas")
-        r = np.asarray(self.radii, float)
+        if not self.alphas:
+            raise ValueError("ladder needs nonempty alphas")
         a = np.asarray(self.alphas, float)
-        if np.any(r < 0.0) or np.any(np.diff(r) < 0.0):
-            raise ValueError("radii must be nonnegative and nondecreasing")
         if np.any(a <= 0.0) or np.any(a > 1.0):
             raise ValueError("alphas must lie in (0, 1]")
         if np.any(np.diff(a) > 0.0):
             raise ValueError("alphas must be nonincreasing")
 
+    @property
+    def radii(self) -> tuple[float, ...]:
+        """Half-width n of each set [-n, n]."""
+        return tuple(float(n) for n in range(len(self.alphas)))
+
     def check_index(self, n: int) -> int:
         n = int(n)
-        if not 0 <= n < len(self.radii):
-            raise ValueError(f"ladder index {n} outside 0..{len(self.radii) - 1}")
+        if not 0 <= n < len(self.alphas):
+            raise ValueError(f"ladder index {n} outside 0..{len(self.alphas) - 1}")
         return n
-
-
-@dataclass(frozen=True)
-class InnovationLaw:
-    """Density, CDF, quantile and sampler of a standardized innovation law.
-
-    ``pdf``, ``cdf`` and ``ppf`` must be numpy-vectorized.  ``sample(rng,
-    size=None, *, out=None)`` has the form of numpy's samplers: it returns
-    ``size`` draws, or fills the float64 array ``out`` with the same bits.
-    The minorization formula of the log-volatility chain requires a
-    symmetric unimodal density; laws without that property can still be
-    simulated but cannot produce ladder weights.
-    """
-
-    name: str
-    pdf: Callable[[np.ndarray], np.ndarray]
-    cdf: Callable[[np.ndarray], np.ndarray]
-    ppf: Callable[[np.ndarray], np.ndarray]
-    sample: Callable[..., np.ndarray]
-    second_moment: float
-    symmetric_unimodal: bool = True
-
-
-def _std_normal_pdf(x):
-    return np.exp(-0.5 * np.asarray(x, float) ** 2) * _INV_SQRT_2PI
-
-
-STD_NORMAL = InnovationLaw(
-    name="std_normal",
-    pdf=_std_normal_pdf,
-    cdf=lambda x: ndtr(np.asarray(x, float)),
-    ppf=ndtri,
-    sample=np.random.Generator.standard_normal,
-    second_moment=1.0,
-)
 
 
 @dataclass(frozen=True)
@@ -118,13 +82,11 @@ class SplitKernel:
 
     ``density`` and ``cdf`` map broadcastable arrays ``(x, z)`` to the
     conditional density / CDF of the next state at ``z`` given the current
-    state ``x``.
-
-    ``innovation`` is a required ``InnovationLaw`` symmetric about 0 such
-    that ``cdf(x, z) == innovation.cdf((z - mean(x)) / stdev(x))``, so
-    ``mean`` and ``stdev`` are the exact location and scale and CDF
-    inversions are closed-form except on [-1, 1].  The inversion reads the
-    innovation law, never ``cdf``; ``density`` serves the grid certificate.
+    state ``x``, which must be ``ndtr((z - mean(x)) / stdev(x))``: ``mean``
+    and ``stdev`` are the exact location and scale of a normal law, so CDF
+    inversions are closed-form except on [-1, 1].  The inversion reads
+    ``mean`` and ``stdev``, never ``cdf``; ``density`` serves the grid
+    certificate.
 
     ``env`` holds the environment components the kernel was frozen at, each a
     scalar or an array aligned with the states (none for a kernel without an
@@ -136,26 +98,19 @@ class SplitKernel:
     ladder: SmallSetLadder
     mean: Callable[[np.ndarray], np.ndarray]
     stdev: Callable[[np.ndarray], np.ndarray]
-    innovation: InnovationLaw
     env: tuple[np.ndarray, ...] = ()
 
-    def __post_init__(self) -> None:
-        # Refused here, or a missing law only surfaces at the first off-set inversion.
-        if not isinstance(self.innovation, InnovationLaw):
-            name = type(self.innovation).__name__
-            raise TypeError(f"SplitKernel.innovation must be an InnovationLaw, not {name}")
-
     def in_small_set(self, x, n: int) -> np.ndarray:
-        """Whether ``|x| <= b_n`` and every environment component is within b_n."""
-        b = self.ladder.radii[self.ladder.check_index(n)]
+        """Whether ``|x| <= n`` and every environment component is within n."""
+        b = float(self.ladder.check_index(n))
         inside = np.abs(x) <= b
         for component in self.env:
             inside = inside & (np.abs(component) <= b)
         return inside
 
 
-def _newton_middle(law, m, s, a, t, z):
-    """Solve law.cdf((z - m) / s) - a (z + 1) / 2 = t for z in [-1, 1].
+def _newton_middle(m, s, a, t, z):
+    """Solve ndtr((z - m) / s) - a (z + 1) / 2 = t for z in [-1, 1].
 
     The left side increases on [-1, 1] where the minorization holds and
     brackets t there.  The start ``z`` solves the equation with z frozen at 0
@@ -173,8 +128,8 @@ def _newton_middle(law, m, s, a, t, z):
     step = np.full_like(t, 2.0)
     for _ in range(_NEWTON_MAX_ITER):
         w = (z - m) / s
-        h = law.cdf(w) - half_a * (z + 1.0) - t
-        slope = law.pdf(w) / s - half_a
+        h = ndtr(w) - half_a * (z + 1.0) - t
+        slope = normal_pdf(w) / s - half_a
         np.putmask(lo, h < 0.0, z)
         np.putmask(hi, h > 0.0, z)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -203,7 +158,7 @@ def _newton_middle(law, m, s, a, t, z):
     )
 
 
-def _closed_form_inverse(law, m, s, u, a):
+def _closed_form_inverse(m, s, u, a):
     """Invert the residual CDF of a location-scale kernel, piece by piece.
 
     One pass sorts every element into a piece, and one quantile call serves
@@ -212,8 +167,8 @@ def _closed_form_inverse(law, m, s, u, a):
     full conditional law; its ``t`` is ``u`` itself, so it takes the lower
     tail's formula whatever its mass below -1.
     """
-    f_lo = law.cdf((-1.0 - m) / s)  # kernel mass below -1
-    sf_hi = law.cdf((m - 1.0) / s)  # kernel mass above 1, by symmetry
+    f_lo = ndtr((-1.0 - m) / s)  # kernel mass below -1
+    sf_hi = ndtr((m - 1.0) / s)  # kernel mass above 1, by symmetry
     off = a == 0.0
     if np.any((1.0 - sf_hi - a < f_lo) & ~off):
         raise CertificationError(
@@ -228,13 +183,13 @@ def _closed_form_inverse(law, m, s, u, a):
     middle = ~(below | above)
     q = np.where(above, tail, t)
     np.putmask(q, middle, t + 0.5 * a)  # the Newton start's quantile argument
-    sp = s * law.ppf(q)
+    sp = s * ndtri(q)
     out = m + sp
     np.putmask(out, above, m - sp)
     mid = np.flatnonzero(middle)
     if mid.size:
         start = np.clip(out[mid], -1.0, 1.0)
-        out[mid] = _newton_middle(law, m[mid], s[mid], a[mid], t[mid], start)
+        out[mid] = _newton_middle(m[mid], s[mid], a[mid], t[mid], start)
     if not np.all(np.isfinite(out)):
         raise CertificationError("residual CDF inversion produced a non-finite value")
     return out
@@ -254,7 +209,7 @@ def _split_inverse(kernel: SplitKernel, x, u, a_eff):
     m = np.asarray(kernel.mean(x), float)
     s = np.asarray(kernel.stdev(x), float)
     m, s, u, a = np.broadcast_arrays(m, s, u, a)
-    return _closed_form_inverse(kernel.innovation, m, s, u, a)
+    return _closed_form_inverse(m, s, u, a)
 
 
 def split_apply_batch(
@@ -307,7 +262,7 @@ def validate_minorization(
     z_grid = np.asarray(z_grid, float)
     if x_grid.size == 0 or z_grid.size == 0:
         raise ValueError("grids must be nonempty")
-    b = kernel.ladder.radii[n]
+    b = float(n)
     if np.any(np.abs(x_grid) > b):
         raise ValueError(f"x_grid must lie inside the small set [-{b}, {b}]")
     if np.any(np.abs(z_grid) > 1.0):

@@ -5,8 +5,9 @@ The state follows
 where ``Z_t = sum_k a_k eta_{t-k}`` is a causal Gaussian moving average
 (truncated at a finite lag) and the environment seen by the chain at time t
 is the pair ``(Z_t, eta_{t+1})``.  Conditionally on the environment the step
-is a location-scale family in the innovation ``eps``, which yields explicit
-small-set minorization constants and a uniform second-moment bound.
+is a location-scale family in the innovation ``eps``, standard normal like
+``eta``, which yields explicit small-set minorization constants and a uniform
+second-moment bound.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .coupling import BlockSchedule, block_schedule
-from .kernels import STD_NORMAL, InnovationLaw, SmallSetLadder, SplitKernel
+from .kernels import SmallSetLadder, SplitKernel, normal_pdf
 from .streams import ma_plan, ma_plan_row_bytes, replica_blocks, stream_state_bytes
 
 DEFAULT_MA_LAG = 512
@@ -46,7 +47,6 @@ class LogvolParams:
     gamma: float
     rho: float
     ma_coeffs: tuple[float, ...]
-    eps: InnovationLaw = STD_NORMAL
     x0: float = 0.0
 
     def __post_init__(self) -> None:
@@ -143,12 +143,11 @@ def logvol_alpha(p: LogvolParams, n: int) -> float:
 
     The transition density at a target w is f(eps*) divided by the local
     scale sqrt(1 - rho^2) e^Z; bounding the scale by its supremum over the
-    environment set gives a provably valid constant for symmetric unimodal f.
+    environment set gives a provably valid constant, since the normal density
+    f is symmetric and unimodal.
     """
-    if not p.eps.symmetric_unimodal:
-        raise ValueError("minorization weight needs a symmetric unimodal innovation density")
     d = logvol_dn(p, n)
-    f = float(p.eps.pdf(np.asarray(d)))
+    f = float(normal_pdf(d))
     return min(2.0 * f / (_scale_root(p.rho) * math.exp(n)), 1.0)
 
 
@@ -167,8 +166,8 @@ def logvol_certify_minorization(p: LogvolParams, n: int) -> float:
     wg = np.linspace(-1.0, 1.0, 201)[None, None, None, :]
     s = root * np.exp(zg)
     arg = (wg - p.gamma * xg - p.rho * np.exp(zg) * hg) / s
-    q = p.eps.pdf(arg) / s
-    half_alpha = float(p.eps.pdf(np.asarray(logvol_dn(p, n)))) / (root * math.exp(n))
+    q = normal_pdf(arg) / s
+    half_alpha = float(normal_pdf(logvol_dn(p, n))) / (root * math.exp(n))
     return float(q.min() - half_alpha)
 
 
@@ -176,10 +175,11 @@ def logvol_moment_bound(p: LogvolParams) -> float:
     """Time-uniform bound on E[X_t^2].
 
     ``K = E[e^{2 Z_0}] (rho^2 + (1 - rho^2) E[eps^2]) / (1 - gamma^2) + x0^2``
-    with the log-normal moment taken at the truncated MA variance.
+    with ``E[eps^2] = 1`` and the log-normal moment taken at the truncated MA
+    variance.
     """
     e2z = math.exp(2.0 * p.env_variance)
-    mix = p.rho**2 + (1.0 - p.rho**2) * p.eps.second_moment
+    mix = p.rho**2 + (1.0 - p.rho**2)
     return e2z * mix / (1.0 - p.gamma**2) + p.x0**2
 
 
@@ -219,11 +219,11 @@ def logvol_kernel(p: LogvolParams, z, eta_next, n_max: int = 2,
 
     def density(x, w):
         arg = (np.asarray(w, float) - p.gamma * np.asarray(x, float) - shift) / scale
-        return p.eps.pdf(arg) / scale
+        return normal_pdf(arg) / scale
 
     def cdf(x, w):
         arg = (np.asarray(w, float) - p.gamma * np.asarray(x, float) - shift) / scale
-        return p.eps.cdf(arg)
+        return ndtr(arg)
 
     def mean(x):
         return p.gamma * np.asarray(x, float) + shift
@@ -231,17 +231,12 @@ def logvol_kernel(p: LogvolParams, z, eta_next, n_max: int = 2,
     def stdev(x):
         return np.broadcast_to(scale, np.asarray(x, float).shape).astype(float)
 
-    return SplitKernel(
-        density=density, cdf=cdf, ladder=ladder, mean=mean, stdev=stdev, innovation=p.eps,
-        env=(z, eta_next),
-    )
+    return SplitKernel(density=density, cdf=cdf, ladder=ladder, mean=mean, stdev=stdev,
+                       env=(z, eta_next))
 
 
 def logvol_ladder(p: LogvolParams, n_max: int) -> SmallSetLadder:
-    return SmallSetLadder(
-        radii=tuple(float(n) for n in range(n_max + 1)),
-        alphas=tuple(logvol_alpha(p, n) for n in range(n_max + 1)),
-    )
+    return SmallSetLadder(alphas=tuple(logvol_alpha(p, n) for n in range(n_max + 1)))
 
 
 def block_working_bytes(lag: int, rate: float | None, horizon: int, replicas: int,
@@ -281,7 +276,7 @@ def simulate_logvol_batch(
     if bad:
         raise ValueError(f"checkpoints outside [0, horizon]: {bad}")
     n_env = p.lag + horizon + 2
-    layout = [(np.random.Generator.standard_normal, (n_env,)), (p.eps.sample, (horizon,))]
+    layout = [(np.random.Generator.standard_normal, (n,)) for n in (n_env, horizon)]
     plan = ma_plan(p.ma_coeffs, min(replicas, _BLOCK_ROWS), n_env, p.ma_rate)
     root = _scale_root(p.rho)
     out = {t: np.empty(replicas) for t in sorted(set(checkpoints))}

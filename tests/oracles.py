@@ -43,8 +43,8 @@ def k2_integral(kernel: VolatilityKernel, t: float, burn_in: float) -> float:
     if t_eff <= 0.0:
         return 0.0
     if kernel.kind == "exponential":
-        return kernel.scale**2 * (1.0 - math.exp(-2.0 * kernel.lam * t_eff)) / (2.0 * kernel.lam)
-    return kernel.scale**2 * t_eff ** (2.0 * kernel.h)
+        return (1.0 - math.exp(-2.0 * kernel.lam * t_eff)) / (2.0 * kernel.lam)
+    return t_eff ** (2.0 * kernel.h)
 
 
 def direct_valid_sum(x: np.ndarray, taps) -> np.ndarray:

@@ -79,7 +79,8 @@ def _one_path(kernel, db, dt, burn_in):
 
 
 def test_volatility_path_zero_kernel():
-    flat = VolatilityKernel(kind="exponential", lam=1.0, scale=0.0)
+    # lam dt = 1e5 > 745: every tap underflows to 0, so J = 0 and V = 1
+    flat = VolatilityKernel(kind="exponential", lam=1e6)
     v = _one_path(flat, np.ones(300), dt=0.1, burn_in=10.0)
     assert np.all(v == 1.0)
 
@@ -415,7 +416,7 @@ def test_increment_check_from_ensemble():
     assert check.passed
 
 
-@pytest.mark.parametrize("kernel", [EXP_KERNEL, VolatilityKernel("exponential", lam=2.5, scale=0.7),
+@pytest.mark.parametrize("kernel", [EXP_KERNEL, VolatilityKernel("exponential", lam=2.5),
                                     FRAC_KERNEL], ids=["exp-1", "exp-2.5", "fractional"])
 def test_kernel_rate_is_the_decay_of_its_taps_a_step(kernel):
     # The ensemble's plan and its memory estimate both take the rate from here.

@@ -334,6 +334,15 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
     # growth certificate that passed on NaN
     ("experiment = ar1-couple\nreplicas = 100\nar1.x0 = 1e300\n", "ar1.x0"),
     ("experiment = ar1-bound\nar1.x0 = 1e200\n", "ar1.x0"),
+    # a start whose fourth power, summed over the replicas, overflows: the
+    # moment bound's x0^2 raised an OverflowError naming no field, at run for
+    # logvol-sim and at validate for logvol-couple, or a mean of squares' se
+    # was not finite
+    ("experiment = logvol-sim\nreplicas = 200\nlogvol.x0 = 1e200\n", "logvol.x0"),
+    ("experiment = logvol-sim\nreplicas = 200\nlogvol.x0 = 1e100\n", "logvol.x0"),
+    ("experiment = logvol-couple\nlogvol.x0 = 1e200\n", "logvol.x0"),
+    ("experiment = sde-sim\nreplicas = 200\nsde.horizon = 2\nsde.checkpoints = 1, 2\n"
+     "sde.increment_base = 1\nsde.l0 = 1e100, -1e100\n", "sde.l0"),
     ("experiment = sde-sim\nreplicas = 100\nsde.drift = linear(1e200)\n", "sde.drift"),
     ("experiment = sde-sim\nreplicas = 100\nsde.drift = linear(1e154)\n", "sde.drift"),
     # the coupling was asked for zero steps
@@ -376,6 +385,8 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
      "sde.increment_base"),
 ], ids=["one-start", "equal-starts", "equal-x0-pair", "couple-n-underflow",
         "couple-n-3e6", "couple-n-past-double", "ar1-couple-x0-overflow", "ar1-bound-x0-overflow",
+        "logvol-sim-x0-overflow", "logvol-sim-x0-se-overflow", "logvol-couple-x0-overflow",
+        "sde-l0-se-overflow",
         "drift-overflow", "drift-grid-overflow", "step-cap-0", "target-block-0", "negative-m-max",
         "fractional-ma-lag", "negative-ma-lag", "geometric-ma-ratio", "fractional-ma-h", "negative-increment-lag", "zero-increment-lag",
         "sub-step-increment-lag", "unstable-euler-linear", "unstable-euler-saturating",
@@ -416,6 +427,23 @@ def test_cli_runs_a_stiff_drift_inside_the_euler_step_s_stable_range(tmp_path, c
     with open(tmp_path / "run" / "report.json", encoding="utf-8") as fh:
         moments = json.load(fh)["results"]["moments"]
     assert moments and all(np.isfinite([m["mean"], m["variance"]]).all() for m in moments)
+
+
+@pytest.mark.parametrize("text", [
+    "experiment = logvol-sim\nreplicas = 200\nlogvol.x0 = 3e76\n",
+    "experiment = sde-sim\nreplicas = 200\nsde.horizon = 2\nsde.checkpoints = 1, 2\n"
+    "sde.increment_base = 1\nsde.l0 = 3e76, -3e76\n",
+], ids=["logvol-sim", "sde-sim"])
+def test_cli_runs_a_start_just_inside_the_fourth_power_limit(tmp_path, text):
+    # (max double / 200) ** 0.25 is 3.08e76: a start just inside it runs with
+    # every reported statistic finite and no RuntimeWarning (an error here)
+    cfg_path = str(tmp_path / "exp.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(text + f"output.dir = {tmp_path}/run\n")
+    assert cli_main(["validate", cfg_path]) == 0
+    assert cli_main(["run", cfg_path]) in (0, 1)
+    with pytest.raises(ConfigError, match="is past 3.08e\\+76"):
+        load_config_text(text.replace("3e76", "3.1e76"))
 
 
 def _three_taps_at_most(build):
@@ -730,16 +758,42 @@ def test_sde_sim_estimate_covers_run_and_write_when_csv_rows_dominate(tmp_path):
     assert peak <= cfg.peak_bytes < 1.5 * peak
 
 
+@pytest.mark.parametrize("text", [
+    None,  # the shipped ar1-couple.cfg
+    "experiment = ar1-couple\nreplicas = 1000\ncouple.t = 1000\n",
+    # perfbench's terminating logvol-couple: 200 MCRE steps of 2,000 replicas
+    _MCRE_TEXT + "replicas = 2000\nlogvol.target_block = 1\nlogvol.step_cap = 200\n",
+    _MCRE_TEXT + "replicas = 5000\nlogvol.target_block = 1\nlogvol.step_cap = 1\n",
+], ids=["ar1-couple-shipped", "ar1-couple-t-1000", "logvol-couple-bench", "logvol-couple-one-step"])
+def test_coupling_estimates_cover_run_and_write(tmp_path, text):
+    # A step of the coupling engine holds about 36 arrays of its 2 * replicas
+    # elements (coupling.engine_step_bytes).  Uncounted, the shipped
+    # ar1-couple read 0.93 of its traced peak and one MCRE step 0.30.
+    if text is None:
+        cfg = load_config([path for path in SHIPPED_CONFIGS if path.endswith("ar1-couple.cfg")][0])
+    else:
+        cfg = load_config_text(text)
+    tracemalloc.start()
+    try:
+        write_report(run(cfg), str(tmp_path / "run"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cfg.peak_bytes < 1.5 * peak
+
+
 _PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
 def test_perfbench_tracer_still_binds_and_keeps_every_artifact(tmp_path):
     # The benchmark's tracer rebinds split_apply_batch with the signature
     # (kernel, n, x, u1, u2, in_set=None), replaces a kernel's cdf through
-    # dataclasses.replace, and wraps the coupling engines, block_schedule and
-    # logvol_kernel by name.  In a fresh process, a small ar1-couple run and a
-    # small terminating logvol-couple run are written untraced, then traced;
-    # the artifacts must match byte for byte and the traced layers must fire.
+    # dataclasses.replace, reads kernel.ladder.radii and alphas, and wraps the
+    # coupling engines, block_schedule, logvol_kernel, the logvol and SDE
+    # simulators, their convolutions, the Euler step and the TV metrics by
+    # name.  In a fresh process, small ar1-couple, terminating logvol-couple,
+    # logvol-sim and sde-sim runs are written untraced, then traced; the
+    # artifacts must match byte for byte and every traced layer must fire.
     code = (
         "import json, sys\n"
         "from splitcouple import config, harness\n"
@@ -755,7 +809,10 @@ def test_perfbench_tracer_still_binds_and_keeps_every_artifact(tmp_path):
     )
     texts = [AR1_COUPLE_CFG.replace("replicas = 300", "replicas = 1000"),
              _MCRE_TEXT.replace("replicas = 100", "replicas = 300")
-             + "logvol.target_block = 1\nlogvol.step_cap = 60\n"]
+             + "logvol.target_block = 1\nlogvol.step_cap = 60\n",
+             "experiment = logvol-sim\nreplicas = 200\nlogvol.checkpoints = 1, 2\n",
+             "experiment = sde-sim\nreplicas = 200\nsde.horizon = 2\nsde.checkpoints = 1, 2\n"
+             "sde.increment_base = 1\n"]
     src = os.path.dirname(os.path.dirname(splitcouple.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path), _PERFBENCH],
@@ -763,9 +820,11 @@ def test_perfbench_tracer_still_binds_and_keeps_every_artifact(tmp_path):
                          check=True)
     layers = json.loads(out.stdout.strip().splitlines()[-1])
     assert layers["kernels.element_steps"] > 0
-    for span in ("coupling.pair", "coupling.mcre", "coupling.schedule", "logvol.kernel"):
+    for span in ("coupling.pair", "coupling.mcre", "coupling.schedule", "logvol.kernel",
+                 "logvol.sim", "logvol.conv", "fracvol.ensemble", "fracvol.conv", "fracvol.euler",
+                 "metrics.tv"):
         assert layers[span] > 0, span
-    for i, name in enumerate(["ar1-couple", "logvol-couple"]):
+    for i, name in enumerate(["ar1-couple", "logvol-couple", "logvol-sim", "sde-sim"]):
         for artifact in ("report.json", f"{name}.csv"):
             plain = (tmp_path / "plain" / str(i) / artifact).read_bytes()
             assert (tmp_path / "traced" / str(i) / artifact).read_bytes() == plain, artifact

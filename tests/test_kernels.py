@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
 from oracles import closed_form_inverse_reference
@@ -20,6 +21,7 @@ from splitcouple.kernels import (
     SplitKernel,
     _closed_form_inverse,
     _split_inverse,
+    normal_pdf,
     split_apply_batch,
     validate_minorization,
 )
@@ -44,20 +46,6 @@ def _kernel_quantile(kernel, x, u):
     return float(_split_inverse(kernel, np.array([x], float), np.array([u], float), np.zeros(1))[0])
 
 
-def test_split_kernel_requires_innovation(kernel):
-    parts = dict(density=kernel.density, cdf=kernel.cdf, ladder=kernel.ladder,
-                 mean=kernel.mean, stdev=kernel.stdev)
-    with pytest.raises(TypeError, match="innovation"):
-        SplitKernel(**parts)
-
-
-def test_split_kernel_refuses_a_non_law_innovation():
-    # Without the check this constructs and fails only at the first off-set
-    # inversion, with an AttributeError on None.ppf.
-    with pytest.raises(TypeError, match="SplitKernel.innovation must be an InnovationLaw"):
-        dataclasses.replace(ar1_split_kernel(0.5, n_max=3), innovation=None)
-
-
 def _apply_one(kernel, n, x, u1, u2):
     """The split mapping at one state, as a one-element batch."""
     return float(split_apply_batch(kernel, n, np.array([x]), np.array([u1]), np.array([u2]))[0])
@@ -73,11 +61,11 @@ def test_uniform_pair_validation(kernel):
 
 def test_ladder_invariants():
     with pytest.raises(ValueError):
-        SmallSetLadder(radii=(1.0, 0.5), alphas=(0.5, 0.4))  # radii decreasing
+        SmallSetLadder(alphas=(0.4, 0.5))  # alphas increasing
     with pytest.raises(ValueError):
-        SmallSetLadder(radii=(0.5, 1.0), alphas=(0.4, 0.5))  # alphas increasing
+        SmallSetLadder(alphas=(0.0,))  # alpha outside (0, 1]
     with pytest.raises(ValueError):
-        SmallSetLadder(radii=(0.5,), alphas=(0.0,))  # alpha outside (0, 1]
+        SmallSetLadder(alphas=())
 
 
 def test_regeneration_branch_is_constant_in_x(kernel):
@@ -192,13 +180,10 @@ def test_validate_minorization_margins(kernel, n):
 def test_validate_minorization_detects_violation():
     # doubling every alpha makes the certificate fail on the grid boundary
     base = ar1_split_kernel(GAMMA, n_max=4)
-    bad_ladder = SmallSetLadder(
-        radii=base.ladder.radii,
-        alphas=tuple(min(2 * a, 1.0) for a in base.ladder.alphas),
-    )
+    bad_ladder = SmallSetLadder(alphas=tuple(min(2 * a, 1.0) for a in base.ladder.alphas))
     bad = SplitKernel(
         density=base.density, cdf=base.cdf, ladder=bad_ladder,
-        mean=base.mean, stdev=base.stdev, innovation=base.innovation,
+        mean=base.mean, stdev=base.stdev,
     )
     n = 2
     x_grid = np.linspace(-2, 2, 201)
@@ -208,10 +193,10 @@ def test_validate_minorization_detects_violation():
 
 def test_validate_minorization_vanishing_alpha_limit():
     base = ar1_split_kernel(GAMMA, n_max=2)
-    tiny = SmallSetLadder(radii=base.ladder.radii, alphas=(1e-300,) * 3)
+    tiny = SmallSetLadder(alphas=(1e-300,) * 3)
     kern = SplitKernel(
         density=base.density, cdf=base.cdf, ladder=tiny,
-        mean=base.mean, stdev=base.stdev, innovation=base.innovation,
+        mean=base.mean, stdev=base.stdev,
     )
     x_grid = np.linspace(-2, 2, 101)
     z_grid = np.linspace(-1, 1, 101)
@@ -309,7 +294,6 @@ def test_closed_form_matches_bisection_on_dense_grid(kernel, model):
     x, u = _grid(np.linspace(-9.0, 9.0, 145), u_values)
     for n in range(len(kernel.ladder.radii) if model == "ar1" else 3):
         closed = kernel if model == "ar1" else _logvol_grid_kernel(x.size, radius=n)
-        assert closed.innovation is not None
         z_closed = split_apply_batch(closed, n, x, _no_regen(u), u)
         z_bisect = _bisect_split_apply(closed, n, x, u)
         # bisection's own error: half its 1e-12 bracket plus rounding of the
@@ -427,12 +411,12 @@ def test_counting_cdf_wrapper_keeps_output(kernel, model):
         wrapped = dataclasses.replace(base, cdf=counting_cdf)
         want = split_apply_batch(base, n, x, u1, u2)
         assert split_apply_batch(wrapped, n, x, u1, u2).tobytes() == want.tobytes()
-        assert not calls  # the closed form evaluates the innovation law directly
+        assert not calls  # the closed form evaluates the normal law directly
 
 
 def test_closed_form_rejects_invalid_residual(kernel):
     # alpha above the kernel's mass on [-1, 1]: the residual is not a law
-    ladder = SmallSetLadder(radii=(1.0,), alphas=(0.9,))
+    ladder = SmallSetLadder(alphas=(0.9,))
     broken = dataclasses.replace(kernel, ladder=ladder)
     with pytest.raises(CertificationError):
         split_apply_batch(broken, 0, np.array([0.0]), np.ones(1), np.array([0.5]))
@@ -476,10 +460,13 @@ def test_split_mapping_preserves_its_law(model, n_max, data):
 
 # --- the residual inversion against its reference form, bit for bit ---
 
+# the law the reference form takes: the functions the inversion calls
+_STD_NORMAL = SimpleNamespace(cdf=ndtr, pdf=normal_pdf, ppf=ndtri)
 
-def _edge_u(law, m, s, a, rng):
+
+def _edge_u(m, s, a, rng):
     """``u`` a few ulps inside the lower or the upper edge of the middle piece."""
-    f_lo, sf_hi = law.cdf((-1.0 - m) / s), law.cdf((m - 1.0) / s)
+    f_lo, sf_hi = ndtr((-1.0 - m) / s), ndtr((m - 1.0) / s)
     nudge = 1.0 + rng.integers(1, 8, m.size) * 2.0**-52
     lower, upper = f_lo / (1.0 - a) * nudge, 1.0 - sf_hi / (1.0 - a) * nudge
     return np.clip(np.where(rng.random(m.size) < 0.5, lower, upper), 1e-300, 1.0 - 2.0**-53)
@@ -507,11 +494,11 @@ def _inversion_rows(kernel, n, rng, size):
         rng.random(size),
         10.0 ** -rng.uniform(1.0, 300.0, size),
         1.0 - 10.0 ** -rng.uniform(1.0, 16.0, size),
-        _edge_u(kernel.innovation, m, s, a, rng),
+        _edge_u(m, s, a, rng),
     ])
     k = size // 3
     m_edge, s_edge, a_edge = rng.uniform(-1.0, 1.0, k), 10.0 ** rng.uniform(-1.0, 1.0, k), 4e-58
-    u_edge = _edge_u(kernel.innovation, m_edge, s_edge, a_edge, rng)
+    u_edge = _edge_u(m_edge, s_edge, a_edge, rng)
     return (
         np.concatenate([m, m_edge, rng.uniform(-0.5, 0.5, k)]),
         np.concatenate([s, s_edge, 10.0 ** rng.uniform(-3.0, -1.5, k)]),
@@ -536,27 +523,26 @@ def test_inversion_matches_its_reference_bit_for_bit(model, n_max, data):
         env = rng.uniform(-n, n, (2, size))
         kernel = logvol_kernel(LogvolParams(gamma=gamma, rho=0.3, ma_coeffs=(0.5,)),
                                env[0], env[1], n_max=n_max)
-    law = kernel.innovation
     m, s, u, a = _inversion_rows(kernel, n, rng, size)
 
     # the batch holds every piece, a clipped start and far-off states
-    f_lo, sf_hi = law.cdf((-1.0 - m) / s), law.cdf((m - 1.0) / s)
+    f_lo, sf_hi = ndtr((-1.0 - m) / s), ndtr((m - 1.0) / s)
     t, tail = u * (1.0 - a), (1.0 - u) * (1.0 - a)
     below, above = (a > 0.0) & (t <= f_lo), (a > 0.0) & (t > f_lo) & (tail <= sf_hi)
     middle = (a > 0.0) & (t > f_lo) & (tail > sf_hi)
-    clipped = middle & (np.abs(m + s * law.ppf(t + 0.5 * a)) > 1.0)
+    clipped = middle & (np.abs(m + s * ndtri(t + 0.5 * a)) > 1.0)
     assert below.any() and above.any() and clipped.any()
     assert np.any(a == 0.0) and np.max(np.abs(m)) > 10.0
 
     with warnings.catch_warnings():  # no warning: a subnormal slope's infinite quotient is handled
         warnings.simplefilter("error")
-        want = closed_form_inverse_reference(law, m, s, u, a)
-        got = _closed_form_inverse(law, m, s, u, a)
+        want = closed_form_inverse_reference(_STD_NORMAL, m, s, u, a)
+        got = _closed_form_inverse(m, s, u, a)
         assert got.tobytes() == want.tobytes()
         perm = rng.permutation(m.size)
-        permuted = _closed_form_inverse(law, m[perm], s[perm], u[perm], a[perm])
+        permuted = _closed_form_inverse(m[perm], s[perm], u[perm], a[perm])
         assert permuted.tobytes() == got[perm].tobytes()
         cut = int(rng.integers(1, m.size))
-        halves = [_closed_form_inverse(law, m[part], s[part], u[part], a[part])
+        halves = [_closed_form_inverse(m[part], s[part], u[part], a[part])
                   for part in (slice(None, cut), slice(cut, None))]
         assert np.concatenate(halves).tobytes() == got.tobytes()

@@ -315,12 +315,13 @@ def test_a_block_whose_worked_out_state_differs_from_replica_rng_s_is_refused(mo
     (1.0, 0.35, 10.0, 40, 1.0),  # the last tap, at 10.15 > burn_in, is cut to 0
     (2.0, 0.7, 10.0, 33, 1.0),  # lam dt >= 1: one step a block
     (1.0, 1 / 64, 10.0, 300, 1.0),  # 300 steps in blocks of 64
+    (1.0, 1 / 64, 10.0, 300, 0.5),  # the same taps halved
     (5.0, 1 / 64, 2.0, 77, 1.0),  # blocks of 12
-    (1.0, 1 / 64, 10.0, 100, 0.0),  # scale 0: J = 0
+    (1e6, 1 / 64, 10.0, 100, 1.0),  # lam dt > 745: every tap underflows to 0, so J = 0
 ])
 def test_scan_plan_matches_a_direct_sum_and_conv_plan(lam, dt, burn_in, steps, scale):
-    kernel = VolatilityKernel(kind="exponential", lam=lam, scale=scale)
-    taps = _kernel_taps(kernel, dt, burn_in)
+    # ScanPlan takes geometric taps of any first value: the kernel's, times scale
+    taps = scale * _kernel_taps(VolatilityKernel(kind="exponential", lam=lam), dt, burn_in)
     n_in = taps.size + steps
     x = replica_rng(29, steps).standard_normal((16, n_in)) * math.sqrt(dt)
     plan = ScanPlan(taps, lam * dt, 16, n_in)
@@ -329,8 +330,8 @@ def test_scan_plan_matches_a_direct_sum_and_conv_plan(lam, dt, burn_in, steps, s
     rows = 4 if steps > 1000 else 16  # the long-double sum is slow
     assert np.max(np.abs(got[:rows] - direct_valid_sum(x[:rows], taps))) <= 1e-13
     assert np.max(np.abs(got - ConvPlan(taps, 16, n_in)(x))) <= 1e-13
-    if scale == 0.0:
-        assert np.all(got == 0.0)
+    if lam * dt > 745.0:
+        assert plan.m == 0 and np.all(got == 0.0)
     # a row's result does not depend on the rows around it
     alone = ScanPlan(taps, lam * dt, 1, n_in)
     for i in (0, 7, 15):
