@@ -15,20 +15,18 @@ loads no submodule, and the SDE names (``fracvol``) load numpy but no scipy.
 import importlib
 
 _EXPORTS = {
-    "ar1": ("Ar1Params", "ar1_alpha", "ar1_bound_curve", "ar1_lyapunov_constant",
-            "ar1_marginal", "ar1_n_schedule", "ar1_rate_fit", "ar1_split_kernel",
-            "ar1_stationary"),
+    "ar1": ("Ar1Params", "ar1_alpha", "ar1_lyapunov_constant", "ar1_marginal",
+            "ar1_n_schedule", "ar1_split_kernel", "ar1_stationary"),
     "coupling": ("BlockSchedule", "block_schedule", "coupled_pair_batch",
                  "coupling_lower_bound", "mcre_coupled_chains_batch", "tv_upper_from_coupling"),
     "errors": ("CertificationError", "ConfigError", "RunError", "ScheduleError"),
     "fracvol": ("DriftSpec", "SdeParams", "VolatilityKernel", "dissipativity_check",
                 "euler_step", "increment_moment_check", "linear_drift", "saturating_drift",
                 "simulate_ensemble"),
-    "kernels": ("SmallSetLadder", "SplitKernel", "split_apply_batch", "validate_minorization"),
+    "kernels": ("SmallSetLadder", "SplitKernel", "split_apply_batch"),
     "logvol": ("LogvolParams", "geometric_ma", "fractional_ma",
                "logvol_alpha", "logvol_dn", "logvol_moment_bound", "logvol_tail"),
-    "metrics": ("PathWindow", "bounded_wasserstein", "path_metric_d", "tv_empirical",
-                "tv_gaussian"),
+    "metrics": ("tv_empirical", "tv_gaussian"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

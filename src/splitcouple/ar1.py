@@ -63,8 +63,9 @@ def ar1_alpha(gamma: float, n: int) -> float:
 
     This is the infimum of the transition density against the uniform
     density 1/2 on [-1, 1], attained at x = +-n, z = -+1.  It is evaluated
-    with the same floating-point operations as the kernel density at that
-    corner, so grid certificates of the inequality are exact there.
+    with the same floating-point operations as the kernel's normal density,
+    ``normal_pdf(z - gamma x)``, at that corner, so grid certificates of the
+    inequality are exact there.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -78,9 +79,6 @@ def ar1_split_kernel(gamma: float, n_max: int = 8) -> SplitKernel:
         raise ValueError("gamma must lie in (0, 1)")
     ladder = SmallSetLadder(alphas=tuple(ar1_alpha(gamma, n) for n in range(n_max + 1)))
 
-    def density(x, z):
-        return normal_pdf(np.asarray(z, float) - gamma * np.asarray(x, float))
-
     def cdf(x, z):
         return ndtr(np.asarray(z, float) - gamma * np.asarray(x, float))
 
@@ -90,7 +88,7 @@ def ar1_split_kernel(gamma: float, n_max: int = 8) -> SplitKernel:
     def stdev(x):
         return np.ones_like(np.asarray(x, float))
 
-    return SplitKernel(density=density, cdf=cdf, ladder=ladder, mean=mean, stdev=stdev)
+    return SplitKernel(cdf=cdf, ladder=ladder, mean=mean, stdev=stdev)
 
 
 @lru_cache(maxsize=64)
@@ -130,35 +128,9 @@ def ar1_bound_terms(p: Ar1Params, t: int, n: int) -> tuple[float, float]:
     return term1, term2
 
 
-def ar1_bound_curve(p: Ar1Params, t: int, n: int) -> float:
-    """Total-variation bound 4 c exp(-beta n^2) + 2 (1 - alpha_n)^t.
-
-    The first term pays for ever leaving [-n, n] (via the exponential moment
-    and a Markov bound), the second for never regenerating in t attempts.
-    The bound may exceed 2 (it is then vacuous but still valid).
-    """
-    term1, term2 = ar1_bound_terms(p, t, n)
-    return term1 + term2
-
-
 def ar1_n_schedule(p: Ar1Params, t: int) -> int:
     """Scheduled set size ceil((sqrt(2)/gamma - eta) sqrt(log t))."""
     if t < 2:
         raise ValueError("t must be at least 2")
     return int(math.ceil((math.sqrt(2.0) / p.gamma - p.eta) * math.sqrt(math.log(t))))
 
-
-def ar1_rate_fit(p: Ar1Params, t_grid) -> float:
-    """Least-squares decay exponent of the scheduled bound on a log-log grid.
-
-    Fits log(bound(t, n(t))) against log t and returns minus the slope.  The
-    grid needs at least 5 points spanning at least two decades.
-    """
-    t_arr = np.asarray(sorted(int(t) for t in t_grid))
-    if t_arr.size < 5:
-        raise ValueError("need at least 5 grid points")
-    if t_arr[-1] < 100 * t_arr[0]:
-        raise ValueError("grid must span at least two decades")
-    log_b = [math.log(ar1_bound_curve(p, int(t), ar1_n_schedule(p, int(t)))) for t in t_arr]
-    slope = np.polyfit(np.log(t_arr), log_b, 1)[0]
-    return float(-slope)

@@ -22,6 +22,7 @@ from .fracvol import (
     SdeParams,
     VolatilityKernel,
     ensemble_working_bytes,
+    increment_flag,
     linear_drift,
     saturating_drift,
 )
@@ -218,8 +219,9 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
     per-replica arrays its driver keeps (8 bytes a float) and CSV rows, plus
     the working set its simulator states (``fracvol.ensemble_working_bytes``,
     ``logvol.block_working_bytes``, ``coupling.engine_step_bytes``).
-    ``sde-sim`` frees the ensemble's buffers before it builds its table, so
-    its peak is the larger of the two phases."""
+    ``sde-sim`` frees the ensemble's buffers before it builds its table, and
+    ``logvol-couple`` its normals before the engine runs, so each peak is the
+    larger of two phases."""
     r = replicas
     if experiment == "ar1-bound":
         return 0
@@ -240,11 +242,15 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
         schedule = logvol_schedule(model, options["m_max"])
     except ScheduleError:
         return 0  # the run stops once the schedule fails
-    # logvol-couple: draws, uniform pairs, environment and codes per replica
+    # logvol-couple frees its normals before the engine runs: first the normals,
+    # uniform pairs and environment while the moving average runs, then the
+    # environment, uniform pairs and event codes (and their records) beside a
+    # step of the engine
     steps = min(schedule.M_of_m[options["target_block"]], options["step_cap"])
-    per_replica = 8 * (model.lag + steps + 2) + 33 * steps + 18
-    return (r * per_replica + engine_step_bytes(r)
-            + block_working_bytes(model.lag, model.ma_rate, steps, r, draws=False))
+    env_and_pairs = r * (16 * (steps + 1) + 16 * steps)
+    draws = (r * 8 * (model.lag + steps + 2) + env_and_pairs
+             + block_working_bytes(model.lag, model.ma_rate, steps, r, draws=False))
+    return max(draws, env_and_pairs + r * (2 * (steps + 1) + 16) + engine_step_bytes(r))
 
 
 def load_config_text(text: str) -> ExperimentConfig:
@@ -373,6 +379,12 @@ def load_config_text(text: str) -> ExperimentConfig:
         if min(model.step_of(h) for h in options["increment_lags"]) < 1:
             raise ConfigError(f"sde.increment_lags: lags must be at least half a grid step "
                               f"(sde.dt = {model.dt:g})")
+        # each lag's check is its own flag; two lags under one name would keep one check
+        flags = [increment_flag(h) for h in options["increment_lags"]]
+        if len(set(flags)) < len(flags):
+            raise ConfigError(f"sde.increment_lags: two lags share a flag name "
+                              f"({', '.join(flags)}); give lags that differ in six "
+                              f"significant digits")
         options["increment_base"] = fields.float_("sde.increment_base", 10.0)
         options["tv_threshold"] = fields.float_("sde.tv_threshold", 0.1)
         for t in options["checkpoints"]:

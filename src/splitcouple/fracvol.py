@@ -404,3 +404,8 @@ def increment_moment_check(
     bound = 6.0 * h * h * (k * constants.l_tilde + k + constants.ev4 / 4.0)
     bound += 6.0 * h * constants.ev2
     return IncrementCheck(passed=emp <= bound + 4.0 * se, empirical=emp, bound=bound, se=se)
+
+
+def increment_flag(h: float) -> str:
+    """Report flag of the increment check at the requested lag ``h``."""
+    return f"increment_bound_h={h:g}"

@@ -21,7 +21,8 @@ import numpy.rec  # loaded on first use otherwise, inside a run (see streams)
 from .config import ExperimentConfig
 from .errors import RunError, ScheduleError
 from .fracvol import (
-    discrete_log_vol_variance, increment_constants, increment_moment_check, simulate_ensemble,
+    discrete_log_vol_variance, increment_constants, increment_flag, increment_moment_check,
+    simulate_ensemble,
 )
 from .metrics import tv_empirical, tv_empirical_se, tv_gaussian
 from .streams import replica_blocks, replica_uniform_pairs
@@ -287,7 +288,7 @@ def _run_sde_sim(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     for h_req in cfg.options["increment_lags"]:
         k = p.step_of(h_req)  # validate refuses a lag of no step
         check = increment_moment_check(at[base][0], at[base + k][0], k * p.dt, consts)
-        inc_flags[f"increment_bound_h={h_req:g}"] = check.passed
+        inc_flags[increment_flag(h_req)] = check.passed
         inc_results.append(
             {"h_requested": h_req, "h_actual": k * p.dt, "empirical": check.empirical,
              "bound": check.bound, "se": check.se}

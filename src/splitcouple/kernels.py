@@ -19,6 +19,10 @@ CDF ``Phi``: the residual CDF is ``Phi / (1 - alpha_n)`` below ``z = -1``
 and ``(Phi - alpha_n) / (1 - alpha_n)`` above ``z = 1``.  Both tails invert
 in closed form through the normal quantile, and only the piece on [-1, 1]
 is solved iteratively, by a safeguarded Newton iteration.
+
+Each model's ladder weights come from its closed form; the grid
+certificates that check them are test oracles (``tests/oracles.py``), which
+no run reaches.
 """
 
 from __future__ import annotations
@@ -80,20 +84,17 @@ class SmallSetLadder:
 class SplitKernel:
     """One-step transition law packaged with its small-set ladder.
 
-    ``density`` and ``cdf`` map broadcastable arrays ``(x, z)`` to the
-    conditional density / CDF of the next state at ``z`` given the current
-    state ``x``, which must be ``ndtr((z - mean(x)) / stdev(x))``: ``mean``
-    and ``stdev`` are the exact location and scale of a normal law, so CDF
-    inversions are closed-form except on [-1, 1].  The inversion reads
-    ``mean`` and ``stdev``, never ``cdf``; ``density`` serves the grid
-    certificate.
+    ``mean`` and ``stdev`` map a state array ``x`` to the exact location and
+    scale of the normal law of the next state, so CDF inversions are
+    closed-form except on [-1, 1].  ``cdf`` maps broadcastable arrays
+    ``(x, z)`` to that law's CDF at ``z``, ``ndtr((z - mean(x)) / stdev(x))``;
+    the inversion reads ``mean`` and ``stdev``, never ``cdf``.
 
     ``env`` holds the environment components the kernel was frozen at, each a
     scalar or an array aligned with the states (none for a kernel without an
     environment); ``in_small_set`` tests them with the state.
     """
 
-    density: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray, np.ndarray], np.ndarray]
     ladder: SmallSetLadder
     mean: Callable[[np.ndarray], np.ndarray]
@@ -248,24 +249,3 @@ def split_apply_batch(
     z = _split_inverse(kernel, x, np.where(regen, 0.5, u2), a_eff)
     return np.where(regen, 2.0 * u2 - 1.0, z)
 
-
-def validate_minorization(
-    kernel: SplitKernel, n: int, x_grid: np.ndarray, z_grid: np.ndarray
-) -> float:
-    """Smallest slack of ``q(x, z) >= alpha_n / 2`` over the given grids.
-
-    Nonnegative return certifies the minorization on the grid; a negative
-    value is a result, not an error.
-    """
-    n = kernel.ladder.check_index(n)
-    x_grid = np.asarray(x_grid, float)
-    z_grid = np.asarray(z_grid, float)
-    if x_grid.size == 0 or z_grid.size == 0:
-        raise ValueError("grids must be nonempty")
-    b = float(n)
-    if np.any(np.abs(x_grid) > b):
-        raise ValueError(f"x_grid must lie inside the small set [-{b}, {b}]")
-    if np.any(np.abs(z_grid) > 1.0):
-        raise ValueError("z_grid must lie inside [-1, 1]")
-    q = kernel.density(x_grid[:, None], z_grid[None, :])
-    return float(np.min(q) - 0.5 * kernel.ladder.alphas[n])

@@ -111,21 +111,6 @@ def ma_env_values(p: LogvolParams, eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def ma_env_paths(
-    p: LogvolParams, horizon: int, replicas: int, master_seed: int
-) -> np.ndarray:
-    """Batch of stationary environment windows, one replica stream per row.
-
-    Each replica's stream draws its raw normals first, so windows are
-    reproducible regardless of what an experiment draws afterwards.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    layout = [(np.random.Generator.standard_normal, (p.lag + horizon + 2,))]
-    _, _, (eta,) = next(replica_blocks(master_seed, range(replicas), replicas, layout))
-    return ma_env_values(p, eta)
-
-
 def logvol_dn(p: LogvolParams, n: int) -> float:
     """Reach of the innovation needed to land in [-1, 1] from the n-th sets.
 
@@ -149,26 +134,6 @@ def logvol_alpha(p: LogvolParams, n: int) -> float:
     d = logvol_dn(p, n)
     f = float(normal_pdf(d))
     return min(2.0 * f / (_scale_root(p.rho) * math.exp(n)), 1.0)
-
-
-def logvol_certify_minorization(p: LogvolParams, n: int) -> float:
-    """Grid slack of ``q(x, env, w) >= alpha_n / 2`` over the n-th sets.
-
-    Grids of 21 points span (x, z, eta) in [-n, n]^3 and 201 points span
-    targets w in [-1, 1]; endpoints are on the grid, so the binding corners
-    are evaluated exactly.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    root = _scale_root(p.rho)
-    g = np.linspace(-n, n, 21)
-    xg, zg, hg = g[:, None, None, None], g[None, :, None, None], g[None, None, :, None]
-    wg = np.linspace(-1.0, 1.0, 201)[None, None, None, :]
-    s = root * np.exp(zg)
-    arg = (wg - p.gamma * xg - p.rho * np.exp(zg) * hg) / s
-    q = normal_pdf(arg) / s
-    half_alpha = float(normal_pdf(logvol_dn(p, n))) / (root * math.exp(n))
-    return float(q.min() - half_alpha)
 
 
 def logvol_moment_bound(p: LogvolParams) -> float:
@@ -217,10 +182,6 @@ def logvol_kernel(p: LogvolParams, z, eta_next, n_max: int = 2,
     if ladder is None:
         ladder = logvol_ladder(p, n_max)
 
-    def density(x, w):
-        arg = (np.asarray(w, float) - p.gamma * np.asarray(x, float) - shift) / scale
-        return normal_pdf(arg) / scale
-
     def cdf(x, w):
         arg = (np.asarray(w, float) - p.gamma * np.asarray(x, float) - shift) / scale
         return ndtr(arg)
@@ -231,8 +192,7 @@ def logvol_kernel(p: LogvolParams, z, eta_next, n_max: int = 2,
     def stdev(x):
         return np.broadcast_to(scale, np.asarray(x, float).shape).astype(float)
 
-    return SplitKernel(density=density, cdf=cdf, ladder=ladder, mean=mean, stdev=stdev,
-                       env=(z, eta_next))
+    return SplitKernel(cdf=cdf, ladder=ladder, mean=mean, stdev=stdev, env=(z, eta_next))
 
 
 def logvol_ladder(p: LogvolParams, n_max: int) -> SmallSetLadder:

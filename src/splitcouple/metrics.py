@@ -1,4 +1,5 @@
-"""Distance computations: total variation, path metric, bounded transport cost.
+"""Total-variation distances: exact between Gaussians, and by histogram
+between two sample sets.
 
 Total variation here follows the signed-measure convention (supremum over
 test functions bounded by 1), so densities p, q are at distance
@@ -7,11 +8,7 @@ test functions bounded by 1), so densities p, q are at distance
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-_MAX_PATH_STEP = 1.0 / 64.0
 
 
 def _phi(z: float) -> float:
@@ -93,93 +90,3 @@ def tv_empirical_se(samples1, samples2) -> float:
     p1, p2, n1, n2 = _histograms(samples1, samples2)
     var = (p1 * (1.0 - p1) / n1 + p2 * (1.0 - p2) / n2).sum()
     return float(np.sqrt(var))
-
-
-@dataclass(frozen=True)
-class PathWindow:
-    """Values of a trajectory on a uniform grid over [-half_width, half_width].
-
-    The interval supremum in the path metric is taken over grid points only;
-    the grid step must not exceed 1/64 so each unit interval holds at least
-    64 sample points.
-    """
-
-    values: np.ndarray
-    half_width: float
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("values must be a 1-d array with at least 2 points")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        if self.half_width <= 0.0:
-            raise ValueError("half_width must be positive")
-        if self.step > _MAX_PATH_STEP + 1e-12:
-            raise ValueError(f"grid step {self.step} exceeds 1/64")
-
-    @property
-    def step(self) -> float:
-        return 2.0 * self.half_width / (self.values.size - 1)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.values.size)
-
-
-def path_metric_d(f: PathWindow, g: PathWindow) -> float:
-    """Weighted sum over unit intervals of the clamped sup distance.
-
-    Computes ``sum_i 2^{-|i|} min(1, sup_{[i, i+1]} |f - g|)`` over the
-    integer intervals contained in the shared window.
-    """
-    if f.values.size != g.values.size or f.half_width != g.half_width:
-        raise ValueError("windows must share their grid")
-    diff = np.abs(f.values - g.values)
-    grid = f.grid
-    total = 0.0
-    i_lo = int(np.ceil(-f.half_width - 1e-12))
-    i_hi = int(np.floor(f.half_width + 1e-12))
-    for i in range(i_lo, i_hi):
-        sel = (grid >= i - 1e-12) & (grid <= i + 1.0 + 1e-12)
-        if not sel.any():
-            continue
-        total += 2.0 ** (-abs(i)) * min(1.0, float(diff[sel].max()))
-    return total
-
-
-def _pairwise_path_d(windows1, windows2) -> np.ndarray:
-    """Matrix of path distances between two equal-grid window collections."""
-    n1, n2 = len(windows1), len(windows2)
-    out = np.empty((n1, n2))
-    for i, w in enumerate(windows1):
-        for j, v in enumerate(windows2):
-            out[i, j] = path_metric_d(w, v)
-    return out
-
-
-def bounded_wasserstein(samples1, samples2, max_pairs: int = 512) -> float:
-    """Average matched cost of the exact assignment between two sample sets.
-
-    Each sample is a tuple ``(state, vol_window, corr_window)``; the pairwise
-    cost is ``min(1, |x1 - x2|) + d(v1, v2) + d(r1, r2)`` with ``d`` the path
-    metric.  The assignment problem is solved exactly (cubic time), and the
-    average matched cost upper-bounds the transport distance between the two
-    empirical laws.
-    """
-    if len(samples1) != len(samples2):
-        raise ValueError("sample sets must have equal size")
-    n = len(samples1)
-    if n == 0:
-        raise ValueError("sample sets must be nonempty")
-    if n > max_pairs:
-        raise ValueError(f"sample size {n} exceeds max_pairs={max_pairs}")
-    x1 = np.array([float(s[0]) for s in samples1])
-    x2 = np.array([float(s[0]) for s in samples2])
-    cost = np.minimum(1.0, np.abs(x1[:, None] - x2[None, :]))
-    cost = cost + _pairwise_path_d([s[1] for s in samples1], [s[1] for s in samples2])
-    cost = cost + _pairwise_path_d([s[2] for s in samples1], [s[2] for s in samples2])
-    from scipy.optimize import linear_sum_assignment  # deferred: a slow import for one caller
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())

@@ -1,20 +1,25 @@
-"""Reference computations the tests compare the package against, and the
-shipped configs they run.
+"""Reference computations the tests compare the package against, the
+computations only tests and acceptance criteria call, and the shipped configs
+they run.
 
-None of these is reached by a run of the package; each is the plain,
-independent form of something a test checks.
+None of these is reached by a run of the package: each is the plain,
+independent form of something a test checks, or a certificate, rate fit or
+distance that a criterion evaluates outside any run.
 """
 
 import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
-from splitcouple.ar1 import Ar1Params
+from splitcouple import logvol
+from splitcouple.ar1 import Ar1Params, ar1_bound_terms, ar1_n_schedule
 from splitcouple.errors import CertificationError
 from splitcouple.fracvol import VolatilityKernel
-from splitcouple.kernels import _NEWTON_MAX_ITER, _NEWTON_TOL
-from splitcouple.metrics import PathWindow
+from splitcouple.kernels import _NEWTON_MAX_ITER, _NEWTON_TOL, SplitKernel, normal_pdf
+from splitcouple.logvol import LogvolParams, ma_env_values
+from splitcouple.streams import replica_blocks
 
 _CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SHIPPED_CONFIGS = sorted(os.path.join(_CONFIG_DIR, name) for name in os.listdir(_CONFIG_DIR))
@@ -28,6 +33,42 @@ def ar1_simulate_batch(
     for _ in range(t):
         x = p.gamma * x + rng.standard_normal(replicas)
     return x
+
+
+_MAX_PATH_STEP = 1.0 / 64.0
+
+
+@dataclass(frozen=True)
+class PathWindow:
+    """Values of a trajectory on a uniform grid over [-half_width, half_width].
+
+    The interval supremum in the path metric is taken over grid points only;
+    the grid step must not exceed 1/64 so each unit interval holds at least
+    64 sample points.
+    """
+
+    values: np.ndarray
+    half_width: float
+
+    def __post_init__(self) -> None:
+        vals = np.asarray(self.values, float)
+        object.__setattr__(self, "values", vals)
+        if vals.ndim != 1 or vals.size < 2:
+            raise ValueError("values must be a 1-d array with at least 2 points")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("values must be finite")
+        if self.half_width <= 0.0:
+            raise ValueError("half_width must be positive")
+        if self.step > _MAX_PATH_STEP + 1e-12:
+            raise ValueError(f"grid step {self.step} exceeds 1/64")
+
+    @property
+    def step(self) -> float:
+        return 2.0 * self.half_width / (self.values.size - 1)
+
+    @property
+    def grid(self) -> np.ndarray:
+        return np.linspace(-self.half_width, self.half_width, self.values.size)
 
 
 def constant_window(level: float, half_width: float, step: float = 1.0 / 64.0) -> PathWindow:
@@ -126,3 +167,151 @@ def closed_form_inverse_reference(law, m, s, u, a):
     if not np.all(np.isfinite(out)):
         raise CertificationError("residual CDF inversion produced a non-finite value")
     return out
+
+
+def normal_density(kernel: SplitKernel, x, z):
+    """Conditional density at ``z`` of a kernel's normal law given ``x``."""
+    s = kernel.stdev(x)
+    return normal_pdf((z - kernel.mean(x)) / s) / s
+
+
+def validate_minorization(
+    kernel: SplitKernel, n: int, x_grid: np.ndarray, z_grid: np.ndarray
+) -> float:
+    """Smallest slack of ``q(x, z) >= alpha_n / 2`` over the given grids.
+
+    Nonnegative return certifies the minorization on the grid; a negative
+    value is a result, not an error.
+    """
+    n = kernel.ladder.check_index(n)
+    x_grid = np.asarray(x_grid, float)
+    z_grid = np.asarray(z_grid, float)
+    if x_grid.size == 0 or z_grid.size == 0:
+        raise ValueError("grids must be nonempty")
+    b = float(n)
+    if np.any(np.abs(x_grid) > b):
+        raise ValueError(f"x_grid must lie inside the small set [-{b}, {b}]")
+    if np.any(np.abs(z_grid) > 1.0):
+        raise ValueError("z_grid must lie inside [-1, 1]")
+    q = normal_density(kernel, x_grid[:, None], z_grid[None, :])
+    return float(np.min(q) - 0.5 * kernel.ladder.alphas[n])
+
+
+def ar1_bound_curve(p: Ar1Params, t: int, n: int) -> float:
+    """Total-variation bound 4 c exp(-beta n^2) + 2 (1 - alpha_n)^t.
+
+    The first term pays for ever leaving [-n, n] (via the exponential moment
+    and a Markov bound), the second for never regenerating in t attempts.
+    The bound may exceed 2 (it is then vacuous but still valid).
+    """
+    term1, term2 = ar1_bound_terms(p, t, n)
+    return term1 + term2
+
+
+def ar1_rate_fit(p: Ar1Params, t_grid) -> float:
+    """Least-squares decay exponent of the scheduled bound on a log-log grid.
+
+    Fits log(bound(t, n(t))) against log t and returns minus the slope.  The
+    grid needs at least 5 points spanning at least two decades.
+    """
+    t_arr = np.asarray(sorted(int(t) for t in t_grid))
+    if t_arr.size < 5:
+        raise ValueError("need at least 5 grid points")
+    if t_arr[-1] < 100 * t_arr[0]:
+        raise ValueError("grid must span at least two decades")
+    log_b = [math.log(ar1_bound_curve(p, int(t), ar1_n_schedule(p, int(t)))) for t in t_arr]
+    slope = np.polyfit(np.log(t_arr), log_b, 1)[0]
+    return float(-slope)
+
+
+def ma_env_paths(
+    p: LogvolParams, horizon: int, replicas: int, master_seed: int
+) -> np.ndarray:
+    """Batch of stationary environment windows, one replica stream per row.
+
+    Each replica's stream draws its raw normals first, so windows are
+    reproducible regardless of what an experiment draws afterwards.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    layout = [(np.random.Generator.standard_normal, (p.lag + horizon + 2,))]
+    _, _, (eta,) = next(replica_blocks(master_seed, range(replicas), replicas, layout))
+    return ma_env_values(p, eta)
+
+
+def logvol_certify_minorization(p: LogvolParams, n: int) -> float:
+    """Grid slack of ``q(x, env, w) >= alpha_n / 2`` over the n-th sets.
+
+    Grids of 21 points span (x, z, eta) in [-n, n]^3 and 201 points span
+    targets w in [-1, 1]; endpoints are on the grid, so the binding corners
+    are evaluated exactly.  The reach is looked up on the module, so a test
+    can replace it.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    root = math.sqrt(1.0 - p.rho * p.rho)
+    g = np.linspace(-n, n, 21)
+    xg, zg, hg = g[:, None, None, None], g[None, :, None, None], g[None, None, :, None]
+    wg = np.linspace(-1.0, 1.0, 201)[None, None, None, :]
+    s = root * np.exp(zg)
+    arg = (wg - p.gamma * xg - p.rho * np.exp(zg) * hg) / s
+    q = normal_pdf(arg) / s
+    half_alpha = float(normal_pdf(logvol.logvol_dn(p, n))) / (root * math.exp(n))
+    return float(q.min() - half_alpha)
+
+
+def path_metric_d(f: PathWindow, g: PathWindow) -> float:
+    """Weighted sum over unit intervals of the clamped sup distance.
+
+    Computes ``sum_i 2^{-|i|} min(1, sup_{[i, i+1]} |f - g|)`` over the
+    integer intervals contained in the shared window.
+    """
+    if f.values.size != g.values.size or f.half_width != g.half_width:
+        raise ValueError("windows must share their grid")
+    diff = np.abs(f.values - g.values)
+    grid = f.grid
+    total = 0.0
+    i_lo = int(np.ceil(-f.half_width - 1e-12))
+    i_hi = int(np.floor(f.half_width + 1e-12))
+    for i in range(i_lo, i_hi):
+        sel = (grid >= i - 1e-12) & (grid <= i + 1.0 + 1e-12)
+        if not sel.any():
+            continue
+        total += 2.0 ** (-abs(i)) * min(1.0, float(diff[sel].max()))
+    return total
+
+
+def _pairwise_path_d(windows1, windows2) -> np.ndarray:
+    """Matrix of path distances between two equal-grid window collections."""
+    n1, n2 = len(windows1), len(windows2)
+    out = np.empty((n1, n2))
+    for i, w in enumerate(windows1):
+        for j, v in enumerate(windows2):
+            out[i, j] = path_metric_d(w, v)
+    return out
+
+
+def bounded_wasserstein(samples1, samples2, max_pairs: int = 512) -> float:
+    """Average matched cost of the exact assignment between two sample sets.
+
+    Each sample is a tuple ``(state, vol_window, corr_window)``; the pairwise
+    cost is ``min(1, |x1 - x2|) + d(v1, v2) + d(r1, r2)`` with ``d`` the path
+    metric.  The assignment problem is solved exactly (cubic time), and the
+    average matched cost upper-bounds the transport distance between the two
+    empirical laws.
+    """
+    if len(samples1) != len(samples2):
+        raise ValueError("sample sets must have equal size")
+    n = len(samples1)
+    if n == 0:
+        raise ValueError("sample sets must be nonempty")
+    if n > max_pairs:
+        raise ValueError(f"sample size {n} exceeds max_pairs={max_pairs}")
+    x1 = np.array([float(s[0]) for s in samples1])
+    x2 = np.array([float(s[0]) for s in samples2])
+    cost = np.minimum(1.0, np.abs(x1[:, None] - x2[None, :]))
+    cost = cost + _pairwise_path_d([s[1] for s in samples1], [s[1] for s in samples2])
+    cost = cost + _pairwise_path_d([s[2] for s in samples1], [s[2] for s in samples2])
+    from scipy.optimize import linear_sum_assignment
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())

@@ -314,6 +314,9 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys, experiment, command):
 # The one-tap logvol-couple config whose schedule terminates, so that a run
 # gets as far as the coupling.
 _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvol.m_max = 1\n"
+# A two-unit sde-sim whose increment window, at base 1, fits its horizon.
+_SHORT_SDE = ("experiment = sde-sim\nreplicas = 200\nsde.horizon = 2\nsde.checkpoints = 1, 2\n"
+              "sde.increment_base = 1\n")
 
 
 @pytest.mark.parametrize("text, key", [
@@ -365,6 +368,10 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
     # a lag under half a step (dt = 1/256) ran as one full step under its own name
     ("experiment = sde-sim\nreplicas = 100\nsde.increment_lags = 0.001, 0.1\n",
      "sde.increment_lags"),
+    # two lags whose flag names print alike shared one flag, which held only the
+    # second lag's check, so a failing first check could still exit 0
+    (_SHORT_SDE + "sde.increment_lags = 0.1, 0.1000001\n", "sde.increment_lags"),
+    (_SHORT_SDE + "sde.increment_lags = 0.1, 0.1\n", "sde.increment_lags"),
     # an Euler step past its stable range (Lipschitz constant times dt = 2.34)
     # validated, then overflowed into a non-finite report field
     ("experiment = sde-sim\nreplicas = 100\nsde.drift = linear(600)\n", "sde.drift"),
@@ -389,7 +396,8 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
         "sde-l0-se-overflow",
         "drift-overflow", "drift-grid-overflow", "step-cap-0", "target-block-0", "negative-m-max",
         "fractional-ma-lag", "negative-ma-lag", "geometric-ma-ratio", "fractional-ma-h", "negative-increment-lag", "zero-increment-lag",
-        "sub-step-increment-lag", "unstable-euler-linear", "unstable-euler-saturating",
+        "sub-step-increment-lag", "increment-lags-alike", "increment-lags-equal",
+        "unstable-euler-linear", "unstable-euler-saturating",
         "ar1-gamma", "logvol-gamma", "logvol-rho", "sde-dt", "sde-horizon", "sde-burn-in",
         "sde-rho", "increment-window-past-the-horizon-step"])
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -403,6 +411,13 @@ def test_cli_refuses_configs_a_run_cannot_run(tmp_path, capsys, text, key, comma
     assert captured.err.startswith(f"error: {key}: ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_increment_lags_with_distinct_flag_names_each_keep_their_check():
+    report = run(load_config_text(_SHORT_SDE + "sde.increment_lags = 0.1, 0.101\n"))
+    assert [k for k in report.flags if k.startswith("increment_bound_h=")] == [
+        "increment_bound_h=0.1", "increment_bound_h=0.101"]
+    assert len(report.results["increments"]) == 2
 
 
 def test_cli_runs_a_couple_n_whose_weight_is_tiny_but_positive(tmp_path):
@@ -764,7 +779,10 @@ def test_sde_sim_estimate_covers_run_and_write_when_csv_rows_dominate(tmp_path):
     # perfbench's terminating logvol-couple: 200 MCRE steps of 2,000 replicas
     _MCRE_TEXT + "replicas = 2000\nlogvol.target_block = 1\nlogvol.step_cap = 200\n",
     _MCRE_TEXT + "replicas = 5000\nlogvol.target_block = 1\nlogvol.step_cap = 1\n",
-], ids=["ar1-couple-shipped", "ar1-couple-t-1000", "logvol-couple-bench", "logvol-couple-one-step"])
+    # two steps, where counting the environment's normals beside the engine read 1.59
+    _MCRE_TEXT + "replicas = 2000\nlogvol.target_block = 1\nlogvol.step_cap = 2\n",
+], ids=["ar1-couple-shipped", "ar1-couple-t-1000", "logvol-couple-bench", "logvol-couple-one-step",
+        "logvol-couple-two-steps"])
 def test_coupling_estimates_cover_run_and_write(tmp_path, text):
     # A step of the coupling engine holds about 36 arrays of its 2 * replicas
     # elements (coupling.engine_step_bytes).  Uncounted, the shipped

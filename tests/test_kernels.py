@@ -13,17 +13,15 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
-from oracles import closed_form_inverse_reference
+from oracles import closed_form_inverse_reference, normal_density, validate_minorization
 from splitcouple.ar1 import ar1_alpha, ar1_split_kernel
 from splitcouple.errors import CertificationError
 from splitcouple.kernels import (
     SmallSetLadder,
-    SplitKernel,
     _closed_form_inverse,
     _split_inverse,
     normal_pdf,
     split_apply_batch,
-    validate_minorization,
 )
 from splitcouple.logvol import LogvolParams, geometric_ma, logvol_kernel, logvol_ladder
 
@@ -181,10 +179,7 @@ def test_validate_minorization_detects_violation():
     # doubling every alpha makes the certificate fail on the grid boundary
     base = ar1_split_kernel(GAMMA, n_max=4)
     bad_ladder = SmallSetLadder(alphas=tuple(min(2 * a, 1.0) for a in base.ladder.alphas))
-    bad = SplitKernel(
-        density=base.density, cdf=base.cdf, ladder=bad_ladder,
-        mean=base.mean, stdev=base.stdev,
-    )
+    bad = dataclasses.replace(base, ladder=bad_ladder)
     n = 2
     x_grid = np.linspace(-2, 2, 201)
     z_grid = np.linspace(-1, 1, 201)
@@ -194,14 +189,11 @@ def test_validate_minorization_detects_violation():
 def test_validate_minorization_vanishing_alpha_limit():
     base = ar1_split_kernel(GAMMA, n_max=2)
     tiny = SmallSetLadder(alphas=(1e-300,) * 3)
-    kern = SplitKernel(
-        density=base.density, cdf=base.cdf, ladder=tiny,
-        mean=base.mean, stdev=base.stdev,
-    )
+    kern = dataclasses.replace(base, ladder=tiny)
     x_grid = np.linspace(-2, 2, 101)
     z_grid = np.linspace(-1, 1, 101)
     margin = validate_minorization(kern, 2, x_grid, z_grid)
-    min_density = float(np.min(base.density(x_grid[:, None], z_grid[None, :])))
+    min_density = float(np.min(normal_density(base, x_grid[:, None], z_grid[None, :])))
     assert margin == pytest.approx(min_density, abs=1e-12)
     assert margin >= 0.0
 
@@ -298,7 +290,7 @@ def test_closed_form_matches_bisection_on_dense_grid(kernel, model):
         z_bisect = _bisect_split_apply(closed, n, x, u)
         # bisection's own error: half its 1e-12 bracket plus rounding of the
         # CDF, magnified by the inverse density
-        tol = 1e-12 + 4.0 * 2.0**-52 / closed.density(x, z_bisect)
+        tol = 1e-12 + 4.0 * 2.0**-52 / normal_density(closed, x, z_bisect)
         assert np.all(np.abs(z_closed - z_bisect) <= tol), n
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
-from oracles import direct_valid_sum
+from oracles import direct_valid_sum, logvol_certify_minorization, ma_env_paths
 from splitcouple import logvol
 from splitcouple.ar1 import ar1_alpha
 from splitcouple.config import load_config_text
@@ -18,13 +18,11 @@ from splitcouple.logvol import (
     fractional_ma,
     geometric_ma,
     logvol_alpha,
-    logvol_certify_minorization,
     logvol_dn,
     logvol_kernel,
     logvol_ladder,
     logvol_moment_bound,
     logvol_tail,
-    ma_env_paths,
     ma_env_values,
     simulate_logvol_batch,
 )

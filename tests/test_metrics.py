@@ -2,15 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import constant_window
-from splitcouple.metrics import (
-    PathWindow,
-    bounded_wasserstein,
-    path_metric_d,
-    tv_empirical,
-    tv_empirical_se,
-    tv_gaussian,
-)
+from oracles import PathWindow, bounded_wasserstein, constant_window, path_metric_d
+from splitcouple.metrics import tv_empirical, tv_empirical_se, tv_gaussian
 
 # derived with an independent quadrature (two step sizes agreeing to 3e-10)
 TV_N01_N21 = 1.3653789842741717
