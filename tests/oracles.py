@@ -77,6 +77,64 @@ def constant_window(level: float, half_width: float, step: float = 1.0 / 64.0) -
     return PathWindow(np.full(npts, float(level)), half_width)
 
 
+
+def path_metric_d(f: PathWindow, g: PathWindow) -> float:
+    """Weighted sum over unit intervals of the clamped sup distance.
+
+    Computes ``sum_i 2^{-|i|} min(1, sup_{[i, i+1]} |f - g|)`` over the
+    integer intervals contained in the shared window.
+    """
+    if f.values.size != g.values.size or f.half_width != g.half_width:
+        raise ValueError("windows must share their grid")
+    diff = np.abs(f.values - g.values)
+    grid = f.grid
+    total = 0.0
+    i_lo = int(np.ceil(-f.half_width - 1e-12))
+    i_hi = int(np.floor(f.half_width + 1e-12))
+    for i in range(i_lo, i_hi):
+        sel = (grid >= i - 1e-12) & (grid <= i + 1.0 + 1e-12)
+        if not sel.any():
+            continue
+        total += 2.0 ** (-abs(i)) * min(1.0, float(diff[sel].max()))
+    return total
+
+
+def _pairwise_path_d(windows1, windows2) -> np.ndarray:
+    """Matrix of path distances between two equal-grid window collections."""
+    n1, n2 = len(windows1), len(windows2)
+    out = np.empty((n1, n2))
+    for i, w in enumerate(windows1):
+        for j, v in enumerate(windows2):
+            out[i, j] = path_metric_d(w, v)
+    return out
+
+
+def bounded_wasserstein(samples1, samples2, max_pairs: int = 512) -> float:
+    """Average matched cost of the exact assignment between two sample sets.
+
+    Each sample is a tuple ``(state, vol_window, corr_window)``; the pairwise
+    cost is ``min(1, |x1 - x2|) + d(v1, v2) + d(r1, r2)`` with ``d`` the path
+    metric.  The assignment problem is solved exactly (cubic time), and the
+    average matched cost upper-bounds the transport distance between the two
+    empirical laws.
+    """
+    if len(samples1) != len(samples2):
+        raise ValueError("sample sets must have equal size")
+    n = len(samples1)
+    if n == 0:
+        raise ValueError("sample sets must be nonempty")
+    if n > max_pairs:
+        raise ValueError(f"sample size {n} exceeds max_pairs={max_pairs}")
+    x1 = np.array([float(s[0]) for s in samples1])
+    x2 = np.array([float(s[0]) for s in samples2])
+    cost = np.minimum(1.0, np.abs(x1[:, None] - x2[None, :]))
+    cost = cost + _pairwise_path_d([s[1] for s in samples1], [s[1] for s in samples2])
+    cost = cost + _pairwise_path_d([s[2] for s in samples1], [s[2] for s in samples2])
+    from scipy.optimize import linear_sum_assignment
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
+
+
 def k2_integral(kernel: VolatilityKernel, t: float, burn_in: float) -> float:
     """Analytic integral of K^2 over [0, t] (kernel cut at its memory)."""
     mem = kernel.resolved_memory(burn_in)
@@ -258,60 +316,3 @@ def logvol_certify_minorization(p: LogvolParams, n: int) -> float:
     q = normal_pdf(arg) / s
     half_alpha = float(normal_pdf(logvol.logvol_dn(p, n))) / (root * math.exp(n))
     return float(q.min() - half_alpha)
-
-
-def path_metric_d(f: PathWindow, g: PathWindow) -> float:
-    """Weighted sum over unit intervals of the clamped sup distance.
-
-    Computes ``sum_i 2^{-|i|} min(1, sup_{[i, i+1]} |f - g|)`` over the
-    integer intervals contained in the shared window.
-    """
-    if f.values.size != g.values.size or f.half_width != g.half_width:
-        raise ValueError("windows must share their grid")
-    diff = np.abs(f.values - g.values)
-    grid = f.grid
-    total = 0.0
-    i_lo = int(np.ceil(-f.half_width - 1e-12))
-    i_hi = int(np.floor(f.half_width + 1e-12))
-    for i in range(i_lo, i_hi):
-        sel = (grid >= i - 1e-12) & (grid <= i + 1.0 + 1e-12)
-        if not sel.any():
-            continue
-        total += 2.0 ** (-abs(i)) * min(1.0, float(diff[sel].max()))
-    return total
-
-
-def _pairwise_path_d(windows1, windows2) -> np.ndarray:
-    """Matrix of path distances between two equal-grid window collections."""
-    n1, n2 = len(windows1), len(windows2)
-    out = np.empty((n1, n2))
-    for i, w in enumerate(windows1):
-        for j, v in enumerate(windows2):
-            out[i, j] = path_metric_d(w, v)
-    return out
-
-
-def bounded_wasserstein(samples1, samples2, max_pairs: int = 512) -> float:
-    """Average matched cost of the exact assignment between two sample sets.
-
-    Each sample is a tuple ``(state, vol_window, corr_window)``; the pairwise
-    cost is ``min(1, |x1 - x2|) + d(v1, v2) + d(r1, r2)`` with ``d`` the path
-    metric.  The assignment problem is solved exactly (cubic time), and the
-    average matched cost upper-bounds the transport distance between the two
-    empirical laws.
-    """
-    if len(samples1) != len(samples2):
-        raise ValueError("sample sets must have equal size")
-    n = len(samples1)
-    if n == 0:
-        raise ValueError("sample sets must be nonempty")
-    if n > max_pairs:
-        raise ValueError(f"sample size {n} exceeds max_pairs={max_pairs}")
-    x1 = np.array([float(s[0]) for s in samples1])
-    x2 = np.array([float(s[0]) for s in samples2])
-    cost = np.minimum(1.0, np.abs(x1[:, None] - x2[None, :]))
-    cost = cost + _pairwise_path_d([s[1] for s in samples1], [s[1] for s in samples2])
-    cost = cost + _pairwise_path_d([s[2] for s in samples1], [s[2] for s in samples2])
-    from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
