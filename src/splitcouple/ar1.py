@@ -73,7 +73,7 @@ def ar1_alpha(gamma: float, n: int) -> float:
     return float(2.0 * normal_pdf(d))
 
 
-def ar1_split_kernel(gamma: float, n_max: int = 8) -> SplitKernel:
+def ar1_split_kernel(gamma: float, n_max: int) -> SplitKernel:
     """Split kernel for the AR(1) chain with ladder sets [-n, n], n <= n_max."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")

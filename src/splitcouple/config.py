@@ -157,11 +157,12 @@ def _parse_call(key: str, text: str, families: dict[str, int]) -> tuple[str, lis
 
 
 def _ma_coeffs(fields: _Fields) -> tuple[float, ...]:
-    from .logvol import LogvolParams, block_working_bytes, fractional_ma, geometric_ma
-    text = fields.str_("logvol.ma", "geometric(0.5, 512)")
+    from .logvol import (DEFAULT_MA_LAG, LogvolParams, block_working_bytes, fractional_ma,
+                         geometric_ma)
+    text = fields.str_("logvol.ma", f"geometric(0.5, {DEFAULT_MA_LAG})")
     if "(" in text:
         name, args = _parse_call("logvol.ma", text, {"geometric": 2, "fractional": 2})
-        lag = args[1] if len(args) > 1 else 512
+        lag = args[1] if len(args) > 1 else DEFAULT_MA_LAG
         if lag < 0 or lag != int(lag):
             raise ConfigError(f"logvol.ma: lag must be a non-negative integer, got {lag:g}")
         lag = int(lag)
@@ -342,7 +343,7 @@ def load_config_text(text: str) -> ExperimentConfig:
         except OverflowError:  # a parameter squared past the largest double
             raise ConfigError(f"sde.drift: {drift_text}: the growth constant overflows") from None
         except ValueError as exc:
-            raise ConfigError(f"sde.drift: {exc}") from None
+            raise ConfigError(f"sde.drift: {drift_text}: {exc}") from None
         kern_text = fields.str_("sde.kernel", "exponential(1.0)")
         kname, kargs = _parse_call("sde.kernel", kern_text, {"exponential": 1, "fractional": 1})
         param, default = ("lam", 1.0) if kname == "exponential" else ("h", 0.1)
@@ -426,8 +427,6 @@ def load_config_text(text: str) -> ExperimentConfig:
                 f"over the cap {RESOURCE_CAP:.3g}"
             )
 
-    resolved = dict(fields.resolved)
-    resolved["experiment"] = experiment
     return ExperimentConfig(
         experiment=experiment,
         seed=seed,
@@ -435,7 +434,7 @@ def load_config_text(text: str) -> ExperimentConfig:
         output_dir=output_dir,
         model=model,
         options=options,
-        resolved=resolved,
+        resolved=fields.resolved,
         peak_bytes=peak,
     )
 

@@ -97,7 +97,6 @@ class DriftSpec:
     grid-certified when the parameters are built.
     """
 
-    name: str
     fn: Callable[[np.ndarray], np.ndarray]
     growth_k: float
     diss_alpha: float
@@ -107,7 +106,7 @@ class DriftSpec:
     def __post_init__(self) -> None:
         # zeta^2 <= growth_k (x^2 + 1) is certified on the grid, so both sides must stay finite
         if not math.isfinite(self.growth_k * (_DISS_GRID_HALFWIDTH**2 + 1.0)):
-            raise ValueError(f"{self.name}: the growth constant overflows on the grid "
+            raise ValueError("the growth constant overflows on the grid "
                              f"[-{_DISS_GRID_HALFWIDTH:g}, {_DISS_GRID_HALFWIDTH:g}]")
 
 
@@ -115,7 +114,6 @@ def linear_drift(kappa: float = 1.0) -> DriftSpec:
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     return DriftSpec(
-        name=f"linear({kappa:g})",
         fn=lambda x: -kappa * np.asarray(x, float),
         growth_k=kappa**2,
         diss_alpha=kappa,
@@ -128,7 +126,6 @@ def saturating_drift(kappa: float = 1.0, a: float = 1.0) -> DriftSpec:
     if kappa <= 0.0 or a < 0.0:
         raise ValueError("need kappa > 0 and a >= 0")
     return DriftSpec(
-        name=f"saturating({kappa:g},{a:g})",
         fn=lambda x: -kappa * np.asarray(x, float) + a * np.sin(np.asarray(x, float)),
         growth_k=2.0 * max(kappa**2, a**2),
         diss_alpha=kappa / 2.0,
@@ -149,10 +146,10 @@ def dissipativity_check(zeta, alpha: float, beta: float, grid) -> float:
 class SdeParams:
     zeta: DriftSpec
     kernel: VolatilityKernel
-    rho: float = 0.0
-    dt: float = 1.0 / 256.0
-    horizon: float = 20.0
-    burn_in: float = 10.0
+    rho: float
+    dt: float
+    horizon: float
+    burn_in: float
 
     def __post_init__(self) -> None:
         # each refusal starts with the name of the field it refuses
@@ -356,40 +353,16 @@ def simulate_ensemble(
     return out
 
 
-@dataclass(frozen=True)
-class IncrementConstants:
-    growth_k: float
-    l_tilde: float
-    ev2: float
-    ev4: float
-
-
-def increment_constants(p: SdeParams, l_tilde: float) -> IncrementConstants:
-    """Bound constants from the drift declaration and the log-normal moments."""
-    s2 = discrete_log_vol_variance(p)
-    return IncrementConstants(
-        growth_k=p.zeta.growth_k,
-        l_tilde=float(l_tilde),
-        ev2=math.exp(2.0 * s2),
-        ev4=math.exp(8.0 * s2),
-    )
-
-
-@dataclass(frozen=True)
-class IncrementCheck:
-    passed: bool
-    empirical: float
-    bound: float
-    se: float
-
-
-def increment_moment_check(
-    samples_t: np.ndarray, samples_th: np.ndarray, h: float, constants: IncrementConstants
-) -> IncrementCheck:
+def increment_moment_check(samples_t: np.ndarray, samples_th: np.ndarray, h: float,
+                           growth_k: float, l_tilde: float,
+                           log_vol_variance: float) -> tuple[bool, dict]:
     """Second-moment test of the increment over a lag h against
-    ``6 h^2 (K L~ + K + E[V^4]/4) + 6 h E[V^2]`` plus four standard errors.
+    ``6 h^2 (K L~ + K + E[V^4]/4) + 6 h E[V^2]`` plus four standard errors,
+    with ``K`` the drift's growth constant and the log-normal moments
+    ``E[V^2] = exp(2 s2)``, ``E[V^4] = exp(8 s2)`` of the log-vol variance s2.
 
-    Both sample vectors must come from the same paths.
+    Both sample vectors must come from the same paths.  Returns the flag and
+    the report entry: ``empirical``, ``bound`` and ``se``.
     """
     a = np.asarray(samples_t, float)
     b = np.asarray(samples_th, float)
@@ -400,10 +373,9 @@ def increment_moment_check(
     sq = (b - a) ** 2
     emp = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(sq.size)) if sq.size > 1 else 0.0
-    k = constants.growth_k
-    bound = 6.0 * h * h * (k * constants.l_tilde + k + constants.ev4 / 4.0)
-    bound += 6.0 * h * constants.ev2
-    return IncrementCheck(passed=emp <= bound + 4.0 * se, empirical=emp, bound=bound, se=se)
+    bound = 6.0 * h * h * (growth_k * l_tilde + growth_k + math.exp(8.0 * log_vol_variance) / 4.0)
+    bound += 6.0 * h * math.exp(2.0 * log_vol_variance)
+    return emp <= bound + 4.0 * se, {"empirical": emp, "bound": bound, "se": se}
 
 
 def increment_flag(h: float) -> str:

@@ -21,8 +21,7 @@ import numpy.rec  # loaded on first use otherwise, inside a run (see streams)
 from .config import ExperimentConfig
 from .errors import RunError, ScheduleError
 from .fracvol import (
-    discrete_log_vol_variance, increment_constants, increment_flag, increment_moment_check,
-    simulate_ensemble,
+    discrete_log_vol_variance, increment_flag, increment_moment_check, simulate_ensemble,
 )
 from .metrics import tv_empirical, tv_empirical_se, tv_gaussian
 from .streams import replica_blocks, replica_uniform_pairs
@@ -282,17 +281,15 @@ def _run_sde_sim(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
         for i in range(len(tv_vals) - 1)
     )
     l_tilde = float(max(np.mean(x**2) for x in samples.reshape(-1, cfg.replicas)))
-    consts = increment_constants(p, l_tilde)
+    s2 = discrete_log_vol_variance(p)
     base = p.step_of(cfg.options["increment_base"])
     inc_flags, inc_results = {}, []
     for h_req in cfg.options["increment_lags"]:
         k = p.step_of(h_req)  # validate refuses a lag of no step
-        check = increment_moment_check(at[base][0], at[base + k][0], k * p.dt, consts)
-        inc_flags[increment_flag(h_req)] = check.passed
-        inc_results.append(
-            {"h_requested": h_req, "h_actual": k * p.dt, "empirical": check.empirical,
-             "bound": check.bound, "se": check.se}
-        )
+        passed, entry = increment_moment_check(at[base][0], at[base + k][0], k * p.dt,
+                                               p.zeta.growth_k, l_tilde, s2)
+        inc_flags[increment_flag(h_req)] = passed
+        inc_results.append({"h_requested": h_req, "h_actual": k * p.dt, **entry})
     flags = {
         "tv_final_below_threshold": tv_vals[-1] < cfg.options["tv_threshold"],
         "tv_nonincreasing": nonincreasing,
@@ -315,7 +312,7 @@ def _run_sde_sim(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
         "tv_se": tv_ses,
         "moments": moments,
         "l_tilde": l_tilde,
-        "log_vol_variance": discrete_log_vol_variance(p),
+        "log_vol_variance": s2,
         "increments": inc_results,
     }
     # One record per sample, in (state, recorded step, replica) order.

@@ -161,26 +161,23 @@ def logvol_tail(p: LogvolParams, n: int) -> float:
 
 def logvol_schedule(p: LogvolParams, m_max: int) -> BlockSchedule:
     """Block schedule of the chain from its tails and minorization weights."""
-    return block_schedule(lambda n: logvol_tail(p, n), lambda n: logvol_alpha(p, n), m_max, n_min=1)
+    return block_schedule(lambda n: logvol_tail(p, n), lambda n: logvol_alpha(p, n), m_max)
 
 
-def logvol_kernel(p: LogvolParams, z, eta_next, n_max: int = 2,
-                  ladder: SmallSetLadder | None = None) -> SplitKernel:
+def logvol_kernel(p: LogvolParams, z, eta_next, ladder: SmallSetLadder) -> SplitKernel:
     """Split kernel of the chain with the environment frozen at (z, eta_next).
 
     ``z`` and ``eta_next`` may be scalars or arrays aligned with the state
     vectors the kernel will be applied to; the kernel carries them as its
     ``env``, so its small sets are the joint boxes [-n, n]^3 on which the
     ladder weights hold.  ``ladder`` is ``logvol_ladder(p, n_max)``, built
-    here when not given.
+    once by the caller and shared by every step's kernel.
     """
     z = np.asarray(z, float)
     eta_next = np.asarray(eta_next, float)
     root = _scale_root(p.rho)
     shift = p.rho * np.exp(z) * eta_next
     scale = root * np.exp(z)
-    if ladder is None:
-        ladder = logvol_ladder(p, n_max)
 
     def cdf(x, w):
         arg = (np.asarray(w, float) - p.gamma * np.asarray(x, float) - shift) / scale

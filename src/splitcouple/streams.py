@@ -327,7 +327,7 @@ class ScanPlan:
         return valid
 
 
-def ma_plan(taps, rows: int, n_in: int, rate: float | None = None) -> ConvPlan | ScanPlan:
+def ma_plan(taps, rows: int, n_in: int, rate: float | None) -> ConvPlan | ScanPlan:
     """The plan that convolves (k <= rows, n_in) arrays with ``taps``: a
     ``ScanPlan`` when the caller knows the taps geometric with decay ``rate``
     a step, a ``ConvPlan`` for any other (``rate`` None)."""
@@ -336,7 +336,7 @@ def ma_plan(taps, rows: int, n_in: int, rate: float | None = None) -> ConvPlan |
     return ScanPlan(taps, rate, rows, n_in)
 
 
-def ma_plan_row_bytes(n_taps: int, n_in: int, rate: float | None = None) -> int:
+def ma_plan_row_bytes(n_taps: int, n_in: int, rate: float | None) -> int:
     """Bytes a row of ``ma_plan(taps, rows, n_in, rate)`` holds for ``n_taps`` taps, by the
     shapes its plan allocates (a scan's taps all nonzero), or one tap's product."""
     if rate is not None:

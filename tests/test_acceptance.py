@@ -44,7 +44,7 @@ from splitcouple.ar1 import (
 from splitcouple.config import load_config
 from splitcouple.harness import run
 from splitcouple.kernels import split_apply_batch
-from splitcouple.logvol import LogvolParams, geometric_ma, logvol_kernel
+from splitcouple.logvol import LogvolParams, geometric_ma, logvol_kernel, logvol_ladder
 from splitcouple.metrics import tv_gaussian
 from splitcouple.streams import replica_rng
 
@@ -162,7 +162,7 @@ def test_criterion_6_split_law_ks():
     root = math.sqrt(1.0 - 0.3**2)
     for i, (x, z, eta) in enumerate(((0.0, 0.2, 1.0), (1.5, -0.4, -0.7), (5.0, 0.8, 0.3))):
         rng = replica_rng(601, i)
-        kern = logvol_kernel(LOGVOL_PARAMS, z, eta, n_max=2)
+        kern = logvol_kernel(LOGVOL_PARAMS, z, eta, logvol_ladder(LOGVOL_PARAMS, 2))
         draws = split_apply_batch(
             kern, 2, np.full(n_samples, x), rng.random(n_samples), rng.random(n_samples)
         )

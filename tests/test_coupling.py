@@ -60,7 +60,7 @@ def _backward_orbit(kernel, n, x0, u, t):
 
 def test_backward_orbit_depth_zero_and_one(kernel):
     # Depth zero is the identity, which the engine does not run.
-    u = np.array([[0.3, 0.8], [0.6, 0.1]])
+    u = np.array([[[0.3, 0.8], [0.6, 0.1]]])  # one replica, two steps
     with pytest.raises(ValueError, match="1 <= s <= t"):
         _backward_orbit(kernel, 2, 1.5, u, 0)
     one = _backward_orbit(kernel, 2, 1.5, u, 1)
@@ -69,8 +69,8 @@ def test_backward_orbit_depth_zero_and_one(kernel):
 
 
 def test_backward_orbit_needs_enough_uniforms(kernel):
-    with pytest.raises(ValueError):
-        _backward_orbit(kernel, 2, 0.0, np.zeros((3, 2)) + 0.5, 4)
+    with pytest.raises(ValueError, match="too short"):
+        _backward_orbit(kernel, 2, 0.0, np.zeros((1, 3, 2)) + 0.5, 4)
 
 
 def test_backward_orbit_marginal_moments(kernel):
@@ -96,10 +96,17 @@ def test_backward_orbit_matches_forward_law(kernel):
 
 def test_coupled_pair_degenerate_equal_depths(kernel):
     u = np.random.default_rng(0).random((5, 2))
-    pair = coupled_pair_batch(kernel, 2, 0.5, 5, 5, u)[0]
+    pair = coupled_pair_batch(kernel, 2, 0.5, 5, 5, u[None])[0]
     assert _events(pair.codes)[0] == "A"
     assert pair.couple_step == 0
     assert pair.final[0] == pair.final[1]
+
+
+def test_coupled_pair_refuses_a_table_without_a_replica_axis(kernel):
+    # one replica's (steps, 2) table is refused, not read as a batch of one
+    u = np.random.default_rng(0).random((5, 2))
+    with pytest.raises(ValueError, match=r"shape \(replicas, steps, 2\)$"):
+        coupled_pair_batch(kernel, 2, 0.5, 5, 5, u)
 
 
 def test_coupled_pair_regeneration_forces_coalescence(kernel):
@@ -108,7 +115,7 @@ def test_coupled_pair_regeneration_forces_coalescence(kernel):
     u = rng.random((6, 2))
     u[:, 0] = np.minimum(u[:, 0], 0.9)  # keep brackets sane
     u[0] = (0.0, 0.7)  # backward index 0 is the final step
-    pair = coupled_pair_batch(kernel, 4, 0.5, 3, 6, u)[0]
+    pair = coupled_pair_batch(kernel, 4, 0.5, 3, 6, u[None])[0]
     events = _events(pair.codes)
     if events[-2] in "AB":  # in the set (or already met) before the last step
         assert events[-1] == "A"
@@ -164,10 +171,17 @@ def test_empirical_coupling_beats_lower_bound(kernel):
 
 
 def test_tv_upper_from_coupling_edges():
+    # Wald's width is 0 at zero failures; the exact one-sided bound at the
+    # 3-sigma level, 1 - 0.00135^(1/n) on the failure probability, is not
+    exact = 2.0 * (1.0 - 0.00135 ** (1.0 / 10))
     all_coupled = np.ones(10, bool)
-    assert tv_upper_from_coupling(all_coupled) == (0.0, 0.0)
+    assert tv_upper_from_coupling(all_coupled) == (0.0, exact)
     none_coupled = np.zeros(10, bool)
-    assert tv_upper_from_coupling(none_coupled) == (2.0, 0.0)
+    assert tv_upper_from_coupling(none_coupled) == (2.0, exact)
+    # where Wald's width is the larger it stands, bit for bit
+    half = np.arange(100) < 50
+    assert tv_upper_from_coupling(half) == (1.0, 2.0 * 3.0 * math.sqrt(0.25 / 100))
+    assert tv_upper_from_coupling(np.ones(10_000, bool))[1] == pytest.approx(2 * 6.6e-4, rel=2e-3)
     with pytest.raises(ValueError):
         tv_upper_from_coupling(np.zeros(0, bool))
 
@@ -193,7 +207,7 @@ def test_block_schedule_empty():
 
 def test_block_schedule_errors():
     with pytest.raises(ScheduleError):
-        block_schedule(lambda n: 0.3, lambda n: 0.5, 2, n_cap=1024)
+        block_schedule(lambda n: 0.3, lambda n: 0.5, 2)  # no n <= 2^20 reaches 1/2
     with pytest.raises(ScheduleError):
         block_schedule(lambda n: 4.0 / n**2, lambda n: 0.0, 1)
 
@@ -210,19 +224,21 @@ def test_block_schedule_errors():
 @example(c=1.0, r=0.5, a0=1.0, decay=0.0, m_max=1, n_min=0)  # tail(n_min) > 2^-m >= tail(n_min + 1)
 def test_block_schedule_matches_brute_force_scan(c, r, a0, decay, m_max, n_min):
     # Geometric tails and constant (decay 0) or decreasing weights in (0, 1];
-    # each entry must be the first index a plain scan reaches.
+    # each entry must be the first index a plain scan reaches.  The schedule
+    # searches from n = 1, so a scan from n_min shifts its inputs by n_min - 1.
     def tail(n):
         return min(1.0, c * r**n)
 
     def alpha(n):
         return a0 / (1.0 + decay * n)
 
-    sched = block_schedule(tail, alpha, m_max, n_min=n_min)
+    shift = n_min - 1
+    sched = block_schedule(lambda n: tail(n + shift), lambda n: alpha(n + shift), m_max)
     for m in range(1, m_max + 1):
         n = n_min
         while tail(n) > 2.0**-m:
             n += 1
-        assert sched.n_of_m[m - 1] == n
+        assert sched.n_of_m[m - 1] + shift == n
         assert sched.alphas[m - 1] == alpha(n)
         rate = math.inf if alpha(n) == 1.0 else -math.log1p(-alpha(n))
         big_n = 1
@@ -313,7 +329,7 @@ def test_mcre_preconditions(kernel):
         n_of_m=(1,), N_of_m=(5,), M_of_m=(0, 5),
         alphas=(kernel.ladder.alphas[1],), tails=(0.4,),
     )
-    u = np.zeros((8, 2)) + 0.5
+    u = np.zeros((1, 8, 2)) + 0.5
     with pytest.raises(ValueError, match="past the schedule"):
         mcre_coupled_chains_batch(_const(kernel), np.zeros((1, 9, 1)), (0.0, 1.0), sched, 8, u)
     with pytest.raises(ValueError, match="environment"):
@@ -326,7 +342,7 @@ def test_environment_window_validation(kernel):
         n_of_m=(1,), N_of_m=(5,), M_of_m=(0, 5),
         alphas=(kernel.ladder.alphas[1],), tails=(0.4,),
     )
-    u = np.zeros((5, 2)) + 0.5
+    u = np.zeros((1, 5, 2)) + 0.5
     for env in (np.zeros(6), np.zeros((1, 6)), np.zeros((6, 1))):
         with pytest.raises(ValueError, match="environment"):
             mcre_coupled_chains_batch(_const(kernel), env, (0.0, 1.0), sched, 5, u)

@@ -14,13 +14,11 @@ from splitcouple.errors import RunError
 from splitcouple.fracvol import (
     _kernel_taps,
     _volatility_paths,
-    IncrementConstants,
     SdeParams,
     VolatilityKernel,
     dissipativity_check,
     discrete_log_vol_variance,
     euler_step,
-    increment_constants,
     increment_moment_check,
     linear_drift,
     saturating_drift,
@@ -34,7 +32,8 @@ FRAC_KERNEL = VolatilityKernel(kind="fractional", h=0.1)
 
 
 def _params(**kw):
-    defaults = dict(zeta=linear_drift(1.0), kernel=EXP_KERNEL, rho=0.3)
+    defaults = dict(zeta=linear_drift(1.0), kernel=EXP_KERNEL, rho=0.3, dt=1.0 / 256.0,
+                    horizon=20.0, burn_in=10.0)
     defaults.update(kw)
     return SdeParams(**defaults)
 
@@ -375,10 +374,10 @@ def test_initialization_forgetting_small():
 
 
 def test_increment_check_zero_lag():
-    consts = IncrementConstants(growth_k=1.0, l_tilde=1.0, ev2=1.0, ev4=1.0)
+    # growth constant 1, L~ = 1 and unit moments (log-vol variance 0)
     same = np.zeros(100)
-    check = increment_moment_check(same, same, 0.0, consts)
-    assert check.passed and check.empirical == 0.0 and check.bound == 0.0
+    passed, check = increment_moment_check(same, same, 0.0, 1.0, 1.0, 0.0)
+    assert passed and check["empirical"] == 0.0 and check["bound"] == 0.0
 
 
 def test_increment_check_constant_coefficients():
@@ -388,12 +387,12 @@ def test_increment_check_constant_coefficients():
     h, n = 0.25, 200_000
     base = np.zeros(n)
     shifted = -h / 2.0 + math.sqrt(h) * rng.standard_normal(n)
-    consts = IncrementConstants(growth_k=1e-12, l_tilde=1.0, ev2=1.0, ev4=1.0)
-    check = increment_moment_check(base, shifted, h, consts)
+    # growth constant 1e-12, L~ = 1 and unit moments (log-vol variance 0)
+    passed, check = increment_moment_check(base, shifted, h, 1e-12, 1.0, 0.0)
     exact = h * h / 4.0 + h
-    assert abs(check.empirical - exact) < 4 * check.se
-    assert check.passed
-    assert check.bound == pytest.approx(6 * h * h * (1e-12 * 2 + 0.25) + 6 * h, rel=1e-9)
+    assert abs(check["empirical"] - exact) < 4 * check["se"]
+    assert passed
+    assert check["bound"] == pytest.approx(6 * h * h * (1e-12 * 2 + 0.25) + 6 * h, rel=1e-9)
 
 
 def test_increment_scaling_linear_in_h():
@@ -411,9 +410,9 @@ def test_increment_check_from_ensemble():
     h = 16 * p.dt
     res = simulate_ensemble(p, [0.0], 5000, [640, 656], seed=5)  # t = 5 and 5 + h
     l_tilde = max(float(np.mean(res[0, j] ** 2)) for j in range(2))
-    consts = increment_constants(p, l_tilde)
-    check = increment_moment_check(res[0, 0], res[0, 1], h, consts)
-    assert check.passed
+    passed, _ = increment_moment_check(res[0, 0], res[0, 1], h, p.zeta.growth_k, l_tilde,
+                                       discrete_log_vol_variance(p))
+    assert passed
 
 
 @pytest.mark.parametrize("kernel", [EXP_KERNEL, VolatilityKernel("exponential", lam=2.5),

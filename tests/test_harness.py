@@ -430,6 +430,24 @@ def test_cli_runs_a_couple_n_whose_weight_is_tiny_but_positive(tmp_path):
     assert cli_main(["run", cfg_path]) == 0
 
 
+def test_cli_tv_sandwich_holds_when_every_replica_couples(tmp_path):
+    # The shipped ar1-couple at s, t = 150, 300: every replica couples (most
+    # orbits merge in floating point), where Wald's half width is 0 while the
+    # exact TV is positive, so the sandwich failed on correct code.
+    shipped = [path for path in SHIPPED_CONFIGS if path.endswith("ar1-couple.cfg")][0]
+    with open(shipped, encoding="utf-8") as fh:
+        text = fh.read()
+    cfg_path = str(tmp_path / "exp.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(text + "replicas = 1000\ncouple.s = 150\ncouple.t = 300\n"
+                 f"output.dir = {tmp_path}/run\n")
+    assert cli_main(["run", cfg_path]) == 0
+    with open(tmp_path / "run" / "report.json", encoding="utf-8") as fh:
+        results = json.load(fh)["results"]
+    assert results["coupled_fraction"] == 1.0 and results["tv_bound"] == 0.0
+    assert results["tv_half_width"] > results["tv_exact"] > 0.0
+
+
 def test_cli_runs_a_stiff_drift_inside_the_euler_step_s_stable_range(tmp_path, capsys):
     # kappa dt = 500/256 = 1.95: each step multiplies the state by -0.95, so
     # the paths oscillate but decay, and every reported statistic is finite.

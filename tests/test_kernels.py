@@ -233,6 +233,7 @@ def test_ar1_alpha_ladder_matches_closed_form(kernel):
 # --- closed-form inversion against a bisection oracle and mpmath -----------
 
 P_LOGVOL = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=geometric_ma(0.5, 64))
+LOGVOL_LADDER = logvol_ladder(P_LOGVOL, 2)  # the sets [-n, n]^3, n <= 2
 
 
 def _logvol_grid_kernel(size, radius=2.0, seed=5):
@@ -241,7 +242,7 @@ def _logvol_grid_kernel(size, radius=2.0, seed=5):
     # weights of indices up to the radius are valid minorizations.
     rng = np.random.default_rng(seed)
     env = rng.uniform(-radius, radius, (2, size))
-    return logvol_kernel(P_LOGVOL, env[0], env[1])
+    return logvol_kernel(P_LOGVOL, env[0], env[1], LOGVOL_LADDER)
 
 
 def _grid(x_values, u_values):
@@ -318,7 +319,7 @@ def test_closed_form_tails_match_mpmath(kernel, u):
         got = split_apply_batch(kernel, n, np.array([x]), np.ones(1), np.array([u]))[0]
         cases.append((got, GAMMA * x, 1.0, a))
     env_z, env_eta, x = 0.4, -0.8, 0.9
-    lv = logvol_kernel(P_LOGVOL, env_z, env_eta)
+    lv = logvol_kernel(P_LOGVOL, env_z, env_eta, LOGVOL_LADDER)
     got = split_apply_batch(lv, 1, np.array([x]), np.ones(1), np.array([u]))[0]
     root = math.sqrt(1.0 - P_LOGVOL.rho**2)
     m = P_LOGVOL.gamma * x + P_LOGVOL.rho * math.exp(env_z) * env_eta
@@ -338,7 +339,7 @@ def test_default_membership_keeps_an_environment_outside_its_set_from_regenerati
     z, eta = env[:, np.any(np.abs(env) > n, axis=0)]
     size = z.size
     x = rng.uniform(-n, n, size)
-    kern = logvol_kernel(P_LOGVOL, z, eta)
+    kern = logvol_kernel(P_LOGVOL, z, eta, LOGVOL_LADDER)
     u1 = rng.random(size) * kern.ladder.alphas[n]
     u2 = rng.uniform(0.01, 0.99, size)
     out = split_apply_batch(kern, n, x, u1, u2)
@@ -347,7 +348,7 @@ def test_default_membership_keeps_an_environment_outside_its_set_from_regenerati
     np.testing.assert_allclose(out, full, rtol=1e-14, atol=1e-14)
     assert not np.any(out == 2.0 * u2 - 1.0)
     # the same rows regenerate once the environment is inside the set
-    inside = logvol_kernel(P_LOGVOL, np.zeros(size), np.zeros(size))
+    inside = logvol_kernel(P_LOGVOL, np.zeros(size), np.zeros(size), LOGVOL_LADDER)
     assert np.array_equal(split_apply_batch(inside, n, x, u1, u2), 2.0 * u2 - 1.0)
 
 
@@ -362,7 +363,7 @@ def test_in_small_set_is_the_box_in_state_and_environment(case):
     if case == "ar1":  # no environment: the box in the state alone
         kern, z, eta = ar1_split_kernel(GAMMA, n_max=2), 0.0 * _Z, 0.0 * _ETA
     elif case == "logvol_kernel":
-        kern = logvol_kernel(P_LOGVOL, _Z, _ETA)
+        kern = logvol_kernel(P_LOGVOL, _Z, _ETA, LOGVOL_LADDER)
     else:  # as the MCRE run builds it: from environment rows, on a shared ladder
         rows = np.stack([_Z, _ETA], axis=-1)
         kern = logvol_kernel(P_LOGVOL, rows[:, 0], rows[:, 1], ladder=logvol_ladder(P_LOGVOL, 2))
@@ -378,9 +379,9 @@ def test_closed_form_scalar_matches_batch_logvol():
     x = rng.uniform(-3.0, 3.0, size)
     u1, u2 = rng.random(size), rng.random(size)
     for n in range(3):
-        batch = split_apply_batch(logvol_kernel(P_LOGVOL, env_z, env_eta), n, x, u1, u2)
+        batch = split_apply_batch(logvol_kernel(P_LOGVOL, env_z, env_eta, LOGVOL_LADDER), n, x, u1, u2)
         singles = np.array([
-            _apply_one(logvol_kernel(P_LOGVOL, zi, ei), n, float(xi), a, b)
+            _apply_one(logvol_kernel(P_LOGVOL, zi, ei, LOGVOL_LADDER), n, float(xi), a, b)
             for zi, ei, xi, a, b in zip(env_z, env_eta, x, u1, u2)
         ])
         assert np.array_equal(batch, singles)
@@ -441,8 +442,8 @@ def test_split_mapping_preserves_its_law(model, n_max, data):
         kernel = ar1_split_kernel(gamma, n_max=n_max)
     else:
         z, eta_next = data.draw(st.tuples(st.floats(-n, n), st.floats(-n, n)), label="env")
-        kernel = logvol_kernel(LogvolParams(gamma=gamma, rho=0.3, ma_coeffs=(0.5,)), z, eta_next,
-                               n_max=n_max)
+        p = LogvolParams(gamma=gamma, rho=0.3, ma_coeffs=(0.5,))
+        kernel = logvol_kernel(p, z, eta_next, logvol_ladder(p, n_max))
     x = data.draw(st.floats(-1.5, 1.5), label="x / radius") * max(kernel.ladder.radii[n], 1.0)
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     u1, u2 = np.random.default_rng(seed).random((2, 2000))
@@ -513,8 +514,8 @@ def test_inversion_matches_its_reference_bit_for_bit(model, n_max, data):
         kernel = ar1_split_kernel(gamma, n_max=n_max)
     else:
         env = rng.uniform(-n, n, (2, size))
-        kernel = logvol_kernel(LogvolParams(gamma=gamma, rho=0.3, ma_coeffs=(0.5,)),
-                               env[0], env[1], n_max=n_max)
+        p = LogvolParams(gamma=gamma, rho=0.3, ma_coeffs=(0.5,))
+        kernel = logvol_kernel(p, env[0], env[1], logvol_ladder(p, n_max))
     m, s, u, a = _inversion_rows(kernel, n, rng, size)
 
     # the batch holds every piece, a clipped start and far-off states

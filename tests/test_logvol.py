@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
-from oracles import direct_valid_sum, logvol_certify_minorization, ma_env_paths
+from oracles import SHIPPED_CONFIGS, direct_valid_sum, logvol_certify_minorization, ma_env_paths
 from splitcouple import logvol
 from splitcouple.ar1 import ar1_alpha
-from splitcouple.config import load_config_text
+from splitcouple.config import load_config, load_config_text
 from splitcouple.harness import run
 from splitcouple.kernels import split_apply_batch
 from splitcouple.logvol import (
@@ -209,9 +210,19 @@ def test_tail_properties():
         logvol_tail(P_STD, 0)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the schedule's state tail adds logvol.x0^2, not the square of the "
+                          "chains' starts logvol.x0_pair (ROADMAP item 9)")
+def test_logvol_couple_schedule_tail_is_taken_at_the_chains_starts():
+    cfg = load_config([path for path in SHIPPED_CONFIGS if path.endswith("logvol-couple.cfg")][0])
+    at_starts = dataclasses.replace(cfg.model, x0=max(abs(x) for x in cfg.options["x0_pair"]))
+    for n in range(1, 33):  # the tails sit at their cap of 1 up to n = 4
+        assert logvol_tail(cfg.model, n) == logvol_tail(at_starts, n), n
+
+
 def test_frozen_kernel_law():
     z0, eta0, x0 = 0.4, -0.8, 1.0
-    kern = logvol_kernel(P_STD, z0, eta0)
+    kern = logvol_kernel(P_STD, z0, eta0, logvol_ladder(P_STD, 2))
     rng = np.random.default_rng(0)
     n = 60_000
     draws = split_apply_batch(kern, 2, np.full(n, x0), rng.random(n), rng.random(n))

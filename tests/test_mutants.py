@@ -16,6 +16,7 @@ left out: at ``couple.n = 3`` it is near-equivalent to the correct sampler
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from oracles import SHIPPED_CONFIGS
@@ -35,6 +36,18 @@ def _regenerate_at_three_alpha(monkeypatch, ran):
     def mutant(kernel, n, x, u1, u2, in_set=None):
         ran.add("split_apply_batch")
         return real(kernel, n, x, u1 / 3.0, u2, in_set)
+
+    monkeypatch.setattr(coupling, "split_apply_batch", mutant)
+
+
+def _regenerate_at_every_b_step(monkeypatch, ran):
+    # u1 = 0 <= alpha: every element in the small set regenerates, so two
+    # orbits that reach it together coalesce there
+    real = coupling.split_apply_batch
+
+    def mutant(kernel, n, x, u1, u2, in_set=None):
+        ran.add("split_apply_batch")
+        return real(kernel, n, x, np.zeros_like(u1), u2, in_set)
 
     monkeypatch.setattr(coupling, "split_apply_batch", mutant)
 
@@ -78,6 +91,8 @@ def _uncaught(item):
 @pytest.mark.parametrize("experiment, plant", [
     pytest.param("ar1-couple", _regenerate_at_three_alpha, id="3alpha",
                  marks=_uncaught("ROADMAP items 1 and 11")),
+    pytest.param("ar1-couple", _regenerate_at_every_b_step, id="coalesce-every-b",
+                 marks=_uncaught("ROADMAP items 1 and 8")),
     pytest.param("sde-sim", _linear_drift_kappa(0.3), id="kappa-0.3",
                  marks=_uncaught("ROADMAP item 2")),
     pytest.param("sde-sim", _linear_drift_kappa(0.15), id="kappa-0.15",
