@@ -201,8 +201,8 @@ class ExperimentConfig:
     output_dir: str
     model: Any
     options: dict[str, Any]
-    resolved: dict[str, Any] = field(repr=False, default_factory=dict)
-    peak_bytes: int = 0  # estimate, see _estimate_peak_bytes
+    resolved: dict[str, Any] = field(repr=False)
+    peak_bytes: int  # estimate, see _estimate_peak_bytes
 
 
 _CONFIG_NAMES = {"ma_coeffs": "ma", "zeta": "drift"}  # model fields keyed under another name

@@ -7,7 +7,10 @@ Brownian motion B against a square-integrable kernel of unit scale.  Stationarit
 volatility is approximated by a finite-history convolution over a burn-in
 window, through the plan ``streams.ma_plan`` picks: a blocked recursive scan
 for an exponential kernel, whose taps are geometric (``VolatilityKernel.rate``),
-and an FFT for a fractional one.  Dissipativity of the drift is certified on
+and an FFT for a fractional one.  Only the taps up to the kernel's last nonzero
+one, its reach, are convolved, over the increments they touch: a fractional
+kernel, cut at a tenth of the burn-in, reads a tenth of the window, and a row
+gives ``n - reach + 1`` values.  Dissipativity of the drift is certified on
 a grid.  The left-point Euler step splits into the state's drift
 ``zeta(L) dt`` and a part that does not depend on the state,
 ``q = V (rho dB + sqrt(1 - rho^2) dW) - V^2/2 dt``,
@@ -200,6 +203,25 @@ def _kernel_taps(kernel: VolatilityKernel, dt: float, burn_in: float) -> np.ndar
     return kernel.values(dt * np.arange(1, m + 1), burn_in)
 
 
+def _kernel_reach(kernel: VolatilityKernel, dt: float, burn_in: float) -> int:
+    """Taps up to the kernel's last nonzero one, and at least one: a kernel whose
+    every tap underflows still gets a plan, of one zero tap, that gives J = 0.
+
+    A kernel's taps are nonzero up to a point and zero after it (it is cut at its
+    memory, and an exponential one decays), so this bisects on single taps, each
+    computed as ``_kernel_taps`` computes it, and ``validate``'s estimate builds
+    no burn-in's worth of taps.
+    """
+    lo, hi = 1, int(round(burn_in / dt))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if kernel.values(dt * np.arange(mid, mid + 1), burn_in)[0] != 0.0:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def discrete_log_vol_variance(p: SdeParams) -> float:
     """Exact variance of the discrete moving average J (Ito isometry)."""
     taps = _kernel_taps(p.kernel, p.dt, p.burn_in)
@@ -210,7 +232,8 @@ def _volatility_paths(plan: ConvPlan | ScanPlan, db: np.ndarray) -> np.ndarray:
     """Volatility exp(J) of each row of Brownian increments, in ``plan``'s
     buffer until its next call: J at a grid point after the burn-in window is
     the left-point convolution of the kernel taps with the window's increments,
-    so a row of ``n`` increments gives ``n - burn_steps + 1`` values."""
+    so a row of ``n`` increments gives ``n - reach + 1`` values for a plan of
+    ``reach`` taps (``_kernel_reach``)."""
     j = plan(db)
     return np.exp(j, out=j)
 
@@ -241,21 +264,24 @@ def _chunk_cuts(replicas: int) -> list[int]:
 
 def ensemble_working_bytes(p: SdeParams, replicas: int) -> int:
     """Bytes ``simulate_ensemble`` holds beside its samples: a chunk's q series (a float a
-    replica-step); per worker a block's draws and plan (``streams.ma_plan_row_bytes``),
-    four rows more for the plan's spectrum or weights and the transform's scratch, and
-    the stream states of its part of the chunk (``streams.stream_state_bytes``); and
-    256 KiB for numpy's iteration buffers."""
+    replica-step); per worker a block's draws and plan over the kernel's reach
+    (``streams.ma_plan_row_bytes``), four rows more for the plan's spectrum or weights and
+    the transform's scratch, and the stream states of its part of the chunk
+    (``streams.stream_state_bytes``); and 256 KiB for numpy's iteration buffers."""
     h, n_inc = p.horizon_steps, p.burn_steps + p.horizon_steps
     chunk, rows = _chunk_sizes(replicas)
-    per_row = 8 * (n_inc + h) + ma_plan_row_bytes(p.burn_steps, n_inc, p.kernel.rate(p.dt))
+    reach = _kernel_reach(p.kernel, p.dt, p.burn_in)
+    per_row = 8 * (n_inc + h) + ma_plan_row_bytes(reach, h + reach, p.kernel.rate(p.dt))
     streams = stream_state_bytes(-(-chunk // _WORKERS))
     return 8 * h * chunk + _WORKERS * ((rows + 4) * per_row + streams) + 2**18
 
 
-def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan | ScanPlan, layout: list,
-                q: np.ndarray, lo: int, replicas: range) -> None:
+def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan | ScanPlan, first: int,
+                layout: list, q: np.ndarray, lo: int, replicas: range) -> None:
     """Write the state-free part of every step of ``replicas`` into their
     columns of the chunk series ``q``, whose first column is replica ``lo``.
+    ``plan`` convolves each row's increments from column ``first`` on, the
+    first its taps reach.
 
     Blocks of ``_BLOCK_ROWS`` replicas are drawn and convolved row-major and
     ``q`` is built in the block's own rows, each operation over contiguous
@@ -266,7 +292,7 @@ def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan | ScanPlan, layout: list
     sqrt_dt = math.sqrt(p.dt)
     for a, z, (blk_db, blk_dw) in replica_blocks(seed, replicas, _BLOCK_ROWS, layout):
         blk_db *= sqrt_dt  # in place and elementwise: bit-identical to scaling each draw
-        vol = _volatility_paths(plan, blk_db)[:, :h_steps]
+        vol = _volatility_paths(plan, blk_db[:, first:])[:, :h_steps]
         noise = blk_db[:, b_steps:]  # becomes V (rho dB + sqrt(1 - rho^2) dW)
         noise *= p.rho
         blk_dw *= sqrt_dt * math.sqrt(1.0 - p.rho * p.rho)
@@ -326,8 +352,10 @@ def simulate_ensemble(
     # each worker's scan or transform buffers.
     chunk, plan_rows = _chunk_sizes(replicas)
     series = np.empty(h_steps * chunk)
-    taps = _kernel_taps(p.kernel, p.dt, p.burn_in)
-    plans = [ma_plan(taps, plan_rows, n_inc, p.kernel.rate(p.dt)) for _ in range(_WORKERS)]
+    reach = _kernel_reach(p.kernel, p.dt, p.burn_in)
+    taps = _kernel_taps(p.kernel, p.dt, p.burn_in)[:reach]
+    plans = [ma_plan(taps, plan_rows, h_steps + reach, p.kernel.rate(p.dt))
+             for _ in range(_WORKERS)]
     layout = [(np.random.Generator.standard_normal, (n,)) for n in (n_inc, h_steps)]
 
     chunk_cuts = _chunk_cuts(replicas)
@@ -337,7 +365,8 @@ def simulate_ensemble(
             q = series[: h_steps * rows].reshape(h_steps, rows)
             cuts = [lo + rows * w // _WORKERS for w in range(_WORKERS + 1)]
             jobs = [
-                pool.submit(_fill_noise, p, seed, plan, layout, q, lo, range(a, z))
+                pool.submit(_fill_noise, p, seed, plan, p.burn_steps - reach, layout, q, lo,
+                            range(a, z))
                 for plan, a, z in zip(plans, cuts, cuts[1:])
             ]
             for job in jobs:

@@ -126,8 +126,8 @@ DIGESTS = {
         "report": "72a3268e04b15fe653908a10d601c4a41af780198a1bdd6680395c0ce6738abc",
     },
     "sde-frac": {
-        "csv": "5c46ea6f89cc4849e9b45f6197822f0a5abfc497c53367c679f28d2a0f14dcf6",
-        "report": "0f8bf242a25236ba5433a0b1f5db75be1a001367d13a86ffa35318fba519716f",
+        "csv": "3367cdc174680584b81d6773d3bd70a9c39f5548a029de1625131c3d6d73b9d6",
+        "report": "b4b43e4adb1dd3bc78867badeb0e160400dcc05b5cbf6899953299dc874d7b88",
     },
 }
 

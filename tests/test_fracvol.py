@@ -25,7 +25,7 @@ from splitcouple.fracvol import (
     simulate_ensemble,
 )
 from splitcouple.metrics import tv_empirical, tv_empirical_se
-from splitcouple.streams import ConvPlan, replica_rng
+from splitcouple.streams import ConvPlan, ScanPlan, replica_rng
 
 EXP_KERNEL = VolatilityKernel(kind="exponential", lam=1.0)
 FRAC_KERNEL = VolatilityKernel(kind="fractional", h=0.1)
@@ -106,6 +106,53 @@ def test_volatility_paths_match_fftconvolve(kernel):
     plan = ConvPlan(taps, 32, n_inc)
     for lo, hi in ((0, 32), (32, 37)):
         assert np.array_equal(_volatility_paths(plan, db[lo:hi]), want[lo:hi])
+
+
+@pytest.mark.parametrize("kernel, dt", [
+    (FRAC_KERNEL, 1.0 / 64.0),  # cut at 1 = burn_in / 10: 64 of 640 taps are nonzero
+    (FRAC_KERNEL, 1.0 / 256.0),  # perfbench's sde-frac: 256 of 2,560
+    (EXP_KERNEL, 1.0 / 256.0),  # the shipped sde-sim: every tap is reached
+    (EXP_KERNEL, 0.35),  # the last tap, at 10.15 > burn_in, is cut to 0
+    (VolatilityKernel("exponential", lam=1e6), 1.0 / 64.0),  # every tap underflows to 0
+], ids=["fractional-64", "fractional-256", "exponential-256", "exponential-cut", "underflow"])
+def test_the_ensemble_convolves_only_the_taps_its_kernel_reaches(monkeypatch, kernel, dt):
+    # The plan is built on the taps up to the last nonzero one (at least one)
+    # and fed the increments they touch.  A transform of fewer taps rounds
+    # differently from the full one; a scan over the same nonzero taps skips
+    # the zero tail itself, so it keeps every bit.
+    plans, vols = [], []
+    real_plan, real_paths = fracvol.ma_plan, fracvol._volatility_paths
+
+    def spy_plan(taps, rows, n_in, rate):
+        plans.append((taps.copy(), n_in))
+        return real_plan(taps, rows, n_in, rate)
+
+    def spy_paths(plan, db):
+        out = real_paths(plan, db)
+        vols.append(out.copy())
+        return out
+
+    monkeypatch.setattr(fracvol, "ma_plan", spy_plan)
+    monkeypatch.setattr(fracvol, "_volatility_paths", spy_paths)
+    monkeypatch.setattr(fracvol, "_WORKERS", 1)  # the three replicas are one block
+    p = _params(kernel=kernel, dt=dt, horizon=20 * dt)
+    simulate_ensemble(p, [-1.0, 1.0], 3, [20], seed=9)
+    (reach_taps, n_in), = plans
+    taps = _kernel_taps(kernel, dt, p.burn_in)
+    reach, b, n_inc = reach_taps.size, p.burn_steps, p.burn_steps + p.horizon_steps
+    assert np.array_equal(reach_taps, taps[:reach]) and not np.any(taps[reach:])
+    assert n_in == p.horizon_steps + reach
+    db = np.stack([replica_rng(9, k).standard_normal(n_inc) for k in range(3)]) * math.sqrt(dt)
+    if kernel.kind == "fractional":
+        assert reach == b // 10 and np.all(reach_taps != 0.0)
+        window = fftconvolve(db[:, b - reach :], reach_taps[None, :], mode="valid", axes=1)
+        assert np.array_equal(vols[0], np.exp(window))
+        full = fftconvolve(db, taps[None, :], mode="valid", axes=1)
+        assert np.max(np.abs(window - full)) <= 1e-14
+    else:
+        assert reach == max(1, np.count_nonzero(taps))
+        full = real_paths(ScanPlan(taps, kernel.rate(dt), 3, n_inc), db)
+        assert np.array_equal(vols[0], full)
 
 
 @pytest.mark.parametrize("kernel,analytic", [

@@ -741,22 +741,26 @@ def test_logvol_sim_estimate_covers_the_simulation_s_traced_peak(monkeypatch, ma
     assert peak <= cfg.peak_bytes < 1.5 * peak
 
 
-@pytest.mark.parametrize("kernel, chunk", [
-    ("exponential(1.0)", None),
-    ("fractional(0.1)", None),
-    ("exponential(1.0)", 400),
-], ids=["exponential", "fractional", "exponential-chunk-400"])
-def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(monkeypatch, kernel, chunk):
+@pytest.mark.parametrize("kernel, replicas, dt, chunk", [
+    ("exponential(1.0)", 1600, 0.015625, None),
+    ("fractional(0.1)", 1600, 0.015625, None),
+    ("exponential(1.0)", 1600, 0.015625, 400),
+    # perfbench's sde-frac shape: the transform spans the 256 taps the kernel
+    # reaches and the 5,120 steps, 5,760 points, not the 2,560-tap burn-in
+    ("fractional(0.1)", 2000, 0.00390625, None),
+], ids=["exponential", "fractional", "exponential-chunk-400", "fractional-sde-frac"])
+def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(monkeypatch, kernel, replicas, dt,
+                                                            chunk):
     # 1,600 replicas step as two chunks of 800, or four of 400 under a cap of
-    # 400: the estimate reads the ensemble's live chunk size.  The chunk's q
-    # series, one float a replica-step, dominates what the ensemble holds; an
-    # estimate that kept three floats a replica-step would be over twice it.
-    # One checkpoint keeps the output rows from covering the block scratch,
-    # which is the recursive scan's for an exponential kernel and the FFT's
-    # for a fractional one.
+    # 400, and 2,000 as two of 1,000: the estimate reads the ensemble's live
+    # chunk size.  The chunk's q series, one float a replica-step, dominates
+    # what the ensemble holds; an estimate that kept three floats a
+    # replica-step would be over twice it.  One checkpoint keeps the output
+    # rows from covering the block scratch, which is the recursive scan's for
+    # an exponential kernel and the FFT's for a fractional one.
     if chunk is not None:
         monkeypatch.setattr(fracvol, "_DEFAULT_CHUNK", chunk)
-    text = ("experiment = sde-sim\nreplicas = 1600\nsde.dt = 0.015625\nsde.checkpoints = 20\n"
+    text = (f"experiment = sde-sim\nreplicas = {replicas}\nsde.dt = {dt}\nsde.checkpoints = 20\n"
             f"sde.kernel = {kernel}\n")
     cfg = load_config_text(text)
     assert fracvol._DEFAULT_CHUNK < cfg.replicas < 2 * fracvol._DEFAULT_CHUNK or chunk
