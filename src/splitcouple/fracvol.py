@@ -162,6 +162,8 @@ class SdeParams:
             raise ValueError(f"horizon {self.horizon:g} is shorter than one step dt = {self.dt:g}")
         if not self.burn_in > 0.0:
             raise ValueError(f"burn_in must be positive, got {self.burn_in:g}")
+        if self.burn_steps < 1:  # the volatility would have no kernel taps
+            raise ValueError(f"burn_in {self.burn_in:g} snaps to no step of dt = {self.dt:g}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
         scale_time = self.kernel.memory_scale(self.burn_in)

@@ -48,14 +48,10 @@ def _json_safe(obj, where: str):
         return {k: _json_safe(v, f"{where}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v, f"{where}[{i}]") for i, v in enumerate(obj)]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, (float, np.floating)):
         if not math.isfinite(obj):
             raise RunError(f"report field {where} is not a finite number")
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _json_safe(obj.tolist(), where)
     return obj
 
 

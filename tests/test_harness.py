@@ -317,6 +317,10 @@ _MCRE_TEXT = "experiment = logvol-couple\nreplicas = 100\nlogvol.ma = 0.1\nlogvo
 # A two-unit sde-sim whose increment window, at base 1, fits its horizon.
 _SHORT_SDE = ("experiment = sde-sim\nreplicas = 200\nsde.horizon = 2\nsde.checkpoints = 1, 2\n"
               "sde.increment_base = 1\n")
+# An sde-sim whose burn-in, 0.1, is under half of its step dt = 0.3.
+_SUB_STEP_BURN_IN = ("experiment = sde-sim\nreplicas = 100\nsde.dt = 0.3\nsde.burn_in = 0.1\n"
+                     "sde.horizon = 3\nsde.checkpoints = 0.9, 3\nsde.increment_base = 0.9\n"
+                     "sde.increment_lags = 0.3, 0.6\n")
 
 
 @pytest.mark.parametrize("text, key", [
@@ -385,6 +389,11 @@ _SHORT_SDE = ("experiment = sde-sim\nreplicas = 200\nsde.horizon = 2\nsde.checkp
     ("experiment = sde-sim\nreplicas = 100\nsde.horizon = 0.001\n", "sde.horizon"),
     ("experiment = sde-sim\nreplicas = 100\nsde.burn_in = 0.5\n", "sde.burn_in"),
     ("experiment = sde-sim\nreplicas = 100\nsde.rho = 1.0\n", "sde.rho"),
+    # a burn-in under half a step snapped to no step, so the volatility had no
+    # kernel taps: the fractional run stopped on an AttributeError, the
+    # exponential one ran with V = 1
+    (_SUB_STEP_BURN_IN + "sde.kernel = fractional(0.1)\n", "sde.burn_in"),
+    (_SUB_STEP_BURN_IN + "sde.kernel = exponential(1000)\n", "sde.burn_in"),
     # the window reads 193 of 193 steps, but base 189.5 and lag 3.5 snap to
     # steps 190 and 4, so the run recorded a step past the horizon
     ("experiment = sde-sim\nreplicas = 100\nsde.dt = 0.015625\nsde.horizon = 3.015625\n"
@@ -399,7 +408,8 @@ _SHORT_SDE = ("experiment = sde-sim\nreplicas = 200\nsde.horizon = 2\nsde.checkp
         "sub-step-increment-lag", "increment-lags-alike", "increment-lags-equal",
         "unstable-euler-linear", "unstable-euler-saturating",
         "ar1-gamma", "logvol-gamma", "logvol-rho", "sde-dt", "sde-horizon", "sde-burn-in",
-        "sde-rho", "increment-window-past-the-horizon-step"])
+        "sde-rho", "fractional-burn-in-under-half-a-step",
+        "exponential-burn-in-under-half-a-step", "increment-window-past-the-horizon-step"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_refuses_configs_a_run_cannot_run(tmp_path, capsys, text, key, command):
     cfg_path = str(tmp_path / "exp.cfg")

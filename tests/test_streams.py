@@ -1,6 +1,5 @@
 import ast
 import glob
-import importlib
 import json
 import math
 import os
@@ -82,10 +81,11 @@ sde.increment_lags = 0.125, 0.03125
 
 
 def test_sde_path_loads_no_scipy_and_ar1_configs_load_it_at_config_time(tmp_path):
-    # Importing the package, then loading and running an sde-sim config, must
-    # leave scipy out of a fresh process, and the run must import nothing that
-    # set-up did not (numpy loads some submodules on first use); an ar1 config
-    # loads scipy.special in load_config, so that cost stays out of the run.
+    # Importing the package loads no submodule.  Importing it with the CLI,
+    # then loading and running an sde-sim config, must leave scipy out of a
+    # fresh process, and the run must import nothing that set-up did not
+    # (numpy loads some submodules on first use); an ar1 config loads
+    # scipy.special in load_config, so that cost stays out of the run.
     sde_cfg = tmp_path / "sde.cfg"
     sde_cfg.write_text(_TINY_SDE, encoding="utf-8")
     ar1_cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "ar1-couple.cfg")
@@ -93,8 +93,10 @@ def test_sde_path_loads_no_scipy_and_ar1_configs_load_it_at_config_time(tmp_path
         "import json, sys\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "import splitcouple, splitcouple.cli, splitcouple.harness\n"
-        "seen = {'import': scipy_modules()}\n"
+        "import splitcouple\n"
+        "seen = {'bare': sorted(m for m in sys.modules if m.startswith('splitcouple.'))}\n"
+        "import splitcouple.cli, splitcouple.harness\n"
+        "seen['import'] = scipy_modules()\n"
         "splitcouple.cli.main(['validate', sys.argv[1]])\n"
         "before = set(sys.modules)\n"
         "rc = splitcouple.cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
@@ -113,6 +115,7 @@ def test_sde_path_loads_no_scipy_and_ar1_configs_load_it_at_config_time(tmp_path
     )
     seen = json.loads(out.stdout.strip().splitlines()[-1])
     assert seen["rc"] in (0, 1) and (tmp_path / "out" / "sde-sim.csv").is_file()
+    assert seen["bare"] == []
     assert seen["import"] == []
     assert seen["run"] == []
     assert seen["run_imports"] == []
@@ -154,27 +157,14 @@ def test_fast_len_is_scipy_s_real_transform_length():
         assert _fast_len(n) == next_fast_len(n, True), n
 
 
-def test_lazy_exports_are_the_submodules_objects():
-    for module, names in splitcouple._EXPORTS.items():
-        sub = importlib.import_module(f"splitcouple.{module}")
-        for name in names:
-            assert getattr(splitcouple, name) is getattr(sub, name), name
-            assert name in dir(splitcouple), name
-    assert sorted(splitcouple.__all__) == sorted(splitcouple._MODULE_OF)
-    with pytest.raises(AttributeError, match="no_such_name"):
-        splitcouple.no_such_name
-
-
 def test_every_public_function_and_class_is_named_by_another_src_line():
     # src/ holds what a run reaches: each public module-level function and
-    # class is named on a line of the package other than its definition,
-    # the export table in __init__.py aside.  What only tests and the
-    # acceptance criteria call lives in tests/oracles.py.
+    # class is named on a line of the package other than its definition.
+    # What only tests and the acceptance criteria call lives in
+    # tests/oracles.py.
     lines, defs = [], []
     for path in sorted(glob.glob(os.path.join(os.path.dirname(splitcouple.__file__), "*.py"))):
         name = os.path.basename(path)
-        if name == "__init__.py":
-            continue
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         lines += [(name, i, line) for i, line in enumerate(text.splitlines(), 1)]
