@@ -35,7 +35,7 @@ def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
     for key in sorted(cfg.resolved):
         print(f"{key} = {cfg.resolved[key]}")
-    print(f"estimated peak memory: {cfg.peak_bytes / 2**20:.1f} MiB")
+    print(f"estimated peak memory: {cfg.peak_bytes / 2**20:.1f} MiB a process")
     print("config ok")
     return 0
 

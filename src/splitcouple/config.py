@@ -26,6 +26,7 @@ from .fracvol import (
     linear_drift,
     saturating_drift,
 )
+from .parallel import part_ranges
 
 EXPERIMENTS = ("ar1-bound", "ar1-couple", "logvol-sim", "logvol-couple", "sde-sim")
 MEMORY_CAP_BYTES = 4 * 2**30  # the most a run may plan to hold at once
@@ -202,7 +203,7 @@ class ExperimentConfig:
     model: Any
     options: dict[str, Any]
     resolved: dict[str, Any] = field(repr=False)
-    peak_bytes: int  # estimate, see _estimate_peak_bytes
+    peak_bytes: int  # estimate for one process, see _estimate_peak_bytes
 
 
 _CONFIG_NAMES = {"ma_coeffs": "ma", "zeta": "drift"}  # model fields keyed under another name
@@ -215,43 +216,63 @@ def _wrap_invariant(section: str, exc: Exception) -> ConfigError:
     return ConfigError(f"{section}.{_CONFIG_NAMES.get(name, name)}: {exc}")
 
 
-def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -> int:
-    """Bytes a run holds at once, by arithmetic before any compute: the
-    per-replica arrays its driver keeps (8 bytes a float) and CSV rows, plus
-    the working set its simulator states (``fracvol.ensemble_working_bytes``,
+def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -> tuple[int, int]:
+    """Bytes a run holds at once, in one process and over all of its
+    processes, by arithmetic before any compute: the per-replica arrays its
+    driver keeps (8 bytes a float) and CSV rows, plus the working set its
+    simulator states (``fracvol.ensemble_working_bytes``,
     ``logvol.block_working_bytes``, ``coupling.engine_step_bytes``).
     ``sde-sim`` frees the ensemble's buffers before it builds its table, and
     ``logvol-couple`` its normals before the engine runs, so each peak is the
-    larger of two phases."""
+    larger of two phases.  The coupling and ``logvol-sim`` runs are cut into
+    the parts of ``parallel.part_ranges`` (``_split_bytes``)."""
     r = replicas
     if experiment == "ar1-bound":
-        return 0
+        return 0, 0
     if experiment == "sde-sim":  # a sample, then a CSV row, per state, recorded step and replica
         rows = len(options["l0"]) * len(options["record_steps"]) * r
-        return max(ensemble_working_bytes(model, r) + 8 * rows, _CSV_ROW_BYTES * rows)
+        peak = max(ensemble_working_bytes(model, r) + 8 * rows, _CSV_ROW_BYTES * rows)
+        return peak, peak
     from .coupling import engine_step_bytes
     if experiment == "ar1-couple":
-        # uniform pairs a step, an int8 event code a coupled step and a step of
-        # the engine; the CSV rows, fewer bytes, are written once they are freed
-        return r * (16 * options["t"] + options["s"] + 1) + engine_step_bytes(r)
+        # uniform pairs a step beside a step of the engine; a record holds an
+        # int8 event code a coupled step, the flag, the step and two states.
+        # The CSV rows, fewer bytes, are written once the uniforms are freed.
+        return _split_bytes(r, lambda n: n * 16 * options["t"] + engine_step_bytes(n),
+                            options["s"] + 26)
     from .logvol import block_working_bytes, logvol_schedule
-    if experiment == "logvol-sim":  # the checkpoint samples
+    if experiment == "logvol-sim":  # a block's working set; the checkpoint samples
         steps = max(options["checkpoints"])
-        return (r * 8 * len(set(options["checkpoints"]))
-                + block_working_bytes(model.lag, model.ma_rate, steps, r))
+        return _split_bytes(r, lambda n: block_working_bytes(model.lag, model.ma_rate, steps, n),
+                            8 * len(set(options["checkpoints"])))
     try:
         schedule = logvol_schedule(model, options["m_max"])
     except ScheduleError:
-        return 0  # the run stops once the schedule fails
+        return 0, 0  # the run stops once the schedule fails
     # logvol-couple frees its normals before the engine runs: first the normals,
     # uniform pairs and environment while the moving average runs, then the
-    # environment, uniform pairs and event codes (and their records) beside a
-    # step of the engine
+    # environment, uniform pairs and event codes beside a step of the engine;
+    # a record holds the codes, the flag, the step and two states
     steps = min(schedule.M_of_m[options["target_block"]], options["step_cap"])
-    env_and_pairs = r * (16 * (steps + 1) + 16 * steps)
-    draws = (r * 8 * (model.lag + steps + 2) + env_and_pairs
-             + block_working_bytes(model.lag, model.ma_rate, steps, r, draws=False))
-    return max(draws, env_and_pairs + r * (2 * (steps + 1) + 16) + engine_step_bytes(r))
+
+    def work(n: int) -> int:
+        env_and_pairs = n * (16 * (steps + 1) + 16 * steps)
+        draws = (n * 8 * (model.lag + steps + 2) + env_and_pairs
+                 + block_working_bytes(model.lag, model.ma_rate, steps, n, draws=False))
+        return max(draws, env_and_pairs + n * (steps + 1) + engine_step_bytes(n))
+
+    return _split_bytes(r, work, steps + 26)
+
+
+def _split_bytes(replicas: int, work, record: int) -> tuple[int, int]:
+    """Bytes, in one process and over all of them, of a run cut into the parts
+    of ``parallel.part_ranges``: each process holds its part's draws and
+    working set, ``work(part size)``, and its output, ``record`` bytes a
+    replica; a run of several parts holds, in its first process, every
+    part's output beside their join."""
+    sizes = [len(rows) for rows in part_ranges(replicas)]
+    outputs = record * replicas * (2 if len(sizes) > 1 else 1)
+    return max(map(work, sizes)) + outputs, sum(map(work, sizes)) + outputs
 
 
 def load_config_text(text: str) -> ExperimentConfig:
@@ -413,10 +434,10 @@ def load_config_text(text: str) -> ExperimentConfig:
     unused = fields.unused_keys()
     if unused:
         raise ConfigError(f"{unused[0]}: unknown field for experiment {experiment!r}")
-    peak = _estimate_peak_bytes(experiment, replicas, model, options)
-    if peak > MEMORY_CAP_BYTES:
+    peak, total = _estimate_peak_bytes(experiment, replicas, model, options)
+    if total > MEMORY_CAP_BYTES:
         raise ConfigError(
-            f"replicas: the run would hold about {peak / 2**30:.3g} GiB at once, "
+            f"replicas: the run would hold about {total / 2**30:.3g} GiB at once, "
             f"over the {MEMORY_CAP_BYTES / 2**30:g} GiB cap"
         )
     if experiment == "sde-sim":  # the replica-step cap simulate_ensemble enforces

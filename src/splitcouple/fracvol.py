@@ -15,7 +15,7 @@ a grid.  The left-point Euler step splits into the state's drift
 ``zeta(L) dt`` and a part that does not depend on the state,
 ``q = V (rho dB + sqrt(1 - rho^2) dW) - V^2/2 dt``,
 which is computed once per replica and step, before any state is stepped.
-Each chunk's ``q`` is built by ``_WORKERS`` threads, each drawing and
+Each chunk's ``q`` is built by ``WORKERS`` threads (``parallel``), each drawing and
 convolving its own contiguous range of the chunk's replicas into its own
 columns; numpy's draws, transforms, scans and ufuncs release the GIL, so the
 workers share the machine's CPUs, and every operation is per replica, so
@@ -32,12 +32,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import RunError
+from .parallel import WORKERS
 from .streams import (ConvPlan, ScanPlan, ma_plan, ma_plan_row_bytes, replica_blocks,
                       stream_state_bytes)
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
 _DEFAULT_CHUNK = 1024  # most replicas stepped together (memory: ensemble_working_bytes)
-_WORKERS = 2  # threads that build a chunk's q, each over its own replica range
 _BLOCK_ROWS = 16  # replicas one worker draws and convolves together
 _DISS_GRID_HALFWIDTH = 50.0  # the drift's declared constants are certified on [-50, 50]
 
@@ -254,7 +254,7 @@ def _chunk_sizes(replicas: int) -> tuple[int, int]:
     """Replicas in the largest chunk ``_chunk_cuts`` makes of ``replicas``, and
     rows in a worker's block."""
     chunk = -(-replicas // -(-replicas // _DEFAULT_CHUNK))
-    return chunk, min(-(-chunk // _WORKERS), _BLOCK_ROWS)
+    return chunk, min(-(-chunk // WORKERS), _BLOCK_ROWS)
 
 
 def _chunk_cuts(replicas: int) -> list[int]:
@@ -274,8 +274,8 @@ def ensemble_working_bytes(p: SdeParams, replicas: int) -> int:
     chunk, rows = _chunk_sizes(replicas)
     reach = _kernel_reach(p.kernel, p.dt, p.burn_in)
     per_row = 8 * (n_inc + h) + ma_plan_row_bytes(reach, h + reach, p.kernel.rate(p.dt))
-    streams = stream_state_bytes(-(-chunk // _WORKERS))
-    return 8 * h * chunk + _WORKERS * ((rows + 4) * per_row + streams) + 2**18
+    streams = stream_state_bytes(-(-chunk // WORKERS))
+    return 8 * h * chunk + WORKERS * ((rows + 4) * per_row + streams) + 2**18
 
 
 def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan | ScanPlan, first: int,
@@ -324,7 +324,7 @@ def simulate_ensemble(
     Replicas are stepped in the fewest chunks of at most ``_DEFAULT_CHUNK``,
     whose sizes differ by at most one, and the q series is sized to the
     largest: 10,000 replicas step as ten chunks of 1,000.  Each chunk's range
-    is cut into ``_WORKERS`` contiguous parts, and one thread per part draws and
+    is cut into ``WORKERS`` contiguous parts, and one thread per part draws and
     convolves it ``_BLOCK_ROWS`` replicas at a time, through its own plan,
     into its own columns of ``q``; then the chunk is stepped.  These sizes
     bound memory (``ensemble_working_bytes``), and every operation is per
@@ -357,15 +357,15 @@ def simulate_ensemble(
     reach = _kernel_reach(p.kernel, p.dt, p.burn_in)
     taps = _kernel_taps(p.kernel, p.dt, p.burn_in)[:reach]
     plans = [ma_plan(taps, plan_rows, h_steps + reach, p.kernel.rate(p.dt))
-             for _ in range(_WORKERS)]
+             for _ in range(WORKERS)]
     layout = [(np.random.Generator.standard_normal, (n,)) for n in (n_inc, h_steps)]
 
     chunk_cuts = _chunk_cuts(replicas)
-    with ThreadPoolExecutor(_WORKERS) as pool:
+    with ThreadPoolExecutor(WORKERS) as pool:
         for lo, hi in zip(chunk_cuts, chunk_cuts[1:]):
             rows = hi - lo
             q = series[: h_steps * rows].reshape(h_steps, rows)
-            cuts = [lo + rows * w // _WORKERS for w in range(_WORKERS + 1)]
+            cuts = [lo + rows * w // WORKERS for w in range(WORKERS + 1)]
             jobs = [
                 pool.submit(_fill_noise, p, seed, plan, p.burn_steps - reach, layout, q, lo,
                             range(a, z))

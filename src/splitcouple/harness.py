@@ -24,6 +24,7 @@ from .fracvol import (
     discrete_log_vol_variance, increment_flag, increment_moment_check, simulate_ensemble,
 )
 from .metrics import tv_empirical, tv_empirical_se, tv_gaussian
+from .parallel import run_parts
 from .streams import replica_blocks, replica_uniform_pairs
 
 
@@ -117,7 +118,9 @@ def write_report(report: RunReport, outdir: str) -> tuple[str, str]:
 
 # Each driver returns the run's results, flags and CSV table; ``run`` builds
 # the report.  The ar1 and logvol drivers import their models when they run:
-# those load scipy.special, which an sde-sim run never needs.
+# those load scipy.special, which an sde-sim run never needs.  The coupling
+# and logvol-sim drivers hand ``run_parts`` a part function, which draws the
+# streams of a replica range and runs the engine or simulator on it.
 def _run_ar1_bound(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     from . import ar1 as ar1mod
     p = cfg.model
@@ -150,8 +153,11 @@ def _run_ar1_couple(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     s = cfg.options["s"]
     t = cfg.options["t"]
     kernel = ar1mod.ar1_split_kernel(p.gamma, n_max=max(n, 1))
-    u = replica_uniform_pairs(cfg.seed, range(cfg.replicas), t)
-    res = coupled_pair_batch(kernel, n, p.x0, s, t, u)
+    res = run_parts(
+        lambda rows: coupled_pair_batch(kernel, n, p.x0, s, t,
+                                        replica_uniform_pairs(cfg.seed, rows, t)),
+        cfg.replicas,
+    )
     frac = int(np.count_nonzero(res.coupled)) / len(res)
     se = math.sqrt(frac * (1.0 - frac) / len(res))
     sup_sq = max(p.x0**2, 1.0 / (1.0 - p.gamma**2))
@@ -185,7 +191,10 @@ def _run_logvol_sim(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     p = cfg.model
     checkpoints = cfg.options["checkpoints"]
     horizon = max(checkpoints)
-    samples = simulate_logvol_batch(p, horizon, cfg.replicas, cfg.seed, checkpoints)
+    samples = run_parts(
+        lambda rows: simulate_logvol_batch(p, horizon, rows, cfg.seed, checkpoints),
+        cfg.replicas,
+    )
     k_bound = logvol_moment_bound(p)
     rows = []
     for t in checkpoints:
@@ -237,15 +246,19 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     ladder = logvol_ladder(p, max(schedule.n_of_m))  # once: every step's kernel shares it
     gen = np.random.Generator
     layout = [(gen.standard_normal, (p.lag + t_sim + 2,)), (gen.random, (t_sim, 2))]
-    # One block: the coupling engine takes every replica at once.  The
-    # normals are freed once the environment is built from them.
-    _, _, (eta, u) = next(replica_blocks(cfg.seed, range(cfg.replicas), cfg.replicas, layout))
-    env = ma_env_values(p, eta)
-    del eta
-    res = mcre_coupled_chains_batch(
-        lambda rows: logvol_kernel(p, rows[:, 0], rows[:, 1], ladder=ladder),
-        env, tuple(x0_pair), schedule, t_sim, u,
-    )
+
+    def part(replicas: range) -> np.recarray:
+        # One block: the coupling engine takes every replica of the part at
+        # once.  The normals are freed once the environment is built from them.
+        _, _, (eta, u) = next(replica_blocks(cfg.seed, replicas, len(replicas), layout))
+        env = ma_env_values(p, eta)
+        del eta
+        return mcre_coupled_chains_batch(
+            lambda rows: logvol_kernel(p, rows[:, 0], rows[:, 1], ladder=ladder),
+            env, tuple(x0_pair), schedule, t_sim, u,
+        )
+
+    res = run_parts(part, cfg.replicas)
     frac = int(np.count_nonzero(res.coupled)) / len(res)
     # Coupling is absorbing, so the fraction at the (possibly capped) horizon
     # is a valid lower bound for the fraction at the target boundary.

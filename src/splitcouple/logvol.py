@@ -213,11 +213,13 @@ def block_working_bytes(lag: int, rate: float | None, horizon: int, replicas: in
 def simulate_logvol_batch(
     p: LogvolParams,
     horizon: int,
-    replicas: int,
+    replicas: range,
     master_seed: int,
     checkpoints: tuple[int, ...],
 ) -> dict[int, np.ndarray]:
-    """Forward-simulate the chain; returns X_t samples at each checkpoint.
+    """Forward-simulate the chain from replicas of the contiguous range
+    ``replicas``; returns X_t samples at each checkpoint, one per replica in
+    order.
 
     Replica stream layout: raw environment normals first, then the horizon's
     innovations.  Replicas are drawn, convolved and stepped in blocks of
@@ -234,18 +236,19 @@ def simulate_logvol_batch(
         raise ValueError(f"checkpoints outside [0, horizon]: {bad}")
     n_env = p.lag + horizon + 2
     layout = [(np.random.Generator.standard_normal, (n,)) for n in (n_env, horizon)]
-    plan = ma_plan(p.ma_coeffs, min(replicas, _BLOCK_ROWS), n_env, p.ma_rate)
+    plan = ma_plan(p.ma_coeffs, min(len(replicas), _BLOCK_ROWS), n_env, p.ma_rate)
     root = _scale_root(p.rho)
-    out = {t: np.empty(replicas) for t in sorted(set(checkpoints))}
-    blocks = replica_blocks(master_seed, range(replicas), _BLOCK_ROWS, layout)
+    out = {t: np.empty(len(replicas)) for t in sorted(set(checkpoints))}
+    blocks = replica_blocks(master_seed, replicas, _BLOCK_ROWS, layout)
     for lo, hi, (blk_eta, blk_eps) in blocks:
+        rows = slice(lo - replicas.start, hi - replicas.start)  # the block's samples
         z = plan(blk_eta)  # Z_t in column t
         x = np.full(hi - lo, p.x0)
         if 0 in out:
-            out[0][lo:hi] = x
+            out[0][rows] = x
         for t in range(horizon):
             vol = np.exp(z[:, t])
             x = p.gamma * x + vol * (p.rho * blk_eta[:, p.lag + 1 + t] + root * blk_eps[:, t])
             if t + 1 in out:
-                out[t + 1][lo:hi] = x
+                out[t + 1][rows] = x
     return out

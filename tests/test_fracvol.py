@@ -134,7 +134,7 @@ def test_the_ensemble_convolves_only_the_taps_its_kernel_reaches(monkeypatch, ke
 
     monkeypatch.setattr(fracvol, "ma_plan", spy_plan)
     monkeypatch.setattr(fracvol, "_volatility_paths", spy_paths)
-    monkeypatch.setattr(fracvol, "_WORKERS", 1)  # the three replicas are one block
+    monkeypatch.setattr(fracvol, "WORKERS", 1)  # the three replicas are one block
     p = _params(kernel=kernel, dt=dt, horizon=20 * dt)
     simulate_ensemble(p, [-1.0, 1.0], 3, [20], seed=9)
     (reach_taps, n_in), = plans
@@ -336,11 +336,11 @@ def test_chunking_and_blocking_are_invisible_bit_for_bit(kernel, replicas, chunk
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fracvol, "_DEFAULT_CHUNK", replicas)
         mp.setattr(fracvol, "_BLOCK_ROWS", replicas)
-        mp.setattr(fracvol, "_WORKERS", 1)
+        mp.setattr(fracvol, "WORKERS", 1)
         whole = simulate_ensemble(*args)
         mp.setattr(fracvol, "_DEFAULT_CHUNK", chunk)
         mp.setattr(fracvol, "_BLOCK_ROWS", block)
-        mp.setattr(fracvol, "_WORKERS", workers)
+        mp.setattr(fracvol, "WORKERS", workers)
         split = simulate_ensemble(*args)
     assert np.array_equal(split, whole)
 

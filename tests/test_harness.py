@@ -717,11 +717,12 @@ def test_validate_and_run_share_the_replica_step_cap():
 
 
 def test_logvol_sim_estimate_is_one_block_plus_outputs():
-    # Ten million replicas fit: only the two checkpoint outputs grow with them.
+    # Ten million replicas fit: only the two checkpoint outputs grow with them,
+    # held twice in the first process while it joins the parts' samples.
     base = "experiment = logvol-sim\nlogvol.checkpoints = 10, 100\n"
     small = load_config_text(base + "replicas = 100000\n").peak_bytes
     large = load_config_text(base + "replicas = 10000000\n").peak_bytes
-    assert large - small == 2 * 8 * (10_000_000 - 100_000)
+    assert large - small == 2 * 2 * 8 * (10_000_000 - 100_000)
     assert large < MEMORY_CAP_BYTES
 
 
@@ -743,7 +744,7 @@ def test_logvol_sim_estimate_covers_the_simulation_s_traced_peak(monkeypatch, ma
     checkpoints = cfg.options["checkpoints"]
     tracemalloc.start()
     try:
-        logvol.simulate_logvol_batch(cfg.model, max(checkpoints), cfg.replicas, cfg.seed,
+        logvol.simulate_logvol_batch(cfg.model, max(checkpoints), range(cfg.replicas), cfg.seed,
                                      checkpoints)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -104,7 +104,7 @@ def test_logvol_step_degeneracies():
     horizon, seed, replica = 6, 21, 2
     # rho = 0 and Z = 0 reduce the chain to the AR(1) step, bit for bit
     p = LogvolParams(gamma=0.5, rho=0.0, ma_coeffs=(0.0,), x0=2.0)
-    got = simulate_logvol_batch(p, horizon, 3, seed, tuple(range(1, horizon + 1)))
+    got = simulate_logvol_batch(p, horizon, range(3), seed, tuple(range(1, horizon + 1)))
     _, eps = _replica_draws(p, horizon, seed, replica)
     x = p.x0
     for t in range(horizon):
@@ -112,7 +112,7 @@ def test_logvol_step_degeneracies():
         assert got[t + 1][replica] == x
     # Z = 0 from x0 = 0: one step is rho eta_1 + sqrt(1 - rho^2) eps_1
     p = LogvolParams(gamma=0.5, rho=0.6, ma_coeffs=(0.0,))
-    got = simulate_logvol_batch(p, 1, 3, seed, (1,))
+    got = simulate_logvol_batch(p, 1, range(3), seed, (1,))
     eta, eps = _replica_draws(p, 1, seed, replica)
     assert got[1][replica] == pytest.approx(0.6 * eta[p.lag + 1] + 0.8 * eps[0], rel=1e-15)
 
@@ -122,7 +122,7 @@ def test_logvol_expansion_closed_form():
     # replica's own draws, with Z_s = sum_k a_k eta_{s-k}
     p = LogvolParams(gamma=0.5, rho=0.3, ma_coeffs=geometric_ma(0.5, lag=16), x0=0.7)
     horizon, seed, replica = 5, 3, 4
-    got = simulate_logvol_batch(p, horizon, 6, seed, (horizon,))[horizon][replica]
+    got = simulate_logvol_batch(p, horizon, range(6), seed, (horizon,))[horizon][replica]
     eta, eps = _replica_draws(p, horizon, seed, replica)
     z = [sum(a * eta[s + p.lag - k] for k, a in enumerate(p.ma_coeffs)) for s in range(horizon)]
     root = math.sqrt(1 - p.rho**2)
@@ -175,7 +175,7 @@ def test_moment_bound_values():
 
 def test_moment_bound_dominates_monte_carlo():
     k_bound = logvol_moment_bound(P_STD)
-    samples = simulate_logvol_batch(P_STD, 100, 4000, 17, (100,))
+    samples = simulate_logvol_batch(P_STD, 100, range(4000), 17, (100,))
     sq = samples[100] ** 2
     se = sq.std(ddof=1) / math.sqrt(sq.size)
     assert sq.mean() <= k_bound + 4 * se
@@ -302,13 +302,15 @@ def test_other_moving_averages_keep_the_transform_bit_for_bit(coeffs):
 
 
 def test_simulate_batch_checkpoints_and_reproducibility():
-    out_a = simulate_logvol_batch(P_STD, 20, 5, 101, (0, 10, 20))
-    out_b = simulate_logvol_batch(P_STD, 20, 3, 101, (0, 10, 20))
+    out_a = simulate_logvol_batch(P_STD, 20, range(5), 101, (0, 10, 20))
+    out_b = simulate_logvol_batch(P_STD, 20, range(3), 101, (0, 10, 20))
+    out_c = simulate_logvol_batch(P_STD, 20, range(3, 5), 101, (0, 10, 20))
     assert np.all(out_a[0] == P_STD.x0)
     for t in (10, 20):
         assert np.array_equal(out_a[t][:3], out_b[t])
+        assert np.array_equal(out_a[t][3:], out_c[t])
     with pytest.raises(ValueError):
-        simulate_logvol_batch(P_STD, 10, 5, 101, (11,))
+        simulate_logvol_batch(P_STD, 10, range(5), 101, (11,))
 
 
 def _whole_ensemble(p, horizon, replicas, seed, checkpoints):
@@ -350,7 +352,7 @@ def test_blocking_is_invisible_bit_for_bit(coeffs, replicas, horizon, data):
     eta, env_ref, sim_ref = _whole_ensemble(p, horizon, replicas, 31, checkpoints)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(logvol, "_BLOCK_ROWS", 4)
-        sim = simulate_logvol_batch(p, horizon, replicas, 31, checkpoints)
+        sim = simulate_logvol_batch(p, horizon, range(replicas), 31, checkpoints)
         env = ma_env_values(p, eta)
     assert np.array_equal(env, env_ref)
     assert list(sim) == sorted(sim_ref)
@@ -364,7 +366,7 @@ def test_simulate_batch_memory_is_per_block():
     def peak(replicas):
         tracemalloc.start()
         try:
-            simulate_logvol_batch(P_STD, 10, replicas, 5, (5, 10))
+            simulate_logvol_batch(P_STD, 10, range(replicas), 5, (5, 10))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
