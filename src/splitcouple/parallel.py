@@ -49,7 +49,8 @@ def run_parts(part: Callable[[range], object], replicas: int):
     replica order: a record array end to end, or a dict of arrays key by key.
 
     The first range runs in this process and every other in a forked child,
-    which ends with ``os._exit`` and never returns into the caller.  A child's
+    which ends with ``os._exit`` and never returns into the caller; each
+    process starts its range on a CPU of its own (``_settle``).  A child's
     exception is raised here with its type and message, once every child has
     been reaped; one that does not pickle becomes a ``RunError`` naming its
     type, and a child that ends without its result a ``RunError`` naming its
@@ -62,6 +63,7 @@ def run_parts(part: Callable[[range], object], replicas: int):
     try:
         for rows in rest:
             children.append(_fork(part, rows, children))
+        _settle(0)
         results = [part(first)]
         while children:
             results.append(_collect(*children.pop(0)))
@@ -90,12 +92,30 @@ def _fork(part, rows: range, siblings: list) -> tuple[range, int, int]:
             os.close(read)
             for _, _, fd in siblings:  # so that a sibling sees its reader go
                 os.close(fd)
+            _settle(len(siblings) + 1)
             _send(write, part, rows)
             code = 0
         finally:
             os._exit(code)
     os.close(write)
     return rows, pid, read
+
+
+def _settle(index: int) -> None:
+    """Move this process to the ``index``-th CPU it may run on, then let it
+    run on every one of them again, so that each part starts on a CPU of its
+    own.  After the machine has been idle, Linux often starts a forked child
+    on its parent's CPU and can leave both there for a whole part, which then
+    takes as long as the two parts one after the other.  Where the platform
+    or its sandbox does not let a process choose its CPUs, the kernel's
+    placement stands."""
+    try:
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) > 1:
+            os.sched_setaffinity(0, {sorted(cpus)[index % len(cpus)]})
+            os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # no sched_setaffinity, or not allowed
+        pass
 
 
 def _send(fd: int, part, rows: range) -> None:

@@ -82,6 +82,43 @@ def test_a_split_run_matches_its_part_over_every_replica_bit_for_bit(monkeypatch
     assert split.table_rows.tolist() == whole.table_rows.tolist()  # logvol-couple's holds ints
 
 
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="needs a process that may run on two CPUs")
+def test_each_part_starts_on_a_cpu_of_its_own_and_keeps_every_cpu(monkeypatch):
+    # This process moves to the first CPU it may use, the child to the
+    # second; then each may again run on every CPU it could before, and each
+    # part returns the CPUs its process may run on while it runs.
+    before = sorted(os.sched_getaffinity(0))
+    moves = []
+    real = os.sched_setaffinity
+
+    def record(pid, cpus):
+        moves.append((os.getpid(), sorted(cpus)))
+        real(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", record)
+    cpus = parallel.run_parts(lambda rows: np.array(sorted(os.sched_getaffinity(0))),
+                              2 * parallel.MIN_PART)
+    assert cpus.tolist() == before + before
+    # the child's moves are recorded in its own copy of the list
+    assert moves == [(os.getpid(), [before[0]]), (os.getpid(), before)]
+    assert sorted(os.sched_getaffinity(0)) == before
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("block", ["missing", "refused"])
+def test_a_run_goes_on_where_a_process_may_not_choose_its_cpu(monkeypatch, block):
+    if block == "missing":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        def refuse(pid, cpus):
+            raise PermissionError("not allowed")
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    out = parallel.run_parts(lambda rows: np.arange(rows.start, rows.stop), 2 * parallel.MIN_PART)
+    assert out.tolist() == list(range(2 * parallel.MIN_PART))
+    assert _no_child_left()
+
+
 class _TwoArgs(Exception):
     # pickles as _TwoArgs(message), which does not unpickle
     def __init__(self, a, b):
