@@ -224,26 +224,30 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
     ``logvol.block_working_bytes``, ``coupling.engine_step_bytes``).
     ``sde-sim`` frees the ensemble's buffers before it builds its table, and
     ``logvol-couple`` its normals before the engine runs, so each peak is the
-    larger of two phases.  The coupling and ``logvol-sim`` runs are cut into
-    the parts of ``parallel.part_ranges`` (``_split_bytes``)."""
+    larger of two phases.  Every Monte Carlo run is cut into the parts of
+    ``parallel.part_ranges`` (``_split_bytes``)."""
     r = replicas
     if experiment == "ar1-bound":
         return 0, 0
     if experiment == "sde-sim":  # a sample, then a CSV row, per state, recorded step and replica
-        rows = len(options["l0"]) * len(options["record_steps"]) * r
-        peak = max(ensemble_working_bytes(model, r) + 8 * rows, _CSV_ROW_BYTES * rows)
-        return peak, peak
+        per_replica = len(options["l0"]) * len(options["record_steps"])
+        peak, total = _split_bytes(r, model.burn_steps + model.horizon_steps,
+                                   lambda n: ensemble_working_bytes(model, n), 8 * per_replica)
+        table = _CSV_ROW_BYTES * per_replica * r
+        return max(peak, table), max(total, table)
     from .coupling import engine_step_bytes
     if experiment == "ar1-couple":
         # uniform pairs a step beside a step of the engine; a record holds an
         # int8 event code a coupled step, the flag, the step and two states.
         # The CSV rows, fewer bytes, are written once the uniforms are freed.
-        return _split_bytes(r, lambda n: n * 16 * options["t"] + engine_step_bytes(n),
+        return _split_bytes(r, options["t"],
+                            lambda n: n * 16 * options["t"] + engine_step_bytes(n),
                             options["s"] + 26)
     from .logvol import block_working_bytes, logvol_schedule
     if experiment == "logvol-sim":  # a block's working set; the checkpoint samples
         steps = max(options["checkpoints"])
-        return _split_bytes(r, lambda n: block_working_bytes(model.lag, model.ma_rate, steps, n),
+        return _split_bytes(r, steps,
+                            lambda n: block_working_bytes(model.lag, model.ma_rate, steps, n),
                             8 * len(set(options["checkpoints"])))
     try:
         schedule = logvol_schedule(model, options["m_max"])
@@ -261,16 +265,16 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
                  + block_working_bytes(model.lag, model.ma_rate, steps, n, draws=False))
         return max(draws, env_and_pairs + n * (steps + 1) + engine_step_bytes(n))
 
-    return _split_bytes(r, work, steps + 26)
+    return _split_bytes(r, steps, work, steps + 26)
 
 
-def _split_bytes(replicas: int, work, record: int) -> tuple[int, int]:
-    """Bytes, in one process and over all of them, of a run cut into the parts
-    of ``parallel.part_ranges``: each process holds its part's draws and
-    working set, ``work(part size)``, and its output, ``record`` bytes a
-    replica; a run of several parts holds, in its first process, every
-    part's output beside their join."""
-    sizes = [len(rows) for rows in part_ranges(replicas)]
+def _split_bytes(replicas: int, steps: int, work, record: int) -> tuple[int, int]:
+    """Bytes, in one process and over all of them, of a run of ``steps`` a
+    replica cut into the parts of ``parallel.part_ranges``: each process holds
+    its part's draws and working set, ``work(part size)``, and its output,
+    ``record`` bytes a replica; a run of several parts holds, in its first
+    process, every part's output beside their join."""
+    sizes = [len(rows) for rows in part_ranges(replicas, steps)]
     outputs = record * replicas * (2 if len(sizes) > 1 else 1)
     return max(map(work, sizes)) + outputs, sum(map(work, sizes)) + outputs
 

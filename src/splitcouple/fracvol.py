@@ -15,30 +15,26 @@ a grid.  The left-point Euler step splits into the state's drift
 ``zeta(L) dt`` and a part that does not depend on the state,
 ``q = V (rho dB + sqrt(1 - rho^2) dW) - V^2/2 dt``,
 which is computed once per replica and step, before any state is stepped.
-Each chunk's ``q`` is built by ``WORKERS`` threads (``parallel``), each drawing and
-convolving its own contiguous range of the chunk's replicas into its own
-columns; numpy's draws, transforms, scans and ufuncs release the GIL, so the
-workers share the machine's CPUs, and every operation is per replica, so
-the split cannot change a bit.  The Euler loop then runs on one thread.
+An ensemble runs over a contiguous replica range on one thread; a run spreads
+over the machine's CPUs by handing ranges to forked processes (``parallel``),
+and every operation is per replica, so the cut cannot change a bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import RunError
-from .parallel import WORKERS
 from .streams import (ConvPlan, ScanPlan, ma_plan, ma_plan_row_bytes, replica_blocks,
                       stream_state_bytes)
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
 _DEFAULT_CHUNK = 1024  # most replicas stepped together (memory: ensemble_working_bytes)
-_BLOCK_ROWS = 16  # replicas one worker draws and convolves together
+_BLOCK_ROWS = 16  # replicas drawn and convolved together
 _DISS_GRID_HALFWIDTH = 50.0  # the drift's declared constants are certified on [-50, 50]
 
 
@@ -252,9 +248,9 @@ def euler_step(p: SdeParams, L, q):
 
 def _chunk_sizes(replicas: int) -> tuple[int, int]:
     """Replicas in the largest chunk ``_chunk_cuts`` makes of ``replicas``, and
-    rows in a worker's block."""
+    rows in a block."""
     chunk = -(-replicas // -(-replicas // _DEFAULT_CHUNK))
-    return chunk, min(-(-chunk // WORKERS), _BLOCK_ROWS)
+    return chunk, min(chunk, _BLOCK_ROWS)
 
 
 def _chunk_cuts(replicas: int) -> list[int]:
@@ -265,25 +261,24 @@ def _chunk_cuts(replicas: int) -> list[int]:
 
 
 def ensemble_working_bytes(p: SdeParams, replicas: int) -> int:
-    """Bytes ``simulate_ensemble`` holds beside its samples: a chunk's q series (a float a
-    replica-step); per worker a block's draws and plan over the kernel's reach
-    (``streams.ma_plan_row_bytes``), four rows more for the plan's spectrum or weights and
-    the transform's scratch, and the stream states of its part of the chunk
+    """Bytes ``simulate_ensemble`` over ``replicas`` replicas holds beside its samples: a
+    chunk's q series (a float a replica-step); a block's draws and plan over the kernel's
+    reach (``streams.ma_plan_row_bytes``), four rows more for the plan's spectrum or weights
+    and the transform's scratch; the stream states of a chunk
     (``streams.stream_state_bytes``); and 256 KiB for numpy's iteration buffers."""
     h, n_inc = p.horizon_steps, p.burn_steps + p.horizon_steps
     chunk, rows = _chunk_sizes(replicas)
     reach = _kernel_reach(p.kernel, p.dt, p.burn_in)
     per_row = 8 * (n_inc + h) + ma_plan_row_bytes(reach, h + reach, p.kernel.rate(p.dt))
-    streams = stream_state_bytes(-(-chunk // WORKERS))
-    return 8 * h * chunk + WORKERS * ((rows + 4) * per_row + streams) + 2**18
+    return 8 * h * chunk + (rows + 4) * per_row + stream_state_bytes(chunk) + 2**18
 
 
 def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan | ScanPlan, first: int,
-                layout: list, q: np.ndarray, lo: int, replicas: range) -> None:
-    """Write the state-free part of every step of ``replicas`` into their
-    columns of the chunk series ``q``, whose first column is replica ``lo``.
-    ``plan`` convolves each row's increments from column ``first`` on, the
-    first its taps reach.
+                layout: list, q: np.ndarray, replicas: range) -> None:
+    """Write the state-free part of every step of ``replicas`` into the
+    columns of the chunk series ``q``, one a replica in order.  ``plan``
+    convolves each row's increments from column ``first`` on, the first its
+    taps reach.
 
     Blocks of ``_BLOCK_ROWS`` replicas are drawn and convolved row-major and
     ``q`` is built in the block's own rows, each operation over contiguous
@@ -303,19 +298,14 @@ def _fill_noise(p: SdeParams, seed: int, plan: ConvPlan | ScanPlan, first: int,
         np.square(vol, out=vol)  # becomes V^2/2 dt
         vol *= p.dt / 2.0
         noise -= vol  # becomes q
-        q[:, a - lo : z - lo] = noise.T
+        q[:, a - replicas.start : z - replicas.start] = noise.T
 
 
-def simulate_ensemble(
-    p: SdeParams,
-    l0_list,
-    replicas: int,
-    steps,
-    seed: int,
-) -> np.ndarray:
-    """Replica paths from each initial state, recorded after each of ``steps``,
-    increasing grid steps in ``[0, horizon_steps]``: an array of shape
-    ``(states, len(steps), replicas)``.
+def simulate_ensemble(p: SdeParams, l0_list, replicas: range, steps, seed: int) -> np.ndarray:
+    """Paths of the contiguous replica range ``replicas`` from each initial
+    state, recorded after each of ``steps``, increasing grid steps in
+    ``[0, horizon_steps]``: an array of shape ``(states, len(steps),
+    len(replicas))``.
 
     Replica ``k`` owns stream ``k`` of ``seed``: the volatility/price
     increments dB, then the orthogonal increments dW.  Each replica's history
@@ -323,22 +313,20 @@ def simulate_ensemble(
     which drives every initial state and sharpens ensemble comparisons.
     Replicas are stepped in the fewest chunks of at most ``_DEFAULT_CHUNK``,
     whose sizes differ by at most one, and the q series is sized to the
-    largest: 10,000 replicas step as ten chunks of 1,000.  Each chunk's range
-    is cut into ``WORKERS`` contiguous parts, and one thread per part draws and
-    convolves it ``_BLOCK_ROWS`` replicas at a time, through its own plan,
-    into its own columns of ``q``; then the chunk is stepped.  These sizes
-    bound memory (``ensemble_working_bytes``), and every operation is per
-    replica, so they cannot change the results.  A worker's exception is
-    raised here, after every worker has stopped.
+    largest: 10,000 replicas step as ten chunks of 1,000.  Each chunk is drawn
+    and convolved ``_BLOCK_ROWS`` replicas at a time, through one plan, into
+    ``q``; then it is stepped.  These sizes bound memory
+    (``ensemble_working_bytes``), and every operation is per replica, so
+    they cannot change the results.
     """
     l0 = np.array([float(v) for v in l0_list])[:, None]
-    if l0.size == 0 or replicas < 1:
+    if l0.size == 0 or len(replicas) < 1:
         raise ValueError("need at least one initial state and one replica")
     h_steps = p.horizon_steps
     n_inc = p.burn_steps + h_steps
-    if replicas * n_inc > RESOURCE_CAP:
+    if len(replicas) * n_inc > RESOURCE_CAP:
         raise RunError(
-            f"ensemble needs {replicas * n_inc:.3g} replica-steps, "
+            f"ensemble needs {len(replicas) * n_inc:.3g} replica-steps, "
             f"over the cap {RESOURCE_CAP:.3g}"
         )
     steps = np.asarray(steps)
@@ -347,40 +335,31 @@ def simulate_ensemble(
         raise ValueError(f"steps must be increasing grid steps in [0, {h_steps}], "
                          f"got {steps.tolist()}")
     col = {int(s): j for j, s in enumerate(steps)}  # step -> its column of the samples
-    out = np.empty((l0.size, steps.size, replicas))
+    out = np.empty((l0.size, steps.size, len(replicas)))
 
     # Buffers are allocated once and refilled for every chunk, so no pass
     # maps and faults in fresh memory: the chunk's time-major q series and
-    # each worker's scan or transform buffers.
-    chunk, plan_rows = _chunk_sizes(replicas)
+    # the plan's scan or transform buffers.
+    chunk, plan_rows = _chunk_sizes(len(replicas))
     series = np.empty(h_steps * chunk)
     reach = _kernel_reach(p.kernel, p.dt, p.burn_in)
     taps = _kernel_taps(p.kernel, p.dt, p.burn_in)[:reach]
-    plans = [ma_plan(taps, plan_rows, h_steps + reach, p.kernel.rate(p.dt))
-             for _ in range(WORKERS)]
+    plan = ma_plan(taps, plan_rows, h_steps + reach, p.kernel.rate(p.dt))
     layout = [(np.random.Generator.standard_normal, (n,)) for n in (n_inc, h_steps)]
 
-    chunk_cuts = _chunk_cuts(replicas)
-    with ThreadPoolExecutor(WORKERS) as pool:
-        for lo, hi in zip(chunk_cuts, chunk_cuts[1:]):
-            rows = hi - lo
-            q = series[: h_steps * rows].reshape(h_steps, rows)
-            cuts = [lo + rows * w // WORKERS for w in range(WORKERS + 1)]
-            jobs = [
-                pool.submit(_fill_noise, p, seed, plan, p.burn_steps - reach, layout, q, lo,
-                            range(a, z))
-                for plan, a, z in zip(plans, cuts, cuts[1:])
-            ]
-            for job in jobs:
-                job.result()
-            # The states step together; each step's row of q broadcasts over them.
-            l = np.repeat(l0, rows, axis=1)
-            if 0 in col:
-                out[:, col[0], lo:hi] = l
-            for step in range(h_steps):
-                l = euler_step(p, l, q[step])
-                if step + 1 in col:
-                    out[:, col[step + 1], lo:hi] = l
+    chunk_cuts = _chunk_cuts(len(replicas))
+    for lo, hi in zip(chunk_cuts, chunk_cuts[1:]):
+        rows = hi - lo
+        q = series[: h_steps * rows].reshape(h_steps, rows)
+        _fill_noise(p, seed, plan, p.burn_steps - reach, layout, q, replicas[lo:hi])
+        # The states step together; each step's row of q broadcasts over them.
+        l = np.repeat(l0, rows, axis=1)
+        if 0 in col:
+            out[:, col[0], lo:hi] = l
+        for step in range(h_steps):
+            l = euler_step(p, l, q[step])
+            if step + 1 in col:
+                out[:, col[step + 1], lo:hi] = l
     return out
 
 

@@ -118,9 +118,10 @@ def write_report(report: RunReport, outdir: str) -> tuple[str, str]:
 
 # Each driver returns the run's results, flags and CSV table; ``run`` builds
 # the report.  The ar1 and logvol drivers import their models when they run:
-# those load scipy.special, which an sde-sim run never needs.  The coupling
-# and logvol-sim drivers hand ``run_parts`` a part function, which draws the
-# streams of a replica range and runs the engine or simulator on it.
+# those load scipy.special, which an sde-sim run never needs.  The Monte
+# Carlo drivers hand ``run_parts`` a part function, which draws the streams
+# of a replica range and runs the engine or simulator on it, and the steps a
+# replica runs, which size the parts.
 def _run_ar1_bound(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     from . import ar1 as ar1mod
     p = cfg.model
@@ -156,7 +157,7 @@ def _run_ar1_couple(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     res = run_parts(
         lambda rows: coupled_pair_batch(kernel, n, p.x0, s, t,
                                         replica_uniform_pairs(cfg.seed, rows, t)),
-        cfg.replicas,
+        cfg.replicas, t,
     )
     frac = int(np.count_nonzero(res.coupled)) / len(res)
     se = math.sqrt(frac * (1.0 - frac) / len(res))
@@ -193,7 +194,7 @@ def _run_logvol_sim(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     horizon = max(checkpoints)
     samples = run_parts(
         lambda rows: simulate_logvol_batch(p, horizon, rows, cfg.seed, checkpoints),
-        cfg.replicas,
+        cfg.replicas, horizon,
     )
     k_bound = logvol_moment_bound(p)
     rows = []
@@ -258,7 +259,7 @@ def _run_logvol_couple(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
             env, tuple(x0_pair), schedule, t_sim, u,
         )
 
-    res = run_parts(part, cfg.replicas)
+    res = run_parts(part, cfg.replicas, t_sim)
     frac = int(np.count_nonzero(res.coupled)) / len(res)
     # Coupling is absorbing, so the fraction at the (possibly capped) horizon
     # is a valid lower bound for the fraction at the target boundary.
@@ -279,7 +280,8 @@ def _run_sde_sim(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
     p = cfg.model
     l0 = cfg.options["l0"]
     steps = cfg.options["record_steps"]
-    samples = simulate_ensemble(p, l0, cfg.replicas, steps, cfg.seed)
+    samples = run_parts(lambda rows: simulate_ensemble(p, l0, rows, steps, cfg.seed),
+                        cfg.replicas, p.burn_steps + p.horizon_steps)
     at = dict(zip(steps, samples.transpose(1, 0, 2)))  # step -> its (states, replicas) samples
 
     cp_steps = sorted({p.step_of(t) for t in cfg.options["checkpoints"]})

@@ -1,18 +1,16 @@
-"""The machine's parallelism: how many CPUs a run spreads over, and the helper
-that spreads an ar1 or logvol driver's replicas over forked processes.
+"""The machine's parallelism: how many CPUs a run spreads over, and the one
+mechanism that spreads a driver's replicas over them.
 
-``sde-sim`` spreads its noise over ``WORKERS`` threads (``fracvol``): numpy's
-draws, transforms and ufuncs release the GIL.  The split-mapping inversion
-of ``ar1-couple`` and ``logvol-couple`` spends its time in scipy's ``ndtr``
-and ``ndtri``, which hold it (two threads each running ``ndtr`` over 2M
-elements took 0.099 s against 0.091 s one after the other), and
-``logvol-sim`` in short numpy calls on blocks of 1,024 replicas, whose
-overhead holds it too.  So those drivers hand ``run_parts`` a *part
-function*, which draws the streams of a contiguous replica range and runs
-the engine or simulator on it, and ``run_parts`` runs the first part in this
-process and every other part in a forked child, which returns its result
-through a pipe with ``pickle``.  Every replica's stream and inversion is
-independent of how the batch is cut, so no bit of any artifact changes.
+Every Monte Carlo driver hands ``run_parts`` a *part function*, which draws
+the streams of a contiguous replica range and runs the engine or simulator
+on it; the first part runs in this process and every other in a forked
+child, which returns its result through a pipe with ``pickle``.  Processes,
+not threads: scipy's ``ndtr`` and ``ndtri``, where the split-mapping
+inversion spends its time, hold the GIL (two threads each running ``ndtr``
+over 2M elements took 0.099 s against 0.091 s one after the other), and so
+does the overhead of the short numpy calls of ``logvol-sim``'s and the SDE's
+stepping loops.  Every replica's stream and path is independent of how the
+batch is cut, so no bit of any artifact changes.
 """
 
 from __future__ import annotations
@@ -25,28 +23,32 @@ import numpy as np
 
 from .errors import RunError
 
-WORKERS = 2  # CPUs a run spreads over: sde-sim's noise threads, an ar1 or logvol run's processes
-# Fewest replicas a process is given.  Forking, pickling a part's records and
-# reaping the child costs 3-5 ms, what the cheapest replica (the draws of a
-# one-step ar1-couple or logvol-couple, about 4.3 us) takes over 700-1,200
-# replicas, so no run is cut into parts that could make it slower.
-MIN_PART = 1024
+WORKERS = 2  # CPUs a run spreads over: the processes of a split run
+# Fewest replica-steps a process is given.  Forking, pickling a part's result
+# and reaping the child costs about 4.0 ms beside a 78 MiB parent, what the
+# cheapest replica-step (a grid step of an exponential-kernel SDE: its draws,
+# its share of the scan and the Euler steps of two states, about 38 ns)
+# takes over 105,000; rounded up to 2^17, so no run is cut into parts that
+# could make it slower.
+MIN_PART = 131_072
 
 
-def part_ranges(replicas: int) -> list[range]:
-    """The contiguous replica ranges a run of ``replicas`` is cut into:
-    ``WORKERS`` ranges whose sizes differ by at most one, or the one range of
-    every replica when a part would hold fewer than ``MIN_PART`` or the
-    platform cannot fork."""
-    if replicas < WORKERS * MIN_PART or not hasattr(os, "fork"):
+def part_ranges(replicas: int, steps: int) -> list[range]:
+    """The contiguous replica ranges a run of ``replicas`` replicas of
+    ``steps`` steps each is cut into: ``WORKERS`` ranges whose sizes differ
+    by at most one, or the one range of every replica when a part would hold
+    fewer than ``MIN_PART`` replica-steps or the platform cannot fork."""
+    if replicas * steps < WORKERS * MIN_PART or not hasattr(os, "fork"):
         return [range(replicas)]
     cuts = [replicas * w // WORKERS for w in range(WORKERS + 1)]
     return [range(a, z) for a, z in zip(cuts, cuts[1:])]
 
 
-def run_parts(part: Callable[[range], object], replicas: int):
-    """``part`` of every replica range of ``part_ranges(replicas)``, joined in
-    replica order: a record array end to end, or a dict of arrays key by key.
+def run_parts(part: Callable[[range], object], replicas: int, steps: int):
+    """``part`` of every replica range of ``part_ranges(replicas, steps)``,
+    joined along the replica axis, each array's last: a record array, an
+    array, or a dict of arrays key by key.  The joined arrays are allocated
+    once, and each part is dropped as soon as it is copied into its slice.
 
     The first range runs in this process and every other in a forked child,
     which ends with ``os._exit`` and never returns into the caller; each
@@ -58,24 +60,36 @@ def run_parts(part: Callable[[range], object], replicas: int):
     closed, so a child still writing stops, and each child is reaped before
     the exception goes on.
     """
-    first, *rest = part_ranges(replicas)
+    first, *rest = part_ranges(replicas, steps)
     children: list[tuple[range, int, int]] = []  # (rows, pid, read end) of each child
     try:
         for rows in rest:
             children.append(_fork(part, rows, children))
         _settle(0)
-        results = [part(first)]
+        joined = part(first)
+        if children:
+            joined = _place(None, joined, first, replicas)
         while children:
-            results.append(_collect(*children.pop(0)))
+            rows, pid, fd = children.pop(0)
+            joined = _place(joined, _collect(rows, pid, fd), rows, replicas)
     finally:
         for _, pid, fd in children:
             os.close(fd)
             os.waitpid(pid, 0)
-    if len(results) == 1:
-        return results[0]
-    if isinstance(results[0], dict):
-        return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
-    return np.concatenate(results).view(type(results[0]))
+    return joined
+
+
+def _place(joined, result, rows: range, replicas: int):
+    """``joined`` with a part's ``result`` copied into its slice ``rows`` of the
+    last axis, key by key for a dict; ``None`` is allocated first, shaped as
+    ``result`` but ``replicas`` long on that axis."""
+    if isinstance(result, dict):
+        return {key: _place(None if joined is None else joined[key], value, rows, replicas)
+                for key, value in result.items()}
+    if joined is None:
+        joined = np.empty_like(result, shape=result.shape[:-1] + (replicas,))
+    joined[..., rows.start : rows.stop] = result
+    return joined
 
 
 def _fork(part, rows: range, siblings: list) -> tuple[range, int, int]:

@@ -2,9 +2,11 @@
 
 Runs ``splitcouple run`` (``cli.main``) on each shipped ``configs/*.cfg`` and
 on each workload config of ``perfbench/workloads.py`` (at benchmark seed 1),
-under a line tracer set with ``sys.settrace`` and ``threading.settrace``, so
-the SDE ensemble's worker threads are traced too.  Tracing starts before the
-package is imported, so module-level lines count as reached.  Then it prints
+under a line tracer set with ``sys.settrace``.  The tracer follows a split
+run's forked children: a fork hook re-arms it in the child, and the child's
+``os._exit`` first writes the lines it reached to a file that this process
+merges.  Tracing starts before the package is imported, so module-level lines
+count as reached.  Then it prints
 every line of ``src/splitcouple`` that holds code, is not part of a ``raise``
 statement, and ran in no run, as ``path:line: source``, and their count.
 
@@ -18,9 +20,9 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import os
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -72,23 +74,40 @@ def main() -> int:
 
     sys.path.insert(0, str(ROOT / "src"))
     runs = _runs()
-    threading.settrace(tracer)
+    work = tempfile.TemporaryDirectory()
+    children = Path(work.name) / "children"  # one file of reached lines a forked child
+    children.mkdir()
+    real_exit = os._exit
+
+    def exit_child(code):
+        sys.settrace(None)
+        with open(children / f"{os.getpid()}.txt", "w", encoding="utf-8") as fh:
+            fh.writelines(f"{line} {path}\n" for path, line in reached)
+        real_exit(code)
+
+    os.register_at_fork(after_in_child=lambda: sys.settrace(tracer))
+    os._exit = exit_child
     sys.settrace(tracer)
     try:
         from splitcouple import cli
 
-        with tempfile.TemporaryDirectory() as work:
-            for i, (name, text) in enumerate(runs):
-                cfg = Path(work) / f"{i}.cfg"
-                cfg.write_text(text, encoding="utf-8")
-                start = time.perf_counter()
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(["run", str(cfg), "--out", str(Path(work) / str(i))])
-                print(f"# {name}: exit {code}, {time.perf_counter() - start:.2f} s",
-                      file=sys.stderr)
+        for i, (name, text) in enumerate(runs):
+            cfg = Path(work.name) / f"{i}.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["run", str(cfg), "--out", str(Path(work.name) / str(i))])
+            print(f"# {name}: exit {code}, {time.perf_counter() - start:.2f} s",
+                  file=sys.stderr)
     finally:
         sys.settrace(None)
-        threading.settrace(None)
+        os._exit = real_exit
+    for child in children.iterdir():
+        for entry in child.read_text(encoding="utf-8").splitlines():
+            line, path = entry.split(" ", 1)
+            reached.add((path, int(line)))
+    print(f"# {len(list(children.iterdir()))} forked children merged", file=sys.stderr)
+    work.cleanup()
 
     missed = 0
     for path in sorted(PACKAGE.glob("*.py")):

@@ -1,6 +1,4 @@
-import itertools
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -134,9 +132,8 @@ def test_the_ensemble_convolves_only_the_taps_its_kernel_reaches(monkeypatch, ke
 
     monkeypatch.setattr(fracvol, "ma_plan", spy_plan)
     monkeypatch.setattr(fracvol, "_volatility_paths", spy_paths)
-    monkeypatch.setattr(fracvol, "WORKERS", 1)  # the three replicas are one block
     p = _params(kernel=kernel, dt=dt, horizon=20 * dt)
-    simulate_ensemble(p, [-1.0, 1.0], 3, [20], seed=9)
+    simulate_ensemble(p, [-1.0, 1.0], range(3), [20], seed=9)  # the three replicas are one block
     (reach_taps, n_in), = plans
     taps = _kernel_taps(kernel, dt, p.burn_in)
     reach, b, n_inc = reach_taps.size, p.burn_steps, p.burn_steps + p.horizon_steps
@@ -242,12 +239,12 @@ def test_params_validation():
 
 def test_simulate_ensemble_share_noise_determinism():
     p = _params(dt=1.0 / 64.0, horizon=2.0)
-    res1 = simulate_ensemble(p, [0.5, 0.5], 200, [64, 128], seed=9)
+    res1 = simulate_ensemble(p, [0.5, 0.5], range(200), [64, 128], seed=9)
     # identical starts with shared noise produce identical samples
     assert np.array_equal(res1[0], res1[1])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fracvol, "_DEFAULT_CHUNK", 37)  # six chunks of 33 or 34
-        res2 = simulate_ensemble(p, [0.5, 0.5], 200, [64, 128], seed=9)
+        res2 = simulate_ensemble(p, [0.5, 0.5], range(200), [64, 128], seed=9)
     assert np.array_equal(res1, res2)
 
 
@@ -256,8 +253,8 @@ def test_shared_noise_pair_equals_single_starts():
     # arithmetic as running each start on its own
     p = _params(dt=1.0 / 64.0, horizon=2.0)
     steps = [0, 32, 128]
-    pair = simulate_ensemble(p, [-2.0, 2.0], 150, steps, seed=4)
-    singles = [simulate_ensemble(p, [l0], 150, steps, seed=4)[0] for l0 in (-2.0, 2.0)]
+    pair = simulate_ensemble(p, [-2.0, 2.0], range(150), steps, seed=4)
+    singles = [simulate_ensemble(p, [l0], range(150), steps, seed=4)[0] for l0 in (-2.0, 2.0)]
     assert np.array_equal(pair, np.stack(singles))
 
 
@@ -271,7 +268,7 @@ def test_linear_drift_ensembles_are_exact_translates(kappa, kernel):
     p = _params(zeta=linear_drift(kappa), kernel=kernel, dt=1.0 / 64.0, horizon=4.0)
     a, b = -2.0, 2.0
     steps = [0, 32, 64, 128, 256]
-    res = simulate_ensemble(p, [a, b], 64, steps, seed=11)
+    res = simulate_ensemble(p, [a, b], range(64), steps, seed=11)
     for i, k in enumerate(steps):
         gap = res[0, i] - res[1, i]
         assert np.max(np.abs(gap - (1.0 - kappa * p.dt) ** k * (a - b))) <= 32 * np.spacing(b)
@@ -284,7 +281,7 @@ def test_ensemble_matches_scalar_reference_path():
     # that the translate identity cannot see.
     p = _params(kernel=FRAC_KERNEL, dt=1.0 / 64.0, horizon=2.0)
     steps = [32, 128]
-    res = simulate_ensemble(p, [-2.0, 2.0], 8, steps, seed=11)
+    res = simulate_ensemble(p, [-2.0, 2.0], range(8), steps, seed=11)
     rng = replica_rng(11, 5)
     sqrt_dt = math.sqrt(p.dt)
     db = rng.standard_normal(p.burn_steps + p.horizon_steps) * sqrt_dt
@@ -323,51 +320,29 @@ def test_chunks_are_the_fewest_under_the_cap_and_equal(replicas, chunk):
     replicas=st.integers(1, 30),
     chunk=st.integers(1, 12),
     block=st.integers(1, 5),
-    workers=st.integers(1, 3),
+    start=st.integers(0, 7),
 )
-def test_chunking_and_blocking_are_invisible_bit_for_bit(kernel, replicas, chunk, block, workers):
-    # Small chunks and blocks give partial blocks inside partial chunks, a
-    # block wider than a worker's range, runs shorter than one block, and
-    # more workers than a chunk has rows (so some ranges are empty).  The
-    # reference draws, convolves and steps every replica in one pass on one
-    # worker.
+def test_chunking_and_blocking_are_invisible_bit_for_bit(kernel, replicas, chunk, block, start):
+    # Small chunks and blocks give partial blocks inside partial chunks and
+    # runs shorter than one block, over a range that starts at replica
+    # ``start``, as a forked part's does.  The reference draws, convolves and
+    # steps every replica from 0 in one pass.
     p = _params(kernel=kernel, dt=1.0 / 16.0, horizon=2.0)
-    args = (p, [-1.0, 0.5, 1.0], replicas, [0, 8, 32], 9)
+    args = (p, [-1.0, 0.5, 1.0])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fracvol, "_DEFAULT_CHUNK", replicas)
-        mp.setattr(fracvol, "_BLOCK_ROWS", replicas)
-        mp.setattr(fracvol, "WORKERS", 1)
-        whole = simulate_ensemble(*args)
+        mp.setattr(fracvol, "_DEFAULT_CHUNK", start + replicas)
+        mp.setattr(fracvol, "_BLOCK_ROWS", start + replicas)
+        whole = simulate_ensemble(*args, range(start + replicas), [0, 8, 32], 9)
         mp.setattr(fracvol, "_DEFAULT_CHUNK", chunk)
         mp.setattr(fracvol, "_BLOCK_ROWS", block)
-        mp.setattr(fracvol, "WORKERS", workers)
-        split = simulate_ensemble(*args)
-    assert np.array_equal(split, whole)
-
-
-def test_a_worker_s_error_reaches_the_caller_after_every_worker_stops(monkeypatch):
-    # 64 replicas give each of the two workers two blocks of 16, so the
-    # volatility convolution runs four times; the second call fails.
-    calls = itertools.count(1)
-    real = fracvol._volatility_paths
-
-    def failing(plan, db):
-        if next(calls) == 2:
-            raise RunError("volatility failed")
-        return real(plan, db)
-
-    monkeypatch.setattr(fracvol, "_volatility_paths", failing)
-    p = _params(dt=1.0 / 16.0, horizon=2.0)
-    before = threading.active_count()
-    with pytest.raises(RunError, match="volatility failed"):
-        simulate_ensemble(p, [-1.0, 1.0], 64, [32], seed=9)
-    assert threading.active_count() == before
+        split = simulate_ensemble(*args, range(start, start + replicas), [0, 8, 32], 9)
+    assert np.array_equal(split, whole[..., start:])
 
 
 def test_simulate_ensemble_resource_cap():
     p = _params()
     with pytest.raises(RunError):
-        simulate_ensemble(p, [0.0], 10**9, [256], seed=1)
+        simulate_ensemble(p, [0.0], range(10**9), [256], seed=1)
 
 
 def test_step_of_snaps_to_the_nearest_grid_step():
@@ -390,14 +365,14 @@ def test_step_of_snaps_to_the_nearest_grid_step():
 def test_simulate_ensemble_refuses_steps_that_are_not_increasing_grid_steps(steps):
     p = _params(dt=1.0 / 64.0, horizon=2.0)
     with pytest.raises(ValueError, match=r"steps must be increasing grid steps in \[0, 128\]"):
-        simulate_ensemble(p, [-1.0, 1.0], 4, steps, seed=9)
-    res = simulate_ensemble(p, [-1.0, 1.0], 4, [0, 128], seed=9)
+        simulate_ensemble(p, [-1.0, 1.0], range(4), steps, seed=9)
+    res = simulate_ensemble(p, [-1.0, 1.0], range(4), [0, 128], seed=9)
     assert res.shape == (2, 2, 4) and np.array_equal(res[:, 0], [[-1.0] * 4, [1.0] * 4])
 
 
 def test_initialization_forgetting_small():
     p = _params(dt=1.0 / 128.0, horizon=14.0)
-    res = simulate_ensemble(p, [-2.0, 2.0], 3000, [256, 768, 1280, 1536, 1792], seed=23)
+    res = simulate_ensemble(p, [-2.0, 2.0], range(3000), [256, 768, 1280, 1536, 1792], seed=23)
     tvs, ses = [], []
     for i in range(res.shape[1]):
         a, b = res[0, i], res[1, i]
@@ -445,7 +420,7 @@ def test_increment_check_constant_coefficients():
 def test_increment_scaling_linear_in_h():
     p = _params(dt=1.0 / 128.0, horizon=6.0)
     # t = 5 is step 640; the lags are 8 and 16 steps
-    res = simulate_ensemble(p, [0.0], 20_000, [640, 648, 656], seed=77)
+    res = simulate_ensemble(p, [0.0], range(20_000), [640, 648, 656], seed=77)
     base = res[0, 0]
     m1 = np.mean((res[0, 1] - base) ** 2)
     m2 = np.mean((res[0, 2] - base) ** 2)
@@ -455,7 +430,7 @@ def test_increment_scaling_linear_in_h():
 def test_increment_check_from_ensemble():
     p = _params(dt=1.0 / 128.0, horizon=6.0)
     h = 16 * p.dt
-    res = simulate_ensemble(p, [0.0], 5000, [640, 656], seed=5)  # t = 5 and 5 + h
+    res = simulate_ensemble(p, [0.0], range(5000), [640, 656], seed=5)  # t = 5 and 5 + h
     l_tilde = max(float(np.mean(res[0, j] ** 2)) for j in range(2))
     passed, _ = increment_moment_check(res[0, 0], res[0, 1], h, p.zeta.growth_k, l_tilde,
                                        discrete_log_vol_variance(p))

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from splitcouple.config import (
     MEMORY_CAP_BYTES, load_config, load_config_text, parse_config_text,
 )
 import splitcouple
-from splitcouple import fracvol, harness, logvol
+from splitcouple import fracvol, harness, logvol, parallel
 from splitcouple.errors import CertificationError, ConfigError, RunError
 from splitcouple.fracvol import RESOURCE_CAP, simulate_ensemble
 from splitcouple.harness import emit_csv, run, write_report
@@ -713,7 +714,7 @@ def test_validate_and_run_share_the_replica_step_cap():
     with pytest.raises(ConfigError, match="^replicas: .* replica-steps"):
         load_config_text(text.format(260_417))
     with pytest.raises(RunError, match="replica-steps"):
-        simulate_ensemble(cfg.model, [0.0], 260_417, [256], seed=1)
+        simulate_ensemble(cfg.model, [0.0], range(260_417), [256], seed=1)
 
 
 def test_logvol_sim_estimate_is_one_block_plus_outputs():
@@ -762,23 +763,27 @@ def test_logvol_sim_estimate_covers_the_simulation_s_traced_peak(monkeypatch, ma
 ], ids=["exponential", "fractional", "exponential-chunk-400", "fractional-sde-frac"])
 def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(monkeypatch, kernel, replicas, dt,
                                                             chunk):
-    # 1,600 replicas step as two chunks of 800, or four of 400 under a cap of
-    # 400, and 2,000 as two of 1,000: the estimate reads the ensemble's live
-    # chunk size.  The chunk's q series, one float a replica-step, dominates
-    # what the ensemble holds; an estimate that kept three floats a
-    # replica-step would be over twice it.  One checkpoint keeps the output
-    # rows from covering the block scratch, which is the recursive scan's for
-    # an exponential kernel and the FFT's for a fractional one.
+    # The run is cut into two parts, and the forked child's is traced here:
+    # 1,600 replicas give parts of 800, each one chunk, or two chunks of 400
+    # under a cap of 400, and 2,000 give parts of 1,000.  The estimate is the
+    # one-process figure: it reads the part's live chunk size.  The chunk's q
+    # series, one float a replica-step, dominates what the ensemble holds; an
+    # estimate that kept three floats a replica-step would be over twice it.
+    # One checkpoint keeps the output rows from covering the block scratch,
+    # which is the recursive scan's for an exponential kernel and the FFT's
+    # for a fractional one.
     if chunk is not None:
         monkeypatch.setattr(fracvol, "_DEFAULT_CHUNK", chunk)
     text = (f"experiment = sde-sim\nreplicas = {replicas}\nsde.dt = {dt}\nsde.checkpoints = 20\n"
             f"sde.kernel = {kernel}\n")
     cfg = load_config_text(text)
-    assert fracvol._DEFAULT_CHUNK < cfg.replicas < 2 * fracvol._DEFAULT_CHUNK or chunk
-    opt = cfg.options
+    p, opt = cfg.model, cfg.options
+    lower, upper = parallel.part_ranges(cfg.replicas, p.burn_steps + p.horizon_steps)
+    assert len(upper) == replicas // 2
     tracemalloc.start()
     try:
-        simulate_ensemble(cfg.model, opt["l0"], cfg.replicas, opt["record_steps"], cfg.seed)
+        out = simulate_ensemble(p, opt["l0"], upper, opt["record_steps"], cfg.seed)
+        pickle.dumps((True, out), pickle.HIGHEST_PROTOCOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -206,7 +206,7 @@ def test_no_module_imports_another_module_s_private_name():
 
 def test_replica_rng_is_called_in_streams_only():
     # Each replica's stream layout is drawn in one place (streams.replica_blocks).
-    # Threads build the SDE's noise series (fracvol) and nothing else, and their
+    # No module starts a thread: a run spreads over processes (parallel), whose
     # number is a constant of the code, never read from the environment.
     for path in glob.glob(os.path.join(os.path.dirname(splitcouple.__file__), "*.py")):
         with open(path, encoding="utf-8") as fh:
@@ -215,8 +215,7 @@ def test_replica_rng_is_called_in_streams_only():
         if name != "streams.py":
             assert "replica_rng(" not in text, name
         assert "SPLITCOUPLE_WORKERS" not in text, name
-        if name != "fracvol.py":
-            assert "ThreadPoolExecutor" not in text, name
+        assert "ThreadPoolExecutor" not in text and "threading" not in text, name
         assert "os.environ" not in text and "getenv" not in text, name
 
 
