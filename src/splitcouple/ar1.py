@@ -22,26 +22,32 @@ LYAPUNOV_T_GRID = 10_000
 
 @dataclass(frozen=True)
 class Ar1Params:
-    """Model parameters plus the exponential-moment and schedule knobs.
-
-    ``beta`` is the coefficient of the exponential Lyapunov function
-    exp(beta x^2); it must stay below (1 - gamma^2)/2 so that the stationary
-    law has the corresponding moment.  ``eta`` is the slack in the
-    small-set-size schedule and must stay below sqrt(2)/gamma.
-    """
+    """The chain: its coefficient ``gamma`` and its start ``x0``."""
 
     gamma: float
-    beta: float
     x0: float = 0.0
-    eta: float = 0.1
 
     def __post_init__(self) -> None:
         # each refusal starts with the name of the field it refuses
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 < self.beta < (1.0 - self.gamma**2) / 2.0:
+
+
+@dataclass(frozen=True)
+class Ar1BoundParams:
+    """A chain and the two-term bound's knobs: ``beta`` of the Lyapunov function
+    exp(beta x^2), below (1 - gamma^2)/2 so that the stationary law has that
+    moment, and ``eta``, the small-set schedule's slack, below sqrt(2)/gamma."""
+
+    chain: Ar1Params
+    beta: float
+    eta: float
+
+    def __post_init__(self) -> None:
+        s2 = ar1_stationary(self.chain)[1]  # 2 beta s2 rounds to 1 just below the bound
+        if not 0.0 < self.beta < (1.0 - self.chain.gamma**2) / 2.0 or 2.0 * self.beta * s2 >= 1.0:
             raise ValueError("beta must lie in (0, (1 - gamma^2)/2)")
-        if not 0.0 < self.eta < math.sqrt(2.0) / self.gamma:
+        if not 0.0 < self.eta < math.sqrt(2.0) / self.chain.gamma:
             raise ValueError("eta must lie in (0, sqrt(2)/gamma)")
 
 
@@ -92,7 +98,7 @@ def ar1_split_kernel(gamma: float, n_max: int) -> SplitKernel:
 
 
 @lru_cache(maxsize=64)
-def ar1_lyapunov_constant(p: Ar1Params) -> float:
+def ar1_lyapunov_constant(b: Ar1BoundParams) -> float:
     """Supremum over time of E[exp(beta X_t^2)].
 
     Uses the Gaussian identity
@@ -100,37 +106,35 @@ def ar1_lyapunov_constant(p: Ar1Params) -> float:
     on the exact marginals for t in {0, ..., LYAPUNOV_T_GRID} and at the limit.
     It is inf where the moment overflows a double.
     """
-    b = p.beta
+    p, beta = b.chain, b.beta
     g2 = p.gamma**2
-    s2_lim = 1.0 / (1.0 - g2)
-    if 2.0 * b * s2_lim >= 1.0:
-        raise ValueError("2 beta s^2 must stay below 1 for the moment to exist")
+    s2_lim = 1.0 / (1.0 - g2)  # Ar1BoundParams holds 2 beta s2_lim < 1
     t = np.arange(LYAPUNOV_T_GRID + 1)
     m = p.gamma**t * p.x0
     s2 = (1.0 - g2**t) * s2_lim
-    denom = 1.0 - 2.0 * b * s2
+    denom = 1.0 - 2.0 * beta * s2
     with np.errstate(over="ignore"):
-        vals = np.exp(b * m * m / denom) / np.sqrt(denom)
-    limit = 1.0 / math.sqrt(1.0 - 2.0 * b * s2_lim)
+        vals = np.exp(beta * m * m / denom) / np.sqrt(denom)
+    limit = 1.0 / math.sqrt(1.0 - 2.0 * beta * s2_lim)
     return float(max(vals.max(), limit))
 
 
-def ar1_bound_terms(p: Ar1Params, t: int, n: int) -> tuple[float, float]:
+def ar1_bound_terms(b: Ar1BoundParams, t: int, n: int) -> tuple[float, float]:
     """The two summands of the total-variation bound at horizon t, set size n."""
     if t < 1:
         raise ValueError("t must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    c = ar1_lyapunov_constant(p)
-    term1 = 4.0 * c * math.exp(-p.beta * n * n)
-    a = ar1_alpha(p.gamma, n)
+    c = ar1_lyapunov_constant(b)
+    term1 = 4.0 * c * math.exp(-b.beta * n * n)
+    a = ar1_alpha(b.chain.gamma, n)
     term2 = 2.0 * math.exp(t * math.log1p(-a))
     return term1, term2
 
 
-def ar1_n_schedule(p: Ar1Params, t: int) -> int:
+def ar1_n_schedule(b: Ar1BoundParams, t: int) -> int:
     """Scheduled set size ceil((sqrt(2)/gamma - eta) sqrt(log t))."""
     if t < 2:
         raise ValueError("t must be at least 2")
-    return int(math.ceil((math.sqrt(2.0) / p.gamma - p.eta) * math.sqrt(math.log(t))))
+    return int(math.ceil((math.sqrt(2.0) / b.chain.gamma - b.eta) * math.sqrt(math.log(t))))
 

@@ -209,11 +209,15 @@ class ExperimentConfig:
 _CONFIG_NAMES = {"ma_coeffs": "ma", "zeta": "drift"}  # model fields keyed under another name
 
 
-def _wrap_invariant(section: str, exc: Exception) -> ConfigError:
-    """A model's refusal under its config key: each refusal's message starts
-    with the model field it refuses (``gamma must lie ...`` is ``ar1.gamma``)."""
-    name = str(exc).split(" ", 1)[0]
-    return ConfigError(f"{section}.{_CONFIG_NAMES.get(name, name)}: {exc}")
+def _model(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose refusal names the model field it refuses
+    first and is keyed under that field's config key (``gamma must lie ...`` is
+    ``ar1.gamma``); a config field read for an argument refuses before the call."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        name = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{section}.{_CONFIG_NAMES.get(name, name)}: {exc}") from None
 
 
 def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -> tuple[int, int]:
@@ -270,13 +274,18 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
 
 def _split_bytes(replicas: int, steps: int, work, record: int) -> tuple[int, int]:
     """Bytes, in one process and over all of them, of a run of ``steps`` a
-    replica cut into the parts of ``parallel.part_ranges``: each process holds
-    its part's draws and working set, ``work(part size)``, and its output,
-    ``record`` bytes a replica; a run of several parts holds, in its first
-    process, every part's output beside their join."""
-    sizes = [len(rows) for rows in part_ranges(replicas, steps)]
-    outputs = record * replicas * (2 if len(sizes) > 1 else 1)
-    return max(map(work, sizes)) + outputs, sum(map(work, sizes)) + outputs
+    replica cut into ``parallel.part_ranges``: a part of ``n`` replicas holds
+    ``work(n)``, its draws and working set, and ``record`` bytes a replica of
+    output.  Each process peaks in its largest phase.  A forked child holds
+    its output beside its working set, then beside the payload pickled from
+    it (in a buffer grown to 1.5 times its size).  The first process holds its
+    output beside its working set, then the joined output beside its own
+    output, then beside a child's payload and the part unpickled from it."""
+    first, *rest = (len(rows) for rows in part_ranges(replicas, steps))
+    join = record * (replicas + max(first, 2 * max(rest))) if rest else 0
+    peaks = [max(work(first) + record * first, join)]
+    peaks += [record * n + max(work(n), record * n * 3 // 2) for n in rest]
+    return max(peaks), sum(peaks)
 
 
 def load_config_text(text: str) -> ExperimentConfig:
@@ -294,16 +303,15 @@ def load_config_text(text: str) -> ExperimentConfig:
     replicas = 1
     # ar1 and logvol load scipy.special, so each is imported by its own configs only
     if experiment in ("ar1-bound", "ar1-couple"):
-        from .ar1 import Ar1Params, ar1_alpha, ar1_lyapunov_constant
+        from .ar1 import Ar1BoundParams, Ar1Params, ar1_alpha, ar1_lyapunov_constant
         bound = experiment == "ar1-bound"
         gamma = fields.float_("ar1.gamma", 0.5)
-        beta = fields.float_("ar1.beta", 0.4 * (1.0 - gamma**2))
         x0 = fields.float_("ar1.x0", 0.0 if bound else 1.0)
-        eta = {"eta": fields.float_("ar1.eta", 0.1)} if bound else {}  # a bound-schedule knob
-        try:
-            model = Ar1Params(gamma=gamma, beta=beta, x0=x0, **eta)
-        except ValueError as exc:
-            raise _wrap_invariant("ar1", exc) from None
+        model = _model("ar1", Ar1Params, gamma=gamma, x0=x0)
+        if bound:  # beta and eta are the bound's knobs: the coupling reads neither
+            model = _model("ar1", Ar1BoundParams, model,
+                           beta=fields.float_("ar1.beta", 0.4 * (1.0 - gamma**2)),
+                           eta=fields.float_("ar1.eta", 0.1))
         # The run's Lyapunov term: the bound's 4 sup_t E[exp(beta X_t^2)], or
         # x0^2 in the coupling's sup_t E[X_t^2].
         lyapunov = 4.0 * ar1_lyapunov_constant(model) if bound else x0 * x0
@@ -336,10 +344,7 @@ def load_config_text(text: str) -> ExperimentConfig:
         rho = fields.float_("logvol.rho", 0.3)
         x0 = fields.float_("logvol.x0", 0.0)
         coeffs = _ma_coeffs(fields)
-        try:
-            model = LogvolParams(gamma=gamma, rho=rho, ma_coeffs=coeffs, x0=x0)
-        except ValueError as exc:
-            raise _wrap_invariant("logvol", exc) from None
+        model = _model("logvol", LogvolParams, gamma=gamma, rho=rho, ma_coeffs=coeffs, x0=x0)
         if experiment == "logvol-sim":
             options["checkpoints"] = fields.int_list("logvol.checkpoints", (10, 100))
             if min(options["checkpoints"]) < 1:
@@ -376,16 +381,12 @@ def load_config_text(text: str) -> ExperimentConfig:
             kernel = VolatilityKernel(kind=kname, **{param: kargs[0] if kargs else default})
         except ValueError as exc:
             raise ConfigError(f"sde.kernel: {exc}") from None
-        # read before the try, which would key their own refusals a second time
         rho = fields.float_("sde.rho", 0.3)
         dt = fields.float_("sde.dt", 1.0 / 256.0)
         horizon = fields.float_("sde.horizon", 20.0)
         burn_in = fields.float_("sde.burn_in", 10.0)
-        try:
-            model = SdeParams(zeta=drift, kernel=kernel, rho=rho, dt=dt, horizon=horizon,
-                              burn_in=burn_in)
-        except ValueError as exc:
-            raise _wrap_invariant("sde", exc) from None
+        model = _model("sde", SdeParams, zeta=drift, kernel=kernel, rho=rho, dt=dt,
+                       horizon=horizon, burn_in=burn_in)
         # at lipschitz * dt >= 2 an explicit Euler step of a linear drift multiplies
         # the state by 1 - kappa dt <= -1: the paths oscillate without decay or overflow
         if drift.lipschitz * dt >= 2.0:
@@ -412,7 +413,6 @@ def load_config_text(text: str) -> ExperimentConfig:
                               f"({', '.join(flags)}); give lags that differ in six "
                               f"significant digits")
         options["increment_base"] = fields.float_("sde.increment_base", 10.0)
-        options["tv_threshold"] = fields.float_("sde.tv_threshold", 0.1)
         for t in options["checkpoints"]:
             if not 0.0 <= t <= model.horizon:
                 raise ConfigError(f"sde.checkpoints: {t} outside [0, horizon]")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from splitcouple import logvol
-from splitcouple.ar1 import Ar1Params, ar1_bound_terms, ar1_n_schedule
+from splitcouple.ar1 import Ar1BoundParams, Ar1Params, ar1_bound_terms, ar1_n_schedule
 from splitcouple.errors import CertificationError
 from splitcouple.fracvol import VolatilityKernel
 from splitcouple.kernels import _NEWTON_MAX_ITER, _NEWTON_TOL, SplitKernel, normal_pdf
@@ -255,18 +255,18 @@ def validate_minorization(
     return float(np.min(q) - 0.5 * kernel.ladder.alphas[n])
 
 
-def ar1_bound_curve(p: Ar1Params, t: int, n: int) -> float:
+def ar1_bound_curve(b: Ar1BoundParams, t: int, n: int) -> float:
     """Total-variation bound 4 c exp(-beta n^2) + 2 (1 - alpha_n)^t.
 
     The first term pays for ever leaving [-n, n] (via the exponential moment
     and a Markov bound), the second for never regenerating in t attempts.
     The bound may exceed 2 (it is then vacuous but still valid).
     """
-    term1, term2 = ar1_bound_terms(p, t, n)
+    term1, term2 = ar1_bound_terms(b, t, n)
     return term1 + term2
 
 
-def ar1_rate_fit(p: Ar1Params, t_grid) -> float:
+def ar1_rate_fit(b: Ar1BoundParams, t_grid) -> float:
     """Least-squares decay exponent of the scheduled bound on a log-log grid.
 
     Fits log(bound(t, n(t))) against log t and returns minus the slope.  The
@@ -277,7 +277,7 @@ def ar1_rate_fit(p: Ar1Params, t_grid) -> float:
         raise ValueError("need at least 5 grid points")
     if t_arr[-1] < 100 * t_arr[0]:
         raise ValueError("grid must span at least two decades")
-    log_b = [math.log(ar1_bound_curve(p, int(t), ar1_n_schedule(p, int(t)))) for t in t_arr]
+    log_b = [math.log(ar1_bound_curve(b, int(t), ar1_n_schedule(b, int(t)))) for t in t_arr]
     slope = np.polyfit(np.log(t_arr), log_b, 1)[0]
     return float(-slope)
 

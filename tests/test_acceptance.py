@@ -34,6 +34,7 @@ from oracles import (
     validate_minorization,
 )
 from splitcouple.ar1 import (
+    Ar1BoundParams,
     Ar1Params,
     ar1_alpha,
     ar1_marginal,
@@ -42,7 +43,7 @@ from splitcouple.ar1 import (
     ar1_stationary,
 )
 from splitcouple.config import load_config
-from splitcouple.harness import run
+from splitcouple.harness import SDE_TV_THRESHOLD, run
 from splitcouple.kernels import split_apply_batch
 from splitcouple.logvol import LogvolParams, geometric_ma, logvol_kernel, logvol_ladder
 from splitcouple.metrics import tv_gaussian
@@ -77,11 +78,12 @@ def test_criterion_1_bound_dominance():
     for gamma in (0.5, 0.9):
         beta = 0.4 * (1.0 - gamma**2)
         for x0 in (0.0, 1.0):
-            p = Ar1Params(gamma=gamma, beta=beta, x0=x0)
+            p = Ar1Params(gamma=gamma, x0=x0)
+            b = Ar1BoundParams(p, beta=beta, eta=0.1)
             st_mean, st_var = ar1_stationary(p)
             for t in (10, 100, 1000, 10_000):
-                n = ar1_n_schedule(p, t)
-                bound = ar1_bound_curve(p, t, n)
+                n = ar1_n_schedule(b, t)
+                bound = ar1_bound_curve(b, t, n)
                 mean, var = ar1_marginal(p, t)
                 tv = tv_gaussian(mean, var, st_mean, st_var)
                 worst_gap = min(worst_gap, bound - tv)
@@ -99,7 +101,7 @@ def test_criterion_1_bound_dominance():
 )
 def test_criterion_2_rate_exponent():
     start = time.perf_counter()
-    p = Ar1Params(gamma=0.5, beta=0.3, x0=0.0, eta=0.1)
+    p = Ar1BoundParams(Ar1Params(gamma=0.5, x0=0.0), beta=0.3, eta=0.1)
     grid = [100, 1000, 10_000, 100_000, 1_000_000]
     slope = ar1_rate_fit(p, grid)
     shifted = [ar1_rate_fit(p, [lo * 10**k for k in range(5)])
@@ -204,7 +206,7 @@ def test_criterion_8_mcre_block_coupling(shipped):
 
 def test_criterion_9_sde_initialization_forgetting(shipped):
     report = shipped["sde-sim"]
-    assert report.config["sde.tv_threshold"] == 0.1  # the criterion's threshold, not the config's
+    assert SDE_TV_THRESHOLD == 0.1  # the criterion's threshold, the driver's constant
     r = report.results
     _assert_flags(9, report, ["tv_final_below_threshold", "tv_nonincreasing"], 300.0,
                   f"tv at {'/'.join(f'{t:g}' for t in r['checkpoints'])}: "

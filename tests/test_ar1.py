@@ -12,6 +12,7 @@ from oracles import (
     validate_minorization,
 )
 from splitcouple.ar1 import (
+    Ar1BoundParams,
     Ar1Params,
     ar1_alpha,
     ar1_bound_terms,
@@ -24,18 +25,22 @@ from splitcouple.ar1 import (
 from splitcouple.metrics import tv_gaussian
 
 
+def _bound(gamma, beta, x0=0.0, eta=0.1):
+    return Ar1BoundParams(Ar1Params(gamma, x0=x0), beta=beta, eta=eta)
+
+
 def test_params_invariants():
-    Ar1Params(gamma=0.5, beta=0.3)
-    with pytest.raises(ValueError):
-        Ar1Params(gamma=1.1, beta=0.1)
-    with pytest.raises(ValueError):
-        Ar1Params(gamma=0.5, beta=0.375)  # beta must stay below (1 - gamma^2)/2
-    with pytest.raises(ValueError):
-        Ar1Params(gamma=0.5, beta=0.3, eta=3.0)  # eta must stay below sqrt(2)/gamma
+    Ar1BoundParams(Ar1Params(gamma=0.5), beta=0.3, eta=0.1)
+    with pytest.raises(ValueError, match=r"^gamma must lie in \(0, 1\)$"):
+        Ar1Params(gamma=1.1)
+    with pytest.raises(ValueError, match=r"^beta must lie in \(0, \(1 - gamma\^2\)/2\)$"):
+        _bound(0.5, 0.375)  # beta must stay below (1 - gamma^2)/2
+    with pytest.raises(ValueError, match=r"^eta must lie in \(0, sqrt\(2\)/gamma\)$"):
+        _bound(0.5, 0.3, eta=3.0)  # eta must stay below sqrt(2)/gamma
 
 
 def test_marginal_values():
-    p = Ar1Params(0.5, 0.3, x0=1.0)
+    p = Ar1Params(0.5, x0=1.0)
     assert ar1_marginal(p, 0) == (1.0, 0.0)
     assert ar1_marginal(p, 1) == (0.5, 1.0)
     mean_inf, var_inf = ar1_marginal(p, 4000)
@@ -68,21 +73,21 @@ def test_alpha_matches_grid_infimum(gamma):
 
 
 def test_lyapunov_constant_small_beta_limit():
-    p = Ar1Params(0.5, 1e-9, x0=0.0)
-    assert ar1_lyapunov_constant(p) == pytest.approx(1.0, abs=1e-6)
+    b = _bound(0.5, 1e-9)
+    assert ar1_lyapunov_constant(b) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_lyapunov_constant_zero_start():
     # mean stays 0, variance increases: the supremum sits at the limit
-    p = Ar1Params(0.5, 0.3, x0=0.0)
-    assert ar1_lyapunov_constant(p) == pytest.approx(1.0 / math.sqrt(0.2), rel=1e-14)
+    b = _bound(0.5, 0.3)
+    assert ar1_lyapunov_constant(b) == pytest.approx(1.0 / math.sqrt(0.2), rel=1e-14)
 
 
 def test_lyapunov_constant_quadrature_oracle():
-    p = Ar1Params(0.5, 0.3, x0=1.0)
-    c = ar1_lyapunov_constant(p)
+    b = _bound(0.5, 0.3, x0=1.0)
+    c = ar1_lyapunov_constant(b)
     # maximum over the grid occurs at t = 26 (its value has saturated to the limit)
-    m, s2 = ar1_marginal(p, 26)
+    m, s2 = ar1_marginal(b.chain, 26)
     live = quad(
         lambda z: math.exp(0.3 * z * z) * math.exp(-((z - m) ** 2) / (2 * s2))
         / math.sqrt(2 * math.pi * s2),
@@ -95,18 +100,18 @@ def test_lyapunov_constant_quadrature_oracle():
 
 def test_lyapunov_monte_carlo_uniformity():
     # beta = 0.15 keeps exp(beta X^2) square integrable, so the SE is meaningful
-    p = Ar1Params(0.5, 0.15, x0=1.0)
-    c = ar1_lyapunov_constant(p)
+    b = _bound(0.5, 0.15, x0=1.0)
+    c = ar1_lyapunov_constant(b)
     rng = np.random.default_rng(2025)
     for t in (1, 10, 100):
-        x = ar1_simulate_batch(p, t, rng, 100_000)
-        vals = np.exp(p.beta * x * x)
+        x = ar1_simulate_batch(b.chain, t, rng, 100_000)
+        vals = np.exp(b.beta * x * x)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert vals.mean() <= c + 4 * se
 
 
 def test_bound_curve_terms_and_rederivation():
-    p = Ar1Params(0.5, 0.3, x0=0.0)
+    p = _bound(0.5, 0.3)
     term1, term2 = ar1_bound_terms(p, 10, 2)
     # independent re-derivation of both summands
     c = 1.0 / math.sqrt(1.0 - 2.0 * 0.3 * 4.0 / 3.0)
@@ -116,7 +121,7 @@ def test_bound_curve_terms_and_rederivation():
 
 
 def test_bound_curve_limits():
-    p = Ar1Params(0.5, 0.3, x0=0.0)
+    p = _bound(0.5, 0.3)
     # huge horizon: the geometric term vanishes entirely
     assert ar1_bound_curve(p, 10**6, 2) == ar1_bound_terms(p, 10**6, 2)[0]
     # n = 0 is vacuous at small horizons but still a valid bound
@@ -125,16 +130,16 @@ def test_bound_curve_limits():
 
 def test_bound_dominates_exact_tv():
     for gamma in (0.5, 0.9):
-        p = Ar1Params(gamma, 0.4 * (1 - gamma**2), x0=1.0)
-        st_mean, st_var = ar1_stationary(p)
+        b = _bound(gamma, 0.4 * (1 - gamma**2), x0=1.0)
+        st_mean, st_var = ar1_stationary(b.chain)
         for t in (2, 5, 10, 100, 1000):
-            n = ar1_n_schedule(p, t)
-            mean, var = ar1_marginal(p, t)
-            assert ar1_bound_curve(p, t, n) > tv_gaussian(mean, var, st_mean, st_var)
+            n = ar1_n_schedule(b, t)
+            mean, var = ar1_marginal(b.chain, t)
+            assert ar1_bound_curve(b, t, n) > tv_gaussian(mean, var, st_mean, st_var)
 
 
 def test_n_schedule():
-    p = Ar1Params(0.5, 0.3, eta=0.1)
+    p = _bound(0.5, 0.3, eta=0.1)
     assert ar1_n_schedule(p, 55) == 6
     with pytest.raises(ValueError):
         ar1_n_schedule(p, 1)
@@ -143,7 +148,7 @@ def test_n_schedule():
 
 
 def test_rate_fit_validation():
-    p = Ar1Params(0.5, 0.3)
+    p = _bound(0.5, 0.3)
     with pytest.raises(ValueError):
         ar1_rate_fit(p, [100, 1000, 10000])  # too few points
     with pytest.raises(ValueError):
@@ -151,7 +156,7 @@ def test_rate_fit_validation():
 
 
 def test_rate_fit_matches_direct_regression():
-    p = Ar1Params(0.5, 0.3, x0=0.0)
+    p = _bound(0.5, 0.3)
     grid = [100, 1000, 10_000, 100_000, 1_000_000]
     got = ar1_rate_fit(p, grid)
     logs = [math.log(ar1_bound_curve(p, t, ar1_n_schedule(p, t))) for t in grid]
@@ -163,7 +168,7 @@ def test_rate_fit_matches_direct_regression():
 def test_exact_tv_decays_faster_than_any_polynomial_target():
     # the exact distance to the stationary law decays geometrically, so its
     # fitted log-log slope beats the polynomial target 1/gamma^2 - 1 = 3
-    p = Ar1Params(0.5, 0.3, x0=1.0)
+    p = Ar1Params(0.5, x0=1.0)
     st_mean, st_var = ar1_stationary(p)
     grid = [2, 4, 8, 16, 32]  # past t ~ 50 the exact value underflows
     logs = []
@@ -175,7 +180,7 @@ def test_exact_tv_decays_faster_than_any_polynomial_target():
 
 
 def test_simulate_batch_moments():
-    p = Ar1Params(0.5, 0.3, x0=2.0)
+    p = Ar1Params(0.5, x0=2.0)
     x = ar1_simulate_batch(p, 6, np.random.default_rng(4), 50_000)
     mean, var = ar1_marginal(p, 6)
     assert abs(x.mean() - mean) < 4 * math.sqrt(var / x.size)

@@ -77,7 +77,7 @@ def test_backward_orbit_marginal_moments(kernel):
     t, reps = 20, 100_000
     u = replica_uniform_pairs(321, range(reps), t)
     out = _backward_orbit(kernel, 3, 1.0, u, t)
-    mean, var = ar1_marginal(Ar1Params(GAMMA, 0.2, x0=1.0), t)
+    mean, var = ar1_marginal(Ar1Params(GAMMA, x0=1.0), t)
     se_mean = np.sqrt(var / reps)
     se_var = var * np.sqrt(2.0 / reps)
     assert abs(out.mean() - mean) < 4 * se_mean
@@ -89,7 +89,7 @@ def test_backward_orbit_matches_forward_law(kernel):
     u = replica_uniform_pairs(99, range(reps), t)
     backward = _backward_orbit(kernel, 3, 1.0, u, t)
     forward = ar1_simulate_batch(
-        Ar1Params(GAMMA, 0.2, x0=1.0), t, np.random.default_rng(1234), reps
+        Ar1Params(GAMMA, x0=1.0), t, np.random.default_rng(1234), reps
     )
     assert ks_2samp(backward, forward).pvalue >= 0.01
 

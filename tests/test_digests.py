@@ -103,7 +103,7 @@ DIGESTS = {
     },
     "ar1-couple": {
         "csv": "780c5764a6966ef82f3681e0b70da71d3e503d8ec66d8dcdded2426cc70cd0c7",
-        "report": "903d22482be2a84272b5fb7a33c266c7ffc80b7a2a578306094c67f7f5d74497",
+        "report": "81901f641df620858d587c1f3c30b594a13aac5199de7047c02ccaffd7cc89d2",
     },
     "logvol-couple": {
         "csv": "c21bb1eb717e291c23ec4087f4f43bbd3199a7aa35f21c91ccc9d011e305f384",
@@ -123,11 +123,11 @@ DIGESTS = {
     },
     "sde-exp": {
         "csv": "9d224f177272490a5ef17ef105124451c19eaa10350eeb87380bc5342401c125",
-        "report": "72a3268e04b15fe653908a10d601c4a41af780198a1bdd6680395c0ce6738abc",
+        "report": "a9bda6d663e75dc3370520c297d9f13a9f5ede17ccedc18265946d1a341f42bf",
     },
     "sde-frac": {
         "csv": "3367cdc174680584b81d6773d3bd70a9c39f5548a029de1625131c3d6d73b9d6",
-        "report": "b4b43e4adb1dd3bc78867badeb0e160400dcc05b5cbf6899953299dc874d7b88",
+        "report": "9da9dc680c7ae00b0238558c472c0133ebd8a9aed5d01b9cf053752e2857f2c5",
     },
 }
 

@@ -274,8 +274,6 @@ def test_cli_overflowing_ma_coefficients(tmp_path, capsys, experiment, command):
 
 
 @pytest.mark.parametrize("experiment, line", [
-    ("sde-sim", "sde.tv_threshold = inf"),
-    ("sde-sim", "sde.tv_threshold = nan"),
     ("sde-sim", "sde.checkpoints = 5.0, -inf"),
     ("sde-sim", "sde.kernel = exponential(inf)"),
     ("ar1-bound", "ar1.x0 = -inf"),
@@ -294,6 +292,25 @@ def test_cli_validate_rejects_non_finite_numbers(tmp_path, capsys, experiment, l
     assert captured.out == ""
     assert captured.err.startswith(f"error: {key}: ") and "is not a finite number" in captured.err
     assert captured.err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("experiment, line", [
+    # the coupling's Lyapunov term is x0^2: ar1.beta was read, checked and echoed for nothing
+    ("ar1-couple", "ar1.beta = 0.3"),
+    # the threshold is the driver's constant, harness.SDE_TV_THRESHOLD
+    ("sde-sim", "sde.tv_threshold = 0.1"),
+])
+def test_cli_validate_refuses_a_key_the_experiment_does_not_read(tmp_path, capsys, experiment,
+                                                                 line):
+    key = line.split(" = ")[0]
+    cfg_path = str(tmp_path / "exp.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(f"experiment = {experiment}\nreplicas = 100\n{line}\noutput.dir = {tmp_path}/run\n")
+    assert cli_main(["validate", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key}: unknown field for experiment {experiment!r}\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -383,6 +400,12 @@ _SUB_STEP_BURN_IN = ("experiment = sde-sim\nreplicas = 100\nsde.dt = 0.3\nsde.bu
     ("experiment = sde-sim\nreplicas = 100\nsde.drift = saturating(400, 200)\n", "sde.drift"),
     # a model's own invariants were refused under its section alone ("ar1: gamma ...")
     ("experiment = ar1-bound\nar1.gamma = 1.5\n", "ar1.gamma"),
+    ("experiment = ar1-bound\nar1.beta = 0.375\n", "ar1.beta"),
+    ("experiment = ar1-bound\nar1.eta = 3\n", "ar1.eta"),
+    # a beta one step below (1 - gamma^2)/2, where 2 beta s^2 rounds to 1: the
+    # moment's own refusal came out without the field
+    ("experiment = ar1-bound\nar1.gamma = 0.3331370821691103\nar1.beta = 0.4445098422419257\n",
+     "ar1.beta"),
     ("experiment = logvol-sim\nreplicas = 100\nlogvol.gamma = 1.5\n", "logvol.gamma"),
     ("experiment = logvol-sim\nreplicas = 100\nlogvol.rho = 1.0\n", "logvol.rho"),
     # these two named no field at all: "sde: need dt > 0, horizon >= dt, burn_in > 0"
@@ -408,7 +431,7 @@ _SUB_STEP_BURN_IN = ("experiment = sde-sim\nreplicas = 100\nsde.dt = 0.3\nsde.bu
         "fractional-ma-lag", "negative-ma-lag", "geometric-ma-ratio", "fractional-ma-h", "negative-increment-lag", "zero-increment-lag",
         "sub-step-increment-lag", "increment-lags-alike", "increment-lags-equal",
         "unstable-euler-linear", "unstable-euler-saturating",
-        "ar1-gamma", "logvol-gamma", "logvol-rho", "sde-dt", "sde-horizon", "sde-burn-in",
+        "ar1-gamma", "ar1-beta", "ar1-eta", "ar1-beta-rounding", "logvol-gamma", "logvol-rho", "sde-dt", "sde-horizon", "sde-burn-in",
         "sde-rho", "fractional-burn-in-under-half-a-step",
         "exponential-burn-in-under-half-a-step", "increment-window-past-the-horizon-step"])
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -718,13 +741,14 @@ def test_validate_and_run_share_the_replica_step_cap():
 
 
 def test_logvol_sim_estimate_is_one_block_plus_outputs():
-    # Ten million replicas fit: only the two checkpoint outputs grow with them,
-    # held twice in the first process while it joins the parts' samples.
+    # Ten million replicas fit: only the two checkpoint outputs grow with them.
+    # A hundred thousand hold most while a block runs beside their part's
+    # outputs; ten million while the first process joins the parts: the joined
+    # samples beside a child's payload and the half of them unpickled from it.
     base = "experiment = logvol-sim\nlogvol.checkpoints = 10, 100\n"
     small = load_config_text(base + "replicas = 100000\n").peak_bytes
     large = load_config_text(base + "replicas = 10000000\n").peak_bytes
-    assert large - small == 2 * 2 * 8 * (10_000_000 - 100_000)
-    assert large < MEMORY_CAP_BYTES
+    assert 2 * 2 * 8 * 100_000 < small < large == 2 * 2 * 8 * 10_000_000 < MEMORY_CAP_BYTES
 
 
 @pytest.mark.parametrize("ma, block_rows", [

@@ -272,6 +272,40 @@ def test_the_estimate_covers_the_upper_part_traced_in_process(monkeypatch, make)
     assert peak <= cfg.peak_bytes < 1.5 * peak
 
 
+def test_the_estimate_covers_the_first_process_s_join_traced_in_process(monkeypatch):
+    # The first process runs its part, then joins: the joined samples beside
+    # its own part, then beside the child's payload and the part unpickled
+    # from it.  Traced here, with the child forked, each phase's peak must sit
+    # under the one-process estimate and the larger above two thirds of it.
+    # One checkpoint keeps the CSV rows under the ensemble's buffers.
+    cfg = load_config_text("experiment = sde-sim\nreplicas = 1600\nsde.dt = 0.015625\n"
+                           "sde.checkpoints = 20\n")
+    peaks = []
+
+    def first_process(part, replicas, steps):
+        def traced(rows):
+            out = part(rows)
+            if rows.start == 0:  # this process's part is done: the join follows
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+            return out
+
+        assert len(parallel.part_ranges(replicas, steps)) == 2
+        tracemalloc.start()
+        try:
+            joined = parallel.run_parts(traced, replicas, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return joined
+
+    monkeypatch.setattr(harness, "run_parts", first_process)
+    run(cfg)
+    assert _no_child_left()
+    assert len(peaks) == 2
+    assert max(peaks) <= cfg.peak_bytes < 1.5 * max(peaks)
+
+
 def test_the_memory_cap_reads_the_bytes_of_every_process():
     # 2.5M ar1-couple replicas would hold about 3 GiB a process, 5.6 GiB in all
     cfg = load_config_text("experiment = ar1-couple\nreplicas = 1000\n")
