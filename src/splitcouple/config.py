@@ -31,7 +31,12 @@ from .parallel import part_ranges
 EXPERIMENTS = ("ar1-bound", "ar1-couple", "logvol-sim", "logvol-couple", "sde-sim")
 MEMORY_CAP_BYTES = 4 * 2**30  # the most a run may plan to hold at once
 _MIN_REPLICAS = 100  # the fewest a Monte Carlo experiment may run
-_CSV_ROW_BYTES = 320  # one table record, plus its cell objects and CSV line made at write time
+# Beside the arrays a split run joins: each output array's objects (its
+# headers in the part, payload and joined forms, pickle's memo), about 1 KiB,
+# and what a finished part leaves allocated (numpy's and the streams' caches,
+# traced at 12-30 KiB)
+_OUTPUT_ARRAY_BYTES = 1024
+_PART_LEFTOVER_BYTES = 48 * 1024
 
 _CALL_RE = re.compile(r"^([a-z_]+)\(([^)]*)\)$")
 
@@ -223,21 +228,29 @@ def _model(section: str, make, *args, **kwargs):
 def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -> tuple[int, int]:
     """Bytes a run holds at once, in one process and over all of its
     processes, by arithmetic before any compute: the per-replica arrays its
-    driver keeps (8 bytes a float) and CSV rows, plus the working set its
+    driver keeps (8 bytes a float) and its table, plus the working set its
     simulator states (``fracvol.ensemble_working_bytes``,
-    ``logvol.block_working_bytes``, ``coupling.engine_step_bytes``).
-    ``sde-sim`` frees the ensemble's buffers before it builds its table, and
-    ``logvol-couple`` its normals before the engine runs, so each peak is the
-    larger of two phases.  Every Monte Carlo run is cut into the parts of
+    ``logvol.block_working_bytes``, ``coupling.engine_step_bytes``) and
+    the CSV batch ``harness.csv_batch_bytes``.  ``sde-sim`` frees the
+    ensemble's buffers before it builds its table, and ``logvol-couple`` its
+    normals before the engine runs, so each peak is the larger of its
+    phases.  Every Monte Carlo run is cut into the parts of
     ``parallel.part_ranges`` (``_split_bytes``)."""
     r = replicas
     if experiment == "ar1-bound":
         return 0, 0
-    if experiment == "sde-sim":  # a sample, then a CSV row, per state, recorded step and replica
+    if experiment == "sde-sim":
+        # a sample per state, recorded step and replica; then a table record
+        # of four 8-byte cells per sample, built beside the samples and then
+        # written beside one CSV batch, with the replica ids broadcast into
+        # the table and what the finished parts leave (traced at 11 B a replica)
+        from .harness import csv_batch_bytes
         per_replica = len(options["l0"]) * len(options["record_steps"])
         peak, total = _split_bytes(r, model.burn_steps + model.horizon_steps,
-                                   lambda n: ensemble_working_bytes(model, n), 8 * per_replica)
-        table = _CSV_ROW_BYTES * per_replica * r
+                                   lambda n: ensemble_working_bytes(model, n), 8 * per_replica, 1)
+        rows = per_replica * r
+        table = (max(40 * rows, 32 * rows + csv_batch_bytes(rows))
+                 + 16 * r + _PART_LEFTOVER_BYTES)
         return max(peak, table), max(total, table)
     from .coupling import engine_step_bytes
     if experiment == "ar1-couple":
@@ -246,13 +259,13 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
         # The CSV rows, fewer bytes, are written once the uniforms are freed.
         return _split_bytes(r, options["t"],
                             lambda n: n * 16 * options["t"] + engine_step_bytes(n),
-                            options["s"] + 26)
+                            options["s"] + 26, 1)
     from .logvol import block_working_bytes, logvol_schedule
     if experiment == "logvol-sim":  # a block's working set; the checkpoint samples
         steps = max(options["checkpoints"])
         return _split_bytes(r, steps,
                             lambda n: block_working_bytes(model.lag, model.ma_rate, steps, n),
-                            8 * len(set(options["checkpoints"])))
+                            8 * len(set(options["checkpoints"])), len(set(options["checkpoints"])))
     try:
         schedule = logvol_schedule(model, options["m_max"])
     except ScheduleError:
@@ -269,20 +282,23 @@ def _estimate_peak_bytes(experiment: str, replicas: int, model, options: dict) -
                  + block_working_bytes(model.lag, model.ma_rate, steps, n, draws=False))
         return max(draws, env_and_pairs + n * (steps + 1) + engine_step_bytes(n))
 
-    return _split_bytes(r, steps, work, steps + 26)
+    return _split_bytes(r, steps, work, steps + 26, 1)
 
 
-def _split_bytes(replicas: int, steps: int, work, record: int) -> tuple[int, int]:
+def _split_bytes(replicas: int, steps: int, work, record: int, arrays: int) -> tuple[int, int]:
     """Bytes, in one process and over all of them, of a run of ``steps`` a
     replica cut into ``parallel.part_ranges``: a part of ``n`` replicas holds
     ``work(n)``, its draws and working set, and ``record`` bytes a replica of
-    output.  Each process peaks in its largest phase.  A forked child holds
-    its output beside its working set, then beside the payload pickled from
-    it (in a buffer grown to 1.5 times its size).  The first process holds its
-    output beside its working set, then the joined output beside its own
-    output, then beside a child's payload and the part unpickled from it."""
+    output in ``arrays`` arrays.  Each process peaks in its largest phase.  A
+    forked child holds its output beside its working set, then beside the
+    payload pickled from it (in a buffer grown to 1.5 times its size).  The
+    first process holds its output beside its working set, then the joined
+    output beside its own output, then beside a child's payload and the part
+    unpickled from it, with each array's objects and its finished part's
+    leftovers."""
     first, *rest = (len(rows) for rows in part_ranges(replicas, steps))
-    join = record * (replicas + max(first, 2 * max(rest))) if rest else 0
+    join = (record * (replicas + max(first, 2 * max(rest)))
+            + _OUTPUT_ARRAY_BYTES * arrays + _PART_LEFTOVER_BYTES) if rest else 0
     peaks = [max(work(first) + record * first, join)]
     peaks += [record * n + max(work(n), record * n * 3 // 2) for n in rest]
     return max(peaks), sum(peaks)

@@ -15,6 +15,9 @@ a grid.  The left-point Euler step splits into the state's drift
 ``zeta(L) dt`` and a part that does not depend on the state,
 ``q = V (rho dB + sqrt(1 - rho^2) dW) - V^2/2 dt``,
 which is computed once per replica and step, before any state is stepped.
+Replicas are stepped in chunks of at most 512, and a chunk's time-major q
+series, one float a replica-step, is the ensemble's largest buffer: 20 MB
+for 500 replicas at the shipped 5,120 steps.
 An ensemble runs over a contiguous replica range on one thread; a run spreads
 over the machine's CPUs by handing ranges to forked processes (``parallel``),
 and every operation is per replica, so the cut cannot change a bit.
@@ -33,7 +36,7 @@ from .streams import (ConvPlan, ScanPlan, ma_plan, ma_plan_row_bytes, replica_bl
                       stream_state_bytes)
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
-_DEFAULT_CHUNK = 1024  # most replicas stepped together (memory: ensemble_working_bytes)
+_DEFAULT_CHUNK = 512  # most replicas stepped together (memory: ensemble_working_bytes)
 _BLOCK_ROWS = 16  # replicas drawn and convolved together
 _DISS_GRID_HALFWIDTH = 50.0  # the drift's declared constants are certified on [-50, 50]
 
@@ -255,14 +258,15 @@ def _chunk_sizes(replicas: int) -> tuple[int, int]:
 
 def _chunk_cuts(replicas: int) -> list[int]:
     """Bounds of the fewest chunks of at most ``_DEFAULT_CHUNK`` replicas, whose
-    sizes differ by at most one: 2,000 replicas step as two chunks of 1,000."""
+    sizes differ by at most one: 1,000 replicas step as two chunks of 500."""
     n = -(-replicas // _DEFAULT_CHUNK)
     return [replicas * c // n for c in range(n + 1)]
 
 
 def ensemble_working_bytes(p: SdeParams, replicas: int) -> int:
     """Bytes ``simulate_ensemble`` over ``replicas`` replicas holds beside its samples: a
-    chunk's q series (a float a replica-step); a block's draws and plan over the kernel's
+    chunk's q series (a float a replica-step, 20 MB for the shipped run's chunks of 500
+    replicas and 5,120 steps); a block's draws and plan over the kernel's
     reach (``streams.ma_plan_row_bytes``), four rows more for the plan's spectrum or weights
     and the transform's scratch; the stream states of a chunk
     (``streams.stream_state_bytes``); and 256 KiB for numpy's iteration buffers."""
@@ -313,7 +317,7 @@ def simulate_ensemble(p: SdeParams, l0_list, replicas: range, steps, seed: int) 
     which drives every initial state and sharpens ensemble comparisons.
     Replicas are stepped in the fewest chunks of at most ``_DEFAULT_CHUNK``,
     whose sizes differ by at most one, and the q series is sized to the
-    largest: 10,000 replicas step as ten chunks of 1,000.  Each chunk is drawn
+    largest: 5,000 replicas step as ten chunks of 500.  Each chunk is drawn
     and convolved ``_BLOCK_ROWS`` replicas at a time, through one plan, into
     ``q``; then it is stepped.  These sizes bound memory
     (``ensemble_working_bytes``), and every operation is per replica, so

@@ -14,6 +14,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 import numpy.rec  # loaded on first use otherwise, inside a run (see streams)
@@ -59,21 +60,37 @@ def _json_safe(obj, where: str):
 # One %-format per column dtype kind; an object column holds Python ints
 # past int64 (block lengths of a long schedule).
 _CELL_FORMATS = {"b": "%s", "i": "%d", "u": "%d", "f": "%.17g", "O": "%d"}
+_CSV_BATCH_ROWS = 8192  # rows formatted at once (memory: csv_batch_bytes)
+
+
+def csv_batch_bytes(rows: int) -> int:
+    """Bytes ``emit_csv`` holds beside a table of ``rows`` records: one batch's
+    cell objects, lines, text and its encoded bytes, 320 a row (traced at
+    281-290 over ``sde-sim``'s four columns)."""
+    return 320 * min(rows, _CSV_BATCH_ROWS)
 
 
 def emit_csv(report: RunReport, path: str) -> None:
     """Header plus one line per record, LF line endings: ``true``/``false``,
-    exact integers and 17-significant-digit decimals."""
+    exact integers and 17-significant-digit decimals.  The records are
+    formatted ``_CSV_BATCH_ROWS`` at a time, so only one batch's cell objects
+    and lines exist at once, whatever the table's length."""
     table = report.table_rows
     names = table.dtype.names
-    fmt = ",".join(_CELL_FORMATS[table.dtype[name].kind] for name in names)
-    cols = [
-        np.where(table[name], "true", "false").tolist() if table.dtype[name].kind == "b"
-        else table[name].tolist()
-        for name in names
-    ]
-    lines = [",".join(names), *(fmt % row for row in zip(*cols))]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    fmt = ",".join(_CELL_FORMATS[table.dtype[name].kind] for name in names) + "\n"
+
+    def batches():
+        yield ",".join(names) + "\n"
+        for lo in range(0, len(table), _CSV_BATCH_ROWS):
+            rows = table[lo : lo + _CSV_BATCH_ROWS]
+            cols = [
+                np.where(rows[name], "true", "false").tolist() if rows.dtype[name].kind == "b"
+                else rows[name].tolist()
+                for name in names
+            ]
+            yield "".join([fmt % row for row in zip(*cols)])
+
+    _write_atomic(path, batches())
 
 
 def emit_json(report: RunReport, path: str) -> None:
@@ -85,15 +102,17 @@ def emit_json(report: RunReport, path: str) -> None:
         "results": _json_safe(report.results, "results"),
         "flags": report.flags,
     }
-    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    _write_atomic(path, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"])
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` by ``text`` at once, through a temporary file beside it."""
+def _write_atomic(path: str, texts: Iterable[str]) -> None:
+    """Replace ``path`` by the concatenated ``texts`` at once, through a
+    temporary file beside it; an error while they are made or written leaves
+    ``path`` as it was and no temporary file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(texts)
             # on disk before the rename, so a crash cannot leave a short file
             fh.flush()
             os.fsync(fh.fileno())
@@ -329,18 +348,16 @@ def _run_sde_sim(cfg: ExperimentConfig) -> tuple[dict, dict, np.recarray]:
         "log_vol_variance": s2,
         "increments": inc_results,
     }
-    # One record per sample, in (state, recorded step, replica) order.
-    n_states, n_times, reps = samples.shape
-    table = np.rec.fromarrays(
-        [
-            np.repeat(np.arange(n_states), n_times * reps),
-            np.tile(np.repeat(times, reps), n_states),
-            np.tile(np.arange(reps), n_states * n_times),
-            samples.ravel(),
-        ],
-        names="initial_state_id,checkpoint_time,replica_id,L_value",
-    )
-    return results, flags, table
+    # One record per sample, in (state, recorded step, replica) order: each
+    # column is broadcast into its field, so no column is built at full length.
+    table = np.recarray(samples.shape, dtype=[("initial_state_id", np.int64),
+                                              ("checkpoint_time", np.float64),
+                                              ("replica_id", np.int64), ("L_value", np.float64)])
+    table["initial_state_id"] = np.arange(samples.shape[0])[:, None, None]
+    table["checkpoint_time"] = np.array(times)[:, None]
+    table["replica_id"] = np.arange(samples.shape[2])
+    table["L_value"] = samples
+    return results, flags, table.ravel()
 
 
 _RUNNERS = {

@@ -316,3 +316,18 @@ def logvol_certify_minorization(p: LogvolParams, n: int) -> float:
     q = normal_pdf(arg) / s
     half_alpha = float(normal_pdf(logvol.logvol_dn(p, n))) / (root * math.exp(n))
     return float(q.min() - half_alpha)
+
+
+def csv_text(table: np.recarray) -> str:
+    """The CSV text of a record table, formatted whole in one ``%`` a line and
+    one join: the form ``harness.emit_csv`` took before it wrote in batches."""
+    formats = {"b": "%s", "i": "%d", "u": "%d", "f": "%.17g", "O": "%d"}
+    names = table.dtype.names
+    fmt = ",".join(formats[table.dtype[name].kind] for name in names)
+    cols = [
+        np.where(table[name], "true", "false").tolist() if table.dtype[name].kind == "b"
+        else table[name].tolist()
+        for name in names
+    ]
+    lines = [",".join(names), *(fmt % row for row in zip(*cols))]
+    return "\n".join(lines) + "\n"

@@ -299,12 +299,13 @@ def test_ensemble_matches_scalar_reference_path():
 
 
 @pytest.mark.parametrize("replicas, chunk", [
-    (2000, 1000), (10_000, 1000), (1540, 770), (1024, 1024), (1, 1),
-    (3073, 769),  # stepping by 769 would leave a last chunk of 766
+    (1000, 500), (5000, 500), (770, 385), (512, 512), (1, 1),
+    (1537, 385),  # stepping by 385 would leave a last chunk of 382
 ])
 def test_chunks_are_the_fewest_under_the_cap_and_equal(replicas, chunk):
     # The q series is sized to the largest chunk, so the chunks are as equal
-    # as whole replicas allow: 2,000 replicas hold 1,000 rows, not 1,024.
+    # as whole replicas allow: 1,000 replicas hold 500 rows, not 512, and a
+    # part of the shipped sde-sim run, 5,000 replicas, ten chunks of 500.
     assert fracvol._chunk_sizes(replicas)[0] == chunk
     cuts = fracvol._chunk_cuts(replicas)
     sizes = np.diff(cuts)

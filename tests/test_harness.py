@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import SHIPPED_CONFIGS
+from oracles import SHIPPED_CONFIGS, csv_text
 from splitcouple.cli import main as cli_main
 from splitcouple.config import (
     MEMORY_CAP_BYTES, load_config, load_config_text, parse_config_text,
@@ -217,6 +217,70 @@ def test_emit_csv_formats_each_column_by_its_dtype_kind(tmp_path):
     )
     empty = np.rec.fromrecords([], dtype=[("a", np.int64), ("b", np.float64), ("c", object)])
     assert _csv_text(tmp_path, empty) == "a,b,c\n"
+
+
+def _mixed_table(rows: int) -> np.recarray:
+    """Bool, int, float and object (Python int past int64) columns, with the
+    edge values of each kind cycled down the rows."""
+    k = np.arange(rows)
+    ints = np.array([0, -7, 2**63 - 1, -(2**63), 1], dtype=np.int64)
+    floats = np.array([-0.0, 1e-300, np.inf, np.nan, 2.0 / 3.0, -1.5e17])
+    big = np.array([10**57, -(10**57), 0, 2**64], dtype=object)
+    return np.rec.fromarrays(
+        [k % 3 == 0, ints[k % ints.size] + k, floats[k % floats.size] * (k + 1),
+         big[k % big.size] + k],
+        names="flag,count,value,block_len",
+    )
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["0", "batch-1", "batch", "batch+1"])
+def test_emit_csv_writes_the_whole_table_formatter_s_bytes(tmp_path, offset):
+    # Batches cut the lines, never a line: an empty table, one short of a
+    # batch, a batch and one more than a batch write the reference's bytes.
+    rows = 0 if offset is None else harness._CSV_BATCH_ROWS + offset
+    table = _mixed_table(rows)
+    assert len(table) == rows
+    assert _csv_text(tmp_path, table) == csv_text(table)
+
+
+def test_emit_csv_holds_one_batch_whatever_the_row_count(tmp_path):
+    # 500,000 sde-sim records, about 290 B a row as cell objects and lines
+    # (145 MB formatted whole), are written beside their record array in the
+    # bytes of one batch, as are 50,000.
+    path = str(tmp_path / "f.csv")
+    peaks = []
+    for rows in (50_000, 500_000):
+        table = np.rec.fromarrays(
+            [np.arange(rows) % 2, np.arange(rows) * 0.1, np.arange(rows), np.arange(rows) / 3.0],
+            names="initial_state_id,checkpoint_time,replica_id,L_value",
+        )
+        report = harness.RunReport(experiment="sde-sim", config={}, results={}, flags={},
+                                   replicas=1, wall_clock_s=0.0, table_rows=table)
+        tracemalloc.start()
+        try:
+            emit_csv(report, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    batch = harness.csv_batch_bytes(500_000)
+    assert batch == harness.csv_batch_bytes(50_000) == 320 * harness._CSV_BATCH_ROWS
+    assert batch / 2 < peaks[0] < batch and batch / 2 < peaks[1] < batch
+    assert abs(peaks[1] - peaks[0]) < batch / 20
+
+
+def test_a_formatting_failure_mid_table_leaves_the_old_csv(tmp_path):
+    # A cell that does not format, past the first batch: the batches before it
+    # are written to the temporary file, which goes; the target keeps its text.
+    table = _mixed_table(harness._CSV_BATCH_ROWS + 10)
+    table["block_len"][harness._CSV_BATCH_ROWS + 5] = "not an integer"
+    path = tmp_path / "f.csv"
+    path.write_text("old contents\n", encoding="utf-8")
+    report = harness.RunReport(experiment="ar1-bound", config={}, results={}, flags={},
+                               replicas=1, wall_clock_s=0.0, table_rows=table)
+    with pytest.raises(TypeError):
+        emit_csv(report, str(path))
+    assert path.read_text(encoding="utf-8") == "old contents\n"
+    assert os.listdir(tmp_path) == [path.name]
 
 
 def test_cli_round_trip(tmp_path, capsys):
@@ -744,11 +808,15 @@ def test_logvol_sim_estimate_is_one_block_plus_outputs():
     # Ten million replicas fit: only the two checkpoint outputs grow with them.
     # A hundred thousand hold most while a block runs beside their part's
     # outputs; ten million while the first process joins the parts: the joined
-    # samples beside a child's payload and the half of them unpickled from it.
+    # samples beside a child's payload and the half of them unpickled from it,
+    # with the objects of the two arrays and what the finished part leaves.
+    from splitcouple import config
     base = "experiment = logvol-sim\nlogvol.checkpoints = 10, 100\n"
     small = load_config_text(base + "replicas = 100000\n").peak_bytes
     large = load_config_text(base + "replicas = 10000000\n").peak_bytes
-    assert 2 * 2 * 8 * 100_000 < small < large == 2 * 2 * 8 * 10_000_000 < MEMORY_CAP_BYTES
+    objects = 2 * config._OUTPUT_ARRAY_BYTES + config._PART_LEFTOVER_BYTES
+    assert 2 * 2 * 8 * 100_000 < small < large == 2 * 2 * 8 * 10_000_000 + objects
+    assert large < MEMORY_CAP_BYTES
 
 
 @pytest.mark.parametrize("ma, block_rows", [
@@ -788,14 +856,14 @@ def test_logvol_sim_estimate_covers_the_simulation_s_traced_peak(monkeypatch, ma
 def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(monkeypatch, kernel, replicas, dt,
                                                             chunk):
     # The run is cut into two parts, and the forked child's is traced here:
-    # 1,600 replicas give parts of 800, each one chunk, or two chunks of 400
-    # under a cap of 400, and 2,000 give parts of 1,000.  The estimate is the
-    # one-process figure: it reads the part's live chunk size.  The chunk's q
-    # series, one float a replica-step, dominates what the ensemble holds; an
-    # estimate that kept three floats a replica-step would be over twice it.
-    # One checkpoint keeps the output rows from covering the block scratch,
-    # which is the recursive scan's for an exponential kernel and the FFT's
-    # for a fractional one.
+    # 1,600 replicas give parts of 800, each two chunks of 400 under the cap
+    # of 512 as under a cap of 400, and 2,000 give parts of 1,000, two chunks
+    # of 500.  The estimate is the one-process figure: it reads the part's
+    # live chunk size.  The chunk's q series, one float a replica-step,
+    # dominates what the ensemble holds; an estimate that kept three floats a
+    # replica-step would be over twice it.  One checkpoint keeps the output
+    # rows from covering the block scratch, which is the recursive scan's for
+    # an exponential kernel and the FFT's for a fractional one.
     if chunk is not None:
         monkeypatch.setattr(fracvol, "_DEFAULT_CHUNK", chunk)
     text = (f"experiment = sde-sim\nreplicas = {replicas}\nsde.dt = {dt}\nsde.checkpoints = 20\n"
@@ -815,10 +883,11 @@ def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(monkeypatch, kernel,
 
 
 def test_sde_sim_estimate_covers_run_and_write_when_csv_rows_dominate(tmp_path):
-    # The checkpoint, the base and 20 lags are 22 recorded steps: 88,000 CSV
-    # rows, whose write-time objects (about 300 B a row) outweigh the
-    # ensemble's buffers.  Counting a row per checkpoint instead of per
-    # recorded step covered a fifth of this peak.
+    # The checkpoint, the base and 20 lags are 22 recorded steps: 88,000
+    # table records of 32 B, written a batch of 8,192 rows at a time, whose
+    # cell objects and lines take about 290 B a row.  The write outweighs the
+    # ensemble's buffers, though the rows no longer do: their records with
+    # one batch are 4.9 MiB traced, against 2.3 MiB over the first part.
     lags = ", ".join(f"{0.01 * k:g}" for k in range(1, 21))
     cfg = load_config_text("experiment = sde-sim\nreplicas = 2000\nsde.horizon = 1\n"
                            "sde.checkpoints = 1\nsde.increment_base = 0.5\n"

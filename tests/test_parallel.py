@@ -272,14 +272,9 @@ def test_the_estimate_covers_the_upper_part_traced_in_process(monkeypatch, make)
     assert peak <= cfg.peak_bytes < 1.5 * peak
 
 
-def test_the_estimate_covers_the_first_process_s_join_traced_in_process(monkeypatch):
-    # The first process runs its part, then joins: the joined samples beside
-    # its own part, then beside the child's payload and the part unpickled
-    # from it.  Traced here, with the child forked, each phase's peak must sit
-    # under the one-process estimate and the larger above two thirds of it.
-    # One checkpoint keeps the CSV rows under the ensemble's buffers.
-    cfg = load_config_text("experiment = sde-sim\nreplicas = 1600\nsde.dt = 0.015625\n"
-                           "sde.checkpoints = 20\n")
+def _first_process_peaks(monkeypatch, cfg) -> list[int]:
+    """Traced peaks of the first process of ``cfg``'s split run, its child
+    forked: over its own part, then over the join."""
     peaks = []
 
     def first_process(part, replicas, steps):
@@ -303,7 +298,36 @@ def test_the_estimate_covers_the_first_process_s_join_traced_in_process(monkeypa
     run(cfg)
     assert _no_child_left()
     assert len(peaks) == 2
+    return peaks
+
+
+def test_the_estimate_covers_the_first_process_s_join_traced_in_process(monkeypatch):
+    # The first process runs its part, then joins: the joined samples beside
+    # its own part, then beside the child's payload and the part unpickled
+    # from it.  Traced here, with the child forked, each phase's peak must sit
+    # under the one-process estimate and the larger above two thirds of it.
+    # One checkpoint keeps the CSV rows under the ensemble's buffers.
+    cfg = load_config_text("experiment = sde-sim\nreplicas = 1600\nsde.dt = 0.015625\n"
+                           "sde.checkpoints = 20\n")
+    peaks = _first_process_peaks(monkeypatch, cfg)
     assert max(peaks) <= cfg.peak_bytes < 1.5 * max(peaks)
+
+
+@pytest.mark.parametrize("text", [
+    "replicas = 7000\nlogvol.checkpoints = " + ", ".join(str(t) for t in range(1, 41)) + "\n",
+    "replicas = 60000\nlogvol.checkpoints = 1, 6\n",
+], ids=["7000-replicas-40-checkpoints", "60000-replicas-2-checkpoints"])
+def test_the_estimate_covers_a_join_that_outweighs_the_parts(monkeypatch, text):
+    # Where the joined outputs outweigh a part's working set, the join is the
+    # first process's peak, and the arrays it holds are not all of it: each
+    # output array's objects (about 1 KiB) and what the finished part leaves
+    # allocated (12-30 KiB) put the traced peak 1.0% and 0.7% over an
+    # estimate that counted the arrays alone.  The second row stands for
+    # 400,000 replicas at checkpoints 1 and 2 (0.2% over), which took 28 s
+    # traced: tracemalloc slows each replica's stream set-up about twelvefold.
+    cfg = load_config_text("experiment = logvol-sim\nlogvol.ma = geometric(0.5, 16)\n" + text)
+    own, join = _first_process_peaks(monkeypatch, cfg)
+    assert own < join <= cfg.peak_bytes < 1.5 * join
 
 
 def test_the_memory_cap_reads_the_bytes_of_every_process():
