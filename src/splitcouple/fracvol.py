@@ -15,9 +15,11 @@ a grid.  The left-point Euler step splits into the state's drift
 ``zeta(L) dt`` and a part that does not depend on the state,
 ``q = V (rho dB + sqrt(1 - rho^2) dW) - V^2/2 dt``,
 which is computed once per replica and step, before any state is stepped.
-Replicas are stepped in chunks of at most 512, and a chunk's time-major q
-series, one float a replica-step, is the ensemble's largest buffer: 20 MB
-for 500 replicas at the shipped 5,120 steps.
+Replicas are stepped in chunks of at most 256, and a chunk's time-major q
+series, one float a replica-step, is the ensemble's largest buffer: 10 MB
+for 250 replicas at the shipped 5,120 steps.  A step allocates nothing: the
+drift is written into buffers the ensemble allocates once, so a step's fixed
+cost is a few ufunc calls and a chunk can be narrow.
 An ensemble runs over a contiguous replica range on one thread; a run spreads
 over the machine's CPUs by handing ranges to forked processes (``parallel``),
 and every operation is per replica, so the cut cannot change a bit.
@@ -36,7 +38,7 @@ from .streams import (ConvPlan, ScanPlan, ma_plan, ma_plan_row_bytes, replica_bl
                       stream_state_bytes)
 
 RESOURCE_CAP = 2_000_000_000  # replica-steps per ensemble call
-_DEFAULT_CHUNK = 512  # most replicas stepped together (memory: ensemble_working_bytes)
+_DEFAULT_CHUNK = 256  # most replicas stepped together (memory: ensemble_working_bytes)
 _BLOCK_ROWS = 16  # replicas drawn and convolved together
 _DISS_GRID_HALFWIDTH = 50.0  # the drift's declared constants are certified on [-50, 50]
 
@@ -92,6 +94,11 @@ class VolatilityKernel:
 class DriftSpec:
     """Drift callable with its declared growth, dissipativity and Lipschitz constants.
 
+    ``fn(x, out, scratch)`` writes zeta(x) into ``out`` and returns it; it may
+    overwrite ``scratch``.  Both are float arrays of ``x``'s shape, distinct
+    from ``x`` and from each other, so a step allocates nothing.
+    ``values`` gives zeta(x) in fresh arrays.
+
     ``growth_k`` must satisfy zeta(x)^2 <= growth_k (x^2 + 1); ``diss_alpha``
     and ``diss_beta`` must satisfy x zeta(x) <= -diss_alpha x^2 + diss_beta;
     ``lipschitz`` must satisfy |zeta(x) - zeta(y)| <= lipschitz |x - y|, and
@@ -99,7 +106,7 @@ class DriftSpec:
     grid-certified when the parameters are built.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     growth_k: float
     diss_alpha: float
     diss_beta: float
@@ -111,12 +118,17 @@ class DriftSpec:
             raise ValueError("the growth constant overflows on the grid "
                              f"[-{_DISS_GRID_HALFWIDTH:g}, {_DISS_GRID_HALFWIDTH:g}]")
 
+    def values(self, x) -> np.ndarray:
+        """zeta(x), computed by ``fn`` into arrays allocated for the call."""
+        x = np.asarray(x, float)
+        return self.fn(x, np.empty_like(x), np.empty_like(x))
+
 
 def linear_drift(kappa: float = 1.0) -> DriftSpec:
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     return DriftSpec(
-        fn=lambda x: -kappa * np.asarray(x, float),
+        fn=lambda x, out, scratch: np.multiply(x, -kappa, out=out),
         growth_k=kappa**2,
         diss_alpha=kappa,
         diss_beta=1e-6,
@@ -127,8 +139,16 @@ def linear_drift(kappa: float = 1.0) -> DriftSpec:
 def saturating_drift(kappa: float = 1.0, a: float = 1.0) -> DriftSpec:
     if kappa <= 0.0 or a < 0.0:
         raise ValueError("need kappa > 0 and a >= 0")
+
+    def fn(x, out, scratch):  # zeta(x) = -kappa x + a sin x
+        np.multiply(x, -kappa, out=out)
+        np.sin(x, out=scratch)
+        scratch *= a
+        out += scratch
+        return out
+
     return DriftSpec(
-        fn=lambda x: -kappa * np.asarray(x, float) + a * np.sin(np.asarray(x, float)),
+        fn=fn,
         growth_k=2.0 * max(kappa**2, a**2),
         diss_alpha=kappa / 2.0,
         diss_beta=a**2 / (2.0 * kappa) if a > 0.0 else 1e-6,
@@ -172,12 +192,12 @@ class SdeParams:
             )
         grid = np.linspace(-_DISS_GRID_HALFWIDTH, _DISS_GRID_HALFWIDTH, 2001)
         margin = dissipativity_check(
-            self.zeta.fn, self.zeta.diss_alpha, self.zeta.diss_beta, grid
+            self.zeta.values, self.zeta.diss_alpha, self.zeta.diss_beta, grid
         )
         if margin < 0.0:
             raise ValueError(f"zeta fails its declared dissipativity on the grid "
                              f"(margin {margin:.3e})")
-        values = self.zeta.fn(grid)
+        values = self.zeta.values(grid)
         growth = np.max(values**2 - self.zeta.growth_k * (grid**2 + 1.0))
         if growth > 0.0:
             raise ValueError("zeta fails its declared growth constant on the grid")
@@ -239,13 +259,18 @@ def _volatility_paths(plan: ConvPlan | ScanPlan, db: np.ndarray) -> np.ndarray:
     return np.exp(j, out=j)
 
 
-def euler_step(p: SdeParams, L, q):
-    """One explicit Euler step ``L + zeta(L) dt + q``, in place for an array
-    ``L``; ``q`` is the step's state-free part (see the module docstring)."""
-    drift = p.zeta.fn(L)
+def euler_step(p: SdeParams, L: np.ndarray, q, drift: np.ndarray, scratch: np.ndarray):
+    """One explicit Euler step ``L + zeta(L) dt + q``, in place in the array
+    ``L``, which it returns; ``q`` is the step's state-free part (see the
+    module docstring).  ``drift`` and ``scratch`` are float arrays of ``L``'s
+    shape that the step overwrites (``DriftSpec``), so it allocates nothing:
+    ``q`` is copied over the states into ``scratch`` before it is added,
+    because a ufunc that broadcasts it buffers an array of ``L``'s size."""
+    p.zeta.fn(L, drift, scratch)
     drift *= p.dt
     L += drift
-    L += q
+    scratch[...] = q
+    L += scratch
     return L
 
 
@@ -258,18 +283,19 @@ def _chunk_sizes(replicas: int) -> tuple[int, int]:
 
 def _chunk_cuts(replicas: int) -> list[int]:
     """Bounds of the fewest chunks of at most ``_DEFAULT_CHUNK`` replicas, whose
-    sizes differ by at most one: 1,000 replicas step as two chunks of 500."""
+    sizes differ by at most one: 1,000 replicas step as four chunks of 250."""
     n = -(-replicas // _DEFAULT_CHUNK)
     return [replicas * c // n for c in range(n + 1)]
 
 
 def ensemble_working_bytes(p: SdeParams, replicas: int) -> int:
     """Bytes ``simulate_ensemble`` over ``replicas`` replicas holds beside its samples: a
-    chunk's q series (a float a replica-step, 20 MB for the shipped run's chunks of 500
+    chunk's q series (a float a replica-step, 10 MB for the shipped run's chunks of 250
     replicas and 5,120 steps); a block's draws and plan over the kernel's
     reach (``streams.ma_plan_row_bytes``), four rows more for the plan's spectrum or weights
     and the transform's scratch; the stream states of a chunk
-    (``streams.stream_state_bytes``); and 256 KiB for numpy's iteration buffers."""
+    (``streams.stream_state_bytes``); and 256 KiB for numpy's iteration buffers, which
+    also covers the chunk's states and drift buffers, three floats a state and replica."""
     h, n_inc = p.horizon_steps, p.burn_steps + p.horizon_steps
     chunk, rows = _chunk_sizes(replicas)
     reach = _kernel_reach(p.kernel, p.dt, p.burn_in)
@@ -317,9 +343,10 @@ def simulate_ensemble(p: SdeParams, l0_list, replicas: range, steps, seed: int) 
     which drives every initial state and sharpens ensemble comparisons.
     Replicas are stepped in the fewest chunks of at most ``_DEFAULT_CHUNK``,
     whose sizes differ by at most one, and the q series is sized to the
-    largest: 5,000 replicas step as ten chunks of 500.  Each chunk is drawn
+    largest: 5,000 replicas step as 20 chunks of 250.  Each chunk is drawn
     and convolved ``_BLOCK_ROWS`` replicas at a time, through one plan, into
-    ``q``; then it is stepped.  These sizes bound memory
+    ``q``; then it is stepped, each step writing the drift into two buffers
+    of the chunk's states (``euler_step``).  These sizes bound memory
     (``ensemble_working_bytes``), and every operation is per replica, so
     they cannot change the results.
     """
@@ -342,10 +369,11 @@ def simulate_ensemble(p: SdeParams, l0_list, replicas: range, steps, seed: int) 
     out = np.empty((l0.size, steps.size, len(replicas)))
 
     # Buffers are allocated once and refilled for every chunk, so no pass
-    # maps and faults in fresh memory: the chunk's time-major q series and
-    # the plan's scan or transform buffers.
+    # maps and faults in fresh memory: the chunk's time-major q series, the
+    # drift and its scratch, and the plan's scan or transform buffers.
     chunk, plan_rows = _chunk_sizes(len(replicas))
     series = np.empty(h_steps * chunk)
+    work = np.empty((2, l0.size * chunk))
     reach = _kernel_reach(p.kernel, p.dt, p.burn_in)
     taps = _kernel_taps(p.kernel, p.dt, p.burn_in)[:reach]
     plan = ma_plan(taps, plan_rows, h_steps + reach, p.kernel.rate(p.dt))
@@ -358,10 +386,11 @@ def simulate_ensemble(p: SdeParams, l0_list, replicas: range, steps, seed: int) 
         _fill_noise(p, seed, plan, p.burn_steps - reach, layout, q, replicas[lo:hi])
         # The states step together; each step's row of q broadcasts over them.
         l = np.repeat(l0, rows, axis=1)
+        drift, scratch = (w[: l.size].reshape(l.shape) for w in work)
         if 0 in col:
             out[:, col[0], lo:hi] = l
-        for step in range(h_steps):
-            l = euler_step(p, l, q[step])
+        for step, q_row in enumerate(q):
+            l = euler_step(p, l, q_row, drift, scratch)
             if step + 1 in col:
                 out[:, col[step + 1], lo:hi] = l
     return out

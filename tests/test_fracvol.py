@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,16 +177,44 @@ def test_volatility_variance_matches_isometry(kernel, analytic):
     assert abs(discrete - analytic) <= budget
 
 
+DRIFTS = [linear_drift(2.0), saturating_drift(2.0, 0.5)]
+
+
 def test_euler_step_arithmetic():
-    p = _params(zeta=linear_drift(2.0), dt=0.01)
-    # linear drift vanishes at zero, leaving the state-free part alone
-    assert euler_step(p, 0.0, 0.123) == 0.123
-    # states step in place; each replica's q broadcasts over the states
-    L = np.array([[1.7, -0.5, 0.0], [-1.7, 0.5, 3.0]])
-    q = np.array([0.1, -0.2, 0.0])
-    want = L - 2.0 * p.dt * L + q
-    assert euler_step(p, L, q) is L
-    np.testing.assert_allclose(L, want, rtol=1e-15, atol=0.0)
+    # The step writes the drift into its buffers by the allocating form's
+    # operations in the same order, so it equals L + zeta(L) dt + q bit for
+    # bit; states step in place, and each replica's q broadcasts over them.
+    allocating = [lambda x: -2.0 * x, lambda x: -2.0 * x + 0.5 * np.sin(x)]
+    rng = np.random.default_rng(5)
+    for zeta, zeta_of in zip(DRIFTS, allocating):
+        p = _params(zeta=zeta, dt=0.01)
+        L = rng.standard_normal((2, 64)) * 10.0 ** rng.integers(-3, 4, (2, 64))
+        L[:, :4] = [[0.0, -0.0, 1e3, -1e3], [-0.0, 0.0, -1e3, 1e3]]
+        q = rng.standard_normal(64)
+        want = L + zeta_of(L) * p.dt + q
+        assert euler_step(p, L, q, np.empty_like(L), np.empty_like(L)) is L
+        assert np.array_equal(L.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("zeta", DRIFTS, ids=["linear", "saturating"])
+def test_euler_steps_allocate_nothing(zeta):
+    # 1,000 steps of a (2, 250) chunk's states: a step that allocated its
+    # drift, or added q by a ufunc that broadcasts it (which buffers), would
+    # hold an array of the states' shape, 4,000 B; the traced peak must stay
+    # under one 2,000-B row of q
+    p = _params(zeta=zeta, dt=0.01)
+    rng = np.random.default_rng(8)
+    L = rng.standard_normal((2, 250))
+    q = rng.standard_normal((1000, 250)) * 1e-3
+    drift, scratch = np.empty_like(L), np.empty_like(L)
+    tracemalloc.start()
+    try:
+        for q_row in q:
+            L = euler_step(p, L, q_row, drift, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q[0].nbytes
 
 
 def test_euler_matches_exact_ou():
@@ -198,7 +227,7 @@ def test_euler_matches_exact_ou():
     v = np.ones(reps)
     for _ in range(steps):
         dw = rng.standard_normal(reps) * math.sqrt(dt)
-        l = l + (p.zeta.fn(l) - 0.5) * dt + v * dw
+        l = l + (p.zeta.values(l) - 0.5) * dt + v * dw
     t = 2.0
     mean_exact = 1.5 * math.exp(-t) - 0.5 * (1 - math.exp(-t))  # drift shifted by -V^2/2
     var_exact = (1 - math.exp(-2 * t)) / 2.0
@@ -292,20 +321,20 @@ def test_ensemble_matches_scalar_reference_path():
         for k in range(p.horizon_steps):
             v = math.exp(float(np.dot(taps, db[k : k + taps.size][::-1])))
             l, dbk = path[-1], db[p.burn_steps + k]
-            drift = (float(p.zeta.fn(l)) - v * v / 2.0) * p.dt
+            drift = (float(p.zeta.values(l)) - v * v / 2.0) * p.dt
             path.append(l + drift + p.rho * v * dbk + math.sqrt(1.0 - p.rho**2) * v * dw[k])
         for i, k in enumerate(steps):
             assert res[s, i, 5] == pytest.approx(path[k], abs=1e-12)
 
 
 @pytest.mark.parametrize("replicas, chunk", [
-    (1000, 500), (5000, 500), (770, 385), (512, 512), (1, 1),
-    (1537, 385),  # stepping by 385 would leave a last chunk of 382
+    (1000, 250), (5000, 250), (770, 193), (512, 256), (256, 256), (1, 1),
+    (1537, 220),  # stepping by 220 would leave a last chunk of 217
 ])
 def test_chunks_are_the_fewest_under_the_cap_and_equal(replicas, chunk):
     # The q series is sized to the largest chunk, so the chunks are as equal
-    # as whole replicas allow: 1,000 replicas hold 500 rows, not 512, and a
-    # part of the shipped sde-sim run, 5,000 replicas, ten chunks of 500.
+    # as whole replicas allow: 1,000 replicas hold 250 rows, not 256, and a
+    # part of the shipped sde-sim run, 5,000 replicas, 20 chunks of 250.
     assert fracvol._chunk_sizes(replicas)[0] == chunk
     cuts = fracvol._chunk_cuts(replicas)
     sizes = np.diff(cuts)

@@ -846,19 +846,21 @@ def test_logvol_sim_estimate_covers_the_simulation_s_traced_peak(monkeypatch, ma
 
 
 @pytest.mark.parametrize("kernel, replicas, dt, chunk", [
+    # parts of 800 replicas, four chunks of 200
     ("exponential(1.0)", 1600, 0.015625, None),
     ("fractional(0.1)", 1600, 0.015625, None),
+    # a cap of 400 steps the same parts as two chunks of 400, a q series twice
+    # as long: the estimate must follow the cap, not assume the shipped one
     ("exponential(1.0)", 1600, 0.015625, 400),
-    # perfbench's sde-frac shape: the transform spans the 256 taps the kernel
-    # reaches and the 5,120 steps, 5,760 points, not the 2,560-tap burn-in
+    # perfbench's sde-frac shape, parts of 1,000 replicas, four chunks of 250:
+    # the transform spans the 256 taps the kernel reaches and the 5,120
+    # steps, 5,760 points, not the 2,560-tap burn-in
     ("fractional(0.1)", 2000, 0.00390625, None),
 ], ids=["exponential", "fractional", "exponential-chunk-400", "fractional-sde-frac"])
 def test_sde_sim_estimate_covers_the_ensemble_s_traced_peak(monkeypatch, kernel, replicas, dt,
                                                             chunk):
-    # The run is cut into two parts, and the forked child's is traced here:
-    # 1,600 replicas give parts of 800, each two chunks of 400 under the cap
-    # of 512 as under a cap of 400, and 2,000 give parts of 1,000, two chunks
-    # of 500.  The estimate is the one-process figure: it reads the part's
+    # The run is cut into two parts, and the forked child's is traced here.
+    # The estimate is the one-process figure: it reads the part's
     # live chunk size.  The chunk's q series, one float a replica-step,
     # dominates what the ensemble holds; an estimate that kept three floats a
     # replica-step would be over twice it.  One checkpoint keeps the output

@@ -55,9 +55,9 @@ def _regenerate_at_every_b_step(monkeypatch, ran):
 def _linear_drift_kappa(kappa):
     # the Euler step drifts at -kappa L while the bounds keep the config's kappa = 1
     def plant(monkeypatch, ran):
-        def mutant(p, L, q):
+        def mutant(p, L, q, drift, scratch):
             ran.add("euler_step")
-            drift = -kappa * L
+            np.multiply(L, -kappa, out=drift)
             drift *= p.dt
             L += drift
             L += q
